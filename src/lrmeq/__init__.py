@@ -34,7 +34,6 @@ from .problems import (
     gen_stoch_galerkin,
     gen_synthetic,
     fd_diffusion_preconditioners,
-    stoch_galerkin_preconditioners,
 )
 from .solver_rnlcg import RnlcgOptions, rnlcg_solve
 from .solver_rram import RramOptions, rram_solve

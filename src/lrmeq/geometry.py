@@ -23,8 +23,8 @@ from . import numkit
 # unless explicitly forced; the dense path exists for oracles and tests.
 DENSIFY_LIMIT = 64
 
-# Singular values below this multiple of the largest one are flagged as
-# numerically zero and floored to keep points on the manifold.
+# Singular values below this multiple of the largest one are floored to
+# keep points on the manifold.
 SIGMA_FLOOR_FACTOR = 1e2 * np.finfo(float).eps
 
 
@@ -71,9 +71,6 @@ class KroneckerMetric:
 
     def sqrtE_solve(self, M):
         return M if self.fact_E is None else self.fact_E.c_solve(M)
-
-    def sqrtE_tsolve(self, M):
-        return M if self.fact_E is None else self.fact_E.ct_solve(M)
 
     # -- D side -------------------------------------------------------------
     def apply_D(self, M):
@@ -158,14 +155,13 @@ def factored_norm(Z: FactoredMatrix, metric: KroneckerMetric | None = None) -> f
 class FixedRankPoint:
     """Rank-r point stored as a weighted thin SVD ``U @ diag(sigma) @ V.T``."""
 
-    __slots__ = ("U", "sigma", "V", "metric", "deficient", "_EU", "_DV")
+    __slots__ = ("U", "sigma", "V", "metric", "_EU", "_DV")
 
-    def __init__(self, U, sigma, V, metric, deficient=False):
+    def __init__(self, U, sigma, V, metric):
         self.U = U
         self.sigma = np.asarray(sigma, dtype=float)
         self.V = V
         self.metric = metric
-        self.deficient = deficient
         self._EU = None
         self._DV = None
 
@@ -203,7 +199,7 @@ class FixedRankPoint:
     def scaled(self, alpha):
         if alpha <= 0:
             raise ValueError("scale must be positive")
-        return FixedRankPoint(self.U, alpha * self.sigma, self.V, self.metric, self.deficient)
+        return FixedRankPoint(self.U, alpha * self.sigma, self.V, self.metric)
 
     def validate(self, tol=1e-8):
         """Check the weighted orthonormality invariants (for tests/debug)."""
@@ -364,7 +360,7 @@ def truncate(Z, r, metric: KroneckerMetric) -> FixedRankPoint:
     """Best rank-r approximation of Z in the B-norm (weighted Eckart-Young).
 
     If the numerical rank of Z is below ``r`` the returned point has the
-    smaller rank and is flagged ``deficient``.
+    smaller rank.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -380,10 +376,8 @@ def truncate(Z, r, metric: KroneckerMetric) -> FixedRankPoint:
         V1[0, 0] = 1.0
         U1 /= np.sqrt(float(U1.T @ metric.apply_E(U1)))
         V1 /= np.sqrt(float(V1.T @ metric.apply_D(V1)))
-        return FixedRankPoint(U1, np.array([np.finfo(float).tiny]), V1, metric, deficient=True)
-    return FixedRankPoint(
-        U[:, :keep], s[:keep].copy(), V[:, :keep], metric, deficient=keep < r
-    )
+        return FixedRankPoint(U1, np.array([np.finfo(float).tiny]), V1, metric)
+    return FixedRankPoint(U[:, :keep], s[:keep].copy(), V[:, :keep], metric)
 
 
 def project(X: FixedRankPoint, Z) -> TangentVector:
@@ -455,16 +449,9 @@ class LineSearchRetraction:
         core[:r, r:] = t * np.eye(r)
         core[r:, :r] = t * np.eye(r)
         u, s, v = numkit.svd_thin(self.RU @ core @ self.RV.T)
-        s_r = s[:r].copy()
-        deficient = False
-        floor = SIGMA_FLOOR_FACTOR * (s_r[0] if s_r[0] > 0 else 1.0)
-        small = s_r < floor
-        if np.any(small):
-            s_r[small] = floor
-            deficient = True
-        return FixedRankPoint(
-            self.QU @ u[:, :r], s_r, self.QV @ v[:, :r], X.metric, deficient=deficient
-        )
+        floor = SIGMA_FLOOR_FACTOR * (s[0] if s[0] > 0 else 1.0)
+        s_r = np.maximum(s[:r], floor)
+        return FixedRankPoint(self.QU @ u[:, :r], s_r, self.QV @ v[:, :r], X.metric)
 
 
 def retract(X: FixedRankPoint, xi: TangentVector, t: float = 1.0) -> FixedRankPoint:

@@ -86,6 +86,23 @@ def _banded_upper_from_csc(A, bandwidth):
     return ab
 
 
+def rcm_bands(*mats):
+    """Reverse-Cuthill-McKee order of sparse symmetric matrices of one size.
+
+    Returns ``(perm, bands)``: the permutation of the union of their
+    sparsity patterns, and each matrix permuted by it in upper-banded
+    storage.  All bands share the bandwidth of the permuted union pattern,
+    so any linear combination of the matrices fits in them.
+    """
+    pattern = sp.identity(mats[0].shape[0], format="csr")
+    for M in mats:
+        pattern = pattern + abs(M) + abs(M).T
+    perm = np.asarray(reverse_cuthill_mckee(pattern.tocsr(), symmetric_mode=True))
+    rows, cols = pattern[perm][:, perm].nonzero()
+    bw = int(np.max(np.abs(rows - cols)))
+    return perm, [_banded_upper_from_csc(M[perm][:, perm], bw) for M in mats]
+
+
 class _TriBandFactor:
     """Upper-triangular banded factor R with ``M = R.T @ R``."""
 
@@ -123,15 +140,16 @@ class _TriBandFactor:
 class SpdFactorization:
     """Cholesky-type factorization of an SPD matrix with repeated solves.
 
-    Provides ``solve``/``solve_many`` plus access to a (possibly
-    permuted) triangular square root ``C`` with ``A = C.T @ C`` through
-    ``c_mul``, ``c_solve``, ``ct_mul`` and ``ct_solve``.  Instances are
-    immutable after construction and re-entrant.
+    Provides ``solve`` plus access to a (possibly permuted) triangular
+    square root ``C`` with ``A = C.T @ C`` through ``c_mul``, ``c_solve``,
+    ``ct_mul`` and ``ct_solve``.  Instances are immutable after
+    construction and re-entrant.
     """
 
     def __init__(self, A):
         if sp.issparse(A):
-            self._init_sparse(A.tocsr())
+            perm, (ab,) = rcm_bands(A.tocsr())
+            self._init_banded(ab, perm)
         else:
             self._init_dense(np.asarray(A, dtype=float))
 
@@ -147,27 +165,7 @@ class SpdFactorization:
         self._perm = None
 
     # -- sparse backend (RCM + banded Cholesky) ---------------------------
-    def _init_sparse(self, A):
-        self.n = A.shape[0]
-        self.kind = "banded"
-        pattern = A + A.T
-        perm = np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=True))
-        Ap = A[perm][:, perm].tocsr()
-        rows, cols = Ap.nonzero()
-        bw = int(np.max(np.abs(rows - cols))) if rows.size else 0
-        ab = _banded_upper_from_csc(Ap, bw)
-        try:
-            cb = sla.cholesky_banded(ab, lower=False)
-        except sla.LinAlgError as exc:
-            raise NotSpdError(str(exc), _pivot_index(exc)) from exc
-        self._band = _TriBandFactor(cb)
-        self._perm = perm
-        self._iperm = np.argsort(perm)
-
-    @classmethod
-    def from_banded(cls, ab_upper):
-        """Factorize directly from upper-banded storage (no reordering)."""
-        self = cls.__new__(cls)
+    def _init_banded(self, ab_upper, perm):
         self.n = ab_upper.shape[1]
         self.kind = "banded"
         try:
@@ -175,8 +173,15 @@ class SpdFactorization:
         except sla.LinAlgError as exc:
             raise NotSpdError(str(exc), _pivot_index(exc)) from exc
         self._band = _TriBandFactor(cb)
-        self._perm = None
-        self._iperm = None
+        self._perm = perm
+        self._iperm = None if perm is None else np.argsort(perm)
+
+    @classmethod
+    def from_banded(cls, ab_upper, perm=None):
+        """Factorize from upper-banded storage of the matrix permuted by
+        ``perm`` (None: not permuted); solves take unpermuted vectors."""
+        self = cls.__new__(cls)
+        self._init_banded(ab_upper, perm)
         return self
 
     # -- solves ------------------------------------------------------------
@@ -189,9 +194,6 @@ class SpdFactorization:
         x = self._band.tsolve(bp)
         x = self._band.solve(x)
         return x[self._iperm] if self._perm is not None else x
-
-    def solve_many(self, B):
-        return self.solve(B)
 
     # -- square-root factor C with A = C.T @ C -----------------------------
     def c_mul(self, M):

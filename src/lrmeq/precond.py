@@ -11,22 +11,19 @@ and an approximate ADI-type fixed-point iteration on the tangent space
 parameters and spectral-interval estimation for SPD pencils.
 
 All exact solves reduce to r shifted sparse solves plus small dense
-algebra; shifted factorizations are produced by ``ShiftedPencilFactory``
-which caches them keyed by the shift value, so iteration-independent
-shifts (tangADI, fADI) are factorized once per solver run.
+algebra; shifted factorizations come from ``ShiftedPencilFactory``.  The
+ADI preconditioners (tangADI, fADI), whose shifts are fixed, factor each
+shift pair once, on their first application.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import numkit
 from .geometry import FactoredMatrix, FixedRankPoint, TangentVector
@@ -37,62 +34,29 @@ _DENSE_EIG_LIMIT = 256
 
 
 class ShiftedPencilFactory:
-    """Cached SPD factorizations of ``A + shift * E`` for varying shifts.
+    """SPD factorizations of ``A + shift * E`` for varying shifts.
 
     For sparse input the fill-reducing permutation and band extraction
-    are computed once from the combined sparsity pattern; each new shift
-    only costs a banded Cholesky.  ``E=None`` means the identity.
+    are computed once from the union of the sparsity patterns; each shift
+    then costs one banded Cholesky.  ``E=None`` means the identity.
     """
 
-    def __init__(self, A, E=None, cache_size=64):
-        self.cache_size = cache_size
-        self._cache = OrderedDict()
-        self._lock = threading.Lock()
+    def __init__(self, A, E=None):
+        n = A.shape[0]
         if sp.issparse(A) and (E is None or sp.issparse(E)):
-            A = A.tocsr()
-            pattern = abs(A) + abs(A).T
-            if E is not None:
-                E = E.tocsr()
-                pattern = pattern + abs(E) + abs(E).T
-            pattern = pattern + sp.identity(A.shape[0], format="csr")
-            perm = np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=True))
-            Ap = A[perm][:, perm]
-            rows, cols = (Ap + Ap.T).nonzero()
-            bw = int(np.max(np.abs(rows - cols))) if rows.size else 0
-            self._A_band = numkit._banded_upper_from_csc(Ap, bw)
-            if E is None:
-                Eb = np.zeros_like(self._A_band)
-                Eb[bw, :] = 1.0
-                self._E_band = Eb
-            else:
-                Ep = E[perm][:, perm]
-                self._E_band = numkit._banded_upper_from_csc(Ep, bw)
-            self._perm = perm
-            self._iperm = np.argsort(perm)
+            E = sp.identity(n, format="csr") if E is None else E.tocsr()
+            self._perm, (self._A, self._E) = numkit.rcm_bands(A.tocsr(), E)
             self.kind = "banded"
         else:
             self._A = numkit.as_dense(A)
-            self._E = np.eye(self._A.shape[0]) if E is None else numkit.as_dense(E)
+            self._E = np.eye(n) if E is None else numkit.as_dense(E)
             self.kind = "dense"
 
     def factor(self, shift):
-        key = float(shift)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                return hit
+        """Factorize ``A + shift * E``; nothing is kept between calls."""
         if self.kind == "dense":
-            fact = numkit.spd_factorize(self._A + key * self._E)
-        else:
-            fact = numkit.SpdFactorization.from_banded(self._A_band + key * self._E_band)
-            fact._perm = self._perm
-            fact._iperm = self._iperm
-        with self._lock:
-            self._cache[key] = fact
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-        return fact
+            return numkit.spd_factorize(self._A + shift * self._E)
+        return numkit.SpdFactorization.from_banded(self._A + shift * self._E, self._perm)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +106,7 @@ def _solve_projected_sylvester(X, eta, A, B, factory_AE, factory_BD):
     """Shared core for the (generalized) projected Sylvester solve.
 
     Works in the geometry of ``X``: its metric supplies ``E, D`` through
-    the cached ``EU = E U`` and ``DV = D V`` products; the identity
+    the ``EU = E U`` and ``DV = D V`` products cached on ``X``; the identity
     metric yields the plain Sylvester case.
     """
     if eta.point is not X:
@@ -256,24 +220,29 @@ class ShiftSet:
         return self.pairs[j % len(self.pairs)]
 
 
-def tangadi_apply(
-    X, eta, A, B, D=None, E=None, shifts=None, steps=None,
-    factory_AE=None, factory_BD=None, xi0=None,
-):
+def adi_factors(A, B, D, E, shifts, steps):
+    """Factorizations ``(A - q_j E, B + p_j D)`` of the shift pairs that
+    ``steps`` ADI sweeps use; ``D`` or ``E`` None means the identity."""
+    factory_AE = ShiftedPencilFactory(A, E)
+    factory_BD = ShiftedPencilFactory(B, D)
+    return [(factory_AE.factor(-q), factory_BD.factor(p)) for p, q in shifts.pairs[:steps]]
+
+
+def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors=None, xi0=None):
     """Approximate ``P_X^{-1} eta`` for ``P X = A X D + E X B`` by tangADI.
 
     Runs ``steps`` sweeps of the tangent-space ADI fixed-point iteration
     starting from zero (or ``xi0``), cycling through the shift pairs.
     Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``
-    plus O(r^2 (m + n)) dense work; the factorizations are shift-cached.
+    plus O(r^2 (m + n)) dense work; ``factors`` (from ``adi_factors``)
+    saves factorizing the pencils on every call.
     """
     if not X.metric.is_identity:
         raise ValueError("tangADI operates in the standard metric")
     if shifts is None or len(shifts) == 0:
         raise ValueError("tangADI needs a nonempty shift set")
     steps = len(shifts) if steps is None else int(steps)
-    factory_AE = factory_AE or ShiftedPencilFactory(A, E)
-    factory_BD = factory_BD or ShiftedPencilFactory(B, D)
+    factors = factors or adi_factors(A, B, D, E, shifts, steps)
 
     U, V, r = X.U, X.V, X.r
     m, n = X.shape
@@ -298,8 +267,8 @@ def tangadi_apply(
         first = True
     for j in range(steps):
         p, q = shifts.pair(j)
-        fact_A = factory_AE.factor(-q)   # (A - q E), SPD for q < a
-        fact_B = factory_BD.factor(p)    # (B + p D), SPD for p > -c
+        # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
+        fact_A, fact_B = factors[j % len(shifts)]
         K_U = S_AU - q * S_EU
         K_V = S_BV + p * S_DV
         if first:
@@ -525,13 +494,14 @@ class TangAdiPrecond:
         self.A, self.B, self.D, self.E = A, B, D, E
         self.shifts = shifts
         self.steps = steps
-        self.factory_AE = ShiftedPencilFactory(A, E)
-        self.factory_BD = ShiftedPencilFactory(B, D)
+        self._factors = None    # made on the first apply, not in set-up
 
     def apply_inv_tangent(self, eta):
+        if self._factors is None:
+            self._factors = adi_factors(self.A, self.B, self.D, self.E, self.shifts, self.steps)
         return tangadi_apply(
             eta.point, eta, self.A, self.B, self.D, self.E,
-            self.shifts, self.steps, self.factory_AE, self.factory_BD,
+            self.shifts, self.steps, self._factors,
         )
 
 
@@ -548,17 +518,17 @@ class FadiAmbientPrecond:
         self.shifts = shifts
         self.steps = len(shifts) if steps is None else int(steps)
         self.truncate_fn = truncate_fn
-        self.factory_AE = ShiftedPencilFactory(A, E)
-        self.factory_BD = ShiftedPencilFactory(B, D)
+        self._factors = None    # made on the first apply, not in set-up
 
     def apply_inv_ambient(self, Z: FactoredMatrix) -> FactoredMatrix:
+        if self._factors is None:
+            self._factors = adi_factors(self.A, self.B, self.D, self.E, self.shifts, self.steps)
         m, n = Z.shape
         Xl = np.zeros((m, 0))
         Xr = np.zeros((n, 0))
         for j in range(self.steps):
             p, q = self.shifts.pair(j)
-            fa = self.factory_AE.factor(-q)
-            fb = self.factory_BD.factor(p)
+            fa, fb = self._factors[j % len(self.shifts)]
             new_l = [fa.solve((p - q) * Z.left)]
             new_r = [fb.solve(Z.right)]
             if Xl.shape[1]:

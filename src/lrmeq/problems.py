@@ -181,14 +181,6 @@ def fd_2d_stiffness(ns, c):
 def multi_indices(q, p):
     """Total-degree <= p multi-indices in q variables, graded lex order."""
     out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(budget + 1):
-            rec(prefix + [d], remaining - 1, budget - d)
-
     for total in range(p + 1):
         block = []
 
@@ -294,7 +286,9 @@ def gen_stoch_galerkin(ns, q, p, a0=1.0, a_funcs=None, f_const=1.0, theta=0.55):
     g0 = np.zeros((n_param, 1)); g0[0, 0] = 1.0
     F = LowRankRhs(f0, g0)
 
-    # mean-field preconditioners: average the parametric terms
+    # mean-field preconditioners: P1 uses the constant coefficient
+    # (E = K0), P2 also averages the parametric terms
+    # (D = I + sum_k abar_k/a0 G_k)
     a_bars = [_mean_over_square(a_k) for a_k in a_funcs]
     G_avg = sp.identity(n_param, format="csr")
     for ab, Gk in zip(a_bars, Gs):
@@ -306,15 +300,6 @@ def gen_stoch_galerkin(ns, q, p, a0=1.0, a_funcs=None, f_const=1.0, theta=0.55):
         meta={"family": "stoch-galerkin", "ns": ns, "q": q, "p": p,
               "n_param": n_param, "ell": op.ell, "a0": a0, "a_bars": a_bars},
     )
-
-
-def stoch_galerkin_preconditioners(inst: ProblemInstance):
-    """Mean-field preconditioner pair of a stochastic-Galerkin instance:
-    P1 uses the constant coefficient (E = K0), P2 additionally averages
-    the parametric terms (D = I + sum_k abar_k/a0 G_k)."""
-    if inst.meta.get("family") != "stoch-galerkin":
-        raise ValueError("not a stochastic-Galerkin instance")
-    return inst.p1, inst.p2
 
 
 def _mean_over_square(a_k, n_quad=64):

@@ -9,17 +9,20 @@ projection retraction (whose weighted QRs are reused across trial steps).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import equations as eqs
 from . import geometry as geo
+from . import numkit
 from .precond import IdentityPrecond
 from .trace import SolveTrace
 
 _BETA_DEN_GUARD = 1e-14
+ARMIJO_SHRINK = 0.5
+MAX_BACKTRACKS = 25
+STAG_GRAD_TOL = 1e-13
 
 
 class LineSearchError(RuntimeError):
@@ -30,21 +33,23 @@ class SpdLossError(RuntimeError):
     """Raised when a curvature term that must be positive is not."""
 
 
+# What a step raises when the operator or preconditioner stops being SPD:
+# a nonpositive curvature, or a projected small system that is not SPD.
+SPD_LOSS = (SpdLossError, numkit.NotSpdError)
+
+
 @dataclass
 class RnlcgOptions:
     rank: int
     max_iters: int = 500
     tol: float = 1e-6
     armijo_slope: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 25
     check_every: int = 1
     seed: int = 0
-    stag_grad_tol: float = 1e-13
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_slope < 1.0 and 0.0 < self.armijo_shrink < 1.0):
-            raise ValueError("Armijo parameters must lie in (0, 1)")
+        if not 0.0 < self.armijo_slope < 1.0:
+            raise ValueError("Armijo slope must lie in (0, 1)")
 
 
 def search_direction(g, h, prev=None):
@@ -87,7 +92,7 @@ def initial_step(op, g, xi):
 
 
 def armijo_backtrack(op, F, X, xi, alpha_bar, g, f0, opts):
-    """First ``alpha = alpha_bar * shrink^j`` passing the Armijo test.
+    """First ``alpha = alpha_bar * ARMIJO_SHRINK^j`` passing the Armijo test.
 
     Returns ``(alpha, X_new, f_new, R_new, backtracks)``; the weighted QR
     factors of the retraction are computed once and shared by all trials.
@@ -97,14 +102,14 @@ def armijo_backtrack(op, F, X, xi, alpha_bar, g, f0, opts):
         raise LineSearchError("search direction is not a descent direction")
     retr = geo.LineSearchRetraction(X, xi)
     alpha = alpha_bar
-    for j in range(opts.max_backtracks + 1):
+    for j in range(MAX_BACKTRACKS + 1):
         X_t = retr.at(alpha)
         f_t, R_t = eqs.evaluate(op, X_t, F)
         if f_t <= f0 + alpha * slope_term:
             return alpha, X_t, f_t, R_t, j
-        alpha *= opts.armijo_shrink
+        alpha *= ARMIJO_SHRINK
     raise LineSearchError(
-        f"Armijo backtracking exhausted after {opts.max_backtracks} reductions"
+        f"Armijo backtracking exhausted after {MAX_BACKTRACKS} reductions"
     )
 
 
@@ -113,8 +118,9 @@ class RnlcgState:
 
     Holds the current point plus its objective, factored residual,
     Riemannian gradient and preconditioned gradient; ``step()`` advances
-    one accepted iteration.  The rank-adaptive outer loop drives this
-    directly; ``rnlcg_solve`` wraps it with stopping tests and a trace.
+    one accepted iteration and leaves the state untouched when it raises.
+    The rank-adaptive outer loop drives this directly, restarting it after
+    rank changes; ``rnlcg_solve`` wraps it with stopping tests.
     """
 
     def __init__(self, op, F, opts, metric=None, precond=None, X0=None, rng=None):
@@ -129,8 +135,11 @@ class RnlcgState:
         self.norm_F = geo.factored_norm(F)
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")
-        self.X = X0
-        self._prepare(*eqs.evaluate(op, X0, F))
+        self.restart(X0)
+
+    def restart(self, X):
+        """Move to the point ``X`` with no CG history, as a fresh state."""
+        self._move_to(X, *eqs.evaluate(self.op, X, self.F))
         self._xi_prev = None
         self._h_prev = None
         self._prev_g_xi = 0.0
@@ -139,23 +148,31 @@ class RnlcgState:
         self.last_backtracks = 0
         self.last_reset = False
 
-    def _prepare(self, f, R):
-        self.f = f
-        self.R = R
-        self.g = geo.riemannian_gradient(self.X, R)
-        self.h = self.precond.apply_inv_tangent(self.g)
-        self.grad_energy = geo.inner(self.g, self.h)
-        if self.grad_energy < 0.0:
+    def _move_to(self, X, f, R):
+        g = geo.riemannian_gradient(X, R)
+        h = self.precond.apply_inv_tangent(g)
+        grad_energy = geo.inner(g, h)
+        if grad_energy < 0.0:
             raise SpdLossError(
-                f"<g, P^-1 g> = {self.grad_energy:.3e} < 0: preconditioner not SPD"
+                f"<g, P^-1 g> = {grad_energy:.3e} < 0: preconditioner not SPD"
             )
+        self.X, self.f, self.R = X, f, R
+        self.g, self.h, self.grad_energy = g, h, grad_energy
 
     def res_rel(self):
         """Exact relative Frobenius residual at the current point."""
         return geo.factored_norm(self.R) / self.norm_F
 
     def stagnated(self):
-        return np.sqrt(max(self.grad_energy, 0.0)) <= self.opts.stag_grad_tol * self.norm_F
+        return np.sqrt(max(self.grad_energy, 0.0)) <= STAG_GRAD_TOL * self.norm_F
+
+    def record(self, trace, k, **fields):
+        """Append the row of iteration ``k`` to ``trace``; ``fields``
+        (residual, event, ...) override the state's own values."""
+        trace.append(**{
+            "iter": k, "f": self.f, "rank": self.X.r, "beta": self.last_beta,
+            "alpha": self.last_alpha, "backtracks": self.last_backtracks, **fields,
+        })
 
     def step(self):
         """One accepted R-NLCG iteration; updates the state in place."""
@@ -171,68 +188,45 @@ class RnlcgState:
         alpha, X_new, f_new, R_new, n_back = armijo_backtrack(
             self.op, self.F, self.X, xi, alpha_bar, self.g, self.f, self.opts
         )
+        h, g_xi = self.h, geo.inner(self.g, xi)
+        self._move_to(X_new, f_new, R_new)
         self._xi_prev = xi
-        self._h_prev = self.h
-        self._prev_g_xi = geo.inner(self.g, xi)
-        self.X = X_new
-        self._prepare(f_new, R_new)
+        self._h_prev = h
+        self._prev_g_xi = g_xi
         self.last_beta = beta
         self.last_alpha = alpha
         self.last_backtracks = n_back
         self.last_reset = reset
         return self
 
-    def reset_history(self):
-        """Forget the CG memory (used after rank changes)."""
-        self._xi_prev = None
-        self._h_prev = None
-        self._prev_g_xi = 0.0
-
 
 def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None, X0=None):
     """Run Algorithm-style fixed-rank R-NLCG until tolerance or budget.
 
-    Returns ``(X, trace, status)`` with status in
-    {"converged", "max_iter", "line_search_failure", "stagnated"}.
+    Returns ``(X, trace, status)`` with status in {"converged", "max_iter",
+    "line_search_failure", "stagnated", "spd_loss"}.
     """
     trace = SolveTrace()
-    t0 = time.perf_counter()
     state = RnlcgState(op, F, opts, metric=metric, precond=precond, X0=X0)
     k = 0
     res = state.res_rel()
-    trace.append(
-        iter=0, f=state.f, res_rel=res, res_kind="exact", rank=state.X.r,
-        beta=0.0, alpha=0.0, backtracks=0, time_s=time.perf_counter() - t0, event="",
-    )
-    while True:
-        if res <= opts.tol:
-            status = "converged"
-            trace.tag_last("converged")
-            break
+    state.record(trace, 0, res_rel=res, res_kind="exact")
+    while res > opts.tol:
         if k >= opts.max_iters:
-            status = "max_iter"
-            trace.tag_last("max_iter")
-            break
+            return trace.finish(state.X, "max_iter")
         if state.stagnated():
-            status = "stagnated"
-            trace.tag_last("stagnated")
-            break
+            return trace.finish(state.X, "stagnated")
         try:
             state.step()
         except LineSearchError:
-            status = "line_search_failure"
-            trace.tag_last("line_search_failure")
-            break
+            return trace.finish(state.X, "line_search_failure")
+        except SPD_LOSS:
+            return trace.finish(state.X, "spd_loss")
         k += 1
-        fresh = (k % opts.check_every == 0) or k >= opts.max_iters
-        if fresh:
+        event = "reset_rgd" if state.last_reset else ""
+        if k % opts.check_every == 0 or k >= opts.max_iters:
             res = state.res_rel()
-        trace.append(
-            iter=k, f=state.f,
-            res_rel=res if fresh else "", res_kind="exact" if fresh else "",
-            rank=state.X.r, beta=state.last_beta, alpha=state.last_alpha,
-            backtracks=state.last_backtracks,
-            time_s=time.perf_counter() - t0,
-            event="reset_rgd" if state.last_reset else "",
-        )
-    return state.X, trace, status
+            state.record(trace, k, res_rel=res, res_kind="exact", event=event)
+        else:
+            state.record(trace, k, event=event)
+    return trace.finish(state.X, "converged")

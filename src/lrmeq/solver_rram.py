@@ -1,7 +1,7 @@
 """Rank-adaptive outer loop around fixed-rank R-NLCG.
 
 Alternates fixed-rank optimization episodes with rank updates: the rank
-drops when the iterate becomes numerically rank-deficient, and grows by
+drops when the iterate loses numerical rank, and grows by
 ``r_up`` along an exact line search in the truncated normal component of
 the negative gradient once the residual plateaus.  Plateaus are detected
 on cheap Hutch++ residual-norm estimates; convergence decisions always
@@ -10,15 +10,19 @@ use the exact factored-QR residual norm.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import equations as eqs
 from . import geometry as geo
-from .solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState, SpdLossError
+from .solver_rnlcg import SPD_LOSS, LineSearchError, RnlcgOptions, RnlcgState
 from .trace import SolveTrace
+
+EPS_SIGMA = 1e-8          # numerical-rank threshold of the rank decrease
+PLATEAU_FACT = 0.75       # plateau when the recent slope is this share of the mean
+HUTCH_BUDGET = 5          # Hutch++ matvecs per residual estimate
+MAX_PHASE_ITERS = 200     # R-NLCG steps in one fixed-rank phase at most
 
 
 @dataclass
@@ -26,23 +30,14 @@ class RramOptions:
     r0: int = 3
     r_up: int = 3
     tol: float = 1e-6
-    eps_sigma: float = 1e-8
     w_len: int = 3
-    fact: float = 0.75
-    hutch_budget: int = 5
     max_total_iters: int = 500
-    max_phase_iters: int = 200
     seed: int = 0
-    early_exit: bool = False       # halt a phase when the estimate crosses tol/2
     inner: RnlcgOptions | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.eps_sigma < 1.0):
-            raise ValueError("eps_sigma must be in (0, 1)")
         if self.w_len < 2:
             raise ValueError("w_len must be >= 2")
-        if not (0.0 < self.fact < 1.0):
-            raise ValueError("fact must be in (0, 1)")
         if self.inner is None:
             self.inner = RnlcgOptions(rank=self.r0, tol=self.tol, seed=self.seed)
 
@@ -109,12 +104,8 @@ def rank_increase(X, op, F, r_up, rng):
     order = np.argsort(-s_all)
     s_all = s_all[order]
     floor = geo.SIGMA_FLOOR_FACTOR * (s_all[0] if s_all[0] > 0 else 1.0)
-    deficient = bool(np.any(s_all < floor))
     s_all = np.maximum(s_all, floor)
-    X_new = geo.FixedRankPoint(
-        U_all[:, order], s_all, V_all[:, order], metric, deficient=deficient
-    )
-    return X_new, alpha
+    return geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], metric), alpha
 
 
 def _pad_normal_directions(X, U_n, s_n, V_n, extra, rng):
@@ -199,73 +190,46 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
     """Riemannian rank-adaptive solve; returns ``(X, trace, status)``.
 
     Trace events: ``rank_up:r->r'``, ``rank_down:r->r'``, ``plateau``,
-    ``converged``.
+    ``converged``, ``max_iter``.
     """
     trace = SolveTrace()
-    t0 = time.perf_counter()
     rng = np.random.default_rng(opts.seed)
-    inner_opts = opts.inner
     metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
     if X0 is None:
         X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
-    state = RnlcgState(op, F, inner_opts, metric=metric, precond=precond, X0=X0)
-    norm_F = state.norm_F
+    state = RnlcgState(op, F, opts.inner, metric=metric, precond=precond, X0=X0)
 
     k = 0
     res = state.res_rel()
-    trace.append(
-        iter=0, f=state.f, res_rel=res, res_kind="exact", rank=state.X.r,
-        beta=0.0, alpha=0.0, backtracks=0, time_s=time.perf_counter() - t0, event="",
-    )
-    status = "max_iter"
-    while True:
-        if res <= opts.tol:
-            status = "converged"
-            trace.tag_last("converged")
-            break
+    state.record(trace, 0, res_rel=res, res_kind="exact")
+    while res > opts.tol:
         if k >= opts.max_total_iters:
-            status = "max_iter"
-            trace.tag_last("max_iter")
-            break
+            return trace.finish(state.X, "max_iter")
 
         # ---- fixed-rank phase -------------------------------------------
         log_hist = []
         phase_iters = 0
-        phase_end = None
-        while phase_end is None:
+        while True:
             try:
                 state.step()
-            except (LineSearchError, SpdLossError):
-                phase_end = "inner_stop"
+            except (LineSearchError, *SPD_LOSS):
                 break
             k += 1
             phase_iters += 1
-            est = hutchpp_residual_norm(state.R, opts.hutch_budget, rng) / norm_F
+            est = hutchpp_residual_norm(state.R, HUTCH_BUDGET, rng) / state.norm_F
             log_hist.append(np.log10(max(est, 1e-300)))
             event = ""
-
-            if rank_decrease_trigger(state.X.sigma, opts.eps_sigma):
-                X2, r_minus = rank_decrease(state.X, opts.eps_sigma)
+            if rank_decrease_trigger(state.X.sigma, EPS_SIGMA):
+                X2, r_minus = rank_decrease(state.X, EPS_SIGMA)
                 event = f"rank_down:{state.X.r}->{r_minus}"
-                state = RnlcgState(
-                    op, F, opts.inner, metric=metric, precond=precond, X0=X2
-                )
+                state.restart(X2)
                 log_hist = []
-            trace.append(
-                iter=k, f=state.f, res_rel=est, res_kind="hutchpp", rank=state.X.r,
-                beta=state.last_beta, alpha=state.last_alpha,
-                backtracks=state.last_backtracks,
-                time_s=time.perf_counter() - t0, event=event,
-            )
-            if k >= opts.max_total_iters or phase_iters >= opts.max_phase_iters:
-                phase_end = "budget"
-            elif state.stagnated():
-                phase_end = "inner_stop"
-            elif plateau_detect(log_hist, opts.w_len, opts.fact):
-                phase_end = "plateau"
+            state.record(trace, k, res_rel=est, res_kind="hutchpp", event=event)
+            if k >= opts.max_total_iters or phase_iters >= MAX_PHASE_ITERS or state.stagnated():
+                break
+            if plateau_detect(log_hist, opts.w_len, PLATEAU_FACT):
                 trace.tag_last("plateau")
-            elif opts.early_exit and est <= 0.5 * opts.tol:
-                phase_end = "early"
+                break
 
         # ---- exact residual and rank increase ---------------------------
         res = state.res_rel()
@@ -274,12 +238,10 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
             continue
         X_up, alpha_star = rank_increase(state.X, op, F, opts.r_up, rng)
         k += 1
-        state = RnlcgState(op, F, opts.inner, metric=metric, precond=precond, X0=X_up)
+        state.restart(X_up)
         res = state.res_rel()
-        trace.append(
-            iter=k, f=state.f, res_rel=res, res_kind="exact", rank=state.X.r,
-            beta=0.0, alpha=alpha_star, backtracks=0,
-            time_s=time.perf_counter() - t0,
+        state.record(
+            trace, k, res_rel=res, res_kind="exact", alpha=alpha_star,
             event=f"rank_up:{X_up.r - opts.r_up}->{X_up.r}",
         )
-    return state.X, trace, status
+    return trace.finish(state.X, "converged")

@@ -3,13 +3,15 @@
 Schema (one row per iteration or event):
 ``iter,f,res_rel,res_kind,rank,beta,alpha,backtracks,time_s,event``.
 The truncated-CG solver appends ``rank_x,rank_r,rank_p`` columns.
-Golden comparisons exclude the ``time_s`` column.
+``time_s`` counts seconds from the trace's construction; golden
+comparisons exclude it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import time
 
 BASE_COLUMNS = (
     "iter", "f", "res_rel", "res_kind", "rank",
@@ -19,14 +21,20 @@ TIME_COLUMNS = ("time_s",)
 
 
 class SolveTrace:
-    """Append-only record of solver iterations; indices strictly increase."""
+    """Append-only record of solver iterations; indices strictly increase.
+
+    Rows are stamped with the seconds since construction, and a solve
+    ends through ``finish``.
+    """
 
     def __init__(self, extra_columns=()):
         self.columns = BASE_COLUMNS + tuple(extra_columns)
         self.rows = []
+        self._t0 = time.perf_counter()
 
     def append(self, **kw):
         row = {c: kw.get(c, "") for c in self.columns}
+        row["time_s"] = time.perf_counter() - self._t0
         if self.rows and row["iter"] <= self.rows[-1]["iter"]:
             raise ValueError("iteration indices must strictly increase")
         self.rows.append(row)
@@ -43,6 +51,12 @@ class SolveTrace:
             raise ValueError("no rows to tag")
         prev = self.rows[-1]["event"]
         self.rows[-1]["event"] = f"{prev}+{event}" if prev else event
+
+    def finish(self, X, status):
+        """End a solve: tag the last row with ``status`` and return the
+        solver result ``(X, trace, status)``."""
+        self.tag_last(status)
+        return X, self, status
 
     def update_last(self, **kw):
         """Overwrite fields of the most recent row (e.g. refresh to an

@@ -4,13 +4,15 @@ Baseline for benchmark comparisons: standard PCG recurrences on the
 matrix equation, with every iterate kept in factored form and
 recompressed.  Truncation roles: the iterate X_k uses a relative
 tolerance, the residual R_k and direction P_k a mixed absolute-relative
-criterion, and Q_k = A P_k is never truncated.  Every truncation logs
-the discarded tail norm.
+criterion, and Q_k = A P_k is never truncated.  The residual is updated
+by the recurrence (trace rows ``recursive``); once that reaches the
+tolerance, the true residual ``F - A X`` decides convergence (rows
+``exact``) and, when it misses, replaces the recursive one.  The last
+row of every solve holds the true residual.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +81,15 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
     Status is one of converged / max_iter / stagnated / cg_breakdown.
     """
     trace = SolveTrace(extra_columns=("rank_x", "rank_r", "rank_p"))
-    t0 = time.perf_counter()
     m, n = op.m, op.n
+    X = FactoredMatrix.zero(m, n)
     norm_F = factored_norm(F)
     if norm_F == 0.0:
-        X = FactoredMatrix.zero(m, n)
         trace.append(
             iter=0, f=0.0, res_rel=0.0, res_kind="exact", rank=0,
-            beta=0.0, alpha=0.0, backtracks=0, time_s=0.0, event="converged",
-            rank_x=0, rank_r=0, rank_p=0,
+            beta=0.0, alpha=0.0, backtracks=0, rank_x=0, rank_r=0, rank_p=0,
         )
-        return X, trace, "converged"
+        return trace.finish(X, "converged")
 
     def trunc_x(Z):
         return truncate_factored(Z, policy.eps_rel_x, 0.0, 1.0, policy.rank_cap)
@@ -99,7 +99,17 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             Z, policy.eps_rel_r, policy.eps_abs_r, norm_F, policy.rank_cap
         )
 
-    X = FactoredMatrix.zero(m, n)
+    def true_residual():
+        AX = op.apply(X)
+        R_true = FactoredMatrix(np.hstack([F.left, -AX.left]), np.hstack([F.right, AX.right]))
+        return R_true, factored_norm(R_true) / norm_F
+
+    def stop(status):
+        # every exit leaves an exact residual on the last row
+        if trace.last()["res_kind"] != "exact":
+            trace.update_last(res_rel=true_residual()[1], res_kind="exact")
+        return trace.finish(X, status)
+
     R = F                                  # residual of the *equation*: F - A X
     Z = precond.apply_inv_ambient(R)
     P = Z
@@ -107,42 +117,42 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
     res_hist = [res]
     trace.append(
         iter=0, f=0.0, res_rel=res, res_kind="exact", rank=X.k,
-        beta=0.0, alpha=0.0, backtracks=0, time_s=time.perf_counter() - t0,
-        event="", rank_x=X.k, rank_r=R.k, rank_p=P.k,
+        beta=0.0, alpha=0.0, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,
     )
-    status = "max_iter"
     for k in range(1, max_iter + 1):
         Q = op.apply(P)                    # never truncated
         pq = factored_inner(P, Q)
         if pq <= 0.0:
-            status = "cg_breakdown"
-            trace.tag_last("cg_breakdown")
-            break
+            return stop("cg_breakdown")
         omega = factored_inner(P, R) / pq
         X, _ = trunc_x(X.hstack(P.scaled(omega)))
         R, _ = trunc_r(R.hstack(Q.scaled(-omega)))
         res = factored_norm(R) / norm_F
+        kind = "recursive"
+        if res <= tol:
+            R_true, res = true_residual()
+            kind = "exact"
+            if res > tol:
+                R, _ = trunc_r(R_true)
         res_hist.append(res)
         Z = precond.apply_inv_ambient(R)
-        # direction conjugation is robust to truncation drift (equals the
-        # usual <R,Z> ratio in exact arithmetic)
-        beta = -factored_inner(Z, Q) / pq
-        P, _ = trunc_r(Z.hstack(P.scaled(beta)))
+        if kind == "exact":
+            beta = 0.0                     # restart from the replaced residual
+            P = Z
+        else:
+            # direction conjugation is robust to truncation drift (equals the
+            # usual <R,Z> ratio in exact arithmetic)
+            beta = -factored_inner(Z, Q) / pq
+            P, _ = trunc_r(Z.hstack(P.scaled(beta)))
         trace.append(
-            iter=k, f="", res_rel=res, res_kind="exact", rank=X.k,
-            beta=beta, alpha=omega, backtracks=0,
-            time_s=time.perf_counter() - t0, event="",
-            rank_x=X.k, rank_r=R.k, rank_p=P.k,
+            iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
+            beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,
         )
         if res <= tol:
-            status = "converged"
-            trace.tag_last("converged")
-            break
+            return trace.finish(X, "converged")
         if len(res_hist) > 2 * _STAG_WINDOW:
             recent = min(res_hist[-_STAG_WINDOW:])
             before = min(res_hist[: -_STAG_WINDOW])
             if recent >= _STAG_FACTOR * before:
-                status = "stagnated"
-                trace.tag_last("stagnated")
-                break
-    return X, trace, status
+                return stop("stagnated")
+    return stop("max_iter")

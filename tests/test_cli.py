@@ -1,6 +1,8 @@
 import csv
 import json
 
+from lrmeq import cli
+from lrmeq import geometry as geo
 from lrmeq import io as inst_io
 from lrmeq import problems as pb
 from lrmeq.cli import main, run_solve, _CONFIG_DEFAULTS
@@ -64,6 +66,28 @@ def test_instance_roundtrip_identical_traces(tmp_path):
         back.op, back.F, RnlcgOptions(rank=4, tol=1e-8, max_iters=100, seed=0)
     )
     assert t1.rows_without_time() == t2.rows_without_time()
+
+
+def test_spd_loss_exits_with_code_2(tmp_path, monkeypatch):
+    class TurnsIndefinite:
+        applies = 0
+
+        def apply_inv_tangent(self, eta):
+            self.applies += 1
+            return eta if self.applies == 1 else eta.scaled(-1.0)
+
+    def setup(inst, cfg):
+        return geo.KroneckerMetric.identity(inst.op.m, inst.op.n), TurnsIndefinite()
+
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
+    monkeypatch.setattr(cli, "_build_tangent_setup", setup)
+    out = tmp_path / "run"
+    code = main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+                 "--rank", "2", "--out", str(out)])
+    assert code == 2
+    with open(out / "summary.json") as fh:
+        assert json.load(fh)["status"] == "spd_loss"
 
 
 def test_solve_writes_outputs_and_converges(tmp_path):

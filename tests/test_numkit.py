@@ -71,7 +71,7 @@ def test_spd_tridiag_matches_dense_inverse():
     f = nk.spd_factorize(A)
     Ainv = np.linalg.inv(A.toarray())
     B = np.eye(n)
-    assert np.linalg.norm(f.solve_many(B) - Ainv) <= 1e-12
+    assert np.linalg.norm(f.solve(B) - Ainv) <= 1e-12
 
 
 def test_spd_rejects_indefinite():

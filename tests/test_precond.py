@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from lrmeq import geometry as geo
+from lrmeq import numkit
 from lrmeq import precond as pc
 
 from oracles import (
@@ -331,13 +332,75 @@ def test_tangadi_requires_shifts(rng):
         pc.tangadi_apply(X, eta, np.eye(5), np.eye(5), None, None, None, 1)
 
 
-def test_shift_cache_reused(rng):
-    A = sp.diags([-np.ones(19), 3.0 * np.ones(20), -np.ones(19)], [-1, 0, 1]).tocsr()
-    fac = pc.ShiftedPencilFactory(A)
-    f1 = fac.factor(0.5)
-    f2 = fac.factor(0.5)
-    assert f1 is f2
-    assert fac.factor(0.25) is not f1
+def counted_pencil_factors(monkeypatch):
+    """Record the shift of every ``ShiftedPencilFactory.factor`` call."""
+    shifts = []
+    factor = pc.ShiftedPencilFactory.factor
+
+    def counted(self, shift):
+        shifts.append(shift)
+        return factor(self, shift)
+
+    monkeypatch.setattr(pc.ShiftedPencilFactory, "factor", counted)
+    return shifts
+
+
+def sparse_tridiag(n, rng):
+    off = -rng.uniform(0.2, 1.0, size=n - 1)
+    return sp.diags([off, 3.0 + rng.uniform(size=n), off], [-1, 0, 1]).tocsr()
+
+
+def sparse_diag(n, rng):
+    return sp.diags([1.0 + rng.uniform(size=n)], [0]).tocsr()
+
+
+@pytest.mark.parametrize("wide", ["A", "E"])
+def test_pencil_factor_matches_dense_solve(rng, wide):
+    """The band holds every entry of A and of E, whichever is wider."""
+    n = 30
+    tri, diag = sparse_tridiag(n, rng), sparse_diag(n, rng)
+    A, E = (tri, diag) if wide == "A" else (diag, tri)
+    p = rng.permutation(n)
+    A, E = A[p][:, p].tocsr(), E[p][:, p].tocsr()
+    b = rng.standard_normal(n)
+    x = pc.ShiftedPencilFactory(A, E).factor(1.0).solve(b)
+    expected = np.linalg.solve((A + E).toarray(), b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_tangadi_factors_each_shift_pair_once(rng, monkeypatch):
+    m, n = 20, 18
+    A, B = sparse_tridiag(m, rng), sparse_tridiag(n, rng)
+    D, E = sparse_diag(n, rng), sparse_diag(m, rng)
+    shifts = pc.ShiftSet(((2.0, -0.5), (3.0, -0.3), (1.5, -0.8)), (1, 4), (1, 4))
+    X = std_point(m, n, 2, rng)
+    etas = [rand_eta(X, rng) for _ in range(3)]
+    prec = pc.TangAdiPrecond(A, B, D, E, shifts, steps=5)
+    calls = counted_pencil_factors(monkeypatch)
+    out = [prec.apply_inv_tangent(eta) for eta in etas]
+    assert sorted(calls) == sorted([-q for _, q in shifts.pairs] + [p for p, _ in shifts.pairs])
+    for eta, xi in zip(etas, out):
+        fresh = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 5)
+        assert np.array_equal(tv_dense(xi), tv_dense(fresh))
+
+
+def test_gen_sylvester_factories_keep_no_factorization(rng, monkeypatch):
+    m, n, r = 16, 14, 2
+    A, B = sparse_tridiag(m, rng), sparse_tridiag(n, rng)
+    D, E = sparse_diag(n, rng), sparse_diag(m, rng)
+    X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
+    eta = rand_eta(X, rng)
+    prec = pc.GenSylvesterPrecond(A, B, D, E)
+    calls = counted_pencil_factors(monkeypatch)
+    first = prec.apply_inv_tangent(eta)
+    second = prec.apply_inv_tangent(eta)
+    assert len(calls) == 2 * (r + r)   # every apply factors its r + r shifts
+    assert calls[: 2 * r] == calls[2 * r :]
+    assert np.array_equal(tv_dense(first), tv_dense(second))
+    for factory in (prec.factory_AE, prec.factory_BD):
+        held = list(vars(factory).values())
+        held += [x for v in held if isinstance(v, dict) for x in v.values()]
+        assert not any(isinstance(v, numkit.SpdFactorization) for v in held)
 
 
 def test_fadi_matches_exact_solve_rate(rng):

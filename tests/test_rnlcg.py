@@ -3,6 +3,7 @@ import pytest
 
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
+from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import solver_rnlcg as rn
 
@@ -229,6 +230,35 @@ def test_huge_tolerance_immediate_convergence(rng):
     X, trace, status = rn.rnlcg_solve(op, F, rn.RnlcgOptions(rank=2, tol=10.0, max_iters=50))
     assert status == "converged"
     assert trace.last()["iter"] == 0
+
+
+class TurnsIndefinite:
+    """Preconditioner stub: the identity on its first apply, then either
+    the negated identity or a failed small SPD solve."""
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.applies = 0
+
+    def apply_inv_tangent(self, eta):
+        self.applies += 1
+        if self.applies == 1:
+            return eta
+        if self.mode == "negate":
+            return eta.scaled(-1.0)
+        raise numkit.NotSpdError("projected small system not SPD")
+
+
+@pytest.mark.parametrize("mode", ["negate", "not_spd"])
+def test_spd_loss_ends_with_status(rng, mode):
+    m = n = 6
+    op, F, _ = make_spd_problem(m, n, 2, rng)
+    opts = rn.RnlcgOptions(rank=2, tol=1e-12, max_iters=50)
+    X, trace, status = rn.rnlcg_solve(op, F, opts, precond=TurnsIndefinite(mode))
+    assert status == "spd_loss"
+    assert trace.last()["iter"] == 0 and trace.last()["event"] == "spd_loss"
+    # the failed step left the point of the last row in place
+    assert eqs.residual_norm_exact(op, X, F) == pytest.approx(trace.last()["res_rel"], rel=1e-12)
 
 
 def test_monotone_objective_and_armijo_certificate(rng):

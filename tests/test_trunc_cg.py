@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
@@ -123,12 +124,43 @@ def test_converges_with_truncation(rng):
     X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, tol, 200)
     assert status == "converged"
     assert float(trace.last()["res_rel"]) <= tol
-    # true residual agrees with the recurrence residual at the reported level
+    assert trace.last()["res_kind"] == "exact"
+    assert true_residual(op, X, F) <= tol
+
+
+def true_residual(op, X, F):
     R = geo.FactoredMatrix(
         np.hstack([op.apply(X).left, -F.left]), np.hstack([op.apply(X).right, F.right])
     )
-    true_res = geo.factored_norm(R) / geo.factored_norm(F)
-    assert true_res <= 10 * tol
+    return geo.factored_norm(R) / geo.factored_norm(F)
+
+
+def test_unconverged_exit_reports_true_residual(rng):
+    m, n = 16, 14
+    op, F = make_spd_problem(m, n, rng, cond=10.0)
+    coarse = tc.TruncationPolicy(eps_rel_x=1e-2, eps_rel_r=1e-2, eps_abs_r=0.0)
+    prec = pc.KronPrecond(op.A[0], op.B[1])
+    X, trace, status = tc.truncated_cg_solve(op, F, prec, coarse, 1e-12, 5)
+    assert status == "max_iter"
+    assert trace.last()["res_kind"] == "exact"
+    assert trace.last()["res_rel"] == pytest.approx(true_residual(op, X, F), rel=1e-10)
+
+
+def test_converged_means_true_residual_below_tol():
+    """On this stochastic-Galerkin case the truncated recurrence reaches the
+    tolerance while the true residual is still 1.3e-6; convergence must be
+    decided on the true residual."""
+    from lrmeq import problems as pb
+
+    inst = pb.gen_stoch_galerkin(30, 6, 3)
+    tol = 1e-6
+    prec = pc.KronPrecond(inst.p2["E"], inst.p2["D"])
+    X, trace, status = tc.truncated_cg_solve(
+        inst.op, inst.F, prec, tc.TruncationPolicy.from_tol(tol), tol, 200
+    )
+    assert status == "converged"
+    assert trace.last()["res_kind"] == "exact"
+    assert true_residual(inst.op, X, inst.F) <= tol
 
 
 def test_rank_cap_tracked_and_never_exceeded(rng):
