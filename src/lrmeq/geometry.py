@@ -147,8 +147,9 @@ def factored_norm(Z: FactoredMatrix, metric: KroneckerMetric | None = None) -> f
         return 0.0
     L = Z.left if metric is None else metric.sqrtE_mul(Z.left)
     R = Z.right if metric is None else metric.sqrtD_mul(Z.right)
-    _, rl = numkit.qr_thin(L)
-    _, rr = numkit.qr_thin(R)
+    # ||L R^T|| = ||R_L R_R^T|| for QR factors L = Q_L R_L, R = Q_R R_R
+    rl = np.linalg.qr(L, mode="r")
+    rr = np.linalg.qr(R, mode="r")
     return float(np.linalg.norm(rl @ rr.T))
 
 

@@ -12,9 +12,11 @@ stencils) factor in O(n * bandwidth^2).
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -104,16 +106,29 @@ def rcm_bands(*mats):
 
 
 class _TriBandFactor:
-    """Upper-triangular banded factor R with ``M = R.T @ R``."""
+    """Upper-triangular banded factor R with ``M = R.T @ R``.
+
+    ``spd_solve`` solves with ``M`` in one LAPACK call on the factor:
+    ``pttrs`` on the equivalent ``L diag(d) L.T`` form when the band is
+    tridiagonal, ``pbtrs`` otherwise.
+    """
 
     def __init__(self, ab_upper):
         self.ab = ab_upper
         self.bw = ab_upper.shape[0] - 1
-        n = ab_upper.shape[1]
+        if self.bw == 1:
+            # R = diag(r) + superdiagonal s gives d = r^2, e = s / r
+            self._d = ab_upper[1] ** 2
+            self._e = ab_upper[0, 1:] / ab_upper[1, :-1]
+
+    @cached_property
+    def R(self):
+        """CSR copy of R; only products with R need it."""
+        n = self.ab.shape[1]
         offs = list(range(self.bw + 1))
-        data = [np.concatenate([np.zeros(k), ab_upper[self.bw - k, k:]]) for k in offs]
+        data = [np.concatenate([np.zeros(k), self.ab[self.bw - k, k:]]) for k in offs]
         # row-aligned diagonals for dia_matrix: diagonal k has length n - k
-        self.R = sp.dia_matrix((np.array(data), offs), shape=(n, n)).tocsr()
+        return sp.dia_matrix((np.array(data), offs), shape=(n, n)).tocsr()
 
     def mul(self, M):
         return self.R @ M
@@ -121,20 +136,24 @@ class _TriBandFactor:
     def tmul(self, M):
         return self.R.T @ M
 
+    def spd_solve(self, M):
+        if self.bw == 1:
+            return _lapack_solve(lapack.dpttrs, (self._d, self._e), M)
+        return _lapack_solve(lapack.dpbtrs, (self.ab,), M)
+
     def solve(self, M):
-        return sla.solve_banded((0, self.bw), self.ab, M)
+        return _lapack_solve(lapack.dtbtrs, (self.ab,), M)
 
     def tsolve(self, M):
-        return sla.solve_banded((self.bw, 0), self._lower(), M)
+        return _lapack_solve(lapack.dtbtrs, (self.ab,), M, trans="T")
 
-    def _lower(self):
-        if not hasattr(self, "_lower_ab"):
-            n = self.ab.shape[1]
-            lo = np.zeros_like(self.ab)
-            for k in range(self.bw + 1):
-                lo[k, : n - k] = self.ab[self.bw - k, k:]
-            self._lower_ab = lo
-        return self._lower_ab
+
+def _lapack_solve(routine, factor, b, **kw):
+    """Call a LAPACK ``*trs`` routine on a vector or block of right-hand sides."""
+    x, info = routine(*factor, np.asarray_chkfinite(b, dtype=float), **kw)
+    if info != 0:
+        raise sla.LinAlgError(f"{routine.__name__} failed with info = {info}")
+    return x
 
 
 class SpdFactorization:
@@ -191,8 +210,7 @@ class SpdFactorization:
         if self.kind == "dense":
             return sla.cho_solve((self._C, False), b)
         bp = b[self._perm] if self._perm is not None else b
-        x = self._band.tsolve(bp)
-        x = self._band.solve(x)
+        x = self._band.spd_solve(bp)
         return x[self._iperm] if self._perm is not None else x
 
     # -- square-root factor C with A = C.T @ C -----------------------------

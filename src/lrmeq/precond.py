@@ -79,27 +79,32 @@ def solve_kron(X: FixedRankPoint, eta: TangentVector, E, D, fact_E=None, fact_D=
     S_E = U.T @ EU
     S_D = V.T @ DV
 
+    S_E_inv = _inv_spd_small(S_E)
+    S_D_inv = _inv_spd_small(S_D)
+
     rhs_u = eta.Up + U @ eta.M
     W = fact_E.solve(rhs_u) if fact_E is not None else rhs_u
-    U_xi = _solve_spd_small(S_D, (W - U @ (U.T @ W)).T).T
+    U_xi = (W - U @ (U.T @ W)) @ S_D_inv
 
     rhs_v = eta.Vp + V @ eta.M.T
     W = fact_D.solve(rhs_v) if fact_D is not None else rhs_v
-    V_xi = _solve_spd_small(S_E, (W - V @ (V.T @ W)).T).T
+    V_xi = (W - V @ (V.T @ W)) @ S_E_inv
 
     inner = eta.M - (EU.T @ U_xi) @ S_D - S_E @ (V_xi.T @ DV)
-    M_xi = _solve_spd_small(S_D, _solve_spd_small(S_E, inner).T).T
+    M_xi = S_E_inv @ inner @ S_D_inv
     return TangentVector(M_xi, U_xi, V_xi, X)
 
 
-def _solve_spd_small(S, B):
+def _inv_spd_small(S):
+    """Inverse of a small SPD matrix through its Cholesky factor, so that
+    solves with tall right-hand sides ``W`` become one product ``W @ S^-1``."""
     try:
         c = sla.cho_factor(S)
     except sla.LinAlgError as exc:
         raise numkit.NotSpdError(
             f"projected small system not SPD ({exc}); corrupted point?"
         ) from exc
-    return sla.cho_solve(c, B)
+    return sla.cho_solve(c, np.eye(S.shape[0]))
 
 
 def _solve_projected_sylvester(X, eta, A, B, factory_AE, factory_BD):
@@ -271,6 +276,8 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
         fact_A, fact_B = factors[j % len(shifts)]
         K_U = S_AU - q * S_EU
         K_V = S_BV + p * S_DV
+        K_U_inv = _inv_spd_small(K_U)
+        K_V_inv = _inv_spd_small(K_V)
         if first:
             ZjV = np.zeros((m, r))
             ZjtU = np.zeros((n, r))
@@ -291,13 +298,13 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
         M_rho = UtZjV + pq * eta.M
 
         W = fact_A.solve(rhs_u)
-        Uj = _solve_spd_small(K_V, (W - U @ (U.T @ W)).T).T
+        Uj = (W - U @ (U.T @ W)) @ K_V_inv
         W = fact_B.solve(rhs_v)
-        Vj = _solve_spd_small(K_U, (W - V @ (V.T @ W)).T).T
+        Vj = (W - V @ (V.T @ W)) @ K_U_inv
         EpU = AU - q * EU            # (A - q E) U, reused in the M update
         DpV = BV + p * DV            # (B + p D) V
         inner = M_rho - (EpU.T @ Uj) @ K_V - K_U @ (Vj.T @ DpV)
-        Mj = _solve_spd_small(K_V, _solve_spd_small(K_U, inner).T).T
+        Mj = K_U_inv @ inner @ K_V_inv
     return TangentVector(Mj, Uj, Vj, X)
 
 

@@ -23,6 +23,7 @@ _BETA_DEN_GUARD = 1e-14
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 25
 STAG_GRAD_TOL = 1e-13
+F_ROUNDING = 10 * np.finfo(float).eps   # relative rounding error of f
 
 
 class LineSearchError(RuntimeError):
@@ -94,17 +95,29 @@ def initial_step(op, g, xi):
 def armijo_backtrack(op, F, X, xi, alpha_bar, g, f0, opts):
     """First ``alpha = alpha_bar * ARMIJO_SHRINK^j`` passing the Armijo test.
 
+    Once the predicted decrease ``-alpha <g, xi>`` falls to the rounding
+    error ``F_ROUNDING * |f0|`` of the objective, ``f_t - f0`` is noise:
+    the step is accepted iff ``f_t`` is within that error of ``f0``, else
+    no smaller step can resolve a decrease and the search fails
+    (approximate Armijo condition, Hager & Zhang, SIAM J. Optim. 2005).
+
     Returns ``(alpha, X_new, f_new, R_new, backtracks)``; the weighted QR
     factors of the retraction are computed once and shared by all trials.
     """
-    slope_term = opts.armijo_slope * geo.inner(g, xi)
-    if slope_term >= 0.0:
+    g_xi = geo.inner(g, xi)
+    if g_xi >= 0.0:
         raise LineSearchError("search direction is not a descent direction")
+    slope_term = opts.armijo_slope * g_xi
+    f_noise = F_ROUNDING * abs(f0)
     retr = geo.LineSearchRetraction(X, xi)
     alpha = alpha_bar
     for j in range(MAX_BACKTRACKS + 1):
         X_t = retr.at(alpha)
         f_t, R_t = eqs.evaluate(op, X_t, F)
+        if -alpha * g_xi <= f_noise:
+            if f_t <= f0 + f_noise:
+                return alpha, X_t, f_t, R_t, j
+            raise LineSearchError("decrease below the rounding error of f")
         if f_t <= f0 + alpha * slope_term:
             return alpha, X_t, f_t, R_t, j
         alpha *= ARMIJO_SHRINK
@@ -207,7 +220,15 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None, X0=None):
     "line_search_failure", "stagnated", "spd_loss"}.
     """
     trace = SolveTrace()
-    state = RnlcgState(op, F, opts, metric=metric, precond=precond, X0=X0)
+    if X0 is None:
+        metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+        rng = np.random.default_rng(opts.seed)
+        X0 = geo.random_point(op.m, op.n, opts.rank, metric, rng)
+    try:
+        state = RnlcgState(op, F, opts, metric=metric, precond=precond, X0=X0)
+    except SPD_LOSS:
+        trace.append(iter=0, rank=X0.r)
+        return trace.finish(X0, "spd_loss")
     k = 0
     res = state.res_rel()
     state.record(trace, 0, res_rel=res, res_kind="exact")

@@ -21,6 +21,7 @@ from .trace import SolveTrace
 
 EPS_SIGMA = 1e-8          # numerical-rank threshold of the rank decrease
 PLATEAU_FACT = 0.75       # plateau when the recent slope is this share of the mean
+TOL_EXIT_FACT = 0.5       # phase ends when the Hutch++ estimate is this share of tol
 HUTCH_BUDGET = 5          # Hutch++ matvecs per residual estimate
 MAX_PHASE_ITERS = 200     # R-NLCG steps in one fixed-rank phase at most
 
@@ -190,14 +191,18 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
     """Riemannian rank-adaptive solve; returns ``(X, trace, status)``.
 
     Trace events: ``rank_up:r->r'``, ``rank_down:r->r'``, ``plateau``,
-    ``converged``, ``max_iter``.
+    ``converged``, ``max_iter``, ``spd_loss``.
     """
     trace = SolveTrace()
     rng = np.random.default_rng(opts.seed)
     metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
     if X0 is None:
         X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
-    state = RnlcgState(op, F, opts.inner, metric=metric, precond=precond, X0=X0)
+    try:
+        state = RnlcgState(op, F, opts.inner, metric=metric, precond=precond, X0=X0)
+    except SPD_LOSS:
+        trace.append(iter=0, rank=X0.r)
+        return trace.finish(X0, "spd_loss")
 
     k = 0
     res = state.res_rel()
@@ -222,10 +227,17 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
             if rank_decrease_trigger(state.X.sigma, EPS_SIGMA):
                 X2, r_minus = rank_decrease(state.X, EPS_SIGMA)
                 event = f"rank_down:{state.X.r}->{r_minus}"
-                state.restart(X2)
+                try:
+                    state.restart(X2)
+                except SPD_LOSS:
+                    state.record(trace, k, res_rel=est, res_kind="hutchpp")
+                    return trace.finish(state.X, "spd_loss")
                 log_hist = []
             state.record(trace, k, res_rel=est, res_kind="hutchpp", event=event)
             if k >= opts.max_total_iters or phase_iters >= MAX_PHASE_ITERS or state.stagnated():
+                break
+            # the exact residual decides convergence once the estimate is near tol
+            if est <= TOL_EXIT_FACT * opts.tol:
                 break
             if plateau_detect(log_hist, opts.w_len, PLATEAU_FACT):
                 trace.tag_last("plateau")
@@ -237,8 +249,11 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
         if res <= opts.tol or k >= opts.max_total_iters:
             continue
         X_up, alpha_star = rank_increase(state.X, op, F, opts.r_up, rng)
+        try:
+            state.restart(X_up)
+        except SPD_LOSS:
+            return trace.finish(state.X, "spd_loss")
         k += 1
-        state.restart(X_up)
         res = state.res_rel()
         state.record(
             trace, k, res_rel=res, res_kind="exact", alpha=alpha_star,

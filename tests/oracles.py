@@ -5,11 +5,26 @@ the package's factored code paths, so failures localize to the library.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def rand_spd(k, rng, cond=10.0):
     Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
     return Q @ np.diag(np.geomspace(1.0, cond, k)) @ Q.T
+
+
+def rand_band_spd(n, bw, rng, permute=False):
+    """Sparse SPD matrix of bandwidth ``bw`` (strictly diagonally dominant),
+    optionally symmetrically permuted at random."""
+    A = np.zeros((n, n))
+    for k in range(1, min(bw, n - 1) + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        A += np.diag(off, k) + np.diag(off, -k)
+    A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 2.0, n))
+    if permute:
+        p = rng.permutation(n)
+        A = A[p][:, p]
+    return sp.csr_matrix(A)
 
 
 def tv_dense(xi):

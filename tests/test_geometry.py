@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrmeq import geometry as geo
 
-from oracles import b_inner, proj_dense, rand_spd, tangent_basis_dense, tv_dense
+from oracles import b_inner, proj_dense, rand_band_spd, rand_spd, tangent_basis_dense, tv_dense
 
 
 def make_metric(m, n, rng, weighted=True, cond=10.0):
@@ -366,3 +368,37 @@ def test_random_point_norm_and_validity(rng):
     X = geo.random_point(9, 7, 3, met, rng, fro_norm=1.0)
     X.validate()
     assert abs(X.frobenius_norm() - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# factored norms against dense references
+# ---------------------------------------------------------------------------
+
+# (m, n, k, seed); k may exceed m or n, and k = 0 is the zero matrix
+factored_cases = st.tuples(
+    st.integers(1, 12), st.integers(1, 12), st.integers(0, 15), st.integers(0, 2**32 - 1)
+)
+
+
+@given(factored_cases)
+def test_factored_norm_is_frobenius_norm(case):
+    m, n, k, seed = case
+    rng = np.random.default_rng(seed)
+    Z = geo.FactoredMatrix(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+    ref = np.linalg.norm(Z.left @ Z.right.T)
+    assert geo.factored_norm(Z) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@given(factored_cases, st.booleans())
+def test_factored_norm_is_weighted_b_norm(case, sparse):
+    m, n, k, seed = case
+    rng = np.random.default_rng(seed)
+    if sparse:
+        E, D = rand_band_spd(m, 2, rng, permute=True), rand_band_spd(n, 1, rng)
+        Ed, Dd = E.toarray(), D.toarray()
+    else:
+        E, D = Ed, Dd = rand_spd(m, rng, 50.0), rand_spd(n, rng, 50.0)
+    Z = geo.FactoredMatrix(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+    Zd = Z.left @ Z.right.T
+    ref = np.sqrt(max(b_inner(Zd, Zd, Ed, Dd), 0.0))
+    assert geo.factored_norm(Z, geo.KroneckerMetric(E, D)) == pytest.approx(ref, rel=1e-10, abs=1e-300)

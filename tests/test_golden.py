@@ -15,7 +15,7 @@ from lrmeq.solver_rnlcg import RnlcgOptions, rnlcg_solve
 from lrmeq.solver_rram import RramOptions, rram_solve
 
 GOLDEN_RNLCG_P2_ITERS = 31        # fixed rank 12, tol 5e-6
-GOLDEN_RRAM_ITERS = 54            # r0 = r_up = 3, tol 1e-6
+GOLDEN_RRAM_ITERS = 52            # r0 = r_up = 3, tol 1e-6
 GOLDEN_RRAM_FINAL_RANK = 15
 
 

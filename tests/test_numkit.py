@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrmeq import numkit as nk
 
-from oracles import rand_spd
+from oracles import rand_band_spd, rand_spd
 
 
 def test_svd_identity():
@@ -144,3 +146,67 @@ def test_svd_vs_eig_consistency(rng):
         _, s, _ = nk.svd_thin(A)
         _, lam = nk.eig_sym(A.T @ A)
         assert np.allclose(np.sort(s**2), np.sort(lam), atol=1e-10 * max(1, lam[-1]))
+
+
+# ---------------------------------------------------------------------------
+# banded backend: properties over bandwidths 0, 1 (tridiagonal) and 2-5
+# ---------------------------------------------------------------------------
+
+banded_cases = st.tuples(
+    st.integers(1, 40),            # n
+    st.integers(0, 5),             # bandwidth
+    st.booleans(),                 # randomly permuted
+    st.integers(0, 2**32 - 1),     # seed of the entries
+)
+
+
+@given(banded_cases, st.integers(0, 4))
+def test_banded_solve_matches_dense_solve(case, nrhs):
+    n, bw, permute, seed = case
+    rng = np.random.default_rng(seed)
+    A = rand_band_spd(n, bw, rng, permute)
+    f = nk.spd_factorize(A)
+    assert f.kind == "banded"
+    b = rng.standard_normal(n) if nrhs == 0 else rng.standard_normal((n, nrhs))
+    x = f.solve(b)
+    assert x.shape == b.shape
+    ref = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+@given(banded_cases)
+def test_banded_square_root_round_trips(case):
+    n, bw, permute, seed = case
+    rng = np.random.default_rng(seed)
+    A = rand_band_spd(n, bw, rng, permute)
+    f = nk.spd_factorize(A)
+    C = f.c_mul(np.eye(n))
+    assert np.linalg.norm(C.T @ C - A.toarray()) <= 1e-12 * np.linalg.norm(A.toarray())
+    assert np.allclose(f.ct_mul(np.eye(n)), C.T, rtol=0.0, atol=1e-14 * np.abs(C).max())
+    X = rng.standard_normal((n, 3))
+    assert np.linalg.norm(f.c_solve(f.c_mul(X)) - X) <= 1e-11 * np.linalg.norm(X)
+    assert np.linalg.norm(f.ct_solve(f.ct_mul(X)) - X) <= 1e-11 * np.linalg.norm(X)
+    x = X[:, 0]
+    assert np.allclose(f.c_solve(f.c_mul(x)), x, rtol=1e-11, atol=1e-11)
+
+
+@given(st.integers(1, 40), st.data())
+def test_indefinite_tridiagonal_raises(n, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    bad = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(seed)
+    A = rand_band_spd(n, 1, rng).tolil()
+    A[bad, bad] = -rng.uniform(0.1, 2.0)    # e_bad.T A e_bad < 0
+    with pytest.raises(nk.NotSpdError):
+        nk.spd_factorize(A.tocsr())
+
+
+def test_banded_solve_rejects_nonfinite_rhs():
+    n = 6
+    A = sp.diags([-np.ones(n - 1), 3 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+    f = nk.spd_factorize(A)
+    b = np.ones(n)
+    b[2] = np.nan
+    for solve in (f.solve, f.c_solve, f.ct_solve):
+        with pytest.raises(ValueError):
+            solve(b)

@@ -195,6 +195,29 @@ def test_armijo_rejects_ascent(rng):
         rn.armijo_backtrack(op, F, state.X, state.h, 1.0, state.g, state.f, opts)
 
 
+def test_armijo_decides_within_rounding_of_f(rng):
+    """A step whose predicted decrease is below the rounding error of f is
+    accepted iff f stays within that error, without backtracking."""
+    m = n = 6
+    op, F, _ = make_spd_problem(m, n, 2, rng)
+    opts = rn.RnlcgOptions(rank=2, seed=13)
+    state = rn.RnlcgState(op, F, opts)
+    xi = state.h.scaled(-1.0)
+    noise = rn.F_ROUNDING * abs(state.f)
+    alpha = 0.01 * noise / -geo.inner(state.g, xi)
+    # f0 half the rounding error below f: the step cannot show an Armijo
+    # decrease, but f_t is within the error of f0
+    f0 = state.f - 0.5 * noise
+    alpha_out, _, f_t, _, backtracks = rn.armijo_backtrack(
+        op, F, state.X, xi, alpha, state.g, f0, opts
+    )
+    assert (alpha_out, backtracks) == (alpha, 0)
+    assert f0 < f_t <= f0 + rn.F_ROUNDING * abs(f0)
+    # f0 three rounding errors below f: no smaller step can resolve it
+    with pytest.raises(rn.LineSearchError, match="rounding"):
+        rn.armijo_backtrack(op, F, state.X, xi, alpha, state.g, state.f - 3 * noise, opts)
+
+
 # ---------------------------------------------------------------------------
 # rnlcg_solve
 # ---------------------------------------------------------------------------
@@ -247,6 +270,22 @@ class TurnsIndefinite:
         if self.mode == "negate":
             return eta.scaled(-1.0)
         raise numkit.NotSpdError("projected small system not SPD")
+
+
+class Indefinite:
+    """Preconditioner stub that negates from its first apply."""
+
+    def apply_inv_tangent(self, eta):
+        return eta.scaled(-1.0)
+
+
+def test_spd_loss_at_start_ends_with_status(rng):
+    m = n = 6
+    op, F, _ = make_spd_problem(m, n, 2, rng)
+    X, trace, status = rn.rnlcg_solve(op, F, rn.RnlcgOptions(rank=2), precond=Indefinite())
+    assert status == "spd_loss"
+    assert len(trace) == 1 and trace.last()["event"] == "spd_loss"
+    assert X.r == 2
 
 
 @pytest.mark.parametrize("mode", ["negate", "not_spd"])

@@ -291,3 +291,47 @@ def test_rram_objective_nonincreasing_across_rank_up(rng):
     for prev, cur in zip(rows, rows[1:]):
         if "rank_up" in cur["event"]:
             assert cur["f"] <= prev["f"] + 1e-10 * max(1.0, abs(prev["f"]))
+
+
+# ---------------------------------------------------------------------------
+# SPD loss outside a step
+# ---------------------------------------------------------------------------
+
+
+class NegatesAfterFirstApply:
+    """Preconditioner stub: the identity once, the negated identity after."""
+
+    applies = 0
+
+    def apply_inv_tangent(self, eta):
+        self.applies += 1
+        return eta if self.applies == 1 else eta.scaled(-1.0)
+
+
+class Negates:
+    def apply_inv_tangent(self, eta):
+        return eta.scaled(-1.0)
+
+
+def identity_problem(rng, m=8, n=8, rank=3):
+    op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
+    return op, eqs.LowRankRhs(rng.standard_normal((m, rank)), rng.standard_normal((n, rank)))
+
+
+def test_rram_spd_loss_at_restart_ends_with_status(rng):
+    """The first step loses SPD-ness inside the phase; the restart after the
+    rank increase applies the preconditioner again and must not raise."""
+    op, F = identity_problem(rng)
+    prec = NegatesAfterFirstApply()
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, r_up=1, tol=1e-10), precond=prec)
+    assert status == "spd_loss"
+    assert prec.applies == 3    # start, failed step, failed restart
+    assert X.r == 1 and trace.last()["event"] == "spd_loss"
+    assert not any("rank_up" in r["event"] for r in trace.rows)
+
+
+def test_rram_spd_loss_at_start_ends_with_status(rng):
+    op, F = identity_problem(rng)
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, tol=1e-10), precond=Negates())
+    assert status == "spd_loss"
+    assert len(trace) == 1 and X.r == 1
