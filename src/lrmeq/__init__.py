@@ -23,7 +23,6 @@ from .precond import (
     IdentityPrecond,
     KronPrecond,
     ShiftSet,
-    SylvesterPrecond,
     TangAdiPrecond,
     spectral_interval,
     wachspress_shifts,

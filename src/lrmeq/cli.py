@@ -17,7 +17,6 @@ output directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -121,6 +120,18 @@ def _wachspress_for(spec, J):
     return pc.wachspress_shifts(a, b, c, d, J)
 
 
+def _precond_spec(inst, label):
+    """The instance's preconditioner spec behind a ``precond`` label other
+    than ``identity``; tangADI uses P2, or P1 where there is no P2."""
+    if label == "tangadi":
+        spec = inst.p2 if inst.p2 is not None else inst.p1
+    else:
+        spec = inst.p1 if label == "P1" else inst.p2
+    if spec is None:
+        raise ConfigError(f"instance provides no {label} preconditioner")
+    return spec
+
+
 def _build_tangent_setup(inst, cfg):
     """Metric and tangent-space preconditioner for the Riemannian solvers."""
     m, n = inst.op.m, inst.op.n
@@ -128,23 +139,20 @@ def _build_tangent_setup(inst, cfg):
     identity = geo.KroneckerMetric.identity(m, n)
     if label == "identity":
         return identity, pc.IdentityPrecond()
+    spec = _precond_spec(inst, label)
+    kind = spec["kind"]
     if label == "tangadi":
-        spec = inst.p2 if inst.p2 is not None else inst.p1
-        if spec is None or spec["kind"] != "gen_sylv":
+        if kind != "gen_sylv":
             raise ConfigError("tangADI needs a generalized-Sylvester preconditioner spec")
         shifts = _wachspress_for(spec, cfg["adi_shifts"])
         return identity, pc.TangAdiPrecond(
             spec["A"], spec["B"], spec["D"], spec["E"], shifts, cfg["adi_steps"]
         )
-    spec = inst.p1 if label == "P1" else inst.p2
-    if spec is None:
-        raise ConfigError(f"instance provides no {label} preconditioner")
-    kind = spec["kind"]
-    if kind == "sylv":
-        return identity, pc.SylvesterPrecond(spec["A"], spec["B"])
-    if kind == "gen_sylv":
-        metric = geo.KroneckerMetric(spec["E"], spec["D"])
-        return metric, pc.GenSylvesterPrecond(spec["A"], spec["B"], spec["D"], spec["E"])
+    if kind in ("sylv", "gen_sylv"):
+        # a "sylv" spec has no E, D: the identity metric
+        E, D = spec.get("E"), spec.get("D")
+        metric = geo.KroneckerMetric(E, D, m=m, n=n)
+        return metric, pc.GenSylvesterPrecond(spec["A"], spec["B"], D, E)
     if kind == "kron":
         if cfg["kron_mode"] == "metric":
             metric = geo.KroneckerMetric(spec["E"], spec["D"], m=m, n=n)
@@ -158,11 +166,7 @@ def _build_ambient_precond(inst, cfg, norm_F):
     label = cfg["precond"]
     if label == "identity":
         return pc.IdentityPrecond()
-    spec = inst.p1 if label == "P1" else inst.p2
-    if label == "tangadi":
-        spec = inst.p2 if inst.p2 is not None else inst.p1
-    if spec is None:
-        raise ConfigError(f"instance provides no {label} preconditioner")
+    spec = _precond_spec(inst, label)
     kind = spec["kind"]
     if kind == "kron":
         return pc.KronPrecond(spec["E"], spec["D"])
@@ -229,7 +233,8 @@ def run_solve(cfg):
     return summary, trace
 
 
-def _solve_one(cfg):
+def cmd_solve(args):
+    cfg = _load_config(args)
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     summary, trace = run_solve(cfg)
@@ -240,28 +245,6 @@ def _solve_one(cfg):
           f"iters={summary['iters']} res={summary['final_res']} "
           f"rank={summary['final_rank']} -> {out}")
     return 0 if summary["status"] == "converged" else 2
-
-
-def cmd_solve(args):
-    if args.configs:
-        cfgs = []
-        for path in args.configs:
-            with open(path) as fh:
-                file_cfg = json.load(fh)
-            cfg = dict(_CONFIG_DEFAULTS)
-            cfg.update(file_cfg)
-            if "instance" not in cfg:
-                raise ConfigError(f"{path}: missing instance")
-            cfg.setdefault("out", _default_out(os.path.splitext(os.path.basename(path))[0]))
-            cfgs.append(cfg)
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                codes = list(ex.map(_solve_one, cfgs))
-        else:
-            codes = [_solve_one(c) for c in cfgs]
-        return max(codes)
-    cfg = _load_config(args)
-    return _solve_one(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +375,7 @@ def main(argv=None):
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="run a solver configuration")
-    s.add_argument("configs", nargs="*", help="config JSON files (batch mode)")
-    s.add_argument("--config", help="single config JSON, overridden by flags")
+    s.add_argument("--config", help="config JSON, overridden by flags")
     s.add_argument("--instance")
     s.add_argument("--solver", choices=["rnlcg", "rram", "trunc_cg"])
     s.add_argument("--precond", choices=["identity", "P1", "P2", "tangadi"])
@@ -408,7 +390,6 @@ def main(argv=None):
     s.add_argument("--adi-steps", dest="adi_steps", type=int)
     s.add_argument("--rank-cap", dest="rank_cap", type=int)
     s.add_argument("--check-every", dest="check_every", type=int)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
 

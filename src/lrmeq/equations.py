@@ -84,11 +84,6 @@ def residual(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Fac
     return FactoredMatrix(left, right)
 
 
-def euclidean_gradient(op, X, F) -> FactoredMatrix:
-    """Euclidean gradient of the quadratic objective; equals the residual."""
-    return residual(op, X, F)
-
-
 def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix):
     """Objective value and factored residual, sharing the A_i U products.
 

@@ -23,6 +23,11 @@ from .problems import ProblemInstance, _canonical
 _MM_PRECISION = 17
 
 
+class InstanceError(OSError):
+    """An instance directory that cannot be read back: an unknown manifest
+    format, or a file whose content does not match its stored hash."""
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -87,15 +92,23 @@ def export_instance(inst: ProblemInstance, out_dir):
 
 
 def import_instance(in_dir) -> ProblemInstance:
-    """Read back an instance directory written by ``export_instance``."""
+    """Read back an instance directory written by ``export_instance``.
+
+    Every file is checked against its sha256 in the manifest; a mismatch
+    or an unknown manifest format raises ``InstanceError``.
+    """
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format") != "lrmeq-instance-v1":
-        raise ValueError("unrecognized instance manifest")
+        raise InstanceError(f"{in_dir}: unrecognized instance manifest")
     files = manifest["files"]
+    hashes = manifest.get("sha256", {})
 
     def load(name):
-        return _read_matrix(os.path.join(in_dir, files[name]))
+        path = os.path.join(in_dir, files[name])
+        if _sha256(path) != hashes.get(name):
+            raise InstanceError(f"{path}: content does not match its sha256 in the manifest")
+        return _read_matrix(path)
 
     ell = manifest["ell"]
     op = MultitermOperator([load(f"A{i}") for i in range(ell)],

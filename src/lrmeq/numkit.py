@@ -70,13 +70,6 @@ def qr_thin(A):
     return Q, R
 
 
-def eig_sym(A):
-    """Spectral decomposition ``A = Q @ diag(lam) @ Q.T``, ``lam`` ascending."""
-    A = np.asarray(A, dtype=float)
-    lam, Q = np.linalg.eigh(A)
-    return Q, lam
-
-
 def _banded_upper_from_csc(A, bandwidth):
     """Extract the upper band of a sparse symmetric matrix into LAPACK
     upper-banded storage ``ab[u + i - j, j] = A[i, j]``."""

@@ -1,13 +1,16 @@
 """Tangent-space preconditioners for SPD multiterm matrix equations.
 
-Implements exact inversion of the projected preconditioners
+Every preconditioner is a case of the projected operator
+``P X = A X D + E X B``, with one term or two:
 
 *   ``P X = E X D``           (Kronecker / metric preconditioner),
-*   ``P X = A X + X B``       (Sylvester),
-*   ``P X = A X D + E X B``   (generalized Sylvester, via a metric split),
+*   ``P X = A X D + E X B``   (generalized Sylvester, via a metric split;
+    ``E = D = I`` gives the Sylvester preconditioner ``A X + X B``),
 
-and an approximate ADI-type fixed-point iteration on the tangent space
-(``tangadi_apply``) together with Wachspress' elliptic-integral shift
+inverted exactly on the tangent space, and an approximate ADI-type
+fixed-point iteration on the tangent space (``tangADI``, whose half-steps
+are exact Kronecker-structured solves with the shifted pencils
+``(A - q E, B + p D)``) together with Wachspress' elliptic-integral shift
 parameters and spectral-interval estimation for SPD pencils.
 
 All exact solves reduce to r shifted sparse solves plus small dense
@@ -19,6 +22,7 @@ shift pair once, on their first application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -76,23 +80,30 @@ def solve_kron(X: FixedRankPoint, eta: TangentVector, E, D, fact_E=None, fact_D=
     fact_D = fact_D or (numkit.spd_factorize(D) if D is not None else None)
     EU = E @ U if E is not None else U
     DV = D @ V if D is not None else V
-    S_E = U.T @ EU
-    S_D = V.T @ DV
-
-    S_E_inv = _inv_spd_small(S_E)
-    S_D_inv = _inv_spd_small(S_D)
-
-    rhs_u = eta.Up + U @ eta.M
-    W = fact_E.solve(rhs_u) if fact_E is not None else rhs_u
-    U_xi = (W - U @ (U.T @ W)) @ S_D_inv
-
-    rhs_v = eta.Vp + V @ eta.M.T
-    W = fact_D.solve(rhs_v) if fact_D is not None else rhs_v
-    V_xi = (W - V @ (V.T @ W)) @ S_E_inv
-
-    inner = eta.M - (EU.T @ U_xi) @ S_D - S_E @ (V_xi.T @ DV)
-    M_xi = S_E_inv @ inner @ S_D_inv
+    M_xi, U_xi, V_xi = _kron_tangent_solve(
+        U, V, EU, DV, U.T @ EU, V.T @ DV, fact_E, fact_D,
+        eta.Up + U @ eta.M, eta.Vp + V @ eta.M.T, eta.M,
+    )
     return TangentVector(M_xi, U_xi, V_xi, X)
+
+
+def _kron_tangent_solve(U, V, LU, RV, S_L, S_R, fact_L, fact_R, rhs_u, rhs_v, M):
+    """Exact solve of ``Proj_X(L xi R) = Proj_X(rho)`` for SPD ``L, R`` at
+    ``X = U S V^T`` in the standard metric.
+
+    Takes ``LU = L U``, ``RV = R V``, ``S_L = U^T L U``, ``S_R = V^T R V``,
+    the factorizations of L and R (None for the identity) and the
+    projections ``rhs_u = rho V``, ``rhs_v = rho^T U``, ``M = U^T rho V``;
+    returns the factors ``(M_xi, U_xi, V_xi)`` of ``xi``.
+    """
+    S_L_inv = _inv_spd_small(S_L)
+    S_R_inv = _inv_spd_small(S_R)
+    W = fact_L.solve(rhs_u) if fact_L is not None else rhs_u
+    U_xi = (W - U @ (U.T @ W)) @ S_R_inv
+    W = fact_R.solve(rhs_v) if fact_R is not None else rhs_v
+    V_xi = (W - V @ (V.T @ W)) @ S_L_inv
+    inner = M - (LU.T @ U_xi) @ S_R - S_L @ (V_xi.T @ RV)
+    return S_L_inv @ inner @ S_R_inv, U_xi, V_xi
 
 
 def _inv_spd_small(S):
@@ -107,15 +118,19 @@ def _inv_spd_small(S):
     return sla.cho_solve(c, np.eye(S.shape[0]))
 
 
-def _solve_projected_sylvester(X, eta, A, B, factory_AE, factory_BD):
-    """Shared core for the (generalized) projected Sylvester solve.
+def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
+    """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly.
 
-    Works in the geometry of ``X``: its metric supplies ``E, D`` through
-    the ``EU = E U`` and ``DV = D V`` products cached on ``X``; the identity
-    metric yields the plain Sylvester case.
+    ``X`` lives in the weighted geometry of the metric ``B X = E X D``: its
+    metric supplies ``E, D`` through the ``EU = E U`` and ``DV = D V``
+    products cached on ``X``.  The identity metric with ``D = E = None`` is
+    the Sylvester case ``A xi + xi B``.  Only pencils ``A + lam E`` and
+    ``B + lam D`` are ever factorized, r shifts of each.
     """
     if eta.point is not X:
         raise ValueError("eta not based at X")
+    factory_AE = factory_AE or ShiftedPencilFactory(A, E)
+    factory_BD = factory_BD or ShiftedPencilFactory(B, D)
     U, V, r = X.U, X.V, X.r
     AU = A @ U
     BV = B @ V
@@ -135,33 +150,8 @@ def _solve_projected_sylvester(X, eta, A, B, factory_AE, factory_BD):
     D_Veta_b = eta.D_Vp @ QA
     Meta_b = QA.T @ eta.M @ QB
 
-    m, n = X.shape
-    W_u = np.empty((m, r))
-    W_v = np.empty((n, r))
-    C_u = []
-    C_v = []
-    LamB_blocks = []
-    LamA_blocks = []
-    for i in range(r):
-        fact = factory_AE.factor(lamB[i])
-        sol = fact.solve(np.hstack([EUb, GU, E_Ueta_b[:, i : i + 1]]))
-        W1, W2, w3 = sol[:, :r], sol[:, r : 2 * r], sol[:, 2 * r]
-        S_u = -(EUb.T @ W1)
-        corr = np.linalg.solve(S_u, np.hstack([EUb.T @ W2, (EUb.T @ w3)[:, None]]))
-        Cu = W2 + W1 @ corr[:, :r]
-        W_u[:, i] = w3 + W1 @ corr[:, r]
-        C_u.append(Cu)
-        LamB_blocks.append(lamB[i] * np.eye(r) - AUb.T @ Cu)
-    for j in range(r):
-        fact = factory_BD.factor(lamA[j])
-        sol = fact.solve(np.hstack([DVb, GV, D_Veta_b[:, j : j + 1]]))
-        W1, W2, w3 = sol[:, :r], sol[:, r : 2 * r], sol[:, 2 * r]
-        S_v = -(DVb.T @ W1)
-        corr = np.linalg.solve(S_v, np.hstack([DVb.T @ W2, (DVb.T @ w3)[:, None]]))
-        Cv = W2 + W1 @ corr[:, :r]
-        W_v[:, j] = w3 + W1 @ corr[:, r]
-        C_v.append(Cv)
-        LamA_blocks.append(lamA[j] * np.eye(r) - BVb.T @ Cv)
+    W_u, C_u, LamB_blocks = _bordered_shifted_solves(factory_AE, lamB, EUb, GU, E_Ueta_b, AUb)
+    W_v, C_v, LamA_blocks = _bordered_shifted_solves(factory_BD, lamA, DVb, GV, D_Veta_b, BVb)
 
     R = Meta_b - AUb.T @ W_u - (BVb.T @ W_v).T
     T = np.zeros((r * r, r * r))
@@ -184,24 +174,29 @@ def _solve_projected_sylvester(X, eta, A, B, factory_AE, factory_BD):
     return TangentVector(M_xi, U_xi, V_xi, X)
 
 
-def solve_sylvester(X, eta, A, B, factory_A=None, factory_B=None):
-    """Solve ``Proj_X(A xi + xi B) = eta`` exactly (standard metric)."""
-    if not X.metric.is_identity:
-        raise ValueError("Sylvester preconditioning expects the standard metric")
-    factory_A = factory_A or ShiftedPencilFactory(A)
-    factory_B = factory_B or ShiftedPencilFactory(B)
-    return _solve_projected_sylvester(X, eta, A, B, factory_A, factory_B)
+def _bordered_shifted_solves(factory, shifts, Y, G, H, K):
+    """One bordered solve with the pencil ``A + s_i E`` per shift ``s_i``.
 
-
-def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
-    """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly.
-
-    ``X`` lives in the weighted geometry of the metric ``B X = E X D``;
-    only pencils ``A + lam E`` and ``B + lam D`` are ever factorized.
+    Column ``i`` solves ``(A + s_i E) w = H[:, i] - G m + Y c`` subject to
+    ``Y^T w = 0``, as an affine function ``w = W[:, i] - C_i m`` of the core
+    column ``m`` that is not known yet.  Returns ``W``, the ``C_i`` and the
+    blocks ``s_i I - K^T C_i`` with which ``m`` enters the core system.
     """
-    factory_AE = factory_AE or ShiftedPencilFactory(A, E)
-    factory_BD = factory_BD or ShiftedPencilFactory(B, D)
-    return _solve_projected_sylvester(X, eta, A, B, factory_AE, factory_BD)
+    r = Y.shape[1]
+    W = np.empty((Y.shape[0], r))
+    C = []
+    blocks = []
+    for i, s in enumerate(shifts):
+        fact = factory.factor(s)
+        sol = fact.solve(np.hstack([Y, G, H[:, i : i + 1]]))
+        W1, W2, w3 = sol[:, :r], sol[:, r : 2 * r], sol[:, 2 * r]
+        S = -(Y.T @ W1)
+        corr = np.linalg.solve(S, np.hstack([Y.T @ W2, (Y.T @ w3)[:, None]]))
+        Ci = W2 + W1 @ corr[:, :r]
+        W[:, i] = w3 + W1 @ corr[:, r]
+        C.append(Ci)
+        blocks.append(s * np.eye(r) - K.T @ Ci)
+    return W, C, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +269,6 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
         p, q = shifts.pair(j)
         # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
         fact_A, fact_B = factors[j % len(shifts)]
-        K_U = S_AU - q * S_EU
-        K_V = S_BV + p * S_DV
-        K_U_inv = _inv_spd_small(K_U)
-        K_V_inv = _inv_spd_small(K_V)
         if first:
             ZjV = np.zeros((m, r))
             ZjtU = np.zeros((n, r))
@@ -292,19 +283,13 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
             ZjV = AY @ (BW.T @ V)
             ZjtU = BW @ (AY.T @ U)
             UtZjV = U.T @ ZjV
+        # the half-step is the Kronecker tangent solve with L = A - q E,
+        # R = B + p D and rho = Z_j + (p - q) eta
         pq = p - q
-        rhs_u = ZjV + pq * UpUM_eta
-        rhs_v = ZjtU + pq * VpVM_eta
-        M_rho = UtZjV + pq * eta.M
-
-        W = fact_A.solve(rhs_u)
-        Uj = (W - U @ (U.T @ W)) @ K_V_inv
-        W = fact_B.solve(rhs_v)
-        Vj = (W - V @ (V.T @ W)) @ K_U_inv
-        EpU = AU - q * EU            # (A - q E) U, reused in the M update
-        DpV = BV + p * DV            # (B + p D) V
-        inner = M_rho - (EpU.T @ Uj) @ K_V - K_U @ (Vj.T @ DpV)
-        Mj = K_U_inv @ inner @ K_V_inv
+        Mj, Uj, Vj = _kron_tangent_solve(
+            U, V, AU - q * EU, BV + p * DV, S_AU - q * S_EU, S_BV + p * S_DV,
+            fact_A, fact_B, ZjV + pq * UpUM_eta, ZjtU + pq * VpVM_eta, UtZjV + pq * eta.M,
+        )
     return TangentVector(Mj, Uj, Vj, X)
 
 
@@ -465,22 +450,9 @@ class KronPrecond:
         return FactoredMatrix(left, right)
 
 
-class SylvesterPrecond:
-    """Exact inverse of the projected Sylvester preconditioner A xi + xi B."""
-
-    def __init__(self, A, B):
-        self.A, self.B = A, B
-        self.factory_A = ShiftedPencilFactory(A)
-        self.factory_B = ShiftedPencilFactory(B)
-
-    def apply_inv_tangent(self, eta):
-        return solve_sylvester(
-            eta.point, eta, self.A, self.B, self.factory_A, self.factory_B
-        )
-
-
 class GenSylvesterPrecond:
-    """Exact inverse of ``E^{-1} A xi + xi B D^{-1}`` in the (E, D) metric."""
+    """Exact inverse of ``E^{-1} A xi + xi B D^{-1}`` in the (E, D) metric;
+    ``D = E = None`` is the Sylvester ``A xi + xi B`` in the identity metric."""
 
     def __init__(self, A, B, D, E):
         self.A, self.B, self.D, self.E = A, B, D, E
@@ -494,25 +466,31 @@ class GenSylvesterPrecond:
         )
 
 
-class TangAdiPrecond:
-    """Approximate inverse of ``P X = A X D + E X B`` by tangADI sweeps."""
+class _AdiPrecond:
+    """Shift pairs and sweep count of an ADI preconditioner, with the
+    factorizations of its shifted pencils made on the first apply."""
 
     def __init__(self, A, B, D, E, shifts: ShiftSet, steps=None):
         self.A, self.B, self.D, self.E = A, B, D, E
         self.shifts = shifts
-        self.steps = steps
-        self._factors = None    # made on the first apply, not in set-up
+        self.steps = len(shifts) if steps is None else int(steps)
+
+    @cached_property
+    def factors(self):
+        return adi_factors(self.A, self.B, self.D, self.E, self.shifts, self.steps)
+
+
+class TangAdiPrecond(_AdiPrecond):
+    """Approximate inverse of ``P X = A X D + E X B`` by tangADI sweeps."""
 
     def apply_inv_tangent(self, eta):
-        if self._factors is None:
-            self._factors = adi_factors(self.A, self.B, self.D, self.E, self.shifts, self.steps)
         return tangadi_apply(
             eta.point, eta, self.A, self.B, self.D, self.E,
-            self.shifts, self.steps, self._factors,
+            self.shifts, self.steps, self.factors,
         )
 
 
-class FadiAmbientPrecond:
+class FadiAmbientPrecond(_AdiPrecond):
     """Factored ADI approximation of the ambient generalized Sylvester solve.
 
     Used as the truncated-CG preconditioner: applies ``steps`` ADI sweeps
@@ -521,21 +499,16 @@ class FadiAmbientPrecond:
     """
 
     def __init__(self, A, B, D=None, E=None, shifts=None, steps=None, truncate_fn=None):
-        self.A, self.B, self.D, self.E = A, B, D, E
-        self.shifts = shifts
-        self.steps = len(shifts) if steps is None else int(steps)
+        super().__init__(A, B, D, E, shifts, steps)
         self.truncate_fn = truncate_fn
-        self._factors = None    # made on the first apply, not in set-up
 
     def apply_inv_ambient(self, Z: FactoredMatrix) -> FactoredMatrix:
-        if self._factors is None:
-            self._factors = adi_factors(self.A, self.B, self.D, self.E, self.shifts, self.steps)
         m, n = Z.shape
         Xl = np.zeros((m, 0))
         Xr = np.zeros((n, 0))
         for j in range(self.steps):
             p, q = self.shifts.pair(j)
-            fa, fb = self._factors[j % len(self.shifts)]
+            fa, fb = self.factors[j % len(self.shifts)]
             new_l = [fa.solve((p - q) * Z.left)]
             new_r = [fb.solve(Z.right)]
             if Xl.shape[1]:

@@ -74,9 +74,11 @@ def rank_increase(X, op, F, r_up, rng):
     Truncates the normal component of ``B^{-1}(F - A X)`` to rank
     ``r_up`` (padding with random B-normal directions if its rank is
     smaller), takes the exact line-search step along it, and returns a
-    rank ``r + r_up`` point together with the step length.
+    rank ``r + r_up`` point together with the step length.  The rank never
+    grows past ``min(m, n)``: ``r_up`` is cut to the room that is left.
     """
     metric = X.metric
+    r_up = min(r_up, min(X.shape) - X.r)
     R = eqs.residual(op, X, F)
     # normal component of the negative preconditioned gradient:
     # -(E^{-1} - U U^T) R_L [(D^{-1} - V V^T) R_R]^T
@@ -191,7 +193,9 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
     """Riemannian rank-adaptive solve; returns ``(X, trace, status)``.
 
     Trace events: ``rank_up:r->r'``, ``rank_down:r->r'``, ``plateau``,
-    ``converged``, ``max_iter``, ``spd_loss``.
+    ``converged``, ``max_iter``, ``stagnated``, ``spd_loss``.  At rank
+    ``min(m, n)`` the rank does not grow; a phase there that takes no step
+    ends the solve with ``stagnated``.
     """
     trace = SolveTrace()
     rng = np.random.default_rng(opts.seed)
@@ -248,6 +252,12 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
         trace.update_last(res_rel=res, res_kind="exact")
         if res <= opts.tol or k >= opts.max_total_iters:
             continue
+        r_old = state.X.r
+        if r_old >= min(op.m, op.n):
+            # full rank: no increase; a phase without a step would repeat itself
+            if phase_iters == 0:
+                return trace.finish(state.X, "stagnated")
+            continue
         X_up, alpha_star = rank_increase(state.X, op, F, opts.r_up, rng)
         try:
             state.restart(X_up)
@@ -257,6 +267,6 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
         res = state.res_rel()
         state.record(
             trace, k, res_rel=res, res_kind="exact", alpha=alpha_star,
-            event=f"rank_up:{X_up.r - opts.r_up}->{X_up.r}",
+            event=f"rank_up:{r_old}->{X_up.r}",
         )
     return trace.finish(state.X, "converged")

@@ -42,7 +42,7 @@ def _std_point(m, n, r, rng):
 
 
 def test_criterion_1_dense_preconditioner_oracles():
-    """solve_kron / solve_sylvester / solve_gen_sylvester vs dense solves."""
+    """solve_kron / solve_gen_sylvester (E = D = I and weighted) vs dense solves."""
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
@@ -61,7 +61,7 @@ def test_criterion_1_dense_preconditioner_oracles():
         ref = solve_projected_dense(X, etad, lambda T: E @ T @ D)
         worst = max(worst, np.linalg.norm(tv_dense(xi) - ref) / np.linalg.norm(ref))
 
-        xi = pc.solve_sylvester(X, eta, A, B)
+        xi = pc.solve_gen_sylvester(X, eta, A, B, None, None)
         ref = solve_projected_dense(X, etad, lambda T: A @ T + T @ B)
         worst = max(worst, np.linalg.norm(tv_dense(xi) - ref) / np.linalg.norm(ref))
 
@@ -282,7 +282,7 @@ def test_criterion_7_preconditioner_ordering():
     _, tr2, st2 = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),
                               metric=met, precond=prec2)
-    prec1 = pc.SylvesterPrecond(inst.p1["A"], inst.p1["B"])
+    prec1 = pc.GenSylvesterPrecond(inst.p1["A"], inst.p1["B"], None, None)
     _, tr1, st1 = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),
                               precond=prec1)

@@ -1,9 +1,12 @@
 import csv
 import json
 
+import pytest
+
 from lrmeq import cli
 from lrmeq import geometry as geo
 from lrmeq import io as inst_io
+from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq.cli import main, run_solve, _CONFIG_DEFAULTS
 
@@ -197,3 +200,51 @@ def test_identical_compare_rows_mod_time(tmp_path):
             s = json.load(fh)
         rows.append((s["iters"], s["final_rank"], s["final_res"], s["status"]))
     assert rows[0] == rows[1]
+
+
+def test_p1_is_generalized_sylvester_in_the_identity_metric(tmp_path):
+    inst = pb.gen_fd_diffusion_paper(24)
+    metric, prec = cli._build_tangent_setup(inst, dict(_CONFIG_DEFAULTS, precond="P1"))
+    assert metric.is_identity and (metric.m, metric.n) == (inst.op.m, inst.op.n)
+    assert isinstance(prec, pc.GenSylvesterPrecond)
+    assert prec.D is None and prec.E is None
+
+    inst_dir = tmp_path / "inst"
+    assert main(["generate", "--family", "fd-diffusion", "--n", "24",
+                 "--out", str(inst_dir)]) == 0
+    out = tmp_path / "run"
+    assert main(["solve", "--instance", str(inst_dir), "--precond", "P1",
+                 "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "converged" and float(summary["final_res"]) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [{"solver": "rnlgc"}, {"precond": "p2"}], ids=["solver", "precond"])
+def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(inst_dir), "out": str(tmp_path / "run"), **bad}))
+    assert main(["solve", "--config", str(cfg)]) == 3
+    assert not (tmp_path / "run").exists()
+
+
+def test_corrupted_instance_exits_4(tmp_path):
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
+    argv = ["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+            "--out", str(tmp_path / "run")]
+    mtx = inst_dir / "A0.mtx"
+    good = mtx.read_text()
+    lines = good.splitlines(keepends=True)
+    lines[-1] = lines[-1].replace("1", "2", 1)   # one changed digit of a value
+    mtx.write_text("".join(lines))
+    with pytest.raises(inst_io.InstanceError):
+        inst_io.import_instance(inst_dir)
+    assert main(argv) == 4
+
+    mtx.write_text(good)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    (inst_dir / "manifest.json").write_text(json.dumps(dict(manifest, format="other")))
+    assert main(argv) == 4

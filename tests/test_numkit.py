@@ -106,24 +106,6 @@ def test_sparse_permuted_band(rng):
     assert np.linalg.norm(C.T @ C - As.toarray()) < 1e-11
 
 
-def test_eig_sym_diagonal():
-    Q, lam = nk.eig_sym(np.diag([1.0, 2.0]))
-    assert np.allclose(lam, [1.0, 2.0])
-    assert np.allclose(np.abs(Q), np.eye(2))
-
-
-def test_eig_sym_swap():
-    Q, lam = nk.eig_sym(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(lam, [-1.0, 1.0])
-
-
-def test_eig_sym_residual(rng):
-    A = rng.standard_normal((4, 4))
-    A = A + A.T
-    Q, lam = nk.eig_sym(A)
-    assert np.linalg.norm(A @ Q - Q @ np.diag(lam)) <= 1e-12 * np.linalg.norm(A)
-
-
 def test_factorizations_deterministic(rng):
     A = rand_spd(10, rng)
     f1 = nk.spd_factorize(A.copy())
@@ -144,7 +126,7 @@ def test_svd_vs_eig_consistency(rng):
     for _ in range(10):
         A = rng.standard_normal((8, 5))
         _, s, _ = nk.svd_thin(A)
-        _, lam = nk.eig_sym(A.T @ A)
+        lam = np.linalg.eigvalsh(A.T @ A)
         assert np.allclose(np.sort(s**2), np.sort(lam), atol=1e-10 * max(1, lam[-1]))
 
 

@@ -335,3 +335,40 @@ def test_rram_spd_loss_at_start_ends_with_status(rng):
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, tol=1e-10), precond=Negates())
     assert status == "spd_loss"
     assert len(trace) == 1 and X.r == 1
+
+
+# ---------------------------------------------------------------------------
+# rank at most min(m, n)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec_name, r0", [("kron", 4), ("identity", 3)])
+def test_rram_rank_never_exceeds_min_dimension(prec_name, r0):
+    """On a 7x6 problem the rank stops at 6.  Uncapped, rank increases
+    padded past it: rank 4 -> 7 with the Kronecker preconditioner ended
+    with ``spd_loss``, and without one rows of rank 9 were logged as ``6->9``."""
+    from lrmeq import problems as pb
+
+    inst = pb.gen_synthetic(7, 6, 3, seed=2)
+    op, F = inst.op, inst.F
+    prec = pc.KronPrecond(op.A[0], op.B[1]) if prec_name == "kron" else None
+    opts = rr.RramOptions(r0=r0, r_up=3, tol=1e-13, max_total_iters=500,
+                          inner=RnlcgOptions(rank=r0, tol=1e-13))
+    X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
+    assert status == "converged"
+    assert max(r["rank"] for r in trace.rows) <= 6
+    for r in trace.rows:
+        if "rank_up" in r["event"]:
+            old, new = r["event"].split("rank_up:")[1].split("+")[0].split("->")
+            assert int(new) <= 6 and int(old) < int(new)
+
+
+def test_rram_full_rank_phase_without_step_stagnates(rng):
+    """At rank min(m, n) there is no rank increase; a phase that takes no
+    step ends the solve instead of repeating itself."""
+    op, F = identity_problem(rng, m=4, n=4)
+    prec = NegatesAfterFirstApply()
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-10), precond=prec)
+    assert status == "stagnated"
+    assert prec.applies == 2    # start, failed step
+    assert X.r == 4 and all(r["rank"] == 4 for r in trace.rows)
