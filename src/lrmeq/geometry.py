@@ -147,10 +147,10 @@ def factored_norm(Z: FactoredMatrix, metric: KroneckerMetric | None = None) -> f
         return 0.0
     L = Z.left if metric is None else metric.sqrtE_mul(Z.left)
     R = Z.right if metric is None else metric.sqrtD_mul(Z.right)
-    # ||L R^T|| = ||R_L R_R^T|| for QR factors L = Q_L R_L, R = Q_R R_R
-    rl = np.linalg.qr(L, mode="r")
-    rr = np.linalg.qr(R, mode="r")
-    return float(np.linalg.norm(rl @ rr.T))
+    if L.shape[0] > R.shape[0]:
+        L, R = R, L
+    # ||R L^T|| = ||R R_L^T|| for the QR factor L = Q_L R_L of the shorter side
+    return float(np.linalg.norm(R @ np.linalg.qr(L, mode="r").T))
 
 
 class FixedRankPoint:
@@ -333,17 +333,25 @@ def weighted_qr(M, fact):
 def weighted_svd(Z, metric: KroneckerMetric):
     """Weighted thin SVD ``Z = U diag(s) V.T`` with E-/D-orthonormal factors.
 
-    Dense input goes through an SVD of ``C_E @ Z @ C_D.T``; factored input
-    through weighted QR of both factors and an SVD of the small core, so
-    the cost stays O((m + n) k^2).
+    Dense input goes through an SVD of ``C_E @ Z @ C_D.T``.  Factored input
+    ``L @ R.T`` goes through a weighted QR ``L = Q_L T_L`` of the factor
+    with fewer rows, a weighted QR ``R @ T_L.T = Q_R T_R`` of the other
+    factor with that triangle folded in (``min(m, n, k)`` columns, not
+    ``k``), and an SVD of the small core ``T_R.T``, so the cost stays
+    O((m + n) k^2).
     """
     if isinstance(Z, FactoredMatrix):
+        m, n = Z.shape
         if Z.k == 0:
-            m, n = Z.shape
             return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-        QL, RL = weighted_qr(Z.left, metric.fact_E)
-        QR_, RR = weighted_qr(Z.right, metric.fact_D)
-        u, s, v = numkit.svd_thin(RL @ RR.T)
+        if m <= n:
+            QL, TL = weighted_qr(Z.left, metric.fact_E)
+            QR_, TR = weighted_qr(Z.right @ TL.T, metric.fact_D)
+            u, s, v = numkit.svd_thin(TR.T)
+        else:
+            QR_, TR = weighted_qr(Z.right, metric.fact_D)
+            QL, TL = weighted_qr(Z.left @ TR.T, metric.fact_E)
+            u, s, v = numkit.svd_thin(TL)
         return QL @ u, s, QR_ @ v
     Z = np.asarray(Z, dtype=float)
     core = metric.sqrtE_mul(metric.sqrtD_mul(Z.T).T)

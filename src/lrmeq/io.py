@@ -25,7 +25,8 @@ _MM_PRECISION = 17
 
 class InstanceError(OSError):
     """An instance directory that cannot be read back: an unknown manifest
-    format, or a file whose content does not match its stored hash."""
+    format, a manifest that lacks a required key, or a file whose content
+    does not match its stored hash."""
 
 
 def _sha256(path):
@@ -94,30 +95,39 @@ def export_instance(inst: ProblemInstance, out_dir):
 def import_instance(in_dir) -> ProblemInstance:
     """Read back an instance directory written by ``export_instance``.
 
-    Every file is checked against its sha256 in the manifest; a mismatch
-    or an unknown manifest format raises ``InstanceError``.
+    Every file is checked against its sha256 in the manifest; a mismatch,
+    a missing manifest key or an unknown manifest format raises
+    ``InstanceError``.
     """
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     if manifest.get("format") != "lrmeq-instance-v1":
         raise InstanceError(f"{in_dir}: unrecognized instance manifest")
-    files = manifest["files"]
+
+    def required(mapping, key, what):
+        try:
+            return mapping[key]
+        except (KeyError, TypeError):
+            raise InstanceError(f"{in_dir}: manifest lacks {what}") from None
+
+    files = required(manifest, "files", "'files'")
     hashes = manifest.get("sha256", {})
 
     def load(name):
-        path = os.path.join(in_dir, files[name])
+        path = os.path.join(in_dir, required(files, name, f"the file entry {name!r}"))
         if _sha256(path) != hashes.get(name):
             raise InstanceError(f"{path}: content does not match its sha256 in the manifest")
         return _read_matrix(path)
 
-    ell = manifest["ell"]
+    ell = required(manifest, "ell", "'ell'")
     op = MultitermOperator([load(f"A{i}") for i in range(ell)],
                            [load(f"B{i}") for i in range(ell)])
     F = LowRankRhs(np.atleast_2d(load("FL")), np.atleast_2d(load("FR")))
     preconds = {}
     for label, entry in manifest.get("precond", {}).items():
-        spec = {"kind": entry["kind"]}
-        for key, name in entry["matrices"].items():
+        spec = {"kind": required(entry, "kind", f"the {label!r} preconditioner's 'kind'")}
+        matrices = required(entry, "matrices", f"the {label!r} preconditioner's 'matrices'")
+        for key, name in matrices.items():
             spec[key] = None if name is None else load(name)
         preconds[label] = spec
     return ProblemInstance(

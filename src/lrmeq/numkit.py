@@ -4,9 +4,9 @@ Everything here is a thin, deterministic layer over numpy/scipy LAPACK
 wrappers: thin SVD/QR with fixed sign conventions, symmetric eigensolves,
 and SPD factorizations that expose a triangular square-root factor
 ``C`` with ``A = C.T @ C`` for both dense and sparse input.  Sparse SPD
-matrices are factorized with a reverse-Cuthill-McKee reordering followed
-by a banded Cholesky, so banded problems (tridiagonal, five-point
-stencils) factor in O(n * bandwidth^2).
+matrices are factorized by a banded Cholesky, after a reverse-Cuthill-McKee
+reordering when that narrows the band, so banded problems (tridiagonal,
+five-point stencils) factor in O(n * bandwidth^2).
 """
 
 from __future__ import annotations
@@ -87,15 +87,23 @@ def rcm_bands(*mats):
     Returns ``(perm, bands)``: the permutation of the union of their
     sparsity patterns, and each matrix permuted by it in upper-banded
     storage.  All bands share the bandwidth of the permuted union pattern,
-    so any linear combination of the matrices fits in them.
+    so any linear combination of the matrices fits in them.  ``perm`` is
+    None when the natural order is already as narrow as RCM's (banded
+    input, which RCM would only reverse), and the bands are unpermuted.
     """
     pattern = sp.identity(mats[0].shape[0], format="csr")
     for M in mats:
         pattern = pattern + abs(M) + abs(M).T
     perm = np.asarray(reverse_cuthill_mckee(pattern.tocsr(), symmetric_mode=True))
-    rows, cols = pattern[perm][:, perm].nonzero()
-    bw = int(np.max(np.abs(rows - cols)))
+    bw, bw_natural = _bandwidth(pattern[perm][:, perm]), _bandwidth(pattern)
+    if bw_natural <= bw:
+        return None, [_banded_upper_from_csc(M, bw_natural) for M in mats]
     return perm, [_banded_upper_from_csc(M[perm][:, perm], bw) for M in mats]
+
+
+def _bandwidth(pattern):
+    rows, cols = pattern.nonzero()
+    return int(np.max(np.abs(rows - cols)))
 
 
 class _TriBandFactor:
@@ -161,7 +169,7 @@ class SpdFactorization:
     def __init__(self, A):
         if sp.issparse(A):
             perm, (ab,) = rcm_bands(A.tocsr())
-            self._init_banded(ab, perm)
+            self._init_banded(ab, perm, None if perm is None else np.argsort(perm))
         else:
             self._init_dense(np.asarray(A, dtype=float))
 
@@ -176,8 +184,8 @@ class SpdFactorization:
             raise NotSpdError(str(exc), _pivot_index(exc)) from exc
         self._perm = None
 
-    # -- sparse backend (RCM + banded Cholesky) ---------------------------
-    def _init_banded(self, ab_upper, perm):
+    # -- sparse backend (banded Cholesky, RCM order if narrower) ----------
+    def _init_banded(self, ab_upper, perm, iperm):
         self.n = ab_upper.shape[1]
         self.kind = "banded"
         try:
@@ -186,14 +194,15 @@ class SpdFactorization:
             raise NotSpdError(str(exc), _pivot_index(exc)) from exc
         self._band = _TriBandFactor(cb)
         self._perm = perm
-        self._iperm = None if perm is None else np.argsort(perm)
+        self._iperm = iperm
 
     @classmethod
-    def from_banded(cls, ab_upper, perm=None):
+    def from_banded(cls, ab_upper, perm=None, iperm=None):
         """Factorize from upper-banded storage of the matrix permuted by
-        ``perm`` (None: not permuted); solves take unpermuted vectors."""
+        ``perm`` with inverse ``iperm`` (both None: not permuted); solves
+        take unpermuted vectors."""
         self = cls.__new__(cls)
-        self._init_banded(ab_upper, perm)
+        self._init_banded(ab_upper, perm, iperm)
         return self
 
     # -- solves ------------------------------------------------------------

@@ -40,9 +40,10 @@ _DENSE_EIG_LIMIT = 256
 class ShiftedPencilFactory:
     """SPD factorizations of ``A + shift * E`` for varying shifts.
 
-    For sparse input the fill-reducing permutation and band extraction
-    are computed once from the union of the sparsity patterns; each shift
-    then costs one banded Cholesky.  ``E=None`` means the identity.
+    For sparse input the band-narrowing permutation (if any), its inverse
+    and the band extraction are computed once from the union of the
+    sparsity patterns; each shift then costs one banded Cholesky.
+    ``E=None`` means the identity.
     """
 
     def __init__(self, A, E=None):
@@ -50,6 +51,7 @@ class ShiftedPencilFactory:
         if sp.issparse(A) and (E is None or sp.issparse(E)):
             E = sp.identity(n, format="csr") if E is None else E.tocsr()
             self._perm, (self._A, self._E) = numkit.rcm_bands(A.tocsr(), E)
+            self._iperm = None if self._perm is None else np.argsort(self._perm)
             self.kind = "banded"
         else:
             self._A = numkit.as_dense(A)
@@ -60,7 +62,9 @@ class ShiftedPencilFactory:
         """Factorize ``A + shift * E``; nothing is kept between calls."""
         if self.kind == "dense":
             return numkit.spd_factorize(self._A + shift * self._E)
-        return numkit.SpdFactorization.from_banded(self._A + shift * self._E, self._perm)
+        return numkit.SpdFactorization.from_banded(
+            self._A + shift * self._E, self._perm, self._iperm
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +127,11 @@ def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
 
     ``X`` lives in the weighted geometry of the metric ``B X = E X D``: its
     metric supplies ``E, D`` through the ``EU = E U`` and ``DV = D V``
-    products cached on ``X``.  The identity metric with ``D = E = None`` is
-    the Sylvester case ``A xi + xi B``.  Only pencils ``A + lam E`` and
-    ``B + lam D`` are ever factorized, r shifts of each.
+    products cached on ``X``, so the metric must hold the pencils' ``E``
+    and ``D`` (equal values suffice).  The identity metric with
+    ``D = E = None`` is the Sylvester case ``A xi + xi B``.  Only pencils
+    ``A + lam E`` and ``B + lam D`` are ever factorized, r shifts of each,
+    and each shifted solve takes r + 1 right-hand sides.
     """
     if eta.point is not X:
         raise ValueError("eta not based at X")
@@ -139,19 +145,17 @@ def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
     lamA, QA = np.linalg.eigh(0.5 * (S_A + S_A.T))
     lamB, QB = np.linalg.eigh(0.5 * (S_B + S_B.T))
 
-    AUb = AU @ QA
-    EUb = X.EU @ QA
-    BVb = BV @ QB
-    DVb = X.DV @ QB
-    GU = AUb - EUb * lamA[None, :]
-    GV = BVb - DVb * lamB[None, :]
-
     E_Ueta_b = eta.E_Up @ QB
     D_Veta_b = eta.D_Vp @ QA
     Meta_b = QA.T @ eta.M @ QB
 
-    W_u, C_u, LamB_blocks = _bordered_shifted_solves(factory_AE, lamB, EUb, GU, E_Ueta_b, AUb)
-    W_v, C_v, LamA_blocks = _bordered_shifted_solves(factory_BD, lamA, DVb, GV, D_Veta_b, BVb)
+    AUb, BVb = AU @ QA, BV @ QB
+    W_u, C_u, LamB_blocks = _bordered_shifted_solves(
+        factory_AE, lamB, U @ QA, X.EU @ QA, E_Ueta_b, AUb
+    )
+    W_v, C_v, LamA_blocks = _bordered_shifted_solves(
+        factory_BD, lamA, V @ QB, X.DV @ QB, D_Veta_b, BVb
+    )
 
     R = Meta_b - AUb.T @ W_u - (BVb.T @ W_v).T
     T = np.zeros((r * r, r * r))
@@ -174,28 +178,32 @@ def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
     return TangentVector(M_xi, U_xi, V_xi, X)
 
 
-def _bordered_shifted_solves(factory, shifts, Y, G, H, K):
+def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
     """One bordered solve with the pencil ``A + s_i E`` per shift ``s_i``.
 
     Column ``i`` solves ``(A + s_i E) w = H[:, i] - G m + Y c`` subject to
-    ``Y^T w = 0``, as an affine function ``w = W[:, i] - C_i m`` of the core
-    column ``m`` that is not known yet.  Returns ``W``, the ``C_i`` and the
-    blocks ``s_i I - K^T C_i`` with which ``m`` enters the core system.
+    ``Y^T w = 0``, where ``Y = E Ub`` and ``G = K - Y diag(lam)`` for
+    ``K = A Ub``, as an affine function ``w = W[:, i] - C_i m`` of the core
+    column ``m`` that is not known yet.  Because ``(A + s E)^{-1} G =
+    Ub - W1 (s I + diag(lam))`` with ``W1 = (A + s E)^{-1} Y``, each shift
+    solves only ``[Y, H[:, i]]``, and ``C_i = Ub + W1 S^{-1} Y^T Ub`` with
+    ``S = -Y^T W1``.  Returns ``W``, the ``C_i`` and the blocks
+    ``s_i I - K^T C_i`` with which ``m`` enters the core system.
     """
     r = Y.shape[1]
+    YK = np.hstack([Y, K])
+    YtU, KtU = np.vsplit(YK.T @ Ub, 2)
     W = np.empty((Y.shape[0], r))
     C = []
     blocks = []
     for i, s in enumerate(shifts):
-        fact = factory.factor(s)
-        sol = fact.solve(np.hstack([Y, G, H[:, i : i + 1]]))
-        W1, W2, w3 = sol[:, :r], sol[:, r : 2 * r], sol[:, 2 * r]
-        S = -(Y.T @ W1)
-        corr = np.linalg.solve(S, np.hstack([Y.T @ W2, (Y.T @ w3)[:, None]]))
-        Ci = W2 + W1 @ corr[:, :r]
-        W[:, i] = w3 + W1 @ corr[:, r]
-        C.append(Ci)
-        blocks.append(s * np.eye(r) - K.T @ Ci)
+        sol = factory.factor(s).solve(np.hstack([Y, H[:, i : i + 1]]))
+        W1 = sol[:, :r]
+        YKt_sol = YK.T @ sol
+        corr = np.linalg.solve(-YKt_sol[:r, :r], np.hstack([YtU, YKt_sol[:r, r:]]))
+        C.append(Ub + W1 @ corr[:, :r])
+        W[:, i] = sol[:, r] + W1 @ corr[:, r]
+        blocks.append(s * np.eye(r) - KtU - YKt_sol[r:, :r] @ corr[:, :r])
     return W, C, blocks
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numkit
+from . import geometry as geo
 from .geometry import FactoredMatrix, factored_inner, factored_norm
 from .trace import SolveTrace
 
@@ -50,18 +50,14 @@ class TruncationPolicy:
 
 
 def truncate_factored(Z: FactoredMatrix, eps_rel, eps_abs=0.0, norm_ref=1.0, rank_cap=None):
-    """QR-then-SVD recompression of a factored matrix.
+    """Recompression of a factored matrix through its SVD
+    (``geometry.weighted_svd`` in the identity metric).
 
     Keeps the smallest rank whose discarded tail satisfies
     ``tail <= max(eps_abs * norm_ref, eps_rel * ||Z||_F)``; a rank cap,
     when set, is applied afterwards.  Returns ``(Z', discarded_tail)``.
     """
-    m, n = Z.shape
-    if Z.k == 0:
-        return Z, 0.0
-    Ql, Rl = numkit.qr_thin(Z.left)
-    Qr, Rr = numkit.qr_thin(Z.right)
-    u, s, v = numkit.svd_thin(Rl @ Rr.T)
+    U, s, V = geo.weighted_svd(Z, geo.KroneckerMetric.identity(*Z.shape))
     norm_z = float(np.linalg.norm(s))
     thresh = max(eps_abs * norm_ref, eps_rel * norm_z)
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
@@ -70,7 +66,7 @@ def truncate_factored(Z: FactoredMatrix, eps_rel, eps_abs=0.0, norm_ref=1.0, ran
     if rank_cap is not None:
         keep = min(keep, rank_cap)
     discarded = float(np.linalg.norm(s[keep:]))
-    out = FactoredMatrix(Ql @ (u[:, :keep] * s[:keep]), Qr @ v[:, :keep])
+    out = FactoredMatrix(U[:, :keep] * s[:keep], V[:, :keep])
     return out, discarded
 
 

@@ -248,3 +248,39 @@ def test_corrupted_instance_exits_4(tmp_path):
     manifest = json.loads((inst_dir / "manifest.json").read_text())
     (inst_dir / "manifest.json").write_text(json.dumps(dict(manifest, format="other")))
     assert main(argv) == 4
+
+
+def _drop_ell(m):
+    del m["ell"]
+
+
+def _drop_files(m):
+    del m["files"]
+
+
+def _drop_file_entry(m):
+    del m["files"]["A1"]
+
+
+def _drop_precond_kind(m):
+    del m["precond"]["p2"]["kind"]
+
+
+def _drop_precond_matrices(m):
+    del m["precond"]["p2"]["matrices"]
+
+
+@pytest.mark.parametrize("drop", [_drop_ell, _drop_files, _drop_file_entry,
+                                  _drop_precond_kind, _drop_precond_matrices])
+def test_manifest_missing_key_exits_4(tmp_path, capsys, drop):
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    drop(manifest)
+    (inst_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(inst_io.InstanceError, match="manifest lacks"):
+        inst_io.import_instance(inst_dir)
+    argv = ["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 4
+    assert "manifest lacks" in capsys.readouterr().err

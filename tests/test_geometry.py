@@ -402,3 +402,45 @@ def test_factored_norm_is_weighted_b_norm(case, sparse):
     Zd = Z.left @ Z.right.T
     ref = np.sqrt(max(b_inner(Zd, Zd, Ed, Dd), 0.0))
     assert geo.factored_norm(Z, geo.KroneckerMetric(E, D)) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# weighted SVD of factored matrices against dense references
+# ---------------------------------------------------------------------------
+
+
+def dense_weighted_singular_values(Zd, E, D):
+    """Singular values of ``Z`` in the B-norm: those of ``L_E.T Z L_D`` for
+    Cholesky factors ``E = L_E L_E.T`` and ``D = L_D L_D.T``."""
+    return np.linalg.svd(np.linalg.cholesky(E).T @ Zd @ np.linalg.cholesky(D), compute_uv=False)
+
+
+def metric_of_kind(kind, m, n, rng):
+    """(metric, dense E, dense D) for an identity, dense or sparse metric."""
+    if kind == "identity":
+        return geo.KroneckerMetric.identity(m, n), np.eye(m), np.eye(n)
+    if kind == "sparse":
+        E, D = rand_band_spd(m, 2, rng, permute=True), rand_band_spd(n, 1, rng)
+        return geo.KroneckerMetric(E, D), E.toarray(), D.toarray()
+    E, D = rand_spd(m, rng, 50.0), rand_spd(n, rng, 50.0)
+    return geo.KroneckerMetric(E, D), E, D
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.sampled_from(["identity", "dense", "sparse"]), st.data())
+def test_weighted_svd_of_factored_matches_dense(m, n, above, kind, data):
+    """k below or above min(m, n), either factor the shorter one."""
+    p = min(m, n)
+    k = data.draw(st.integers(p + 1, 2 * p + 3) if above else st.integers(1, p))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    met, E, D = metric_of_kind(kind, m, n, rng)
+    Z = geo.FactoredMatrix(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
+    Zd = Z.left @ Z.right.T
+    U, s, V = geo.weighted_svd(Z, met)
+    q = min(m, n, k)
+    assert U.shape == (m, q) and s.shape == (q,) and V.shape == (n, q)
+    ref = dense_weighted_singular_values(Zd, E, D)
+    assert np.all(np.abs(s - ref[:q]) <= 1e-10 * ref[0])
+    assert np.linalg.norm((U * s) @ V.T - Zd) <= 1e-10 * np.linalg.norm(Zd)
+    assert np.linalg.norm(U.T @ E @ U - np.eye(q)) <= 1e-10
+    assert np.linalg.norm(V.T @ D @ V - np.eye(q)) <= 1e-10

@@ -106,6 +106,31 @@ def test_sparse_permuted_band(rng):
     assert np.linalg.norm(C.T @ C - As.toarray()) < 1e-11
 
 
+@pytest.mark.parametrize("bw", [1, 2])
+def test_rcm_bands_keeps_natural_order_of_a_band(rng, bw):
+    """Tridiagonal and pentadiagonal input: RCM would only reverse it."""
+    n = 30
+    A = rand_band_spd(n, bw, rng)
+    E = rand_band_spd(n, 1, rng)
+    perm, (ab_A, ab_E) = nk.rcm_bands(A, E)
+    assert perm is None
+    assert ab_A.shape == ab_E.shape == (bw + 1, n)
+    assert np.array_equal(ab_A[bw], A.diagonal())
+    assert np.array_equal(ab_A[0, bw:], A.diagonal(bw))
+    assert np.array_equal(ab_E[bw - 1, 1:], E.diagonal(1))
+
+
+@pytest.mark.parametrize("bw", [1, 2])
+def test_rcm_bands_keeps_a_narrowing_permutation(rng, bw):
+    n = 30
+    p = rng.permutation(n)
+    A = rand_band_spd(n, bw, rng)[p][:, p].tocsr()
+    perm, (ab,) = nk.rcm_bands(A)
+    assert perm is not None
+    assert ab.shape == (bw + 1, n)
+    assert np.array_equal(ab[bw], A[perm][:, perm].diagonal())
+
+
 def test_factorizations_deterministic(rng):
     A = rand_spd(10, rng)
     f1 = nk.spd_factorize(A.copy())
@@ -147,6 +172,8 @@ def test_banded_solve_matches_dense_solve(case, nrhs):
     n, bw, permute, seed = case
     rng = np.random.default_rng(seed)
     A = rand_band_spd(n, bw, rng, permute)
+    if not permute:
+        assert nk.rcm_bands(A)[0] is None   # a band in natural order is kept
     f = nk.spd_factorize(A)
     assert f.kind == "banded"
     b = rng.standard_normal(n) if nrhs == 0 else rng.standard_normal((n, nrhs))
@@ -161,6 +188,8 @@ def test_banded_square_root_round_trips(case):
     n, bw, permute, seed = case
     rng = np.random.default_rng(seed)
     A = rand_band_spd(n, bw, rng, permute)
+    if not permute:
+        assert nk.rcm_bands(A)[0] is None
     f = nk.spd_factorize(A)
     C = f.c_mul(np.eye(n))
     assert np.linalg.norm(C.T @ C - A.toarray()) <= 1e-12 * np.linalg.norm(A.toarray())

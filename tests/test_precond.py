@@ -9,6 +9,7 @@ from lrmeq import precond as pc
 from oracles import (
     proj_dense,
     projected_operator_matrix,
+    rand_band_spd,
     rand_spd,
     solve_projected_dense,
     spectral_radius,
@@ -131,6 +132,32 @@ def test_gen_sylvester_dense_oracle(rng):
     Einv = np.linalg.inv(E)
     Dinv = np.linalg.inv(D)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ A @ T + T @ B @ Dinv)
+    assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-9 * max(1, np.linalg.norm(expected))
+
+
+def symmetric_permutation(M, p):
+    return M[p][:, p].tocsr()
+
+
+@pytest.mark.parametrize("permute", [False, True])
+def test_gen_sylvester_sparse_pencils_dense_oracle(rng, permute):
+    """Sparse banded pencils in a weighted metric: natural order (no
+    permutation is kept) and a random symmetric permutation (RCM kept)."""
+    m, n, r = 14, 12, 3
+    A, E = rand_band_spd(m, 1, rng), rand_band_spd(m, 2, rng)
+    B, D = rand_band_spd(n, 2, rng), rand_band_spd(n, 1, rng)
+    if permute:
+        p, q = rng.permutation(m), rng.permutation(n)
+        A, E = symmetric_permutation(A, p), symmetric_permutation(E, p)
+        B, D = symmetric_permutation(B, q), symmetric_permutation(D, q)
+    assert (numkit.rcm_bands(A, E)[0] is not None) == permute
+    assert (numkit.rcm_bands(B, D)[0] is not None) == permute
+    X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
+    eta = rand_eta(X, rng)
+    xi = pc.solve_gen_sylvester(X, eta, A, B, D, E)
+    Ad, Bd, Dd, Ed = (M.toarray() for M in (A, B, D, E))
+    Einv, Dinv = np.linalg.inv(Ed), np.linalg.inv(Dd)
+    expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ Ad @ T + T @ Bd @ Dinv)
     assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-9 * max(1, np.linalg.norm(expected))
 
 
@@ -392,6 +419,30 @@ def test_gen_sylvester_factories_keep_no_factorization(rng, monkeypatch):
         held = list(vars(factory).values())
         held += [x for v in held if isinstance(v, dict) for x in v.values()]
         assert not any(isinstance(v, numkit.SpdFactorization) for v in held)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_gen_sylvester_solves_r_plus_one_columns_per_shift(rng, monkeypatch, sparse):
+    m, n, r = 16, 14, 3
+    if sparse:
+        A, B = sparse_tridiag(m, rng), sparse_tridiag(n, rng)
+        D, E = sparse_diag(n, rng), sparse_diag(m, rng)
+    else:
+        A, B = rand_spd(m, rng, 30.0), rand_spd(n, rng, 30.0)
+        D, E = rand_spd(n, rng, 5.0), rand_spd(m, rng, 5.0)
+    X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
+    eta = rand_eta(X, rng)
+    prec = pc.GenSylvesterPrecond(A, B, D, E)
+    cols = []
+    solve = numkit.SpdFactorization.solve
+
+    def counted(self, b):
+        cols.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+        return solve(self, b)
+
+    monkeypatch.setattr(numkit.SpdFactorization, "solve", counted)
+    prec.apply_inv_tangent(eta)
+    assert cols == [r + 1] * (2 * r)
 
 
 def test_fadi_matches_exact_solve_rate(rng):

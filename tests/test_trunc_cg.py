@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
@@ -49,6 +51,22 @@ def test_truncate_matches_dense_svd_oracle(rng):
     err = np.linalg.norm(out.densify(force=True) - Z.densify(force=True))
     assert abs(err - np.linalg.norm(s[out.k:])) <= 1e-10 * max(1.0, err)
     assert err <= thresh + 1e-12
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 20),
+       st.sampled_from([0.0, 1e-3, 0.1, 0.5]), st.one_of(st.none(), st.integers(1, 6)),
+       st.integers(0, 2**32 - 1))
+def test_truncate_tail_matches_dense_singular_values(m, n, k, eps_rel, cap, seed):
+    rng = np.random.default_rng(seed)
+    # graded columns, so that the tolerances cut at different ranks
+    left = rng.standard_normal((m, k)) * np.geomspace(1.0, 1e-4, k)
+    Z = geo.FactoredMatrix(left, rng.standard_normal((n, k)))
+    Zd = Z.densify(force=True)
+    out, discarded = tc.truncate_factored(Z, eps_rel, 0.0, rank_cap=cap)
+    s = np.linalg.svd(Zd, compute_uv=False)
+    assert discarded == pytest.approx(np.linalg.norm(s[out.k:]), rel=1e-8, abs=1e-12 * s[0])
+    err = np.linalg.norm(out.densify(force=True) - Zd)
+    assert err == pytest.approx(discarded, rel=1e-8, abs=1e-12 * s[0])
 
 
 def test_truncate_rank_cap_applied_last(rng):
