@@ -10,10 +10,12 @@ in factored form throughout: for ``X = U diag(s) V.T``,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import numkit
-from .geometry import FactoredMatrix, FixedRankPoint, factored_norm
+from .geometry import FactoredMatrix, FixedRankPoint, LineSearchRetraction, factored_norm
 
 
 class LowRankRhs(FactoredMatrix):
@@ -76,6 +78,14 @@ class MultitermOperator:
         return float(w[0])
 
 
+def _term_products(mats, Y):
+    """``M_i Y`` for every term, stacked along the first axis."""
+    out = np.empty((len(mats), Y.shape[0], Y.shape[1]))
+    for i, M in enumerate(mats):
+        out[i] = M @ Y
+    return out
+
+
 def residual(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> FactoredMatrix:
     """Factored residual ``A X - F`` of rank ``ell * r + r_F``."""
     US = X.U * X.sigma
@@ -84,30 +94,97 @@ def residual(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Fac
     return FactoredMatrix(left, right)
 
 
-def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix):
-    """Objective value and factored residual, sharing the A_i U products.
+@dataclass(frozen=True)
+class Evaluation:
+    """Objective, factored residual and the projected terms at a point X.
 
-    Returns ``(f, R)`` with ``f = 0.5 <A X, X> - <X, F>`` and
-    ``R = A X - F``.
+    The residual's factors hold ``A_i U S`` and ``B_i V`` (module
+    docstring); with ``UAU[i] = U.T A_i U`` and ``VBV[i] = V.T B_i V`` they
+    are what a line search from X reuses (``ProjectedObjective``).
     """
-    AUs = [Ai @ X.U for Ai in op.A]
-    BVs = [Bi @ X.V for Bi in op.B]
+
+    f: float               # 0.5 <A X, X> - <X, F>
+    R: FactoredMatrix      # A X - F
+    UAU: np.ndarray
+    VBV: np.ndarray
+
+
+def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Evaluation:
+    """Objective value and factored residual, sharing the A_i U products."""
+    AU = _term_products(op.A, X.U)
+    BV = _term_products(op.B, X.V)
+    UAU = X.U.T @ AU
+    VBV = X.V.T @ BV
     S = X.sigma
-    axx = 0.0
-    for AU, BV in zip(AUs, BVs):
-        P = X.U.T @ AU
-        Q = X.V.T @ BV
-        axx += float(np.sum((S[:, None] * P * S[None, :]) * Q))
+    axx = float(np.sum((S[:, None] * UAU * S) * VBV))
     xf = float(np.sum((X.U.T @ F.left) * (S[:, None] * (X.V.T @ F.right))))
     f = 0.5 * axx - xf
-    left = np.hstack([AU * S for AU in AUs] + [-F.left])
-    right = np.hstack(BVs + [F.right])
-    return f, FactoredMatrix(left, right)
+    left = np.hstack([*(AU * S), -F.left])
+    right = np.hstack([*BV, F.right])
+    return Evaluation(f, FactoredMatrix(left, right), UAU, VBV)
+
+
+class ProjectedObjective:
+    """The objective on the subspace of a line search, in small cores.
+
+    Every trial point of the line search at X along xi (``self.retr``, a
+    ``LineSearchRetraction``) is ``QU c QV.T`` for a core ``c`` of at most
+    ``2r x 2r``, and so is X (``c0``).  On that subspace
+
+        f(QU c QV.T) = 1/2 sum_i tr(c.T G_i c K_i) - <c, QU.T F QV>,
+        G_i = QU.T A_i QU,  K_i = QV.T B_i QV,
+
+    so a trial costs no m- or n-sized work.  ``A_i QU`` needs the new
+    sparse products ``A_i QU[:, r:]`` only, because ``QU[:, :r] =
+    U RU[:r, :r]^-1`` and ``A_i U`` and ``U.T A_i U`` are known from the
+    evaluation ``ev`` at X; likewise for ``B_i QV``.
+    """
+
+    def __init__(self, op, F, X, xi, ev):
+        self.retr = retr = LineSearchRetraction(X, xi)
+        terms = op.ell * X.r
+        self.G = _projected_terms(op.A, retr.QU, retr.RU, ev.R.left[:, :terms], ev.UAU, X.sigma)
+        self.K = _projected_terms(op.B, retr.QV, retr.RV, ev.R.right[:, :terms], ev.VBV)
+        FQ = (retr.QU.T @ F.left) @ (F.right.T @ retr.QV)
+        # core of QU.T (A X - F) QV, the residual at X seen from the subspace
+        self.res_core = np.sum(self.G @ retr.c0 @ self.K, axis=0) - FQ
+
+    def curvature(self, c) -> float:
+        """``<A Z, Z>`` for ``Z = QU c QV.T``: ``sum_i tr(c.T G_i c K_i)``."""
+        return float(np.sum((self.G @ c) * (c @ self.K)))
+
+    def decrease(self, c) -> float:
+        """``f(QU c QV.T) - f(X)`` as ``<R_X, D> + 1/2 <A D, D>`` for the
+        difference ``D = QU (c - c0) QV.T``, free of the cancellation of
+        subtracting two values of f."""
+        d = c - self.retr.c0
+        return float(np.sum(self.res_core * d)) + 0.5 * self.curvature(d)
+
+
+def _projected_terms(mats, Q, R, AY, YAY, s=1.0):
+    """``G_i = Q.T M_i Q`` for the QR ``Q R = [Y, Yp]``, from
+    ``AY = [M_1 Y diag(s), ..., M_l Y diag(s)]`` and ``YAY[i] = Y.T M_i Y``.
+
+    ``Q[:, :r] = Y R11^-1``, so ``M_i Q = [M_i Y R11^-1, M_i Q2]`` with
+    ``Q2 = Q[:, r:]``: only ``M_i Q2`` is a new sparse product.  Returns
+    the ``G_i`` stacked along the first axis.
+    """
+    ell, r = YAY.shape[0], YAY.shape[-1]
+    Q2 = Q[:, r:]
+    k = r + Q2.shape[1]
+    R11_inv = np.linalg.inv(R[:r, :r])     # R11.T R11 = U.T E U = I: well conditioned
+    # Q.T M_i Y: rows R11^-T Y.T M_i Y, then Q2.T M_i Y
+    Q2t_AY = (Q2.T @ AY).reshape(k - r, ell, r).transpose(1, 0, 2) / s
+    T = np.concatenate([R11_inv.T @ YAY, Q2t_AY], axis=1)
+    G = np.empty((ell, k, k))
+    G[:, :, :r] = T @ R11_inv
+    G[:, :r, r:] = G[:, r:, :r].transpose(0, 2, 1)
+    G[:, r:, r:] = Q2.T @ _term_products(mats, Q2)
+    return G
 
 
 def objective(op, X, F) -> float:
-    f, _ = evaluate(op, X, F)
-    return f
+    return evaluate(op, X, F).f
 
 
 def residual_norm_exact(op, X, F, metric=None) -> float:

@@ -150,7 +150,7 @@ def factored_norm(Z: FactoredMatrix, metric: KroneckerMetric | None = None) -> f
     if L.shape[0] > R.shape[0]:
         L, R = R, L
     # ||R L^T|| = ||R R_L^T|| for the QR factor L = Q_L R_L of the shorter side
-    return float(np.linalg.norm(R @ np.linalg.qr(L, mode="r").T))
+    return float(np.linalg.norm(R @ numkit.qr_r(L).T))
 
 
 class FixedRankPoint:
@@ -412,7 +412,10 @@ def riemannian_gradient(X: FixedRankPoint, Z: FactoredMatrix) -> TangentVector:
     """Projection of ``B^{-1} Z`` for a factored Euclidean gradient Z.
 
     The weighted products ``E @ Up`` and ``D @ Vp`` come out of the
-    formulas for free and are cached on the result.
+    formulas for free and are cached on the result.  One more projection
+    of them keeps the gauge ``U.T E Up = 0`` to rounding relative to Up,
+    which the cancellation in ``Z.left Q - E U M`` would lose as the
+    gradient shrinks.
     """
     metric = X.metric
     P = Z.left.T @ X.U       # k x r
@@ -420,6 +423,8 @@ def riemannian_gradient(X: FixedRankPoint, Z: FactoredMatrix) -> TangentVector:
     M = P.T @ Q
     E_Up = Z.left @ Q - X.EU @ M
     D_Vp = Z.right @ P - X.DV @ M.T
+    E_Up -= X.EU @ (X.U.T @ E_Up)
+    D_Vp -= X.DV @ (X.V.T @ D_Vp)
     Up = metric.solve_E(E_Up)
     Vp = metric.solve_D(D_Vp)
     return TangentVector(M, Up, Vp, X, E_Up=E_Up, D_Vp=D_Vp)
@@ -437,8 +442,13 @@ def transport(Y: FixedRankPoint, xi: TangentVector) -> TangentVector:
 class LineSearchRetraction:
     """Retraction ``t -> P_Mr(X + t xi)`` with the weighted QRs hoisted out.
 
-    Backtracking line searches evaluate several step sizes; the two
-    weighted QR factorizations depend only on (X, xi) and are reused.
+    ``X + t xi = Y (C0 + t C_xi) W.T`` for ``Y = [U, Up]``, ``W = [V, Vp]``,
+    ``C0 = diag(sigma, 0)`` and ``C_xi = [[M, I], [I, 0]]``.  With the weighted
+    QRs ``Y = QU RU`` and ``W = QV RV``, which depend only on (X, xi), every
+    trial is ``QU (c0 + t xi_core) QV.T`` with the small cores
+    ``c0 = RU C0 RV.T`` and ``xi_core = RU C_xi RV.T``, so a trial step is an
+    SVD of a core of at most ``2r x 2r``.  Because QR works column by column,
+    ``QU[:, :r] = U RU[:r, :r]^-1`` and ``QV[:, :r] = V RV[:r, :r]^-1``.
     """
 
     def __init__(self, X: FixedRankPoint, xi: TangentVector):
@@ -446,26 +456,30 @@ class LineSearchRetraction:
             raise ValueError("tangent vector not based at X")
         self.X = X
         metric = X.metric
+        r = X.r
         self.QU, self.RU = weighted_qr(np.hstack([X.U, xi.Up]), metric.fact_E)
         self.QV, self.RV = weighted_qr(np.hstack([X.V, xi.Vp]), metric.fact_D)
-        self.M = xi.M
+        RU1, RV1 = self.RU[:, :r], self.RV[:, :r]
+        self.c0 = (RU1 * X.sigma) @ RV1.T
+        self.xi_core = (RU1 @ xi.M + self.RU[:, r:]) @ RV1.T + RU1 @ self.RV[:, r:].T
 
-    def at(self, t: float) -> FixedRankPoint:
-        X = self.X
-        r = X.r
-        core = np.zeros((2 * r, 2 * r))
-        core[:r, :r] = np.diag(X.sigma) + t * self.M
-        core[:r, r:] = t * np.eye(r)
-        core[r:, :r] = t * np.eye(r)
-        u, s, v = numkit.svd_thin(self.RU @ core @ self.RV.T)
+    def at(self, t: float):
+        """Core ``(u, s, v)`` of the trial at t: ``P_Mr(X + t xi) =
+        QU u diag(s) (QV v).T``, with no m- or n-sized work."""
+        u, s, v = numkit.svd_thin(self.c0 + t * self.xi_core)
+        r = self.X.r
         floor = SIGMA_FLOOR_FACTOR * (s[0] if s[0] > 0 else 1.0)
-        s_r = np.maximum(s[:r], floor)
-        return FixedRankPoint(self.QU @ u[:, :r], s_r, self.QV @ v[:, :r], X.metric)
+        return u[:, :r], np.maximum(s[:r], floor), v[:, :r]
+
+    def point(self, u, s, v) -> FixedRankPoint:
+        """The point of the core ``(u, s, v)`` that ``at`` returned."""
+        return FixedRankPoint(self.QU @ u, s, self.QV @ v, self.X.metric)
 
 
 def retract(X: FixedRankPoint, xi: TangentVector, t: float = 1.0) -> FixedRankPoint:
     """Metric projection retraction of ``X + t xi`` onto rank r."""
-    return LineSearchRetraction(X, xi).at(t)
+    retr = LineSearchRetraction(X, xi)
+    return retr.point(*retr.at(t))
 
 
 def random_point(m, n, r, metric: KroneckerMetric, rng, fro_norm=1.0) -> FixedRankPoint:

@@ -59,10 +59,38 @@ def svd_thin(A):
     return U, s, V
 
 
+def _geqrf(A):
+    """Householder QR of ``A`` in LAPACK's compact form ``(qr, tau)``."""
+    A = np.asarray_chkfinite(A, dtype=float)
+    lwork, _ = lapack.dgeqrf_lwork(*A.shape)
+    qr, tau, _, info = lapack.dgeqrf(A, lwork=int(lwork))
+    if info != 0:
+        raise sla.LinAlgError(f"dgeqrf failed with info = {info}")
+    return qr, tau
+
+
+def qr_r(A):
+    """The ``min(m, k) x k`` triangular factor of a QR of ``A`` (signs not fixed)."""
+    qr, _ = _geqrf(A)
+    return np.triu(qr[: min(qr.shape)])
+
+
 def qr_thin(A):
-    """Thin QR ``A = Q @ R`` with the sign convention ``R[i, i] >= 0``."""
+    """Thin QR ``A = Q @ R`` with the sign convention ``R[i, i] >= 0``.
+
+    For ``m x k`` input, ``Q`` is ``m x min(m, k)`` and ``R`` is
+    ``min(m, k) x k`` (upper trapezoidal when ``m < k``).
+    """
     A = np.asarray(A, dtype=float)
-    Q, R = np.linalg.qr(A)
+    m, k = A.shape
+    p = min(m, k)
+    if p == 0:
+        return np.eye(m, p), np.zeros((p, k))
+    qr, tau = _geqrf(A)
+    R = np.triu(qr[:p])
+    Q, _, info = lapack.dorgqr(qr[:, :p], tau, lwork=max(64 * p, 1))
+    if info != 0:
+        raise sla.LinAlgError(f"dorgqr failed with info = {info}")
     flip = np.diag(R) < 0.0
     if np.any(flip):
         Q[:, flip] = -Q[:, flip]

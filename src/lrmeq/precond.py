@@ -114,12 +114,12 @@ def _inv_spd_small(S):
     """Inverse of a small SPD matrix through its Cholesky factor, so that
     solves with tall right-hand sides ``W`` become one product ``W @ S^-1``."""
     try:
-        c = sla.cho_factor(S)
-    except sla.LinAlgError as exc:
+        L_inv = np.linalg.inv(np.linalg.cholesky(S))
+    except np.linalg.LinAlgError as exc:
         raise numkit.NotSpdError(
             f"projected small system not SPD ({exc}); corrupted point?"
         ) from exc
-    return sla.cho_solve(c, np.eye(S.shape[0]))
+    return L_inv.T @ L_inv
 
 
 def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
@@ -241,9 +241,11 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
 
     Runs ``steps`` sweeps of the tangent-space ADI fixed-point iteration
     starting from zero (or ``xi0``), cycling through the shift pairs.
-    Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``
-    plus O(r^2 (m + n)) dense work; ``factors`` (from ``adi_factors``)
-    saves factorizing the pencils on every call.
+    Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``,
+    products of A, E, B, D with the r columns of the last iterate's ``Up``
+    and ``Vp`` (``A U``, ``E U``, ``B V``, ``D V`` are formed once per
+    apply) and O(r^2 (m + n)) dense work; ``factors`` (from
+    ``adi_factors``) saves factorizing the pencils on every call.
     """
     if not X.metric.is_identity:
         raise ValueError("tangADI operates in the standard metric")
@@ -253,7 +255,6 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
     factors = factors or adi_factors(A, B, D, E, shifts, steps)
 
     U, V, r = X.U, X.V, X.r
-    m, n = X.shape
     AU = A @ U
     BV = B @ V
     EU = E @ U if E is not None else U
@@ -265,40 +266,33 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
     UpUM_eta = eta.Up + U @ eta.M
     VpVM_eta = eta.Vp + V @ eta.M.T
 
-    if xi0 is not None:
-        Mj, Uj, Vj = xi0.M, xi0.Up, xi0.Vp
-        first = False
-    else:
-        Mj = np.zeros((r, r))
-        Uj = np.zeros((m, r))
-        Vj = np.zeros((n, r))
-        first = True
+    xi = None if xi0 is None else (xi0.M, xi0.Up, xi0.Vp)
     for j in range(steps):
         p, q = shifts.pair(j)
         # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
         fact_A, fact_B = factors[j % len(shifts)]
-        if first:
-            ZjV = np.zeros((m, r))
-            ZjtU = np.zeros((n, r))
-            UtZjV = np.zeros((r, r))
-            first = False
-        else:
-            # Z_j = (A - p E) xi^{(j-1)} (B + q D) through the rank-2r factors
-            Y = np.hstack([U, Uj])
-            W = np.hstack([V @ Mj.T + Vj, V])
-            AY = A @ Y - p * (E @ Y if E is not None else Y)
-            BW = B @ W + q * (D @ W if D is not None else W)
-            ZjV = AY @ (BW.T @ V)
-            ZjtU = BW @ (AY.T @ U)
-            UtZjV = U.T @ ZjV
         # the half-step is the Kronecker tangent solve with L = A - q E,
         # R = B + p D and rho = Z_j + (p - q) eta
         pq = p - q
-        Mj, Uj, Vj = _kron_tangent_solve(
+        rhs_u, rhs_v, rhs_m = pq * UpUM_eta, pq * VpVM_eta, pq * eta.M
+        if xi is not None:
+            # Z_j = (A - p E) xi (B + q D) for xi = U M V^T + Up V^T + U Vp^T;
+            # (A - p E) U and (B + q D) V come from the products above
+            Mj, Uj, Vj = xi
+            AU_p, S_A = AU - p * EU, S_AU - p * S_EU
+            BV_q, S_B = BV + q * DV, S_BV + q * S_DV
+            AUj = A @ Uj - p * (E @ Uj if E is not None else Uj)
+            BVj = B @ Vj + q * (D @ Vj if D is not None else Vj)
+            UtAUj = U.T @ AUj
+            core = Mj @ S_B + BVj.T @ V              # U^T xi (B + q D) V
+            rhs_u += AU_p @ core + AUj @ S_B         # Z_j V
+            rhs_v += (BV_q @ Mj.T + BVj) @ S_A + BV_q @ UtAUj.T   # Z_j^T U
+            rhs_m += S_A @ core + UtAUj @ S_B        # U^T Z_j V
+        xi = _kron_tangent_solve(
             U, V, AU - q * EU, BV + p * DV, S_AU - q * S_EU, S_BV + p * S_DV,
-            fact_A, fact_B, ZjV + pq * UpUM_eta, ZjtU + pq * VpVM_eta, UtZjV + pq * eta.M,
+            fact_A, fact_B, rhs_u, rhs_v, rhs_m,
         )
-    return TangentVector(Mj, Uj, Vj, X)
+    return TangentVector.zero(X) if xi is None else TangentVector(*xi, X)
 
 
 # ---------------------------------------------------------------------------

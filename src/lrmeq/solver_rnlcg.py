@@ -4,7 +4,17 @@ One iteration: Riemannian gradient of the quadratic objective, one
 application of the preconditioner inverse, a modified Hestenes-Stiefel /
 Dai-Yuan beta with a descent safeguard, an exact-line-search initial step
 on the tangent space, and Armijo backtracking through the metric
-projection retraction (whose weighted QRs are reused across trial steps).
+projection retraction.
+
+X, the tangent line X + t xi and every retracted trial point lie in the
+subspace ``span(QU) x span(QV)`` of the retraction's weighted QRs of
+``[U, Up]`` and ``[V, Vp]``.  Once per iteration the operator's terms are
+projected onto it as 2r x 2r blocks (``equations.ProjectedObjective``);
+``A_i U`` and ``B_i V`` come from the factored residual at X, so the
+only new sparse products are ``A_i`` and ``B_i`` on the at most r columns
+the QRs add.  The exact step and the Armijo test of every trial are then
+small-matrix algebra, and the accepted point is evaluated once, which
+gives the next residual and products.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ _BETA_DEN_GUARD = 1e-14
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 25
 STAG_GRAD_TOL = 1e-13
-F_ROUNDING = 10 * np.finfo(float).eps   # relative rounding error of f
 
 
 class LineSearchError(RuntimeError):
@@ -79,47 +88,40 @@ def search_direction(g, h, prev=None):
     return xi, beta, False
 
 
-def initial_step(op, g, xi):
+def initial_step(model, g, xi):
     """Exact minimizer of ``t -> f(X + t xi)`` along the tangent line.
 
-    The denominator ``<A xi, xi>`` is evaluated through the rank-2r
-    factored embedding of xi; it must be positive for an SPD operator.
+    ``X + t xi`` stays in the subspace of ``model`` (an
+    ``equations.ProjectedObjective`` at X along xi), so the denominator
+    ``<A xi, xi> = sum_i tr(xi_core.T G_i xi_core K_i)`` comes from its
+    small blocks; it must be positive for an SPD operator.
     """
-    zeta = xi.embed()
-    den = geo.factored_inner(op.apply(zeta), zeta)
+    den = model.curvature(model.retr.xi_core)
     if den <= 0.0:
         raise SpdLossError(f"nonpositive curvature <A xi, xi> = {den:.3e}")
     return -geo.inner(g, xi) / den
 
 
-def armijo_backtrack(op, F, X, xi, alpha_bar, g, f0, opts):
+def armijo_backtrack(model, xi, alpha_bar, g, opts):
     """First ``alpha = alpha_bar * ARMIJO_SHRINK^j`` passing the Armijo test.
 
-    Once the predicted decrease ``-alpha <g, xi>`` falls to the rounding
-    error ``F_ROUNDING * |f0|`` of the objective, ``f_t - f0`` is noise:
-    the step is accepted iff ``f_t`` is within that error of ``f0``, else
-    no smaller step can resolve a decrease and the search fails
-    (approximate Armijo condition, Hager & Zhang, SIAM J. Optim. 2005).
-
-    Returns ``(alpha, X_new, f_new, R_new, backtracks)``; the weighted QR
-    factors of the retraction are computed once and shared by all trials.
+    Each trial is a core of the retraction in ``model``'s subspace, scored
+    by the decrease ``f(X_t) - f(X) = <R_X, D> + 1/2 <A D, D>`` computed
+    from the small blocks, not as a difference of two values of f, so the
+    test resolves decreases far below the rounding error of f.
+    Returns ``(alpha, core, backtracks, decrease)`` for the accepted
+    trial, whose point is ``model.retr.point(*core)``.
     """
     g_xi = geo.inner(g, xi)
     if g_xi >= 0.0:
         raise LineSearchError("search direction is not a descent direction")
     slope_term = opts.armijo_slope * g_xi
-    f_noise = F_ROUNDING * abs(f0)
-    retr = geo.LineSearchRetraction(X, xi)
     alpha = alpha_bar
     for j in range(MAX_BACKTRACKS + 1):
-        X_t = retr.at(alpha)
-        f_t, R_t = eqs.evaluate(op, X_t, F)
-        if -alpha * g_xi <= f_noise:
-            if f_t <= f0 + f_noise:
-                return alpha, X_t, f_t, R_t, j
-            raise LineSearchError("decrease below the rounding error of f")
-        if f_t <= f0 + alpha * slope_term:
-            return alpha, X_t, f_t, R_t, j
+        u, s, v = model.retr.at(alpha)
+        df = model.decrease((u * s) @ v.T)
+        if df <= alpha * slope_term:
+            return alpha, (u, s, v), j, df
         alpha *= ARMIJO_SHRINK
     raise LineSearchError(
         f"Armijo backtracking exhausted after {MAX_BACKTRACKS} reductions"
@@ -152,7 +154,7 @@ class RnlcgState:
 
     def restart(self, X):
         """Move to the point ``X`` with no CG history, as a fresh state."""
-        self._move_to(X, *eqs.evaluate(self.op, X, self.F))
+        self._move_to(X, eqs.evaluate(self.op, X, self.F))
         self._xi_prev = None
         self._h_prev = None
         self._prev_g_xi = 0.0
@@ -161,16 +163,24 @@ class RnlcgState:
         self.last_backtracks = 0
         self.last_reset = False
 
-    def _move_to(self, X, f, R):
-        g = geo.riemannian_gradient(X, R)
+    def _move_to(self, X, ev):
+        g = geo.riemannian_gradient(X, ev.R)
         h = self.precond.apply_inv_tangent(g)
         grad_energy = geo.inner(g, h)
         if grad_energy < 0.0:
             raise SpdLossError(
                 f"<g, P^-1 g> = {grad_energy:.3e} < 0: preconditioner not SPD"
             )
-        self.X, self.f, self.R = X, f, R
+        self.X, self.ev = X, ev
         self.g, self.h, self.grad_energy = g, h, grad_energy
+
+    @property
+    def f(self):
+        return self.ev.f
+
+    @property
+    def R(self):
+        return self.ev.R
 
     def res_rel(self):
         """Exact relative Frobenius residual at the current point."""
@@ -197,12 +207,13 @@ class RnlcgState:
                 self._prev_g_xi,
             )
         xi, beta, reset = search_direction(self.g, self.h, prev)
-        alpha_bar = initial_step(self.op, self.g, xi)
-        alpha, X_new, f_new, R_new, n_back = armijo_backtrack(
-            self.op, self.F, self.X, xi, alpha_bar, self.g, self.f, self.opts
-        )
+        model = eqs.ProjectedObjective(self.op, self.F, self.X, xi, self.ev)
+        alpha_bar = initial_step(model, self.g, xi)
+        alpha, (u, s, v), n_back, _ = armijo_backtrack(model, xi, alpha_bar, self.g, self.opts)
+        X_new = model.retr.point(u, s, v)
+        del model      # its bases need not outlive the line search
         h, g_xi = self.h, geo.inner(self.g, xi)
-        self._move_to(X_new, f_new, R_new)
+        self._move_to(X_new, eqs.evaluate(self.op, X_new, self.F))
         self._xi_prev = xi
         self._h_prev = h
         self._prev_g_xi = g_xi

@@ -4,6 +4,7 @@ Everything here works on explicit dense matrices and deliberately avoids
 the package's factored code paths, so failures localize to the library.
 """
 
+import mpmath as mp
 import numpy as np
 import scipy.sparse as sp
 
@@ -184,3 +185,25 @@ def euclid_nlcg(K, b, x0, iters, slope=1e-4, shrink=0.5):
         xs.append(x.copy())
         dirs.append(xi.copy())
     return xs, dirs
+
+
+def objective_diff_exact(op, F, X, Y, dps=60):
+    """``f(Y) - f(X)`` for ``f(Z) = 1/2 <A Z, Z> - <Z, F>`` in ``dps``-digit
+    arithmetic on the stored float64 factors, so it is exact to far below
+    the rounding error of either value of f."""
+    def mat(a):
+        return mp.matrix(np.asarray(a, dtype=float).tolist())
+
+    def dense(P):
+        return mat(P.U * P.sigma) * mat(P.V).T
+
+    def f(Z):
+        val = mp.mpf(0)
+        for Ai, Bi in zip(op.A, op.B):
+            AZB = mat(Ai) * Z * mat(Bi)
+            val += mp.fsum(AZB[i, j] * Z[i, j] for i in range(Z.rows) for j in range(Z.cols))
+        Fd = mat(F.left) * mat(F.right).T
+        return val / 2 - mp.fsum(Z[i, j] * Fd[i, j] for i in range(Z.rows) for j in range(Z.cols))
+
+    with mp.workdps(dps):
+        return float(f(dense(Y)) - f(dense(X)))

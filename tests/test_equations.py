@@ -154,7 +154,7 @@ def test_gradient_equals_residual(rng):
     op = make_op(m, n, 2, rng)
     X = rand_point(m, n, 2, rng)
     F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
-    _, G = eqs.evaluate(op, X, F)
+    G = eqs.evaluate(op, X, F).R
     R = eqs.residual(op, X, F).densify(force=True)
     assert np.linalg.norm(G.densify(force=True) - R) <= 1e-13 * np.linalg.norm(R)
 
@@ -186,7 +186,7 @@ def test_descent_direction_finite_difference(rng):
     op = make_op(m, n, 2, rng)
     X = rand_point(m, n, 2, rng)
     F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
-    f0, R = eqs.evaluate(op, X, F)
+    R = eqs.evaluate(op, X, F).R
     G = R.densify(force=True)
     direction = -G / np.linalg.norm(G)
     h = 1e-6

@@ -321,7 +321,7 @@ def test_retraction_reuses_qr_over_steps(rng):
     xi = geo.project(X, rng.standard_normal((m, n)))
     retr = geo.LineSearchRetraction(X, xi)
     for t in (1.0, 0.5, 0.25):
-        one = retr.at(t)
+        one = retr.point(*retr.at(t))
         two = geo.retract(X, xi, t)
         assert np.linalg.norm(one.densify(force=True) - two.densify(force=True)) <= 1e-13 * max(
             1.0, np.linalg.norm(two.densify(force=True))

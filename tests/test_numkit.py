@@ -61,6 +61,41 @@ def test_qr_reconstruction(rng):
     assert np.allclose(np.triu(R), R)
 
 
+# (m, k, rank, seed): tall, square and wide input, of full or lower rank
+qr_cases = st.tuples(
+    st.integers(1, 14), st.integers(1, 14), st.integers(0, 14), st.integers(0, 2**32 - 1)
+)
+
+
+@given(qr_cases)
+def test_qr_thin_matches_numpy_qr(case):
+    """Tall, wide and rank-deficient input: ``Q R = A`` with orthonormal Q,
+    ``R[i, i] >= 0`` and the shapes of ``np.linalg.qr``, whose factors it
+    equals up to the signs of Q's columns where R's diagonal is nonzero."""
+    m, k, rank, seed = case
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, k)
+    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
+    Q, R = nk.qr_thin(A)
+    Q_np, R_np = np.linalg.qr(A)
+    p = min(m, k)
+    assert Q.shape == Q_np.shape == (m, p) and R.shape == R_np.shape == (p, k)
+    scale = max(np.linalg.norm(A), 1.0)
+    assert np.linalg.norm(Q @ R - A) <= 1e-13 * scale
+    assert np.linalg.norm(Q.T @ Q - np.eye(p)) <= 1e-13
+    assert np.all(np.diag(R) >= 0) and np.array_equal(np.triu(R), R)
+    # on the leading full-rank columns the factorization is unique up to signs
+    lead = min(rank, p)
+    signs = np.sign(np.diag(R_np)[:lead])
+    assert np.allclose(R[:lead], signs[:, None] * R_np[:lead], atol=1e-12 * scale)
+    assert np.allclose(Q[:, :lead], Q_np[:, :lead] * signs, atol=1e-10)
+
+
+def test_qr_thin_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        nk.qr_thin(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
 def test_spd_scaled_identity():
     f = nk.spd_factorize(4.0 * np.eye(3))
     e1 = np.zeros(3); e1[0] = 1.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
@@ -7,7 +9,7 @@ from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import solver_rnlcg as rn
 
-from oracles import euclid_nlcg, kron_matrix, point_dense, rand_spd, tv_dense
+from oracles import euclid_nlcg, kron_matrix, objective_diff_exact, point_dense, rand_spd, tv_dense
 
 
 def make_spd_problem(m, n, ell, rng, sol_rank=3, cond=30.0):
@@ -18,6 +20,10 @@ def make_spd_problem(m, n, ell, rng, sol_rank=3, cond=30.0):
     Xs = geo.random_point(m, n, sol_rank, met, rng)
     Ff = op.apply(Xs)
     return op, eqs.LowRankRhs(Ff.left, Ff.right), Xs
+
+
+def line_model(state, xi):
+    return eqs.ProjectedObjective(state.op, state.F, state.X, xi, state.ev)
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +87,21 @@ def test_full_space_directions_match_classical_cg(rng):
 # ---------------------------------------------------------------------------
 
 
+def steepest_step(op, F, X):
+    """Exact step along the negative gradient at X, and that direction."""
+    ev = eqs.evaluate(op, X, F)
+    g = geo.riemannian_gradient(X, ev.R)
+    xi = g.scaled(-1.0)
+    return rn.initial_step(eqs.ProjectedObjective(op, F, X, xi, ev), g, xi), xi
+
+
 def test_initial_step_identity_operator(rng):
     m = n = 6
     op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
     F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    _, R = eqs.evaluate(op, X, F)
-    g = geo.riemannian_gradient(X, R)
-    alpha = rn.initial_step(op, g, g.scaled(-1.0))
+    alpha, _ = steepest_step(op, F, X)
     assert abs(alpha - 1.0) <= 1e-12
 
 
@@ -98,19 +110,13 @@ def test_initial_step_homogeneity(rng):
     op, F, _ = make_spd_problem(m, n, 2, rng)
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    _, R = eqs.evaluate(op, X, F)
-    g = geo.riemannian_gradient(X, R)
-    xi = g.scaled(-1.0)
-    alpha1 = rn.initial_step(op, g, xi)
+    alpha1, _ = steepest_step(op, F, X)
     c = 3.7
     op_scaled = eqs.MultitermOperator([c * np.asarray(Ai) for Ai in op.A], op.B)
-    _, Rs = eqs.evaluate(op_scaled, X, eqs.LowRankRhs(c * F.left, F.right))
-    gs = geo.riemannian_gradient(X, Rs)
     # at the same point with both A and F scaled by c the gradient scales by
     # c and the curvature by c: alpha scales by 1/c
-    alpha2 = rn.initial_step(op_scaled, gs, gs.scaled(-1.0))
-    ratio = alpha2 / rn.initial_step(op, g, g.scaled(-1.0))
-    assert abs(c * alpha2 - alpha1) <= 1e-10 * alpha1 or abs(ratio * c - 1) < 1e-10
+    alpha2, _ = steepest_step(op_scaled, eqs.LowRankRhs(c * F.left, F.right), X)
+    assert abs(c * alpha2 - alpha1) <= 1e-10 * alpha1
 
 
 def test_initial_step_is_line_minimizer(rng):
@@ -118,10 +124,7 @@ def test_initial_step_is_line_minimizer(rng):
     op, F, _ = make_spd_problem(m, n, 2, rng)
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    f0, R = eqs.evaluate(op, X, F)
-    g = geo.riemannian_gradient(X, R)
-    xi = g.scaled(-1.0)
-    alpha = rn.initial_step(op, g, xi)
+    alpha, xi = steepest_step(op, F, X)
     Xd = point_dense(X)
     xid = tv_dense(xi)
     Fd = F.densify(force=True)
@@ -136,6 +139,95 @@ def test_initial_step_is_line_minimizer(rng):
         assert f_star <= f_ambient(t) + 1e-12 * max(1.0, abs(f_star))
 
 
+# (m, n, r, ell, weighted metric, seed); r is capped at min(m, n), so the
+# line-search bases [U, Up] and [V, Vp] may be wide
+step_cases = st.tuples(
+    st.integers(2, 9), st.integers(2, 9), st.integers(1, 4), st.integers(2, 4),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+
+
+def random_instance(m, n, r, ell, weighted, rng):
+    """SPD multiterm operator, rank-2 right-hand side and a point of rank r."""
+    op = eqs.MultitermOperator(
+        [rand_spd(m, rng, 20.0) for _ in range(ell)], [rand_spd(n, rng, 20.0) for _ in range(ell)]
+    )
+    if weighted:
+        met = geo.KroneckerMetric(rand_spd(m, rng, 4.0), rand_spd(n, rng, 4.0))
+    else:
+        met = geo.KroneckerMetric.identity(m, n)
+    F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
+    return op, F, geo.random_point(m, n, r, met, rng)
+
+
+@given(step_cases)
+def test_block_step_equals_embedded_step(case):
+    """The exact step from the projected blocks equals the one from applying
+    the operator to the rank-2r embedding of xi."""
+    m, n, r, ell, weighted, seed = case
+    rng = np.random.default_rng(seed)
+    op, F, X = random_instance(m, n, min(r, m, n), ell, weighted, rng)
+    ev = eqs.evaluate(op, X, F)
+    g = geo.riemannian_gradient(X, ev.R)
+    xi = geo.project(X, rng.standard_normal((m, n)))
+    zeta = xi.embed()
+    ref = -geo.inner(g, xi) / geo.factored_inner(op.apply(zeta), zeta)
+    alpha = rn.initial_step(eqs.ProjectedObjective(op, F, X, xi, ev), g, xi)
+    assert alpha == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_block_decrease_matches_dense_objective(rng, weighted):
+    """The decrease of a trial core equals f(X_t) - f(X) of the retracted
+    point, short of and beyond the exact step."""
+    op, F, X = random_instance(8, 7, 3, 3, weighted, rng)
+    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=3), metric=X.metric, X0=X)
+    xi = state.h.scaled(-1.0)
+    model = line_model(state, xi)
+    alpha_bar = rn.initial_step(model, state.g, xi)
+    Fd = F.densify(force=True)
+
+    def f_dense(P):
+        Z = point_dense(P)
+        return 0.5 * sum(np.sum((Ai @ Z @ Bi) * Z) for Ai, Bi in zip(op.A, op.B)) - np.sum(Z * Fd)
+
+    for t in (0.1, 0.5, 1.0, 2.0, 4.0):
+        u, s, v = model.retr.at(t * alpha_bar)
+        ref = f_dense(model.retr.point(u, s, v)) - f_dense(X)
+        assert model.decrease((u * s) @ v.T) == pytest.approx(ref, rel=1e-9)
+
+
+class CountingMatrix:
+    """Dense coefficient that counts the columns it is applied to."""
+
+    def __init__(self, M):
+        self.M, self.shape, self.cols = M, M.shape, 0
+
+    def __matmul__(self, Y):
+        self.cols += Y.shape[1]
+        return self.M @ Y
+
+
+def test_step_makes_one_sparse_pass(rng, monkeypatch):
+    """A step never applies the whole operator, and each coefficient meets
+    at most 2r columns: r for the line-search basis, r at the new point."""
+    m, n, r = 9, 8, 3
+    op, F, _ = make_spd_problem(m, n, 3, rng, sol_rank=4)
+    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r, seed=2))
+    op.A = [CountingMatrix(Ai) for Ai in op.A]
+    op.B = [CountingMatrix(Bi) for Bi in op.B]
+
+    def no_apply(self, X):
+        raise AssertionError("MultitermOperator.apply called in a step")
+
+    monkeypatch.setattr(eqs.MultitermOperator, "apply", no_apply)
+    for _ in range(3):
+        for C in op.A + op.B:
+            C.cols = 0
+        state.step()
+        assert all(0 < C.cols <= 2 * r for C in op.A + op.B)
+
+
 # ---------------------------------------------------------------------------
 # armijo_backtrack
 # ---------------------------------------------------------------------------
@@ -147,10 +239,9 @@ def test_armijo_accepts_exact_step_full_rank(rng):
     opts = rn.RnlcgOptions(rank=n, seed=3)
     state = rn.RnlcgState(op, F, opts)
     xi = state.h.scaled(-1.0)
-    alpha_bar = rn.initial_step(op, state.g, xi)
-    alpha, _, _, _, backtracks = rn.armijo_backtrack(
-        op, F, state.X, xi, alpha_bar, state.g, state.f, opts
-    )
+    model = line_model(state, xi)
+    alpha_bar = rn.initial_step(model, state.g, xi)
+    alpha, _, backtracks, _ = rn.armijo_backtrack(model, xi, alpha_bar, state.g, opts)
     assert backtracks == 0 and alpha == alpha_bar
 
 
@@ -175,15 +266,16 @@ def test_armijo_direction_scaling_invariance(rng):
     op, F, _ = make_spd_problem(m, n, 2, rng)
     opts = rn.RnlcgOptions(rank=2, seed=11)
     state = rn.RnlcgState(op, F, opts)
-    xi = state.h.scaled(-1.0)
-    a1 = rn.initial_step(op, state.g, xi)
-    alpha1, X1, f1, _, _ = rn.armijo_backtrack(op, F, state.X, xi, a1, state.g, state.f, opts)
-    xi2 = xi.scaled(2.0)
-    a2 = rn.initial_step(op, state.g, xi2)
-    alpha2, X2, f2, _, _ = rn.armijo_backtrack(op, F, state.X, xi2, a2, state.g, state.f, opts)
+    out = []
+    for xi in (state.h.scaled(-1.0), state.h.scaled(-2.0)):
+        model = line_model(state, xi)
+        a = rn.initial_step(model, state.g, xi)
+        alpha, core, _, df = rn.armijo_backtrack(model, xi, a, state.g, opts)
+        out.append((alpha, model.retr.point(*core), df))
+    (alpha1, X1, df1), (alpha2, X2, df2) = out
     assert abs(alpha2 - alpha1 / 2.0) <= 1e-12 * alpha1
     assert np.linalg.norm(X1.densify(force=True) - X2.densify(force=True)) <= 1e-12
-    assert abs(f1 - f2) <= 1e-12 * max(1.0, abs(f1))
+    assert abs(df1 - df2) <= 1e-12 * abs(df1)
 
 
 def test_armijo_rejects_ascent(rng):
@@ -192,30 +284,48 @@ def test_armijo_rejects_ascent(rng):
     opts = rn.RnlcgOptions(rank=2, seed=13)
     state = rn.RnlcgState(op, F, opts)
     with pytest.raises(rn.LineSearchError):
-        rn.armijo_backtrack(op, F, state.X, state.h, 1.0, state.g, state.f, opts)
+        rn.armijo_backtrack(line_model(state, state.h), state.h, 1.0, state.g, opts)
 
 
-def test_armijo_decides_within_rounding_of_f(rng):
-    """A step whose predicted decrease is below the rounding error of f is
-    accepted iff f stays within that error, without backtracking."""
-    m = n = 6
-    op, F, _ = make_spd_problem(m, n, 2, rng)
-    opts = rn.RnlcgOptions(rank=2, seed=13)
-    state = rn.RnlcgState(op, F, opts)
+def near_solution_state(rng, metric_kind="identity", offset=1e-8):
+    """State at a point ``offset`` (relative) from the exact rank-3 solution,
+    where f changes only in its 16th digit along a line search."""
+    m, n, r = 8, 7, 3
+    A = [rand_spd(m, rng, 30.0), rand_spd(m, rng, 3.0), rand_spd(m, rng, 5.0)]
+    B = [np.eye(n), rand_spd(n, rng, 30.0), rand_spd(n, rng, 4.0)]
+    op = eqs.MultitermOperator(A, B)
+    if metric_kind == "identity":
+        met = geo.KroneckerMetric.identity(m, n)
+    else:
+        met = geo.KroneckerMetric(rand_spd(m, rng, 4.0), rand_spd(n, rng, 3.0))
+    Xs = geo.random_point(m, n, r, met, rng)
+    Fs = op.apply(Xs)
+    F = eqs.LowRankRhs(Fs.left, Fs.right)
+    eta = geo.project(Xs, rng.standard_normal((m, n)))
+    X0 = geo.retract(Xs, eta, offset / geo.norm(eta))
+    return rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), metric=met, X0=X0)
+
+
+@pytest.mark.parametrize("kind", ["identity", "weighted"])
+def test_armijo_resolves_decrease_below_rounding_of_f(rng, kind):
+    """Near the solution f(X_t) and f(X) agree to 15 digits, yet the Armijo
+    test scores the step exactly: an overlong step that raises f is
+    rejected and its halving accepted, with the decrease the high-precision
+    oracle gives."""
+    state = near_solution_state(rng, kind)
     xi = state.h.scaled(-1.0)
-    noise = rn.F_ROUNDING * abs(state.f)
-    alpha = 0.01 * noise / -geo.inner(state.g, xi)
-    # f0 half the rounding error below f: the step cannot show an Armijo
-    # decrease, but f_t is within the error of f0
-    f0 = state.f - 0.5 * noise
-    alpha_out, _, f_t, _, backtracks = rn.armijo_backtrack(
-        op, F, state.X, xi, alpha, state.g, f0, opts
+    model = line_model(state, xi)
+    alpha_bar = rn.initial_step(model, state.g, xi)
+    # f(X + 3 alpha_bar xi) > f(X) on the tangent line; 1.5 alpha_bar decreases f
+    alpha, core, backtracks, df = rn.armijo_backtrack(
+        model, xi, 3.0 * alpha_bar, state.g, state.opts
     )
-    assert (alpha_out, backtracks) == (alpha, 0)
-    assert f0 < f_t <= f0 + rn.F_ROUNDING * abs(f0)
-    # f0 three rounding errors below f: no smaller step can resolve it
-    with pytest.raises(rn.LineSearchError, match="rounding"):
-        rn.armijo_backtrack(op, F, state.X, xi, alpha, state.g, state.f - 3 * noise, opts)
+    assert (alpha, backtracks) == (1.5 * alpha_bar, 1)
+    X_t = model.retr.point(*core)
+    exact = objective_diff_exact(state.op, state.F, state.X, X_t)
+    assert abs(exact) < 1e-15 * abs(state.f)
+    assert df < 0.0
+    assert abs(df - exact) <= 1e-6 * abs(exact)
 
 
 # ---------------------------------------------------------------------------
