@@ -31,8 +31,11 @@ SIGMA_FLOOR_FACTOR = 1e2 * np.finfo(float).eps
 class KroneckerMetric:
     """Ambient inner product ``<X, Y> = <E X D, Y>`` with SPD E, D.
 
-    ``E`` or ``D`` may be None for the identity.  Cholesky-type square
-    roots (``E = C_E.T @ C_E``) back the weighted QR/SVD kernels.
+    ``E`` or ``D`` may be None for the identity.  The pair and its SPD
+    factorizations serve as the ambient metric of the weighted geometry
+    and as the Kronecker preconditioner ``E X D`` (``precond.KronPrecond``);
+    the factorizations' Cholesky-type square roots (``E = C_E.T @ C_E``)
+    back the weighted QR.
     """
 
     def __init__(self, E=None, D=None, m=None, n=None):
@@ -66,24 +69,12 @@ class KroneckerMetric:
     def solve_E(self, M):
         return M if self.fact_E is None else self.fact_E.solve(M)
 
-    def sqrtE_mul(self, M):
-        return M if self.fact_E is None else self.fact_E.c_mul(M)
-
-    def sqrtE_solve(self, M):
-        return M if self.fact_E is None else self.fact_E.c_solve(M)
-
     # -- D side -------------------------------------------------------------
     def apply_D(self, M):
         return M if self.D is None else self.D @ M
 
     def solve_D(self, M):
         return M if self.fact_D is None else self.fact_D.solve(M)
-
-    def sqrtD_mul(self, M):
-        return M if self.fact_D is None else self.fact_D.c_mul(M)
-
-    def sqrtD_solve(self, M):
-        return M if self.fact_D is None else self.fact_D.c_solve(M)
 
     def dense_E(self):
         return np.eye(self.m) if self.E is None else numkit.as_dense(self.E)
@@ -142,11 +133,17 @@ def factored_inner(Z1: FactoredMatrix, Z2: FactoredMatrix) -> float:
 
 
 def factored_norm(Z: FactoredMatrix, metric: KroneckerMetric | None = None) -> float:
-    """Frobenius norm (or B-norm when a metric is given) of ``left @ right.T``."""
+    """Frobenius norm (or B-norm when a metric is given) of ``left @ right.T``.
+
+    The B-norm is the norm of the weighted singular values, because
+    ``||Z||_B^2 = sum(s^2)`` for ``Z = U diag(s) V.T`` with E-/D-orthonormal
+    ``U``, ``V``.
+    """
     if Z.k == 0:
         return 0.0
-    L = Z.left if metric is None else metric.sqrtE_mul(Z.left)
-    R = Z.right if metric is None else metric.sqrtD_mul(Z.right)
+    if metric is not None:
+        return float(np.linalg.norm(weighted_svd(Z, metric)[1]))
+    L, R = Z.left, Z.right
     if L.shape[0] > R.shape[0]:
         L, R = R, L
     # ||R L^T|| = ||R R_L^T|| for the QR factor L = Q_L R_L of the shorter side
@@ -218,8 +215,7 @@ class TangentVector:
     """Tangent vector ``U M V.T + Up V.T + U Vp.T`` at a FixedRankPoint.
 
     ``E_Up = E @ Up`` and ``D_Vp = D @ Vp`` are cached when they fall out
-    of upstream computations (gradients, projections) and computed
-    lazily otherwise.
+    of the gradient computation and computed lazily otherwise.
     """
 
     __slots__ = ("M", "Up", "Vp", "point", "_E_Up", "_D_Vp")
@@ -253,32 +249,17 @@ class TangentVector:
         return cls(np.zeros((r, r)), z_m, z_n, point, E_Up=z_m, D_Vp=z_n)
 
     def scaled(self, alpha):
-        return TangentVector(
-            alpha * self.M,
-            alpha * self.Up,
-            alpha * self.Vp,
-            self.point,
-            E_Up=None if self._E_Up is None else alpha * self._E_Up,
-            D_Vp=None if self._D_Vp is None else alpha * self._D_Vp,
-        )
+        return TangentVector(alpha * self.M, alpha * self.Up, alpha * self.Vp, self.point)
 
     def plus(self, other, beta=1.0):
         """``self + beta * other`` at the same base point."""
         if other.point is not self.point:
             raise ValueError("tangent vectors have different base points")
-        e_up = None
-        if self._E_Up is not None and other._E_Up is not None:
-            e_up = self._E_Up + beta * other._E_Up
-        d_vp = None
-        if self._D_Vp is not None and other._D_Vp is not None:
-            d_vp = self._D_Vp + beta * other._D_Vp
         return TangentVector(
             self.M + beta * other.M,
             self.Up + beta * other.Up,
             self.Vp + beta * other.Vp,
             self.point,
-            E_Up=e_up,
-            D_Vp=d_vp,
         )
 
     def embed(self) -> FactoredMatrix:
@@ -333,30 +314,27 @@ def weighted_qr(M, fact):
 def weighted_svd(Z, metric: KroneckerMetric):
     """Weighted thin SVD ``Z = U diag(s) V.T`` with E-/D-orthonormal factors.
 
-    Dense input goes through an SVD of ``C_E @ Z @ C_D.T``.  Factored input
-    ``L @ R.T`` goes through a weighted QR ``L = Q_L T_L`` of the factor
-    with fewer rows, a weighted QR ``R @ T_L.T = Q_R T_R`` of the other
-    factor with that triangle folded in (``min(m, n, k)`` columns, not
-    ``k``), and an SVD of the small core ``T_R.T``, so the cost stays
-    O((m + n) k^2).
+    Factored input ``L @ R.T`` (dense input as ``Z @ I.T``) goes through a
+    weighted QR ``L = Q_L T_L`` of the factor with fewer rows, a weighted
+    QR ``R @ T_L.T = Q_R T_R`` of the other factor with that triangle
+    folded in (``min(m, n, k)`` columns, not ``k``), and an SVD of the
+    small core ``T_R.T``, so the cost stays O((m + n) k^2).
     """
-    if isinstance(Z, FactoredMatrix):
-        m, n = Z.shape
-        if Z.k == 0:
-            return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-        if m <= n:
-            QL, TL = weighted_qr(Z.left, metric.fact_E)
-            QR_, TR = weighted_qr(Z.right @ TL.T, metric.fact_D)
-            u, s, v = numkit.svd_thin(TR.T)
-        else:
-            QR_, TR = weighted_qr(Z.right, metric.fact_D)
-            QL, TL = weighted_qr(Z.left @ TR.T, metric.fact_E)
-            u, s, v = numkit.svd_thin(TL)
-        return QL @ u, s, QR_ @ v
-    Z = np.asarray(Z, dtype=float)
-    core = metric.sqrtE_mul(metric.sqrtD_mul(Z.T).T)
-    u, s, v = numkit.svd_thin(core)
-    return metric.sqrtE_solve(u), s, metric.sqrtD_solve(v)
+    if not isinstance(Z, FactoredMatrix):
+        Z = np.asarray(Z, dtype=float)
+        Z = FactoredMatrix(Z, np.eye(Z.shape[1]))
+    m, n = Z.shape
+    if Z.k == 0:
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    if m <= n:
+        QL, TL = weighted_qr(Z.left, metric.fact_E)
+        QR_, TR = weighted_qr(Z.right @ TL.T, metric.fact_D)
+        u, s, v = numkit.svd_thin(TR.T)
+    else:
+        QR_, TR = weighted_qr(Z.right, metric.fact_D)
+        QL, TL = weighted_qr(Z.left @ TR.T, metric.fact_E)
+        u, s, v = numkit.svd_thin(TL)
+    return QL @ u, s, QR_ @ v
 
 
 def _numerical_rank(s, m, n):

@@ -30,7 +30,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import numkit
-from .geometry import FactoredMatrix, FixedRankPoint, TangentVector
+from .geometry import FactoredMatrix, FixedRankPoint, KroneckerMetric, TangentVector
 
 _LANCZOS_STEPS = 30
 _SAFETY_LO, _SAFETY_HI = 0.9, 1.1
@@ -72,20 +72,19 @@ class ShiftedPencilFactory:
 # ---------------------------------------------------------------------------
 
 
-def solve_kron(X: FixedRankPoint, eta: TangentVector, E, D, fact_E=None, fact_D=None):
-    """Solve ``Proj_X(E xi D) = eta`` on the tangent space (standard metric).
+def solve_kron(X: FixedRankPoint, eta: TangentVector, kron: KroneckerMetric):
+    """Solve ``Proj_X(E xi D) = eta`` on the tangent space (standard metric)
+    for the pair ``(E, D)`` that ``kron`` holds with its factorizations.
 
     Costs r linear solves with each of E and D plus O(r^2 (m + n)) work.
     """
     if eta.point is not X:
         raise ValueError("eta not based at X")
     U, V = X.U, X.V
-    fact_E = fact_E or (numkit.spd_factorize(E) if E is not None else None)
-    fact_D = fact_D or (numkit.spd_factorize(D) if D is not None else None)
-    EU = E @ U if E is not None else U
-    DV = D @ V if D is not None else V
+    EU = kron.apply_E(U)
+    DV = kron.apply_D(V)
     M_xi, U_xi, V_xi = _kron_tangent_solve(
-        U, V, EU, DV, U.T @ EU, V.T @ DV, fact_E, fact_D,
+        U, V, EU, DV, U.T @ EU, V.T @ DV, kron.fact_E, kron.fact_D,
         eta.Up + U @ eta.M, eta.Vp + V @ eta.M.T, eta.M,
     )
     return TangentVector(M_xi, U_xi, V_xi, X)
@@ -122,21 +121,20 @@ def _inv_spd_small(S):
     return L_inv.T @ L_inv
 
 
-def solve_gen_sylvester(X, eta, A, B, D, E, factory_AE=None, factory_BD=None):
+def solve_gen_sylvester(X, eta, A, B, factory_AE=None, factory_BD=None):
     """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly.
 
-    ``X`` lives in the weighted geometry of the metric ``B X = E X D``: its
-    metric supplies ``E, D`` through the ``EU = E U`` and ``DV = D V``
-    products cached on ``X``, so the metric must hold the pencils' ``E``
-    and ``D`` (equal values suffice).  The identity metric with
-    ``D = E = None`` is the Sylvester case ``A xi + xi B``.  Only pencils
-    ``A + lam E`` and ``B + lam D`` are ever factorized, r shifts of each,
-    and each shifted solve takes r + 1 right-hand sides.
+    ``X`` lives in the weighted geometry of the metric ``B X = E X D``,
+    which supplies ``E`` and ``D``; the factories, when given, must be
+    those of the pencils ``(A, E)`` and ``(B, D)``.  The identity metric is
+    the Sylvester case ``A xi + xi B``.  Only pencils ``A + lam E`` and
+    ``B + lam D`` are ever factorized, r shifts of each, and each shifted
+    solve takes r + 1 right-hand sides.
     """
     if eta.point is not X:
         raise ValueError("eta not based at X")
-    factory_AE = factory_AE or ShiftedPencilFactory(A, E)
-    factory_BD = factory_BD or ShiftedPencilFactory(B, D)
+    factory_AE = factory_AE or ShiftedPencilFactory(A, X.metric.E)
+    factory_BD = factory_BD or ShiftedPencilFactory(B, X.metric.D)
     U, V, r = X.U, X.V, X.r
     AU = A @ U
     BV = B @ V
@@ -214,12 +212,10 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
 
 @dataclass(frozen=True)
 class ShiftSet:
-    """ADI shift pairs (p_j, q_j) with the spectral intervals that produced
-    them; admissibility requires q_j < a and p_j > -c."""
+    """ADI shift pairs (p_j, q_j); for spectra in [a, b] x [c, d]
+    admissibility requires q_j < a and p_j > -c."""
 
     pairs: tuple
-    interval_ae: tuple
-    interval_bd: tuple
 
     def __len__(self):
         return len(self.pairs)
@@ -236,11 +232,11 @@ def adi_factors(A, B, D, E, shifts, steps):
     return [(factory_AE.factor(-q), factory_BD.factor(p)) for p, q in shifts.pairs[:steps]]
 
 
-def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors=None, xi0=None):
+def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors=None):
     """Approximate ``P_X^{-1} eta`` for ``P X = A X D + E X B`` by tangADI.
 
     Runs ``steps`` sweeps of the tangent-space ADI fixed-point iteration
-    starting from zero (or ``xi0``), cycling through the shift pairs.
+    starting from zero, cycling through the shift pairs.
     Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``,
     products of A, E, B, D with the r columns of the last iterate's ``Up``
     and ``Vp`` (``A U``, ``E U``, ``B V``, ``D V`` are formed once per
@@ -266,7 +262,7 @@ def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors
     UpUM_eta = eta.Up + U @ eta.M
     VpVM_eta = eta.Vp + V @ eta.M.T
 
-    xi = None if xi0 is None else (xi0.M, xi0.Up, xi0.Vp)
+    xi = None
     for j in range(steps):
         p, q = shifts.pair(j)
         # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
@@ -313,11 +309,11 @@ def wachspress_shifts(a, b, c, d, J):
     if J < 1:
         raise ValueError("need at least one shift")
     if a == b and c == d:
-        return ShiftSet(((float(a), float(-c)),), (a, b), (c, d))
+        return ShiftSet(((float(a), float(-c)),))
     if a == b:
-        return ShiftSet(((float(a), -float(np.sqrt(c * d))),), (a, b), (c, d))
+        return ShiftSet(((float(a), -float(np.sqrt(c * d))),))
     if c == d:
-        return ShiftSet(((float(np.sqrt(a * b)), float(-c)),), (a, b), (c, d))
+        return ShiftSet(((float(np.sqrt(a * b)), float(-c)),))
 
     gamma = (a + c) * (b + d) / ((a + d) * (b + c))
     s = 2.0 / gamma - 1.0
@@ -337,7 +333,7 @@ def wachspress_shifts(a, b, c, d, J):
         return (t_w * d - c) / (1.0 - t_w)
 
     pairs = tuple((pull_back(w), pull_back(-w)) for w in ws)
-    return ShiftSet(pairs, (a, b), (c, d))
+    return ShiftSet(pairs)
 
 
 def adi_error_bound(shifts: ShiftSet, lam, mu):
@@ -436,35 +432,36 @@ class IdentityPrecond:
 
 
 class KronPrecond:
-    """Exact inverse of ``P X = E X D`` (tangent and ambient application)."""
+    """Exact inverse of ``P X = E X D`` (tangent and ambient application)
+    for the pair ``(E, D)`` of a ``KroneckerMetric``, whose factorizations
+    it uses."""
 
-    def __init__(self, E=None, D=None):
-        self.E, self.D = E, D
-        self.fact_E = numkit.spd_factorize(E) if E is not None else None
-        self.fact_D = numkit.spd_factorize(D) if D is not None else None
+    def __init__(self, kron: KroneckerMetric):
+        self.kron = kron
 
     def apply_inv_tangent(self, eta):
-        return solve_kron(eta.point, eta, self.E, self.D, self.fact_E, self.fact_D)
+        return solve_kron(eta.point, eta, self.kron)
 
     def apply_inv_ambient(self, Z):
-        left = Z.left if self.fact_E is None else self.fact_E.solve(Z.left)
-        right = Z.right if self.fact_D is None else self.fact_D.solve(Z.right)
-        return FactoredMatrix(left, right)
+        return FactoredMatrix(self.kron.solve_E(Z.left), self.kron.solve_D(Z.right))
 
 
 class GenSylvesterPrecond:
-    """Exact inverse of ``E^{-1} A xi + xi B D^{-1}`` in the (E, D) metric;
-    ``D = E = None`` is the Sylvester ``A xi + xi B`` in the identity metric."""
+    """Exact inverse of ``E^{-1} A xi + xi B D^{-1}`` in the metric ``(E, D)``;
+    the identity metric gives the Sylvester ``A xi + xi B``.  It applies
+    only at points of a metric that holds the same E and D objects."""
 
-    def __init__(self, A, B, D, E):
-        self.A, self.B, self.D, self.E = A, B, D, E
-        self.factory_AE = ShiftedPencilFactory(A, E)
-        self.factory_BD = ShiftedPencilFactory(B, D)
+    def __init__(self, A, B, metric: KroneckerMetric):
+        self.A, self.B, self.metric = A, B, metric
+        self.factory_AE = ShiftedPencilFactory(A, metric.E)
+        self.factory_BD = ShiftedPencilFactory(B, metric.D)
 
     def apply_inv_tangent(self, eta):
+        met = eta.point.metric
+        if met.E is not self.metric.E or met.D is not self.metric.D:
+            raise ValueError("P2 applied at a point of a metric with other E or D")
         return solve_gen_sylvester(
-            eta.point, eta, self.A, self.B, self.D, self.E,
-            self.factory_AE, self.factory_BD,
+            eta.point, eta, self.A, self.B, self.factory_AE, self.factory_BD
         )
 
 

@@ -21,6 +21,7 @@ from .trace import SolveTrace
 
 EPS_SIGMA = 1e-8          # numerical-rank threshold of the rank decrease
 PLATEAU_FACT = 0.75       # plateau when the recent slope is this share of the mean
+W_LEN = 3                 # residual estimates in the plateau test's recent window
 TOL_EXIT_FACT = 0.5       # phase ends when the Hutch++ estimate is this share of tol
 HUTCH_BUDGET = 5          # Hutch++ matvecs per residual estimate
 MAX_PHASE_ITERS = 200     # R-NLCG steps in one fixed-rank phase at most
@@ -31,36 +32,27 @@ class RramOptions:
     r0: int = 3
     r_up: int = 3
     tol: float = 1e-6
-    w_len: int = 3
     max_total_iters: int = 500
     seed: int = 0
     inner: RnlcgOptions | None = None
 
     def __post_init__(self):
-        if self.w_len < 2:
-            raise ValueError("w_len must be >= 2")
         if self.inner is None:
             self.inner = RnlcgOptions(rank=self.r0, tol=self.tol, seed=self.seed)
-
-
-def rank_decrease_trigger(sigma, eps_sigma):
-    s2 = sigma**2
-    return s2[-1] / s2.sum() < eps_sigma**2
 
 
 def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
     """Truncate away the trailing singular values that fail the
     numerical-rank test ``sigma_k^2 / sum(sigma^2) >= eps_sigma^2``.
 
-    Returns ``(X', r_minus)``; a no-op when the trigger condition fails.
-    Keeping exactly the values that pass the trigger's own test follows
-    the intent of the rank-decrease step; all-below-threshold input is
-    clamped to rank one.
+    Returns ``(X', r_minus)``: ``(X, r)`` when the last singular value
+    passes the test, else the point cut after the last value that passes
+    (rank one when none does), so ``r_minus < r``.
     """
-    sigma = X.sigma
-    if not rank_decrease_trigger(sigma, eps_sigma):
+    share = X.sigma**2 / np.sum(X.sigma**2)
+    if not share[-1] < eps_sigma**2:
         return X, X.r
-    mask = sigma**2 / np.sum(sigma**2) >= eps_sigma**2
+    mask = share >= eps_sigma**2
     r_minus = int(np.max(np.nonzero(mask)[0]) + 1) if np.any(mask) else 1
     X2 = geo.FixedRankPoint(
         X.U[:, :r_minus], X.sigma[:r_minus].copy(), X.V[:, :r_minus], X.metric
@@ -228,8 +220,8 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
             est = hutchpp_residual_norm(state.R, HUTCH_BUDGET, rng) / state.norm_F
             log_hist.append(np.log10(max(est, 1e-300)))
             event = ""
-            if rank_decrease_trigger(state.X.sigma, EPS_SIGMA):
-                X2, r_minus = rank_decrease(state.X, EPS_SIGMA)
+            X2, r_minus = rank_decrease(state.X, EPS_SIGMA)
+            if r_minus < state.X.r:
                 event = f"rank_down:{state.X.r}->{r_minus}"
                 try:
                     state.restart(X2)
@@ -243,7 +235,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
             # the exact residual decides convergence once the estimate is near tol
             if est <= TOL_EXIT_FACT * opts.tol:
                 break
-            if plateau_detect(log_hist, opts.w_len, PLATEAU_FACT):
+            if plateau_detect(log_hist, W_LEN, PLATEAU_FACT):
                 trace.tag_last("plateau")
                 break
 

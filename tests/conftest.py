@@ -4,7 +4,11 @@ from pathlib import Path
 
 # BLAS reads its thread count when numpy loads, which is here unless some
 # earlier import loaded it; later changes to these variables do not apply.
-_BLAS_THREADS = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+# The tests run with one thread, as the benchmark does, unless the caller
+# sets a count: with more, numpy's and scipy's OpenBLAS pools contend.
+_BLAS_THREADS = {
+    var: os.environ.setdefault(var, "1") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+}
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ settings.load_profile("tier1")
 
 
 def _blas_configuration():
-    threads = "  ".join(f"{var}={val or '(unset)'}" for var, val in _BLAS_THREADS.items())
+    threads = "  ".join(f"{var}={val}" for var, val in _BLAS_THREADS.items())
     return f"numpy {np.__version__}  scipy {scipy.__version__}  {threads}"
 
 

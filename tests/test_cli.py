@@ -207,7 +207,7 @@ def test_p1_is_generalized_sylvester_in_the_identity_metric(tmp_path):
     metric, prec = cli._build_tangent_setup(inst, dict(_CONFIG_DEFAULTS, precond="P1"))
     assert metric.is_identity and (metric.m, metric.n) == (inst.op.m, inst.op.n)
     assert isinstance(prec, pc.GenSylvesterPrecond)
-    assert prec.D is None and prec.E is None
+    assert prec.metric is metric
 
     inst_dir = tmp_path / "inst"
     assert main(["generate", "--family", "fd-diffusion", "--n", "24",

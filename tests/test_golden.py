@@ -23,7 +23,7 @@ def test_golden_rnlcg_p2_iteration_count():
     inst = pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3)
     spec = inst.p2
     met = geo.KroneckerMetric(spec["E"], spec["D"])
-    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], spec["D"], spec["E"])
+    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], met)
     _, trace, status = rnlcg_solve(
         inst.op, inst.F, RnlcgOptions(rank=12, tol=5e-6, max_iters=300, seed=0),
         metric=met, precond=prec,
@@ -36,7 +36,7 @@ def test_golden_rram_trace():
     inst = pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3)
     spec = inst.p2
     met = geo.KroneckerMetric(spec["E"], spec["D"])
-    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], spec["D"], spec["E"])
+    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], met)
     X, trace, status = rram_solve(
         inst.op, inst.F,
         RramOptions(r0=3, r_up=3, tol=1e-6, max_total_iters=500, seed=0,
@@ -61,7 +61,7 @@ def test_golden_rank12_floor_is_above_tol():
     inst = pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3)
     spec = inst.p2
     met = geo.KroneckerMetric(spec["E"], spec["D"])
-    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], spec["D"], spec["E"])
+    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], met)
     _, trace, status = rnlcg_solve(
         inst.op, inst.F, RnlcgOptions(rank=12, tol=1e-6, max_iters=300, seed=0),
         metric=met, precond=prec,

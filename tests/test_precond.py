@@ -33,14 +33,14 @@ def rand_eta(X, rng):
 def test_kron_identity_matrices(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_kron(X, eta, None, None)
+    xi = pc.solve_kron(X, eta, geo.KroneckerMetric.identity(7, 6))
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta)) <= 1e-14
 
 
 def test_kron_scalar_scaling(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_kron(X, eta, 2.0 * np.eye(7), 3.0 * np.eye(6))
+    xi = pc.solve_kron(X, eta, geo.KroneckerMetric(2.0 * np.eye(7), 3.0 * np.eye(6)))
     assert np.linalg.norm(xi.M - eta.M / 6.0) <= 1e-13
     assert np.linalg.norm(xi.Up - eta.Up / 6.0) <= 1e-13
     assert np.linalg.norm(xi.Vp - eta.Vp / 6.0) <= 1e-13
@@ -51,9 +51,35 @@ def test_kron_dense_oracle(rng):
     X = std_point(m, n, 2, rng)
     E, D = rand_spd(m, rng), rand_spd(n, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_kron(X, eta, E, D)
+    xi = pc.solve_kron(X, eta, geo.KroneckerMetric(E, D))
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: E @ T @ D)
     assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-10 * max(1, np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_kron_precond_factorizes_nothing_of_its_own(rng, monkeypatch, sparse):
+    """KronPrecond uses the factorizations its KroneckerMetric holds:
+    building and applying it factorizes nothing."""
+    m, n = 9, 8
+    if sparse:
+        kron = geo.KroneckerMetric(rand_band_spd(m, 1, rng), rand_band_spd(n, 2, rng))
+    else:
+        kron = geo.KroneckerMetric(rand_spd(m, rng), rand_spd(n, rng))
+    made = []
+    for init in ("_init_dense", "_init_banded"):
+        def counted(self, *args, _orig=getattr(numkit.SpdFactorization, init)):
+            made.append(self)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(numkit.SpdFactorization, init, counted)
+    prec = pc.KronPrecond(kron)
+    X = std_point(m, n, 2, rng)
+    prec.apply_inv_tangent(rand_eta(X, rng))
+    Z = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
+    W = prec.apply_inv_ambient(Z)
+    assert made == []
+    E, D = kron.dense_E(), kron.dense_D()
+    assert np.allclose(E @ W.densify() @ D, Z.densify(), rtol=1e-10, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +90,7 @@ def test_kron_dense_oracle(rng):
 def test_sylvester_scalar(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, 2.0 * np.eye(7), 3.0 * np.eye(6), None, None)
+    xi = pc.solve_gen_sylvester(X, eta, 2.0 * np.eye(7), 3.0 * np.eye(6))
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 5.0) <= 1e-12
 
 
@@ -73,7 +99,7 @@ def test_sylvester_full_rank_matches_kronecker_solve(rng):
     X = std_point(m, n, m, rng)
     A, B = rand_spd(m, rng), rand_spd(n, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B, None, None)
+    xi = pc.solve_gen_sylvester(X, eta, A, B)
     K = np.kron(np.eye(n), A) + np.kron(B, np.eye(m))
     expected = np.linalg.solve(K, tv_dense(eta).reshape(-1, order="F")).reshape(
         (m, n), order="F"
@@ -88,7 +114,7 @@ def test_sylvester_dense_oracle(rng):
     A = rand_spd(m, rng, cond=50.0)
     B = rand_spd(n, rng, cond=50.0)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B, None, None)
+    xi = pc.solve_gen_sylvester(X, eta, A, B)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: A @ T + T @ B)
     assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-9 * max(1, np.linalg.norm(expected))
 
@@ -99,7 +125,7 @@ def test_sylvester_sparse_coefficients(rng):
     B = sp.diags([2.0 + rng.uniform(size=n)], [0]).tocsr()
     X = std_point(m, n, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B, None, None)
+    xi = pc.solve_gen_sylvester(X, eta, A, B)
     # forward check: Proj(A xi + xi B) = eta
     dense = tv_dense(xi)
     back = proj_dense(X, A.toarray() @ dense + dense @ B.toarray())
@@ -117,7 +143,7 @@ def test_gen_sylvester_doubling_identity(rng):
     met = geo.KroneckerMetric(E, D)
     X = geo.random_point(m, n, 2, met, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, E, D, D, E)
+    xi = pc.solve_gen_sylvester(X, eta, E, D)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 2.0) <= 1e-11
 
 
@@ -128,7 +154,7 @@ def test_gen_sylvester_dense_oracle(rng):
     X = geo.random_point(m, n, 2, met, rng)
     A, B = rand_spd(m, rng, 30.0), rand_spd(n, rng, 30.0)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B, D, E)
+    xi = pc.solve_gen_sylvester(X, eta, A, B)
     Einv = np.linalg.inv(E)
     Dinv = np.linalg.inv(D)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ A @ T + T @ B @ Dinv)
@@ -154,7 +180,7 @@ def test_gen_sylvester_sparse_pencils_dense_oracle(rng, permute):
     assert (numkit.rcm_bands(B, D)[0] is not None) == permute
     X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B, D, E)
+    xi = pc.solve_gen_sylvester(X, eta, A, B)
     Ad, Bd, Dd, Ed = (M.toarray() for M in (A, B, D, E))
     Einv, Dinv = np.linalg.inv(Ed), np.linalg.inv(Dd)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ Ad @ T + T @ Bd @ Dinv)
@@ -178,7 +204,7 @@ def test_metric_route_equals_gradient_route(rng):
     met_id = geo.KroneckerMetric.identity(m, n)
     Xs = geo.truncate(Xw.densify(force=True), r, met_id)
     grad_std = geo.project(Xs, Zd)
-    grad_precond = pc.solve_kron(Xs, grad_std, E, D)
+    grad_precond = pc.solve_kron(Xs, grad_std, geo.KroneckerMetric(E, D))
 
     da = tv_dense(grad_metric)
     db = tv_dense(grad_precond)
@@ -220,25 +246,30 @@ def test_tangadi_identity_one_step_exact(rng):
     m = n = 7
     X = std_point(m, n, 2, rng)
     eta = rand_eta(X, rng)
-    shifts = pc.ShiftSet(((1.0, -1.0),), (1, 1), (1, 1))
+    shifts = pc.ShiftSet(((1.0, -1.0),))
     xi = pc.tangadi_apply(X, eta, np.eye(m), np.eye(n), np.eye(n), np.eye(m), shifts, 1)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 2.0) <= 1e-12
 
 
 def test_tangadi_fixed_point(rng):
-    """One update warm-started at the exact preimage returns it, for any
-    admissible shift pair; iterating from zero converges to the same point."""
+    """A sweep from a nonzero iterate xi_1 is the exact solve of
+    ``Proj((A - q E) xi (B + p D)) = Proj((A - p E) xi_1 (B + q D)) + (p - q) eta``
+    for any admissible shift pair, so the exact preimage is its fixed
+    point; iterating from zero converges to that point."""
     m = n = 8
     X = std_point(m, n, 2, rng)
     A, B = rand_spd(m, rng), rand_spd(n, rng)
     D, E = rand_spd(n, rng, 3.0), rand_spd(m, rng, 3.0)
     xi_star = rand_eta(X, rng)
     eta = geo.project(X, A @ tv_dense(xi_star) @ D + E @ tv_dense(xi_star) @ B)
-    for pq in ((2.0, -2.0), (0.7, -5.0), (11.0, -0.3)):
-        shifts = pc.ShiftSet((pq,), (1, 1), (1, 1))
-        out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 1, xi0=xi_star)
-        assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
-    shifts = pc.ShiftSet(((2.0, -2.0),), (1, 1), (1, 1))
+    for p, q in ((2.0, -2.0), (0.7, -5.0), (11.0, -0.3)):
+        shifts = pc.ShiftSet(((p, q),))
+        xi_1 = tv_dense(pc.tangadi_apply(X, eta, A, B, D, E, shifts, 1))
+        xi_2 = tv_dense(pc.tangadi_apply(X, eta, A, B, D, E, shifts, 2))
+        rhs = proj_dense(X, (A - p * E) @ xi_1 @ (B + q * D)) + (p - q) * tv_dense(eta)
+        expected = solve_projected_dense(X, rhs, lambda T: (A - q * E) @ T @ (B + p * D))
+        assert np.linalg.norm(xi_2 - expected) <= 1e-11 * np.linalg.norm(expected)
+    shifts = pc.ShiftSet(((2.0, -2.0),))
     out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 120)
     assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
@@ -274,8 +305,8 @@ def test_tangadi_shift_order_invariant_fixed_point(rng):
     eta = geo.project(X, A @ tv_dense(xi_star) @ D + E @ tv_dense(xi_star) @ B)
     pairs = ((1.5, -2.0), (4.0, -0.8), (0.9, -6.0))
     for order in (pairs, pairs[::-1]):
-        shifts = pc.ShiftSet(order, (1, 1), (1, 1))
-        out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 1, xi0=xi_star)
+        shifts = pc.ShiftSet(order)
+        out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 60)
         assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
 
@@ -291,7 +322,7 @@ def test_tangadi_contraction_rate(rng):
         a, bb = pc.spectral_interval(A, E)
         c, d = pc.spectral_interval(B, D)
         p, q = float(np.sqrt(a * bb)), -float(np.sqrt(c * d))
-        shifts = pc.ShiftSet(((p, q),), (a, bb), (c, d))
+        shifts = pc.ShiftSet(((p, q),))
 
         def amb_G(T):
             return (A - q * E) @ T @ (B + p * D)
@@ -390,7 +421,7 @@ def test_tangadi_factors_each_shift_pair_once(rng, monkeypatch):
     m, n = 20, 18
     A, B = sparse_tridiag(m, rng), sparse_tridiag(n, rng)
     D, E = sparse_diag(n, rng), sparse_diag(m, rng)
-    shifts = pc.ShiftSet(((2.0, -0.5), (3.0, -0.3), (1.5, -0.8)), (1, 4), (1, 4))
+    shifts = pc.ShiftSet(((2.0, -0.5), (3.0, -0.3), (1.5, -0.8)))
     X = std_point(m, n, 2, rng)
     etas = [rand_eta(X, rng) for _ in range(3)]
     prec = pc.TangAdiPrecond(A, B, D, E, shifts, steps=5)
@@ -408,7 +439,7 @@ def test_gen_sylvester_factories_keep_no_factorization(rng, monkeypatch):
     D, E = sparse_diag(n, rng), sparse_diag(m, rng)
     X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
     eta = rand_eta(X, rng)
-    prec = pc.GenSylvesterPrecond(A, B, D, E)
+    prec = pc.GenSylvesterPrecond(A, B, X.metric)
     calls = counted_pencil_factors(monkeypatch)
     first = prec.apply_inv_tangent(eta)
     second = prec.apply_inv_tangent(eta)
@@ -419,6 +450,31 @@ def test_gen_sylvester_factories_keep_no_factorization(rng, monkeypatch):
         held = list(vars(factory).values())
         held += [x for v in held if isinstance(v, dict) for x in v.values()]
         assert not any(isinstance(v, numkit.SpdFactorization) for v in held)
+
+
+def test_gen_sylvester_precond_rejects_point_of_other_metric(rng):
+    """P2 takes E and D from its metric; at a point whose metric holds other
+    E or D objects, equal values included, it raises instead of returning
+    the inverse of another operator."""
+    m, n = 8, 7
+    A, B = rand_spd(m, rng), rand_spd(n, rng)
+    E, D = rand_spd(m, rng, 4.0), rand_spd(n, rng, 4.0)
+    prec = pc.GenSylvesterPrecond(A, B, geo.KroneckerMetric(E, D))
+    others = (
+        geo.KroneckerMetric(E.copy(), D),
+        geo.KroneckerMetric(E, D.copy()),
+        geo.KroneckerMetric.identity(m, n),
+    )
+    for other in others:
+        X = geo.random_point(m, n, 2, other, rng)
+        with pytest.raises(ValueError, match="other E or D"):
+            prec.apply_inv_tangent(rand_eta(X, rng))
+    # another metric object that holds the same E and D is accepted
+    X = geo.random_point(m, n, 2, geo.KroneckerMetric(E, D), rng)
+    eta = rand_eta(X, rng)
+    assert np.array_equal(
+        tv_dense(prec.apply_inv_tangent(eta)), tv_dense(pc.solve_gen_sylvester(X, eta, A, B))
+    )
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -432,7 +488,7 @@ def test_gen_sylvester_solves_r_plus_one_columns_per_shift(rng, monkeypatch, spa
         D, E = rand_spd(n, rng, 5.0), rand_spd(m, rng, 5.0)
     X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
     eta = rand_eta(X, rng)
-    prec = pc.GenSylvesterPrecond(A, B, D, E)
+    prec = pc.GenSylvesterPrecond(A, B, X.metric)
     cols = []
     solve = numkit.SpdFactorization.solve
 

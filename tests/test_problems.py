@@ -136,11 +136,11 @@ def test_full_rank_gen_sylvester_cross_check(rng):
     inst = pb.gen_fd_diffusion(n, [(1.0, kz, kz)], g=lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape))
     A, Dd = inst.op.A[0], inst.op.B[0]
     Ee, B = inst.op.A[1], inst.op.B[1]
-    met = geo.KroneckerMetric(Ee.toarray(), Dd.toarray())
+    met = geo.KroneckerMetric(Ee, Dd)
     # full-rank point and tangent solve equal the dense solve
     X = geo.random_point(n, n, n, met, rng)
     eta = geo.project(X, rng.standard_normal((n, n)))
-    xi = pc.solve_gen_sylvester(X, eta, A, B, Dd, Ee)
+    xi = pc.solve_gen_sylvester(X, eta, A, B)
     xid = X.U @ xi.M @ X.V.T + xi.Up @ X.V.T + X.U @ xi.Vp.T
     etad = X.U @ eta.M @ X.V.T + eta.Up @ X.V.T + X.U @ eta.Vp.T
     K = np.kron(Dd.toarray(), A.toarray()) + np.kron(B.toarray(), Ee.toarray())

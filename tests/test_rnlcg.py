@@ -469,7 +469,7 @@ def test_full_rank_matches_euclidean_nlcg(rng):
 def test_gradient_energy_nonnegative_each_iteration(rng):
     m, n = 12, 10
     op, F, _ = make_spd_problem(m, n, 2, rng, sol_rank=3)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     opts = rn.RnlcgOptions(rank=3, tol=1e-9, max_iters=60, seed=6)
     state = rn.RnlcgState(op, F, opts, precond=prec)
     for _ in range(20):
@@ -525,7 +525,7 @@ def test_weighted_metric_solver_converges(rng):
     Xs = geo.random_point(m, n, 3, met, rng)
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
-    prec = pc.GenSylvesterPrecond(A0, B1, D, E)
+    prec = pc.GenSylvesterPrecond(A0, B1, met)
     X, trace, status = rn.rnlcg_solve(
         op, F, rn.RnlcgOptions(rank=3, tol=1e-9, max_iters=100), metric=met, precond=prec
     )

@@ -256,7 +256,7 @@ def test_rram_trivial_tolerance(rng):
 def test_rram_converges_with_rank_growth(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=1,
                           inner=RnlcgOptions(rank=2, tol=1e-7, seed=1))
     X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
@@ -270,7 +270,7 @@ def test_rram_converges_with_rank_growth(rng):
 def test_rram_rank_changes_only_at_tagged_events(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=3,
                           inner=RnlcgOptions(rank=2, tol=1e-7, seed=3))
     X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
@@ -283,7 +283,7 @@ def test_rram_rank_changes_only_at_tagged_events(rng):
 def test_rram_objective_nonincreasing_across_rank_up(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=5,
                           inner=RnlcgOptions(rank=2, tol=1e-7, seed=5))
     X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
@@ -351,7 +351,7 @@ def test_rram_rank_never_exceeds_min_dimension(prec_name, r0):
 
     inst = pb.gen_synthetic(7, 6, 3, seed=2)
     op, F = inst.op, inst.F
-    prec = pc.KronPrecond(op.A[0], op.B[1]) if prec_name == "kron" else None
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1])) if prec_name == "kron" else None
     opts = rr.RramOptions(r0=r0, r_up=3, tol=1e-13, max_total_iters=500,
                           inner=RnlcgOptions(rank=r0, tol=1e-13))
     X, trace, status = rr.rram_solve(op, F, opts, precond=prec)

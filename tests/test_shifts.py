@@ -60,7 +60,7 @@ def test_symmetric_grid_minimax(J):
     lam = np.geomspace(1.0, 100.0, 200)
     ours = pc.adi_error_bound(s, lam, lam).max()
     ps, _ = brute_force_symmetric(J, 1.0, 100.0)
-    ref_set = pc.ShiftSet(tuple((p, -p) for p in ps), (1, 100), (1, 100))
+    ref_set = pc.ShiftSet(tuple((p, -p) for p in ps))
     ref = pc.adi_error_bound(ref_set, lam, lam).max()
     assert ours <= 1.1 * ref
 

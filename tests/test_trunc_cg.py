@@ -110,7 +110,7 @@ def test_no_truncation_with_kron_precond_matches_dense_pcg(rng):
     m = n = 6
     op, F = make_spd_problem(m, n, rng)
     policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0, eps_abs_r=0.0)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, 1e-14, 10)
     K = kron_matrix(op.A, op.B)
     M = np.kron(np.asarray(op.B[1]), np.asarray(op.A[0]))
@@ -138,7 +138,7 @@ def test_converges_with_truncation(rng):
     op, F = make_spd_problem(m, n, rng, cond=10.0)
     tol = 1e-7
     policy = tc.TruncationPolicy.from_tol(tol)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, tol, 200)
     assert status == "converged"
     assert float(trace.last()["res_rel"]) <= tol
@@ -157,7 +157,7 @@ def test_unconverged_exit_reports_true_residual(rng):
     m, n = 16, 14
     op, F = make_spd_problem(m, n, rng, cond=10.0)
     coarse = tc.TruncationPolicy(eps_rel_x=1e-2, eps_rel_r=1e-2, eps_abs_r=0.0)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     X, trace, status = tc.truncated_cg_solve(op, F, prec, coarse, 1e-12, 5)
     assert status == "max_iter"
     assert trace.last()["res_kind"] == "exact"
@@ -172,7 +172,7 @@ def test_converged_means_true_residual_below_tol():
 
     inst = pb.gen_stoch_galerkin(30, 6, 3)
     tol = 1e-6
-    prec = pc.KronPrecond(inst.p2["E"], inst.p2["D"])
+    prec = pc.KronPrecond(geo.KroneckerMetric(inst.p2["E"], inst.p2["D"]))
     X, trace, status = tc.truncated_cg_solve(
         inst.op, inst.F, prec, tc.TruncationPolicy.from_tol(tol), tol, 200
     )
@@ -186,7 +186,7 @@ def test_rank_cap_tracked_and_never_exceeded(rng):
     op, F = make_spd_problem(m, n, rng, cond=200.0)
     tol = 1e-9
     policy = tc.TruncationPolicy.from_tol(tol, rank_cap=3)
-    prec = pc.KronPrecond(op.A[0], op.B[1])
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, tol, 120)
     for row in trace.rows:
         assert row["rank_x"] <= 3 and row["rank_r"] <= 3 and row["rank_p"] <= 3
