@@ -148,15 +148,14 @@ def _build_tangent_setup(inst, cfg):
         return identity, pc.TangAdiPrecond(
             spec["A"], spec["B"], spec["D"], spec["E"], shifts, cfg["adi_steps"]
         )
+    # a missing E or D (a "sylv" spec has neither) is the identity
+    metric = geo.KroneckerMetric(spec.get("E"), spec.get("D"), m=m, n=n)
     if kind in ("sylv", "gen_sylv"):
-        # a "sylv" spec has no E, D: the identity metric
-        metric = geo.KroneckerMetric(spec.get("E"), spec.get("D"), m=m, n=n)
         return metric, pc.GenSylvesterPrecond(spec["A"], spec["B"], metric)
     if kind == "kron":
-        kron = geo.KroneckerMetric(spec["E"], spec["D"])
         if cfg["kron_mode"] == "metric":
-            return kron, pc.IdentityPrecond()
-        return identity, pc.KronPrecond(kron)
+            return metric, pc.IdentityPrecond()
+        return identity, pc.KronPrecond(metric)
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
 
 
@@ -168,7 +167,9 @@ def _build_ambient_precond(inst, cfg, norm_F):
     spec = _precond_spec(inst, label)
     kind = spec["kind"]
     if kind == "kron":
-        return pc.KronPrecond(geo.KroneckerMetric(spec["E"], spec["D"]))
+        return pc.KronPrecond(
+            geo.KroneckerMetric(spec["E"], spec["D"], m=inst.op.m, n=inst.op.n)
+        )
     if kind in ("sylv", "gen_sylv"):
         shifts = _wachspress_for(spec, cfg["adi_shifts"])
         policy = TruncationPolicy.from_tol(cfg["tol"], rank_cap=cfg["rank_cap"])

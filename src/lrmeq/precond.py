@@ -43,11 +43,12 @@ class ShiftedPencilFactory:
     For sparse input the band-narrowing permutation (if any), its inverse
     and the band extraction are computed once from the union of the
     sparsity patterns; each shift then costs one banded Cholesky.
-    ``E=None`` means the identity.
+    ``E=None`` means the identity; ``E`` keeps the object given.
     """
 
     def __init__(self, A, E=None):
         n = A.shape[0]
+        self.E = E
         if sp.issparse(A) and (E is None or sp.issparse(E)):
             E = sp.identity(n, format="csr") if E is None else E.tocsr()
             self._perm, (self._A, self._E) = numkit.rcm_bands(A.tocsr(), E)
@@ -126,7 +127,8 @@ def solve_gen_sylvester(X, eta, A, B, factory_AE=None, factory_BD=None):
 
     ``X`` lives in the weighted geometry of the metric ``B X = E X D``,
     which supplies ``E`` and ``D``; the factories, when given, must be
-    those of the pencils ``(A, E)`` and ``(B, D)``.  The identity metric is
+    those of the pencils ``(A, E)`` and ``(B, D)`` for the same E and D
+    objects, else ``ValueError``.  The identity metric is
     the Sylvester case ``A xi + xi B``.  Only pencils ``A + lam E`` and
     ``B + lam D`` are ever factorized, r shifts of each, and each shifted
     solve takes r + 1 right-hand sides.
@@ -135,6 +137,8 @@ def solve_gen_sylvester(X, eta, A, B, factory_AE=None, factory_BD=None):
         raise ValueError("eta not based at X")
     factory_AE = factory_AE or ShiftedPencilFactory(A, X.metric.E)
     factory_BD = factory_BD or ShiftedPencilFactory(B, X.metric.D)
+    if factory_AE.E is not X.metric.E or factory_BD.E is not X.metric.D:
+        raise ValueError("pencils built for other E or D than the point's metric")
     U, V, r = X.U, X.V, X.r
     AU = A @ U
     BV = B @ V
@@ -457,9 +461,6 @@ class GenSylvesterPrecond:
         self.factory_BD = ShiftedPencilFactory(B, metric.D)
 
     def apply_inv_tangent(self, eta):
-        met = eta.point.metric
-        if met.E is not self.metric.E or met.D is not self.metric.D:
-            raise ValueError("P2 applied at a point of a metric with other E or D")
         return solve_gen_sylvester(
             eta.point, eta, self.A, self.B, self.factory_AE, self.factory_BD
         )

@@ -220,6 +220,25 @@ def test_p1_is_generalized_sylvester_in_the_identity_metric(tmp_path):
     assert summary["status"] == "converged" and float(summary["final_res"]) <= 1e-6
 
 
+@pytest.mark.parametrize("kron_mode", ["metric", "gradient"])
+def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
+    """The stochastic-Galerkin P1 spec has ``D = None``: the Kronecker
+    metric takes the identity D from the instance's n."""
+    inst = pb.gen_stoch_galerkin(6, 2, 2)
+    m, n = inst.op.m, inst.op.n
+    cfg = dict(_CONFIG_DEFAULTS, precond="P1", kron_mode=kron_mode)
+    metric, prec = cli._build_tangent_setup(inst, cfg)
+    kron = metric if kron_mode == "metric" else prec.kron
+    assert kron.E is inst.p1["E"] and kron.D is None and (kron.m, kron.n) == (m, n)
+    if kron_mode == "metric":
+        assert isinstance(prec, pc.IdentityPrecond)
+    else:
+        assert metric.is_identity and isinstance(prec, pc.KronPrecond)
+    amb = cli._build_ambient_precond(inst, cfg, geo.factored_norm(inst.F))
+    assert isinstance(amb, pc.KronPrecond) and amb.kron.D is None
+    assert (amb.kron.m, amb.kron.n) == (m, n)
+
+
 @pytest.mark.parametrize("bad", [{"solver": "rnlgc"}, {"precond": "p2"}], ids=["solver", "precond"])
 def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
     inst_dir = tmp_path / "inst"

@@ -475,6 +475,13 @@ def test_gen_sylvester_precond_rejects_point_of_other_metric(rng):
     assert np.array_equal(
         tv_dense(prec.apply_inv_tangent(eta)), tv_dense(pc.solve_gen_sylvester(X, eta, A, B))
     )
+    # so does the function when handed pencil factories for other E or D
+    for fac_AE, fac_BD in (
+        (pc.ShiftedPencilFactory(A, E.copy()), prec.factory_BD),
+        (prec.factory_AE, pc.ShiftedPencilFactory(B)),
+    ):
+        with pytest.raises(ValueError, match="other E or D"):
+            pc.solve_gen_sylvester(X, eta, A, B, fac_AE, fac_BD)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
