@@ -31,7 +31,7 @@ from . import precond as pc
 from . import problems as pb
 from .solver_rnlcg import RnlcgOptions, rnlcg_solve
 from .solver_rram import RramOptions, rram_solve
-from .trunc_cg import TruncationPolicy, truncated_cg_solve
+from .trunc_cg import TruncationPolicy, truncate_factored, truncated_cg_solve
 
 _ENV_OUT = "LRMEQ_OUT"
 
@@ -111,6 +111,8 @@ def _load_config(args):
         raise ConfigError(f"unknown solver {cfg['solver']!r}")
     if cfg["precond"] not in ("identity", "P1", "P2", "tangadi"):
         raise ConfigError(f"unknown preconditioner {cfg['precond']!r}")
+    if cfg["kron_mode"] not in ("metric", "gradient"):
+        raise ConfigError(f"unknown Kronecker mode {cfg['kron_mode']!r}")
     return cfg
 
 
@@ -175,8 +177,6 @@ def _build_ambient_precond(inst, cfg, norm_F):
         policy = TruncationPolicy.from_tol(cfg["tol"], rank_cap=cfg["rank_cap"])
 
         def trunc(Z):
-            from .trunc_cg import truncate_factored
-
             out, _ = truncate_factored(
                 Z, policy.eps_rel_r, policy.eps_abs_r, norm_F, policy.rank_cap
             )
@@ -259,11 +259,15 @@ def cmd_compare(args):
     for path in args.summaries:
         with open(path) as fh:
             s = json.load(fh)
-        cfg = s.get("config", {})
-        rows.append(
-            [cfg.get("solver", ""), cfg.get("precond", ""), s["iters"],
-             s["wall_s"], s["final_rank"], s["final_res"]]
-        )
+        try:
+            cfg = s.get("config", {})
+            rows.append(
+                [cfg.get("solver", ""), cfg.get("precond", ""), s["iters"],
+                 s["wall_s"], s["final_rank"], s["final_res"]]
+            )
+        except (AttributeError, KeyError) as exc:
+            # exit code 4, as for an unreadable instance
+            raise OSError(f"{path}: not a run summary ({type(exc).__name__}: {exc})") from None
     header = ["solver", "precond", "iters", "time_s", "final_rank", "final_res"]
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -315,7 +319,7 @@ def cmd_verify(_args):
     )
     A, B = rand_spd(m), rand_spd(n)
     eta = geo.project(X, rng.standard_normal((m, n)))
-    out = pc.solve_gen_sylvester(X, eta, A, B)
+    out = pc.GenSylvesterPrecond(A, B, met).apply_inv_tangent(eta)
     dense = out.point.U @ out.M @ out.point.V.T + out.Up @ out.point.V.T + out.point.U @ out.Vp.T
     back = geo.project(X, np.linalg.solve(E, A @ dense) + dense @ B @ np.linalg.inv(D))
     eta_norm = geo.norm(eta)
@@ -330,7 +334,7 @@ def cmd_verify(_args):
     dense_star = Xs.U @ xi_star.M @ Xs.V.T + xi_star.Up @ Xs.V.T + Xs.U @ xi_star.Vp.T
     PX = geo.project(Xs, A @ dense_star @ D + E @ dense_star @ B)
     sh = pc.ShiftSet(((2.0, -2.0),))
-    again = pc.tangadi_apply(Xs, PX, A, B, D, E, sh, steps=80)
+    again = pc.TangAdiPrecond(A, B, D, E, sh, steps=80).apply_inv_tangent(PX)
     check(
         "tangADI converges to the exact preimage",
         geo.norm(again.plus(xi_star, -1.0)) <= 1e-8 * geo.norm(xi_star),

@@ -187,14 +187,13 @@ def objective(op, X, F) -> float:
     return evaluate(op, X, F).f
 
 
-def residual_norm_exact(op, X, F, metric=None) -> float:
-    """Exact relative residual norm ``||A X - F|| / ||F||``.
+def residual_norm_exact(op, X, F) -> float:
+    """Exact relative Frobenius residual norm ``||A X - F|| / ||F||``.
 
-    Frobenius norm by default; B-norm via weighted QR when a metric is
-    given.  Raises on a zero right-hand side.
+    Raises on a zero right-hand side.
     """
-    nrm_f = factored_norm(F, metric)
+    nrm_f = factored_norm(F)
     if nrm_f == 0.0:
         raise ValueError("zero right-hand side: relative residual undefined")
     R = residual(op, X, F)
-    return factored_norm(R, metric) / nrm_f
+    return factored_norm(R) / nrm_f

@@ -132,17 +132,10 @@ def factored_inner(Z1: FactoredMatrix, Z2: FactoredMatrix) -> float:
     return float(np.sum((Z1.left.T @ Z2.left) * (Z1.right.T @ Z2.right)))
 
 
-def factored_norm(Z: FactoredMatrix, metric: KroneckerMetric | None = None) -> float:
-    """Frobenius norm (or B-norm when a metric is given) of ``left @ right.T``.
-
-    The B-norm is the Frobenius norm of the small core of ``Z = Q_L C Q_R.T``
-    with E-/D-orthonormal ``Q_L``, ``Q_R`` (``||Z||_B^2 = sum(s^2)`` for the
-    weighted singular values ``s`` of C); no SVD is needed.
-    """
+def factored_norm(Z: FactoredMatrix) -> float:
+    """Frobenius norm of ``left @ right.T``."""
     if Z.k == 0:
         return 0.0
-    if metric is not None and not metric.is_identity:
-        return float(np.linalg.norm(_weighted_core(Z, metric)[1]))
     L, R = Z.left, Z.right
     if L.shape[0] > R.shape[0]:
         L, R = R, L
@@ -326,22 +319,15 @@ def weighted_svd(Z, metric: KroneckerMetric):
     m, n = Z.shape
     if Z.k == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-    QL, C, QR_ = _weighted_core(Z, metric)
-    u, s, v = numkit.svd_thin(C)
-    return QL @ u, s, QR_ @ v
-
-
-def _weighted_core(Z: FactoredMatrix, metric: KroneckerMetric):
-    """``Z = Q_L C Q_R.T`` with E-/D-orthonormal ``Q_L``, ``Q_R`` and a small
-    triangular core C, from the two weighted QRs of ``weighted_svd``."""
-    m, n = Z.shape
     if m <= n:
         QL, TL = weighted_qr(Z.left, metric.fact_E)
         QR_, TR = weighted_qr(Z.right @ TL.T, metric.fact_D)
-        return QL, TR.T, QR_
-    QR_, TR = weighted_qr(Z.right, metric.fact_D)
-    QL, TL = weighted_qr(Z.left @ TR.T, metric.fact_E)
-    return QL, TL, QR_
+        C = TR.T
+    else:
+        QR_, TR = weighted_qr(Z.right, metric.fact_D)
+        QL, C = weighted_qr(Z.left @ TR.T, metric.fact_E)
+    u, s, v = numkit.svd_thin(C)
+    return QL @ u, s, QR_ @ v
 
 
 def _numerical_rank(s, m, n):

@@ -30,7 +30,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import numkit
-from .geometry import FactoredMatrix, FixedRankPoint, KroneckerMetric, TangentVector
+from .geometry import FactoredMatrix, KroneckerMetric, TangentVector
 
 _LANCZOS_STEPS = 30
 _SAFETY_LO, _SAFETY_HI = 0.9, 1.1
@@ -43,12 +43,11 @@ class ShiftedPencilFactory:
     For sparse input the band-narrowing permutation (if any), its inverse
     and the band extraction are computed once from the union of the
     sparsity patterns; each shift then costs one banded Cholesky.
-    ``E=None`` means the identity; ``E`` keeps the object given.
+    ``E=None`` means the identity.
     """
 
     def __init__(self, A, E=None):
         n = A.shape[0]
-        self.E = E
         if sp.issparse(A) and (E is None or sp.issparse(E)):
             E = sp.identity(n, format="csr") if E is None else E.tocsr()
             self._perm, (self._A, self._E) = numkit.rcm_bands(A.tocsr(), E)
@@ -69,26 +68,8 @@ class ShiftedPencilFactory:
 
 
 # ---------------------------------------------------------------------------
-# Exact tangent-space solves
+# Kernels of the exact tangent-space solves
 # ---------------------------------------------------------------------------
-
-
-def solve_kron(X: FixedRankPoint, eta: TangentVector, kron: KroneckerMetric):
-    """Solve ``Proj_X(E xi D) = eta`` on the tangent space (standard metric)
-    for the pair ``(E, D)`` that ``kron`` holds with its factorizations.
-
-    Costs r linear solves with each of E and D plus O(r^2 (m + n)) work.
-    """
-    if eta.point is not X:
-        raise ValueError("eta not based at X")
-    U, V = X.U, X.V
-    EU = kron.apply_E(U)
-    DV = kron.apply_D(V)
-    M_xi, U_xi, V_xi = _kron_tangent_solve(
-        U, V, EU, DV, U.T @ EU, V.T @ DV, kron.fact_E, kron.fact_D,
-        eta.Up + U @ eta.M, eta.Vp + V @ eta.M.T, eta.M,
-    )
-    return TangentVector(M_xi, U_xi, V_xi, X)
 
 
 def _kron_tangent_solve(U, V, LU, RV, S_L, S_R, fact_L, fact_R, rhs_u, rhs_v, M):
@@ -122,64 +103,6 @@ def _inv_spd_small(S):
     return L_inv.T @ L_inv
 
 
-def solve_gen_sylvester(X, eta, A, B, factory_AE=None, factory_BD=None):
-    """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly.
-
-    ``X`` lives in the weighted geometry of the metric ``B X = E X D``,
-    which supplies ``E`` and ``D``; the factories, when given, must be
-    those of the pencils ``(A, E)`` and ``(B, D)`` for the same E and D
-    objects, else ``ValueError``.  The identity metric is
-    the Sylvester case ``A xi + xi B``.  Only pencils ``A + lam E`` and
-    ``B + lam D`` are ever factorized, r shifts of each, and each shifted
-    solve takes r + 1 right-hand sides.
-    """
-    if eta.point is not X:
-        raise ValueError("eta not based at X")
-    factory_AE = factory_AE or ShiftedPencilFactory(A, X.metric.E)
-    factory_BD = factory_BD or ShiftedPencilFactory(B, X.metric.D)
-    if factory_AE.E is not X.metric.E or factory_BD.E is not X.metric.D:
-        raise ValueError("pencils built for other E or D than the point's metric")
-    U, V, r = X.U, X.V, X.r
-    AU = A @ U
-    BV = B @ V
-    S_A = U.T @ AU
-    S_B = V.T @ BV
-    lamA, QA = np.linalg.eigh(0.5 * (S_A + S_A.T))
-    lamB, QB = np.linalg.eigh(0.5 * (S_B + S_B.T))
-
-    E_Ueta_b = eta.E_Up @ QB
-    D_Veta_b = eta.D_Vp @ QA
-    Meta_b = QA.T @ eta.M @ QB
-
-    AUb, BVb = AU @ QA, BV @ QB
-    W_u, C_u, LamB_blocks = _bordered_shifted_solves(
-        factory_AE, lamB, U @ QA, X.EU @ QA, E_Ueta_b, AUb
-    )
-    W_v, C_v, LamA_blocks = _bordered_shifted_solves(
-        factory_BD, lamA, V @ QB, X.DV @ QB, D_Veta_b, BVb
-    )
-
-    R = Meta_b - AUb.T @ W_u - (BVb.T @ W_v).T
-    T = np.zeros((r * r, r * r))
-    for i in range(r):
-        T[r * i : r * (i + 1), r * i : r * (i + 1)] += LamB_blocks[i]
-    stride = np.arange(r) * r
-    for j in range(r):
-        T[np.ix_(j + stride, j + stride)] += LamA_blocks[j]
-    Mb = np.linalg.solve(T, R.flatten(order="F")).reshape((r, r), order="F")
-
-    Ub_xi = W_u - np.column_stack([C_u[i] @ Mb[:, i] for i in range(r)])
-    Vb_xi = W_v - np.column_stack([C_v[j] @ Mb[j, :] for j in range(r)])
-
-    U_xi = Ub_xi @ QB.T
-    V_xi = Vb_xi @ QA.T
-    M_xi = QA @ Mb @ QB.T
-    # numerical hygiene: enforce the weighted-orthogonality constraints
-    U_xi -= U @ (X.EU.T @ U_xi)
-    V_xi -= V @ (X.DV.T @ V_xi)
-    return TangentVector(M_xi, U_xi, V_xi, X)
-
-
 def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
     """One bordered solve with the pencil ``A + s_i E`` per shift ``s_i``.
 
@@ -210,7 +133,7 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
 
 
 # ---------------------------------------------------------------------------
-# tangADI
+# ADI shifts and spectral intervals
 # ---------------------------------------------------------------------------
 
 
@@ -226,78 +149,6 @@ class ShiftSet:
 
     def pair(self, j):
         return self.pairs[j % len(self.pairs)]
-
-
-def adi_factors(A, B, D, E, shifts, steps):
-    """Factorizations ``(A - q_j E, B + p_j D)`` of the shift pairs that
-    ``steps`` ADI sweeps use; ``D`` or ``E`` None means the identity."""
-    factory_AE = ShiftedPencilFactory(A, E)
-    factory_BD = ShiftedPencilFactory(B, D)
-    return [(factory_AE.factor(-q), factory_BD.factor(p)) for p, q in shifts.pairs[:steps]]
-
-
-def tangadi_apply(X, eta, A, B, D=None, E=None, shifts=None, steps=None, factors=None):
-    """Approximate ``P_X^{-1} eta`` for ``P X = A X D + E X B`` by tangADI.
-
-    Runs ``steps`` sweeps of the tangent-space ADI fixed-point iteration
-    starting from zero, cycling through the shift pairs.
-    Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``,
-    products of A, E, B, D with the r columns of the last iterate's ``Up``
-    and ``Vp`` (``A U``, ``E U``, ``B V``, ``D V`` are formed once per
-    apply) and O(r^2 (m + n)) dense work; ``factors`` (from
-    ``adi_factors``) saves factorizing the pencils on every call.
-    """
-    if not X.metric.is_identity:
-        raise ValueError("tangADI operates in the standard metric")
-    if shifts is None or len(shifts) == 0:
-        raise ValueError("tangADI needs a nonempty shift set")
-    steps = len(shifts) if steps is None else int(steps)
-    factors = factors or adi_factors(A, B, D, E, shifts, steps)
-
-    U, V, r = X.U, X.V, X.r
-    AU = A @ U
-    BV = B @ V
-    EU = E @ U if E is not None else U
-    DV = D @ V if D is not None else V
-    S_AU = U.T @ AU
-    S_EU = U.T @ EU
-    S_BV = V.T @ BV
-    S_DV = V.T @ DV
-    UpUM_eta = eta.Up + U @ eta.M
-    VpVM_eta = eta.Vp + V @ eta.M.T
-
-    xi = None
-    for j in range(steps):
-        p, q = shifts.pair(j)
-        # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
-        fact_A, fact_B = factors[j % len(shifts)]
-        # the half-step is the Kronecker tangent solve with L = A - q E,
-        # R = B + p D and rho = Z_j + (p - q) eta
-        pq = p - q
-        rhs_u, rhs_v, rhs_m = pq * UpUM_eta, pq * VpVM_eta, pq * eta.M
-        if xi is not None:
-            # Z_j = (A - p E) xi (B + q D) for xi = U M V^T + Up V^T + U Vp^T;
-            # (A - p E) U and (B + q D) V come from the products above
-            Mj, Uj, Vj = xi
-            AU_p, S_A = AU - p * EU, S_AU - p * S_EU
-            BV_q, S_B = BV + q * DV, S_BV + q * S_DV
-            AUj = A @ Uj - p * (E @ Uj if E is not None else Uj)
-            BVj = B @ Vj + q * (D @ Vj if D is not None else Vj)
-            UtAUj = U.T @ AUj
-            core = Mj @ S_B + BVj.T @ V              # U^T xi (B + q D) V
-            rhs_u += AU_p @ core + AUj @ S_B         # Z_j V
-            rhs_v += (BV_q @ Mj.T + BVj) @ S_A + BV_q @ UtAUj.T   # Z_j^T U
-            rhs_m += S_A @ core + UtAUj @ S_B        # U^T Z_j V
-        xi = _kron_tangent_solve(
-            U, V, AU - q * EU, BV + p * DV, S_AU - q * S_EU, S_BV + p * S_DV,
-            fact_A, fact_B, rhs_u, rhs_v, rhs_m,
-        )
-    return TangentVector.zero(X) if xi is None else TangentVector(*xi, X)
-
-
-# ---------------------------------------------------------------------------
-# Wachspress shifts and spectral intervals
-# ---------------------------------------------------------------------------
 
 
 def wachspress_shifts(a, b, c, d, J):
@@ -444,7 +295,20 @@ class KronPrecond:
         self.kron = kron
 
     def apply_inv_tangent(self, eta):
-        return solve_kron(eta.point, eta, self.kron)
+        """Solve ``Proj_X(E xi D) = eta`` on the tangent space at
+        ``X = eta.point`` (standard metric).
+
+        Costs r linear solves with each of E and D plus O(r^2 (m + n)) work.
+        """
+        X, kron = eta.point, self.kron
+        U, V = X.U, X.V
+        EU = kron.apply_E(U)
+        DV = kron.apply_D(V)
+        M_xi, U_xi, V_xi = _kron_tangent_solve(
+            U, V, EU, DV, U.T @ EU, V.T @ DV, kron.fact_E, kron.fact_D,
+            eta.Up + U @ eta.M, eta.Vp + V @ eta.M.T, eta.M,
+        )
+        return TangentVector(M_xi, U_xi, V_xi, X)
 
     def apply_inv_ambient(self, Z):
         return FactoredMatrix(self.kron.solve_E(Z.left), self.kron.solve_D(Z.right))
@@ -461,33 +325,140 @@ class GenSylvesterPrecond:
         self.factory_BD = ShiftedPencilFactory(B, metric.D)
 
     def apply_inv_tangent(self, eta):
-        return solve_gen_sylvester(
-            eta.point, eta, self.A, self.B, self.factory_AE, self.factory_BD
+        """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly at
+        ``X = eta.point``.
+
+        Only pencils ``A + lam E`` and ``B + lam D`` are ever factorized,
+        r shifts of each, and each shifted solve takes r + 1 right-hand
+        sides.
+        """
+        X = eta.point
+        if X.metric.E is not self.metric.E or X.metric.D is not self.metric.D:
+            raise ValueError("point's metric holds other E or D than the preconditioner's")
+        A, B = self.A, self.B
+        U, V, r = X.U, X.V, X.r
+        AU = A @ U
+        BV = B @ V
+        S_A = U.T @ AU
+        S_B = V.T @ BV
+        lamA, QA = np.linalg.eigh(0.5 * (S_A + S_A.T))
+        lamB, QB = np.linalg.eigh(0.5 * (S_B + S_B.T))
+
+        E_Ueta_b = eta.E_Up @ QB
+        D_Veta_b = eta.D_Vp @ QA
+        Meta_b = QA.T @ eta.M @ QB
+
+        AUb, BVb = AU @ QA, BV @ QB
+        W_u, C_u, LamB_blocks = _bordered_shifted_solves(
+            self.factory_AE, lamB, U @ QA, X.EU @ QA, E_Ueta_b, AUb
         )
+        W_v, C_v, LamA_blocks = _bordered_shifted_solves(
+            self.factory_BD, lamA, V @ QB, X.DV @ QB, D_Veta_b, BVb
+        )
+
+        R = Meta_b - AUb.T @ W_u - (BVb.T @ W_v).T
+        T = np.zeros((r * r, r * r))
+        for i in range(r):
+            T[r * i : r * (i + 1), r * i : r * (i + 1)] += LamB_blocks[i]
+        stride = np.arange(r) * r
+        for j in range(r):
+            T[np.ix_(j + stride, j + stride)] += LamA_blocks[j]
+        Mb = np.linalg.solve(T, R.flatten(order="F")).reshape((r, r), order="F")
+
+        Ub_xi = W_u - np.column_stack([C_u[i] @ Mb[:, i] for i in range(r)])
+        Vb_xi = W_v - np.column_stack([C_v[j] @ Mb[j, :] for j in range(r)])
+
+        U_xi = Ub_xi @ QB.T
+        V_xi = Vb_xi @ QA.T
+        M_xi = QA @ Mb @ QB.T
+        # numerical hygiene: enforce the weighted-orthogonality constraints
+        U_xi -= U @ (X.EU.T @ U_xi)
+        V_xi -= V @ (X.DV.T @ V_xi)
+        return TangentVector(M_xi, U_xi, V_xi, X)
 
 
 class _AdiPrecond:
-    """Shift pairs and sweep count of an ADI preconditioner, with the
-    factorizations of its shifted pencils made on the first apply."""
+    """Shift pairs and sweep count of an ADI preconditioner for
+    ``P X = A X D + E X B`` (``D`` or ``E`` None means the identity), with
+    the factorizations of its shifted pencils made on the first apply."""
 
     def __init__(self, A, B, D, E, shifts: ShiftSet, steps=None):
+        if shifts is None or len(shifts) == 0:
+            raise ValueError("ADI needs a nonempty shift set")
         self.A, self.B, self.D, self.E = A, B, D, E
         self.shifts = shifts
         self.steps = len(shifts) if steps is None else int(steps)
 
     @cached_property
     def factors(self):
-        return adi_factors(self.A, self.B, self.D, self.E, self.shifts, self.steps)
+        """Factorizations ``(A - q_j E, B + p_j D)`` of the shift pairs that
+        ``steps`` sweeps use."""
+        factory_AE = ShiftedPencilFactory(self.A, self.E)
+        factory_BD = ShiftedPencilFactory(self.B, self.D)
+        return [
+            (factory_AE.factor(-q), factory_BD.factor(p))
+            for p, q in self.shifts.pairs[: self.steps]
+        ]
 
 
 class TangAdiPrecond(_AdiPrecond):
     """Approximate inverse of ``P X = A X D + E X B`` by tangADI sweeps."""
 
     def apply_inv_tangent(self, eta):
-        return tangadi_apply(
-            eta.point, eta, self.A, self.B, self.D, self.E,
-            self.shifts, self.steps, self.factors,
-        )
+        """Approximate ``P_X^{-1} eta`` at ``X = eta.point`` by ``steps``
+        sweeps of the tangent-space ADI fixed-point iteration, starting from
+        zero and cycling through the shift pairs.
+
+        Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``,
+        products of A, E, B, D with the r columns of the last iterate's
+        ``Up`` and ``Vp`` (``A U``, ``E U``, ``B V``, ``D V`` are formed once
+        per apply) and O(r^2 (m + n)) dense work.
+        """
+        X = eta.point
+        if not X.metric.is_identity:
+            raise ValueError("tangADI operates in the standard metric")
+        A, B, D, E = self.A, self.B, self.D, self.E
+        shifts, factors = self.shifts, self.factors
+
+        U, V = X.U, X.V
+        AU = A @ U
+        BV = B @ V
+        EU = E @ U if E is not None else U
+        DV = D @ V if D is not None else V
+        S_AU = U.T @ AU
+        S_EU = U.T @ EU
+        S_BV = V.T @ BV
+        S_DV = V.T @ DV
+        UpUM_eta = eta.Up + U @ eta.M
+        VpVM_eta = eta.Vp + V @ eta.M.T
+
+        xi = None
+        for j in range(self.steps):
+            p, q = shifts.pair(j)
+            # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
+            fact_A, fact_B = factors[j % len(shifts)]
+            # the half-step is the Kronecker tangent solve with L = A - q E,
+            # R = B + p D and rho = Z_j + (p - q) eta
+            pq = p - q
+            rhs_u, rhs_v, rhs_m = pq * UpUM_eta, pq * VpVM_eta, pq * eta.M
+            if xi is not None:
+                # Z_j = (A - p E) xi (B + q D) for xi = U M V^T + Up V^T + U Vp^T;
+                # (A - p E) U and (B + q D) V come from the products above
+                Mj, Uj, Vj = xi
+                AU_p, S_A = AU - p * EU, S_AU - p * S_EU
+                BV_q, S_B = BV + q * DV, S_BV + q * S_DV
+                AUj = A @ Uj - p * (E @ Uj if E is not None else Uj)
+                BVj = B @ Vj + q * (D @ Vj if D is not None else Vj)
+                UtAUj = U.T @ AUj
+                core = Mj @ S_B + BVj.T @ V              # U^T xi (B + q D) V
+                rhs_u += AU_p @ core + AUj @ S_B         # Z_j V
+                rhs_v += (BV_q @ Mj.T + BVj) @ S_A + BV_q @ UtAUj.T   # Z_j^T U
+                rhs_m += S_A @ core + UtAUj @ S_B        # U^T Z_j V
+            xi = _kron_tangent_solve(
+                U, V, AU - q * EU, BV + p * DV, S_AU - q * S_EU, S_BV + p * S_DV,
+                fact_A, fact_B, rhs_u, rhs_v, rhs_m,
+            )
+        return TangentVector.zero(X) if xi is None else TangentVector(*xi, X)
 
 
 class FadiAmbientPrecond(_AdiPrecond):

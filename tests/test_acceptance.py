@@ -42,7 +42,7 @@ def _std_point(m, n, r, rng):
 
 
 def test_criterion_1_dense_preconditioner_oracles():
-    """solve_kron / solve_gen_sylvester (E = D = I and weighted) vs dense solves."""
+    """KronPrecond / GenSylvesterPrecond (E = D = I and weighted) vs dense solves."""
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
@@ -57,11 +57,11 @@ def test_criterion_1_dense_preconditioner_oracles():
         eta = geo.project(X, rng.standard_normal((m, n)))
         etad = tv_dense(eta)
 
-        xi = pc.solve_kron(X, eta, geo.KroneckerMetric(E, D))
+        xi = pc.KronPrecond(geo.KroneckerMetric(E, D)).apply_inv_tangent(eta)
         ref = solve_projected_dense(X, etad, lambda T: E @ T @ D)
         worst = max(worst, np.linalg.norm(tv_dense(xi) - ref) / np.linalg.norm(ref))
 
-        xi = pc.solve_gen_sylvester(X, eta, A, B)
+        xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
         ref = solve_projected_dense(X, etad, lambda T: A @ T + T @ B)
         worst = max(worst, np.linalg.norm(tv_dense(xi) - ref) / np.linalg.norm(ref))
 
@@ -69,7 +69,7 @@ def test_criterion_1_dense_preconditioner_oracles():
         Xw = geo.random_point(m, n, r, met, rng)
         etaw = geo.project(Xw, rng.standard_normal((m, n)))
         Einv, Dinv = np.linalg.inv(E), np.linalg.inv(D)
-        xi = pc.solve_gen_sylvester(Xw, etaw, A, B)
+        xi = pc.GenSylvesterPrecond(A, B, Xw.metric).apply_inv_tangent(etaw)
         ref = solve_projected_dense(Xw, tv_dense(etaw), lambda T: Einv @ A @ T + T @ B @ Dinv)
         worst = max(worst, np.linalg.norm(tv_dense(xi) - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
@@ -189,7 +189,7 @@ def test_criterion_4_tangadi_contraction():
 
         errs = []
         for steps in range(1, 10):
-            out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, steps)
+            out = pc.TangAdiPrecond(A, B, D, E, shifts, steps).apply_inv_tangent(eta)
             errs.append(g_norm(tv_dense(out) - star_d))
         ratios = [errs[j + 1] / errs[j] for j in range(3, 8) if errs[j] > 1e-13]
         if ratios:

@@ -184,6 +184,20 @@ def test_compare_requires_two(tmp_path):
     assert main(["compare", str(s)]) == 3
 
 
+@pytest.mark.parametrize(
+    "bad", [{"wall_s": 0.0, "final_rank": 1, "final_res": 0.0, "config": {}}, [1, 2]],
+    ids=["no-iters", "list"],
+)
+def test_compare_bad_summary_exits_4(tmp_path, capsys, bad):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"iters": 1, "wall_s": 0.0, "final_rank": 1,
+                                "final_res": 0.0, "config": {}}))
+    s = tmp_path / "bad.json"
+    s.write_text(json.dumps(bad))
+    assert main(["compare", str(good), str(s)]) == 4
+    assert str(s) in capsys.readouterr().err
+
+
 def test_verify_passes():
     assert main(["verify"]) == 0
 
@@ -239,7 +253,10 @@ def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
     assert (amb.kron.m, amb.kron.n) == (m, n)
 
 
-@pytest.mark.parametrize("bad", [{"solver": "rnlgc"}, {"precond": "p2"}], ids=["solver", "precond"])
+@pytest.mark.parametrize(
+    "bad", [{"solver": "rnlgc"}, {"precond": "p2"}, {"kron_mode": "metrc"}],
+    ids=["solver", "precond", "kron_mode"],
+)
 def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
     inst_dir = tmp_path / "inst"
     inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)

@@ -117,27 +117,6 @@ def test_residual_norm_cases(rng):
     assert abs(eqs.residual_norm_exact(op, X, F) - expected) <= 1e-12 * max(1.0, expected)
 
 
-def test_residual_norm_b_metric(rng):
-    m = n = 6
-    op = make_op(m, n, 2, rng)
-    X = rand_point(m, n, 2, rng)
-    F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
-    E = rand_spd(m, rng)
-    D = rand_spd(n, rng)
-    met = geo.KroneckerMetric(E, D)
-    Rd = sum(
-        np.asarray(Ai) @ point_dense(X) @ np.asarray(Bi).T for Ai, Bi in zip(op.A, op.B)
-    ) - F.densify(force=True)
-    Fd = F.densify(force=True)
-
-    def b_norm(M):
-        return np.sqrt(np.sum((E @ M @ D) * M))
-
-    expected = b_norm(Rd) / b_norm(Fd)
-    got = eqs.residual_norm_exact(op, X, F, metric=met)
-    assert abs(got - expected) <= 1e-12 * max(1.0, expected)
-
-
 def test_residual_norm_zero_rhs_rejected(rng):
     op = make_op(4, 4, 1, rng)
     X = rand_point(4, 4, 1, rng)

@@ -389,21 +389,6 @@ def test_factored_norm_is_frobenius_norm(case):
     assert geo.factored_norm(Z) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
 
-@given(factored_cases, st.booleans())
-def test_factored_norm_is_weighted_b_norm(case, sparse):
-    m, n, k, seed = case
-    rng = np.random.default_rng(seed)
-    if sparse:
-        E, D = rand_band_spd(m, 2, rng, permute=True), rand_band_spd(n, 1, rng)
-        Ed, Dd = E.toarray(), D.toarray()
-    else:
-        E, D = Ed, Dd = rand_spd(m, rng, 50.0), rand_spd(n, rng, 50.0)
-    Z = geo.FactoredMatrix(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
-    Zd = Z.left @ Z.right.T
-    ref = np.sqrt(max(b_inner(Zd, Zd, Ed, Dd), 0.0))
-    assert geo.factored_norm(Z, geo.KroneckerMetric(E, D)) == pytest.approx(ref, rel=1e-10, abs=1e-300)
-
-
 # ---------------------------------------------------------------------------
 # weighted SVD of factored matrices against dense references
 # ---------------------------------------------------------------------------
@@ -444,3 +429,74 @@ def test_weighted_svd_of_factored_matches_dense(m, n, above, kind, data):
     assert np.linalg.norm((U * s) @ V.T - Zd) <= 1e-10 * np.linalg.norm(Zd)
     assert np.linalg.norm(U.T @ E @ U - np.eye(q)) <= 1e-10
     assert np.linalg.norm(V.T @ D @ V - np.eye(q)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# rank-deficient tangent directions against dense references
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def deficient_tangents(draw):
+    """(point, tangent vector, dense E, dense D) in an identity, dense or
+    sparse metric, where ``Up`` has rank ``ku < r`` (zero included) and
+    ``Vp`` rank ``kv <= r``, as near convergence or at a rank increase."""
+    r = draw(st.integers(1, 3))
+    m, n = draw(st.integers(r, 12)), draw(st.integers(r, 12))
+    ku, kv = draw(st.integers(0, r - 1)), draw(st.integers(0, r))
+    kind = draw(st.sampled_from(["identity", "dense", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    met, E, D = metric_of_kind(kind, m, n, rng)
+    X = geo.random_point(m, n, r, met, rng)
+    Up = rng.standard_normal((m, ku)) @ rng.standard_normal((ku, r))
+    Vp = rng.standard_normal((n, kv)) @ rng.standard_normal((kv, r))
+    # the gauge U^T E Up = 0, V^T D Vp = 0 keeps the ranks at most ku, kv
+    Up -= X.U @ (X.EU.T @ Up)
+    Vp -= X.V @ (X.DV.T @ Vp)
+    return X, geo.TangentVector(rng.standard_normal((r, r)), Up, Vp, X), E, D
+
+
+def assert_same_tangent(xi, eta, rel=1e-10):
+    scale = max(1.0, np.linalg.norm(tv_dense(eta)))
+    for a, b in ((xi.M, eta.M), (xi.Up, eta.Up), (xi.Vp, eta.Vp)):
+        assert np.linalg.norm(a - b) <= rel * scale
+
+
+@given(deficient_tangents())
+def test_weighted_qr_of_rank_deficient_block(case):
+    X, xi, E, _ = case
+    Y = np.hstack([X.U, xi.Up])
+    Q, R = geo.weighted_qr(Y, X.metric.fact_E)
+    assert np.linalg.norm(Q.T @ E @ Q - np.eye(Q.shape[1])) <= 1e-10
+    assert np.linalg.norm(Q @ R - Y) <= 1e-10 * np.linalg.norm(Y)
+
+
+@given(deficient_tangents(), st.floats(0.05, 1.0))
+def test_retract_rank_deficient_matches_dense_truncation(case, t):
+    """The step is scaled to a tenth of sigma_r in the B-norm, so the
+    rank-r truncation of ``X + t xi`` is well separated and unique."""
+    X, xi, _, _ = case
+    nrm = geo.norm(xi)
+    if nrm > 0:
+        xi = xi.scaled(0.1 * X.sigma.min() / (t * nrm))
+    out = geo.retract(X, xi, t)
+    assert out.validate(tol=1e-10)
+    ref = geo.truncate(X.densify(force=True) + t * tv_dense(xi), X.r, X.metric)
+    ref_d = ref.densify(force=True)
+    assert np.linalg.norm(out.densify(force=True) - ref_d) <= 1e-10 * np.linalg.norm(ref_d)
+
+
+@given(deficient_tangents())
+def test_transport_rank_deficient_to_same_point(case):
+    X, xi, _, _ = case
+    assert_same_tangent(geo.transport(X, xi), xi)
+
+
+@given(deficient_tangents())
+def test_projection_idempotent_on_rank_deficient_tangents(case):
+    """Dense input through the dense path, its projection once more
+    through the factored path: both leave a tangent vector unchanged."""
+    X, xi, _, _ = case
+    once = geo.project(X, tv_dense(xi))
+    assert_same_tangent(once, xi)
+    assert_same_tangent(geo.project(X, once.embed()), once)

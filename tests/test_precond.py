@@ -26,21 +26,22 @@ def rand_eta(X, rng):
 
 
 # ---------------------------------------------------------------------------
-# solve_kron
+# KronPrecond
 # ---------------------------------------------------------------------------
 
 
 def test_kron_identity_matrices(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_kron(X, eta, geo.KroneckerMetric.identity(7, 6))
+    xi = pc.KronPrecond(geo.KroneckerMetric.identity(7, 6)).apply_inv_tangent(eta)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta)) <= 1e-14
 
 
 def test_kron_scalar_scaling(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_kron(X, eta, geo.KroneckerMetric(2.0 * np.eye(7), 3.0 * np.eye(6)))
+    kron = geo.KroneckerMetric(2.0 * np.eye(7), 3.0 * np.eye(6))
+    xi = pc.KronPrecond(kron).apply_inv_tangent(eta)
     assert np.linalg.norm(xi.M - eta.M / 6.0) <= 1e-13
     assert np.linalg.norm(xi.Up - eta.Up / 6.0) <= 1e-13
     assert np.linalg.norm(xi.Vp - eta.Vp / 6.0) <= 1e-13
@@ -51,7 +52,7 @@ def test_kron_dense_oracle(rng):
     X = std_point(m, n, 2, rng)
     E, D = rand_spd(m, rng), rand_spd(n, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_kron(X, eta, geo.KroneckerMetric(E, D))
+    xi = pc.KronPrecond(geo.KroneckerMetric(E, D)).apply_inv_tangent(eta)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: E @ T @ D)
     assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-10 * max(1, np.linalg.norm(expected))
 
@@ -83,14 +84,14 @@ def test_kron_precond_factorizes_nothing_of_its_own(rng, monkeypatch, sparse):
 
 
 # ---------------------------------------------------------------------------
-# solve_gen_sylvester with E = D = I: the Sylvester preconditioner P1
+# GenSylvesterPrecond with E = D = I: the Sylvester preconditioner P1
 # ---------------------------------------------------------------------------
 
 
 def test_sylvester_scalar(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, 2.0 * np.eye(7), 3.0 * np.eye(6))
+    xi = pc.GenSylvesterPrecond(2.0 * np.eye(7), 3.0 * np.eye(6), X.metric).apply_inv_tangent(eta)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 5.0) <= 1e-12
 
 
@@ -99,7 +100,7 @@ def test_sylvester_full_rank_matches_kronecker_solve(rng):
     X = std_point(m, n, m, rng)
     A, B = rand_spd(m, rng), rand_spd(n, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
     K = np.kron(np.eye(n), A) + np.kron(B, np.eye(m))
     expected = np.linalg.solve(K, tv_dense(eta).reshape(-1, order="F")).reshape(
         (m, n), order="F"
@@ -114,7 +115,7 @@ def test_sylvester_dense_oracle(rng):
     A = rand_spd(m, rng, cond=50.0)
     B = rand_spd(n, rng, cond=50.0)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: A @ T + T @ B)
     assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-9 * max(1, np.linalg.norm(expected))
 
@@ -125,7 +126,7 @@ def test_sylvester_sparse_coefficients(rng):
     B = sp.diags([2.0 + rng.uniform(size=n)], [0]).tocsr()
     X = std_point(m, n, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
     # forward check: Proj(A xi + xi B) = eta
     dense = tv_dense(xi)
     back = proj_dense(X, A.toarray() @ dense + dense @ B.toarray())
@@ -133,7 +134,7 @@ def test_sylvester_sparse_coefficients(rng):
 
 
 # ---------------------------------------------------------------------------
-# solve_gen_sylvester
+# GenSylvesterPrecond
 # ---------------------------------------------------------------------------
 
 
@@ -143,7 +144,7 @@ def test_gen_sylvester_doubling_identity(rng):
     met = geo.KroneckerMetric(E, D)
     X = geo.random_point(m, n, 2, met, rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, E, D)
+    xi = pc.GenSylvesterPrecond(E, D, X.metric).apply_inv_tangent(eta)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 2.0) <= 1e-11
 
 
@@ -154,7 +155,7 @@ def test_gen_sylvester_dense_oracle(rng):
     X = geo.random_point(m, n, 2, met, rng)
     A, B = rand_spd(m, rng, 30.0), rand_spd(n, rng, 30.0)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
     Einv = np.linalg.inv(E)
     Dinv = np.linalg.inv(D)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ A @ T + T @ B @ Dinv)
@@ -180,7 +181,7 @@ def test_gen_sylvester_sparse_pencils_dense_oracle(rng, permute):
     assert (numkit.rcm_bands(B, D)[0] is not None) == permute
     X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
     eta = rand_eta(X, rng)
-    xi = pc.solve_gen_sylvester(X, eta, A, B)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
     Ad, Bd, Dd, Ed = (M.toarray() for M in (A, B, D, E))
     Einv, Dinv = np.linalg.inv(Ed), np.linalg.inv(Dd)
     expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ Ad @ T + T @ Bd @ Dinv)
@@ -204,7 +205,7 @@ def test_metric_route_equals_gradient_route(rng):
     met_id = geo.KroneckerMetric.identity(m, n)
     Xs = geo.truncate(Xw.densify(force=True), r, met_id)
     grad_std = geo.project(Xs, Zd)
-    grad_precond = pc.solve_kron(Xs, grad_std, geo.KroneckerMetric(E, D))
+    grad_precond = pc.KronPrecond(geo.KroneckerMetric(E, D)).apply_inv_tangent(grad_std)
 
     da = tv_dense(grad_metric)
     db = tv_dense(grad_precond)
@@ -247,7 +248,8 @@ def test_tangadi_identity_one_step_exact(rng):
     X = std_point(m, n, 2, rng)
     eta = rand_eta(X, rng)
     shifts = pc.ShiftSet(((1.0, -1.0),))
-    xi = pc.tangadi_apply(X, eta, np.eye(m), np.eye(n), np.eye(n), np.eye(m), shifts, 1)
+    prec = pc.TangAdiPrecond(np.eye(m), np.eye(n), np.eye(n), np.eye(m), shifts, 1)
+    xi = prec.apply_inv_tangent(eta)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 2.0) <= 1e-12
 
 
@@ -264,13 +266,13 @@ def test_tangadi_fixed_point(rng):
     eta = geo.project(X, A @ tv_dense(xi_star) @ D + E @ tv_dense(xi_star) @ B)
     for p, q in ((2.0, -2.0), (0.7, -5.0), (11.0, -0.3)):
         shifts = pc.ShiftSet(((p, q),))
-        xi_1 = tv_dense(pc.tangadi_apply(X, eta, A, B, D, E, shifts, 1))
-        xi_2 = tv_dense(pc.tangadi_apply(X, eta, A, B, D, E, shifts, 2))
+        xi_1 = tv_dense(pc.TangAdiPrecond(A, B, D, E, shifts, 1).apply_inv_tangent(eta))
+        xi_2 = tv_dense(pc.TangAdiPrecond(A, B, D, E, shifts, 2).apply_inv_tangent(eta))
         rhs = proj_dense(X, (A - p * E) @ xi_1 @ (B + q * D)) + (p - q) * tv_dense(eta)
         expected = solve_projected_dense(X, rhs, lambda T: (A - q * E) @ T @ (B + p * D))
         assert np.linalg.norm(xi_2 - expected) <= 1e-11 * np.linalg.norm(expected)
     shifts = pc.ShiftSet(((2.0, -2.0),))
-    out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 120)
+    out = pc.TangAdiPrecond(A, B, D, E, shifts, 120).apply_inv_tangent(eta)
     assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
 
@@ -289,7 +291,7 @@ def test_tangadi_one_sweep_on_diffusion_instance(rng):
     shifts = pc.wachspress_shifts(a, bb, c, d, 8)
     X = std_point(n, n, 3, rng)
     eta = rand_eta(X, rng)
-    xi = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 8)
+    xi = pc.TangAdiPrecond(A, B, D, E, shifts, 8).apply_inv_tangent(eta)
     xid = tv_dense(xi)
     back = geo.project(X, A.toarray() @ xid @ D.toarray() + E.toarray() @ xid @ B.toarray())
     rel = geo.norm(back.plus(eta, -1.0)) / geo.norm(eta)
@@ -306,7 +308,7 @@ def test_tangadi_shift_order_invariant_fixed_point(rng):
     pairs = ((1.5, -2.0), (4.0, -0.8), (0.9, -6.0))
     for order in (pairs, pairs[::-1]):
         shifts = pc.ShiftSet(order)
-        out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 60)
+        out = pc.TangAdiPrecond(A, B, D, E, shifts, 60).apply_inv_tangent(eta)
         assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
 
@@ -344,7 +346,7 @@ def test_tangadi_contraction_rate(rng):
 
         errs = []
         for steps in range(1, 10):
-            out = pc.tangadi_apply(X, eta, A, B, D, E, shifts, steps)
+            out = pc.TangAdiPrecond(A, B, D, E, shifts, steps).apply_inv_tangent(eta)
             errs.append(g_norm(tv_dense(out) - tv_dense(xi_star)))
         ratios = [errs[j + 1] / errs[j] for j in range(3, 8) if errs[j] > 1e-13]
         if ratios and max(ratios) > rho_X + 0.05:
@@ -374,11 +376,12 @@ def test_spectral_radius_inequality(rng):
         assert rho_X <= rho_amb + 1e-10
 
 
-def test_tangadi_requires_shifts(rng):
-    X = std_point(5, 5, 1, rng)
-    eta = rand_eta(X, rng)
-    with pytest.raises(ValueError):
-        pc.tangadi_apply(X, eta, np.eye(5), np.eye(5), None, None, None, 1)
+def test_tangadi_requires_shifts():
+    """tangADI and fADI refuse a missing or empty shift set when built."""
+    for cls in (pc.TangAdiPrecond, pc.FadiAmbientPrecond):
+        for shifts in (None, pc.ShiftSet(())):
+            with pytest.raises(ValueError, match="nonempty shift set"):
+                cls(np.eye(5), np.eye(5), None, None, shifts, 1)
 
 
 def counted_pencil_factors(monkeypatch):
@@ -429,7 +432,7 @@ def test_tangadi_factors_each_shift_pair_once(rng, monkeypatch):
     out = [prec.apply_inv_tangent(eta) for eta in etas]
     assert sorted(calls) == sorted([-q for _, q in shifts.pairs] + [p for p, _ in shifts.pairs])
     for eta, xi in zip(etas, out):
-        fresh = pc.tangadi_apply(X, eta, A, B, D, E, shifts, 5)
+        fresh = pc.TangAdiPrecond(A, B, D, E, shifts, 5).apply_inv_tangent(eta)
         assert np.array_equal(tv_dense(xi), tv_dense(fresh))
 
 
@@ -469,19 +472,14 @@ def test_gen_sylvester_precond_rejects_point_of_other_metric(rng):
         X = geo.random_point(m, n, 2, other, rng)
         with pytest.raises(ValueError, match="other E or D"):
             prec.apply_inv_tangent(rand_eta(X, rng))
-    # another metric object that holds the same E and D is accepted
+    # another metric object that holds the same E and D is accepted, and
+    # gives the result of P2 built on that metric bit for bit
     X = geo.random_point(m, n, 2, geo.KroneckerMetric(E, D), rng)
     eta = rand_eta(X, rng)
+    own = pc.GenSylvesterPrecond(A, B, X.metric)
     assert np.array_equal(
-        tv_dense(prec.apply_inv_tangent(eta)), tv_dense(pc.solve_gen_sylvester(X, eta, A, B))
+        tv_dense(prec.apply_inv_tangent(eta)), tv_dense(own.apply_inv_tangent(eta))
     )
-    # so does the function when handed pencil factories for other E or D
-    for fac_AE, fac_BD in (
-        (pc.ShiftedPencilFactory(A, E.copy()), prec.factory_BD),
-        (prec.factory_AE, pc.ShiftedPencilFactory(B)),
-    ):
-        with pytest.raises(ValueError, match="other E or D"):
-            pc.solve_gen_sylvester(X, eta, A, B, fac_AE, fac_BD)
 
 
 @pytest.mark.parametrize("sparse", [False, True])

@@ -140,7 +140,7 @@ def test_full_rank_gen_sylvester_cross_check(rng):
     # full-rank point and tangent solve equal the dense solve
     X = geo.random_point(n, n, n, met, rng)
     eta = geo.project(X, rng.standard_normal((n, n)))
-    xi = pc.solve_gen_sylvester(X, eta, A, B)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
     xid = X.U @ xi.M @ X.V.T + xi.Up @ X.V.T + X.U @ xi.Vp.T
     etad = X.U @ eta.M @ X.V.T + eta.Up @ X.V.T + X.U @ eta.Vp.T
     K = np.kron(Dd.toarray(), A.toarray()) + np.kron(B.toarray(), Ee.toarray())
