@@ -10,7 +10,8 @@ Subcommands:
     instance.
 
 Exit codes: 0 success, 2 solver non-convergence (or failed verify),
-3 invalid configuration, 4 I/O failure.  ``LRMEQ_OUT`` sets the default
+3 invalid configuration (a flag, config key or setting that is rejected),
+4 I/O failure.  ``LRMEQ_OUT`` sets the default
 output directory.
 """
 
@@ -29,7 +30,7 @@ from . import geometry as geo
 from . import io as inst_io
 from . import precond as pc
 from . import problems as pb
-from .solver_rnlcg import RnlcgOptions, rnlcg_solve
+from .solver_rnlcg import RnlcgOptions, check_int, check_positive, rnlcg_solve
 from .solver_rram import RramOptions, rram_solve
 from .trunc_cg import TruncationPolicy, truncate_factored, truncated_cg_solve
 
@@ -54,6 +55,15 @@ _CONFIG_DEFAULTS = {
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A flag argparse rejects is an invalid configuration: exit 3, not
+    argparse's 2, which is the code for a solve that did not converge."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _default_out(name):
@@ -114,6 +124,32 @@ def _load_config(args):
     if cfg["kron_mode"] not in ("metric", "gradient"):
         raise ConfigError(f"unknown Kronecker mode {cfg['kron_mode']!r}")
     return cfg
+
+
+def _solver_options(cfg):
+    """The configured solver's options, built before any set-up.  A setting
+    they reject, or an ADI count or iteration budget out of range, is a
+    configuration error that names the setting."""
+    try:
+        check_int("adi_shifts", cfg["adi_shifts"], 1)
+        check_int("adi_steps", cfg["adi_steps"], 1)
+        check_int("max_iters", cfg["max_iters"], 0)   # RRAM's max_total_iters
+        if cfg["solver"] == "rnlcg":
+            return RnlcgOptions(
+                rank=cfg["rank"], max_iters=cfg["max_iters"], tol=cfg["tol"],
+                seed=cfg["seed"], check_every=cfg["check_every"],
+            )
+        if cfg["solver"] == "rram":
+            return RramOptions(
+                r0=cfg["r0"], r_up=cfg["r_up"], tol=cfg["tol"], seed=cfg["seed"],
+                max_total_iters=cfg["max_iters"],
+            )
+        check_positive("tol", cfg["tol"])
+        if cfg["rank_cap"] is not None:
+            check_int("rank_cap", cfg["rank_cap"], 1)
+        return TruncationPolicy.from_tol(cfg["tol"], rank_cap=cfg["rank_cap"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _wachspress_for(spec, J):
@@ -191,31 +227,22 @@ def _build_ambient_precond(inst, cfg, norm_F):
 
 def run_solve(cfg):
     """Run one solver configuration; returns (summary dict, trace)."""
+    opts = _solver_options(cfg)
     inst = inst_io.import_instance(cfg["instance"])
     t0 = time.perf_counter()
     if cfg["solver"] == "rnlcg":
         metric, precond = _build_tangent_setup(inst, cfg)
-        opts = RnlcgOptions(
-            rank=cfg["rank"], max_iters=cfg["max_iters"], tol=cfg["tol"],
-            seed=cfg["seed"], check_every=cfg["check_every"],
-        )
         X, trace, status = rnlcg_solve(inst.op, inst.F, opts, metric=metric, precond=precond)
         final_rank = X.r
     elif cfg["solver"] == "rram":
         metric, precond = _build_tangent_setup(inst, cfg)
-        opts = RramOptions(
-            r0=cfg["r0"], r_up=cfg["r_up"], tol=cfg["tol"], seed=cfg["seed"],
-            max_total_iters=cfg["max_iters"],
-            inner=RnlcgOptions(rank=cfg["r0"], tol=cfg["tol"], seed=cfg["seed"]),
-        )
         X, trace, status = rram_solve(inst.op, inst.F, opts, metric=metric, precond=precond)
         final_rank = X.r
     else:
         norm_F = geo.factored_norm(inst.F)
         precond = _build_ambient_precond(inst, cfg, norm_F)
-        policy = TruncationPolicy.from_tol(cfg["tol"], rank_cap=cfg["rank_cap"])
         X, trace, status = truncated_cg_solve(
-            inst.op, inst.F, precond, policy, cfg["tol"], cfg["max_iters"]
+            inst.op, inst.F, precond, opts, cfg["tol"], cfg["max_iters"]
         )
         final_rank = X.k
     wall = time.perf_counter() - t0
@@ -357,7 +384,7 @@ def cmd_verify(_args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lrmeq",
         description="Low-rank multiterm matrix equation solver benchmark harness",
     )

@@ -51,8 +51,8 @@ class KroneckerMetric:
             numkit.check_symmetric(E, name="E")
         if D is not None:
             numkit.check_symmetric(D, name="D")
-        self.fact_E = numkit.spd_factorize(E) if E is not None else None
-        self.fact_D = numkit.spd_factorize(D) if D is not None else None
+        self.fact_E = numkit.SpdFactorization(E) if E is not None else None
+        self.fact_D = numkit.SpdFactorization(D) if D is not None else None
 
     @classmethod
     def identity(cls, m, n):

@@ -3,10 +3,11 @@
 Everything here is a thin, deterministic layer over numpy/scipy LAPACK
 wrappers: thin SVD/QR with fixed sign conventions, symmetric eigensolves,
 and SPD factorizations that expose a triangular square-root factor
-``C`` with ``A = C.T @ C`` for both dense and sparse input.  Sparse SPD
-matrices are factorized by a banded Cholesky, after a reverse-Cuthill-McKee
+``C`` with ``A = C.T @ C``.  There is one SPD backend, a banded Cholesky:
+a sparse matrix is factorized in its band, after a reverse-Cuthill-McKee
 reordering when that narrows the band, so banded problems (tridiagonal,
-five-point stencils) factor in O(n * bandwidth^2).
+five-point stencils) factor in O(n * bandwidth^2); a dense matrix is its
+own full band.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class NotSpdError(ValueError):
-    """Raised when a matrix handed to ``spd_factorize`` is not SPD.
+    """Raised when a matrix handed to ``SpdFactorization`` is not SPD.
 
     ``index`` is the 1-based index of the failing pivot / leading minor
     when the underlying LAPACK routine reports one, else -1.
@@ -98,83 +99,46 @@ def qr_thin(A):
     return Q, R
 
 
-def _banded_upper_from_csc(A, bandwidth):
-    """Extract the upper band of a sparse symmetric matrix into LAPACK
+def _upper_band(A, bandwidth):
+    """Upper band of a symmetric (sparse or dense) matrix in LAPACK
     upper-banded storage ``ab[u + i - j, j] = A[i, j]``."""
     n = A.shape[0]
     ab = np.zeros((bandwidth + 1, n))
     for k in range(bandwidth + 1):
-        diag = A.diagonal(k)
-        ab[bandwidth - k, k:] = diag
+        ab[bandwidth - k, k:] = A.diagonal(k)
     return ab
 
 
 def rcm_bands(*mats):
-    """Reverse-Cuthill-McKee order of sparse symmetric matrices of one size.
+    """Upper-banded storage of symmetric matrices of one size, in the order
+    that narrows their common band.
 
-    Returns ``(perm, bands)``: the permutation of the union of their
-    sparsity patterns, and each matrix permuted by it in upper-banded
-    storage.  All bands share the bandwidth of the permuted union pattern,
-    so any linear combination of the matrices fits in them.  ``perm`` is
-    None when the natural order is already as narrow as RCM's (banded
-    input, which RCM would only reverse), and the bands are unpermuted.
+    Returns ``(perm, bands)``: the permutation of the rows and columns
+    (None for the natural order) and each matrix permuted by it in
+    upper-banded storage.  All bands share one bandwidth, so any linear
+    combination of the matrices fits in them.  Sparse matrices take the
+    reverse-Cuthill-McKee order of the union of their sparsity patterns
+    where it is narrower than the natural order (banded input, which RCM
+    would only reverse, keeps its order).  A dense matrix, or a set that
+    includes one, is its own full band in natural order.
     """
-    pattern = sp.identity(mats[0].shape[0], format="csr")
+    n = mats[0].shape[0]
+    if not all(sp.issparse(M) for M in mats):
+        return None, [_upper_band(as_dense(M), n - 1) for M in mats]
+    mats = [M.tocsr() for M in mats]
+    pattern = sp.identity(n, format="csr")
     for M in mats:
         pattern = pattern + abs(M) + abs(M).T
     perm = np.asarray(reverse_cuthill_mckee(pattern.tocsr(), symmetric_mode=True))
     bw, bw_natural = _bandwidth(pattern[perm][:, perm]), _bandwidth(pattern)
     if bw_natural <= bw:
-        return None, [_banded_upper_from_csc(M, bw_natural) for M in mats]
-    return perm, [_banded_upper_from_csc(M[perm][:, perm], bw) for M in mats]
+        return None, [_upper_band(M, bw_natural) for M in mats]
+    return perm, [_upper_band(M[perm][:, perm], bw) for M in mats]
 
 
 def _bandwidth(pattern):
     rows, cols = pattern.nonzero()
     return int(np.max(np.abs(rows - cols)))
-
-
-class _TriBandFactor:
-    """Upper-triangular banded factor R with ``M = R.T @ R``.
-
-    ``spd_solve`` solves with ``M`` in one LAPACK call on the factor:
-    ``pttrs`` on the equivalent ``L diag(d) L.T`` form when the band is
-    tridiagonal, ``pbtrs`` otherwise.
-    """
-
-    def __init__(self, ab_upper):
-        self.ab = ab_upper
-        self.bw = ab_upper.shape[0] - 1
-        if self.bw == 1:
-            # R = diag(r) + superdiagonal s gives d = r^2, e = s / r
-            self._d = ab_upper[1] ** 2
-            self._e = ab_upper[0, 1:] / ab_upper[1, :-1]
-
-    @cached_property
-    def R(self):
-        """CSR copy of R; only products with R need it."""
-        n = self.ab.shape[1]
-        offs = list(range(self.bw + 1))
-        data = [np.concatenate([np.zeros(k), self.ab[self.bw - k, k:]]) for k in offs]
-        # row-aligned diagonals for dia_matrix: diagonal k has length n - k
-        return sp.dia_matrix((np.array(data), offs), shape=(n, n)).tocsr()
-
-    def mul(self, M):
-        return self.R @ M
-
-    def tmul(self, M):
-        return self.R.T @ M
-
-    def spd_solve(self, M):
-        if self.bw == 1:
-            return _lapack_solve(lapack.dpttrs, (self._d, self._e), M)
-        return _lapack_solve(lapack.dpbtrs, (self.ab,), M)
-
-    def solve(self, M):
-        return _lapack_solve(lapack.dtbtrs, (self.ab,), M)
-
-    def tsolve(self, M):
-        return _lapack_solve(lapack.dtbtrs, (self.ab,), M, trans="T")
 
 
 def _lapack_solve(routine, factor, b, **kw):
@@ -186,43 +150,31 @@ def _lapack_solve(routine, factor, b, **kw):
 
 
 class SpdFactorization:
-    """Cholesky-type factorization of an SPD matrix with repeated solves.
+    """Banded Cholesky factorization of an SPD matrix with repeated solves.
 
-    Provides ``solve`` plus access to a (possibly permuted) triangular
-    square root ``C`` with ``A = C.T @ C`` through ``c_mul``, ``c_solve``,
-    ``ct_mul`` and ``ct_solve``.  Instances are immutable after
-    construction and re-entrant.
+    The matrix, permuted as ``rcm_bands`` orders it, is ``R.T @ R`` with
+    an upper-triangular banded factor R.  ``solve`` solves with the matrix
+    in one LAPACK call on R: ``pttrs`` on the equivalent ``L diag(d) L.T``
+    form when the band is tridiagonal, ``pbtrs`` otherwise.  ``c_mul``,
+    ``c_solve``, ``ct_mul`` and ``ct_solve`` give access to the square
+    root ``C = R P`` (P the permutation) with ``A = C.T @ C``.  Instances
+    are immutable after construction and re-entrant.
     """
 
     def __init__(self, A):
-        if sp.issparse(A):
-            perm, (ab,) = rcm_bands(A.tocsr())
-            self._init_banded(ab, perm, None if perm is None else np.argsort(perm))
-        else:
-            self._init_dense(np.asarray(A, dtype=float))
+        perm, (ab,) = rcm_bands(A)
+        self._init_banded(ab, perm, None if perm is None else np.argsort(perm))
 
-    # -- dense backend ----------------------------------------------------
-    def _init_dense(self, A):
-        self.n = A.shape[0]
-        self.kind = "dense"
-        try:
-            # upper factor: A = Ct @ C with C upper triangular
-            self._C = sla.cholesky(A, lower=False)
-        except sla.LinAlgError as exc:
-            raise NotSpdError(str(exc), _pivot_index(exc)) from exc
-        self._perm = None
-
-    # -- sparse backend (banded Cholesky, RCM order if narrower) ----------
     def _init_banded(self, ab_upper, perm, iperm):
-        self.n = ab_upper.shape[1]
-        self.kind = "banded"
         try:
-            cb = sla.cholesky_banded(ab_upper, lower=False)
+            self._ab = sla.cholesky_banded(ab_upper, lower=False)
         except sla.LinAlgError as exc:
             raise NotSpdError(str(exc), _pivot_index(exc)) from exc
-        self._band = _TriBandFactor(cb)
-        self._perm = perm
-        self._iperm = iperm
+        self._perm, self._iperm = perm, iperm
+        self._pttrs = None
+        if self._ab.shape[0] == 2:
+            # R = diag(r) + superdiagonal s gives d = r^2, e = s / r
+            self._pttrs = (self._ab[1] ** 2, self._ab[0, 1:] / self._ab[1, :-1])
 
     @classmethod
     def from_banded(cls, ab_upper, perm=None, iperm=None):
@@ -233,57 +185,50 @@ class SpdFactorization:
         self._init_banded(ab_upper, perm, iperm)
         return self
 
-    # -- solves ------------------------------------------------------------
+    @cached_property
+    def _R(self):
+        """CSR copy of R; only products with R need it."""
+        bw, n = self._ab.shape[0] - 1, self._ab.shape[1]
+        offs = list(range(bw + 1))
+        data = [np.concatenate([np.zeros(k), self._ab[bw - k, k:]]) for k in offs]
+        # row-aligned diagonals for dia_matrix: diagonal k has length n - k
+        return sp.dia_matrix((np.array(data), offs), shape=(n, n)).tocsr()
+
+    def _permuted(self, M):
+        return M[self._perm] if self._perm is not None else M
+
+    def _unpermuted(self, M):
+        return M[self._iperm] if self._perm is not None else M
+
     def solve(self, b):
         """Solve ``A x = b`` for a vector or a block of right-hand sides."""
-        b = np.asarray(b, dtype=float)
-        if self.kind == "dense":
-            return sla.cho_solve((self._C, False), b)
-        bp = b[self._perm] if self._perm is not None else b
-        x = self._band.spd_solve(bp)
-        return x[self._iperm] if self._perm is not None else x
+        bp = self._permuted(np.asarray(b, dtype=float))
+        if self._pttrs is not None:
+            x = _lapack_solve(lapack.dpttrs, self._pttrs, bp)
+        else:
+            x = _lapack_solve(lapack.dpbtrs, (self._ab,), bp)
+        return self._unpermuted(x)
 
     # -- square-root factor C with A = C.T @ C -----------------------------
     def c_mul(self, M):
-        if self.kind == "dense":
-            return self._C @ M
-        Mp = M[self._perm] if self._perm is not None else M
-        return self._band.mul(Mp)
+        return self._R @ self._permuted(M)
 
     def c_solve(self, M):
-        if self.kind == "dense":
-            return sla.solve_triangular(self._C, M, lower=False)
-        x = self._band.solve(M)
-        return x[self._iperm] if self._perm is not None else x
+        return self._unpermuted(_lapack_solve(lapack.dtbtrs, (self._ab,), M))
 
     def ct_mul(self, M):
-        if self.kind == "dense":
-            return self._C.T @ M
-        y = self._band.tmul(M)
-        return y[self._iperm] if self._perm is not None else y
+        return self._unpermuted(self._R.T @ M)
 
     def ct_solve(self, M):
-        if self.kind == "dense":
-            return sla.solve_triangular(self._C.T, M, lower=True)
-        Mp = M[self._perm] if self._perm is not None else M
-        return self._band.tsolve(Mp)
-
-
-def spd_factorize(A):
-    """Factorize a symmetric positive definite (dense or sparse) matrix."""
-    return SpdFactorization(A)
+        return _lapack_solve(lapack.dtbtrs, (self._ab,), self._permuted(M), trans="T")
 
 
 def check_symmetric(A, tol=1e-12, name="matrix"):
     """Raise if ``A`` deviates from symmetry by more than ``tol`` (relative)."""
-    if sp.issparse(A):
-        d = abs(A - A.T)
-        dev = d.max() if d.nnz else 0.0
-        scale = abs(A).max() if A.nnz else 1.0
-    else:
-        A = np.asarray(A)
-        dev = np.max(np.abs(A - A.T)) if A.size else 0.0
-        scale = np.max(np.abs(A)) if A.size else 1.0
+    A = sp.csr_matrix(A)
+    d = abs(A - A.T)
+    dev = d.max() if d.nnz else 0.0
+    scale = abs(A).max() if A.nnz else 1.0
     if dev > tol * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric (relative deviation {dev / scale:.2e})")
 

@@ -40,28 +40,19 @@ _DENSE_EIG_LIMIT = 256
 class ShiftedPencilFactory:
     """SPD factorizations of ``A + shift * E`` for varying shifts.
 
-    For sparse input the band-narrowing permutation (if any), its inverse
-    and the band extraction are computed once from the union of the
-    sparsity patterns; each shift then costs one banded Cholesky.
+    The band-narrowing permutation (if any), its inverse and the band
+    extraction are computed once from the union of the sparsity patterns
+    (``numkit.rcm_bands``); each shift then costs one banded Cholesky.
     ``E=None`` means the identity.
     """
 
     def __init__(self, A, E=None):
-        n = A.shape[0]
-        if sp.issparse(A) and (E is None or sp.issparse(E)):
-            E = sp.identity(n, format="csr") if E is None else E.tocsr()
-            self._perm, (self._A, self._E) = numkit.rcm_bands(A.tocsr(), E)
-            self._iperm = None if self._perm is None else np.argsort(self._perm)
-            self.kind = "banded"
-        else:
-            self._A = numkit.as_dense(A)
-            self._E = np.eye(n) if E is None else numkit.as_dense(E)
-            self.kind = "dense"
+        E = sp.identity(A.shape[0], format="csr") if E is None else E
+        self._perm, (self._A, self._E) = numkit.rcm_bands(A, E)
+        self._iperm = None if self._perm is None else np.argsort(self._perm)
 
     def factor(self, shift):
         """Factorize ``A + shift * E``; nothing is kept between calls."""
-        if self.kind == "dense":
-            return numkit.spd_factorize(self._A + shift * self._E)
         return numkit.SpdFactorization.from_banded(
             self._A + shift * self._E, self._perm, self._iperm
         )
@@ -202,7 +193,7 @@ def adi_error_bound(shifts: ShiftSet, lam, mu):
     return out
 
 
-def spectral_interval(A, E=None, steps=_LANCZOS_STEPS):
+def spectral_interval(A, E=None):
     """Bracket the spectrum of the SPD pencil (A, E) with a safety margin.
 
     Small problems use a dense solve; larger ones a short Lanczos run on
@@ -210,7 +201,7 @@ def spectral_interval(A, E=None, steps=_LANCZOS_STEPS):
     back to Gershgorin-type bounds on breakdown.
     """
     m = A.shape[0]
-    fact_E = numkit.spd_factorize(E) if E is not None else None
+    fact_E = numkit.SpdFactorization(E) if E is not None else None
 
     def opmul(X):
         Y = X if fact_E is None else fact_E.c_solve(X)
@@ -224,12 +215,12 @@ def spectral_interval(A, E=None, steps=_LANCZOS_STEPS):
 
     v = np.ones(m) + 1e-3 * np.sin(np.arange(m))
     v /= np.linalg.norm(v)
-    Vb = np.zeros((m, steps))
+    Vb = np.zeros((m, _LANCZOS_STEPS))
     alphas, betas = [], []
     beta = 0.0
     v_prev = np.zeros(m)
     try:
-        for k in range(steps):
+        for k in range(_LANCZOS_STEPS):
             Vb[:, k] = v
             w = opmul(v)
             alpha = float(v @ w)
@@ -260,14 +251,9 @@ def spectral_interval(A, E=None, steps=_LANCZOS_STEPS):
 
 
 def _gershgorin(A):
-    Ad = numkit.as_dense(A) if A.shape[0] <= 4096 else None
-    if Ad is None:
-        A = A.tocsr()
-        diag = A.diagonal()
-        off = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
-    else:
-        diag = np.diag(Ad)
-        off = np.sum(np.abs(Ad), axis=1) - np.abs(diag)
+    A = sp.csr_matrix(A)
+    diag = A.diagonal()
+    off = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag - off)), float(np.max(diag + off))
 
 
@@ -385,9 +371,11 @@ class _AdiPrecond:
     def __init__(self, A, B, D, E, shifts: ShiftSet, steps=None):
         if shifts is None or len(shifts) == 0:
             raise ValueError("ADI needs a nonempty shift set")
+        self.steps = len(shifts) if steps is None else int(steps)
+        if self.steps < 1:
+            raise ValueError(f"ADI needs steps >= 1, got {steps}")
         self.A, self.B, self.D, self.E = A, B, D, E
         self.shifts = shifts
-        self.steps = len(shifts) if steps is None else int(steps)
 
     @cached_property
     def factors(self):
@@ -458,7 +446,7 @@ class TangAdiPrecond(_AdiPrecond):
                 U, V, AU - q * EU, BV + p * DV, S_AU - q * S_EU, S_BV + p * S_DV,
                 fact_A, fact_B, rhs_u, rhs_v, rhs_m,
             )
-        return TangentVector.zero(X) if xi is None else TangentVector(*xi, X)
+        return TangentVector(*xi, X)
 
 
 class FadiAmbientPrecond(_AdiPrecond):

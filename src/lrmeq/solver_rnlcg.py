@@ -19,6 +19,7 @@ gives the next residual and products.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,26 @@ class RnlcgOptions:
     seed: int = 0
 
     def __post_init__(self):
+        check_int("rank", self.rank, 1)
+        check_int("max_iters", self.max_iters, 0)
+        check_int("check_every", self.check_every, 1)
+        check_int("seed", self.seed, 0)
+        check_positive("tol", self.tol)
         if not 0.0 < self.armijo_slope < 1.0:
             raise ValueError("Armijo slope must lie in (0, 1)")
+
+
+def check_int(name, value, minimum):
+    """Raise ``ValueError`` naming the option unless ``value`` is an
+    integer ``>= minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_positive(name, value):
+    """Raise ``ValueError`` naming the option unless ``value`` is a number > 0."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not value > 0:
+        raise ValueError(f"{name} must be a number > 0, got {value!r}")
 
 
 def search_direction(g, h, prev=None):
@@ -142,11 +161,11 @@ class RnlcgState:
         self.op = op
         self.F = F
         self.opts = opts
-        self.metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
         self.precond = precond if precond is not None else IdentityPrecond()
         rng = rng if rng is not None else np.random.default_rng(opts.seed)
         if X0 is None:
-            X0 = geo.random_point(op.m, op.n, opts.rank, self.metric, rng)
+            metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+            X0 = geo.random_point(op.m, op.n, opts.rank, metric, rng)
         self.norm_F = geo.factored_norm(F)
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")

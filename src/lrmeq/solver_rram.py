@@ -16,7 +16,9 @@ import numpy as np
 
 from . import equations as eqs
 from . import geometry as geo
-from .solver_rnlcg import SPD_LOSS, LineSearchError, RnlcgOptions, RnlcgState
+from .solver_rnlcg import (
+    SPD_LOSS, LineSearchError, RnlcgOptions, RnlcgState, check_int, check_positive,
+)
 from .trace import SolveTrace
 
 EPS_SIGMA = 1e-8          # numerical-rank threshold of the rank decrease
@@ -37,6 +39,11 @@ class RramOptions:
     inner: RnlcgOptions | None = None
 
     def __post_init__(self):
+        check_int("r0", self.r0, 1)
+        check_int("r_up", self.r_up, 1)
+        check_int("max_total_iters", self.max_total_iters, 0)
+        check_int("seed", self.seed, 0)
+        check_positive("tol", self.tol)
         if self.inner is None:
             self.inner = RnlcgOptions(rank=self.r0, tol=self.tol, seed=self.seed)
 

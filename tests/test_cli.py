@@ -266,6 +266,56 @@ def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [["--precond", "p2"], ["--rank", "abc"]], ids=["choice", "type"])
+def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
+    """A rejected flag value is an invalid configuration (3), like the same
+    value in a config file, not a solve that did not converge (2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", str(tmp_path), *argv])
+    assert exc.value.code == 3
+    assert argv[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "solver, source, key, value",
+    [
+        ("rnlcg", "flag", "check_every", 0),
+        ("rnlcg", "flag", "rank", 0),
+        ("rram", "flag", "r0", 0),
+        ("rram", "flag", "r_up", 0),
+        ("rnlcg", "flag", "adi_shifts", 0),
+        ("trunc_cg", "flag", "adi_steps", 0),
+        ("rram", "flag", "tol", -1.0),
+        ("rnlcg", "file", "rank", "12"),
+        ("rnlcg", "file", "tol", "1e-6"),
+        ("rram", "file", "tol", "1e-6"),
+        ("trunc_cg", "file", "tol", "1e-6"),
+        ("rram", "file", "max_iters", 1.5),
+        ("trunc_cg", "file", "rank_cap", 0),
+    ],
+)
+def test_bad_setting_exits_3_before_set_up(tmp_path, capsys, monkeypatch, solver, source, key, value):
+    """Out-of-range or wrongly typed settings are rejected before any set-up
+    or solve, with exit 3 and a message that names the setting."""
+    def no_set_up(*args):
+        raise AssertionError("set-up reached")
+
+    monkeypatch.setattr(cli, "_build_tangent_setup", no_set_up)
+    monkeypatch.setattr(cli, "_build_ambient_precond", no_set_up)
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
+    argv = ["solve", "--instance", str(inst_dir), "--solver", solver,
+            "--out", str(tmp_path / "run")]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 3
+    assert key in capsys.readouterr().err
+
+
 def test_corrupted_instance_exits_4(tmp_path):
     inst_dir = tmp_path / "inst"
     inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)

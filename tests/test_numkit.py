@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrmeq import numkit as nk
+from lrmeq import precond as pc
 
 from oracles import rand_band_spd, rand_spd
 
@@ -97,7 +98,7 @@ def test_qr_thin_rejects_nonfinite():
 
 
 def test_spd_scaled_identity():
-    f = nk.spd_factorize(4.0 * np.eye(3))
+    f = nk.SpdFactorization(4.0 * np.eye(3))
     e1 = np.zeros(3); e1[0] = 1.0
     assert np.allclose(f.solve(e1), 0.25 * e1)
 
@@ -105,7 +106,7 @@ def test_spd_scaled_identity():
 def test_spd_tridiag_matches_dense_inverse():
     n = 5
     A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
-    f = nk.spd_factorize(A)
+    f = nk.SpdFactorization(A)
     Ainv = np.linalg.inv(A.toarray())
     B = np.eye(n)
     assert np.linalg.norm(f.solve(B) - Ainv) <= 1e-12
@@ -113,15 +114,15 @@ def test_spd_tridiag_matches_dense_inverse():
 
 def test_spd_rejects_indefinite():
     with pytest.raises(nk.NotSpdError):
-        nk.spd_factorize(np.diag([1.0, -1.0, 2.0]))
+        nk.SpdFactorization(np.diag([1.0, -1.0, 2.0]))
     with pytest.raises(nk.NotSpdError) as err:
-        nk.spd_factorize(sp.diags([np.array([1.0, -1.0, 2.0])], [0]).tocsr())
+        nk.SpdFactorization(sp.diags([np.array([1.0, -1.0, 2.0])], [0]).tocsr())
     assert err.value.index != 0
 
 
 def test_sqrt_factor_roundtrip(rng):
     A = rand_spd(8, rng, cond=100.0)
-    f = nk.spd_factorize(A)
+    f = nk.SpdFactorization(A)
     C = f.c_mul(np.eye(8))
     assert np.linalg.norm(C.T @ C - A) <= 1e-12 * np.linalg.norm(A)
     X = rng.standard_normal((8, 3))
@@ -134,7 +135,7 @@ def test_sparse_permuted_band(rng):
     A = sp.diags([-np.ones(n - 1), 3 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
     p = rng.permutation(n)
     As = A[p][:, p].tocsr()
-    f = nk.spd_factorize(As)
+    f = nk.SpdFactorization(As)
     x = rng.standard_normal(n)
     assert np.linalg.norm(f.solve(As @ x) - x) < 1e-12
     C = f.c_mul(np.eye(n))
@@ -168,8 +169,8 @@ def test_rcm_bands_keeps_a_narrowing_permutation(rng, bw):
 
 def test_factorizations_deterministic(rng):
     A = rand_spd(10, rng)
-    f1 = nk.spd_factorize(A.copy())
-    f2 = nk.spd_factorize(A.copy())
+    f1 = nk.SpdFactorization(A.copy())
+    f2 = nk.SpdFactorization(A.copy())
     b = rng.standard_normal(10)
     assert np.array_equal(f1.solve(b), f2.solve(b))
 
@@ -177,7 +178,7 @@ def test_factorizations_deterministic(rng):
 def test_solve_roundtrip_conditioned(rng):
     for cond in (10.0, 1e4, 1e6):
         A = rand_spd(12, rng, cond=cond)
-        f = nk.spd_factorize(A)
+        f = nk.SpdFactorization(A)
         x = rng.standard_normal(12)
         assert np.linalg.norm(f.solve(A @ x) - x) <= 1e-10 * np.linalg.norm(x)
 
@@ -209,8 +210,7 @@ def test_banded_solve_matches_dense_solve(case, nrhs):
     A = rand_band_spd(n, bw, rng, permute)
     if not permute:
         assert nk.rcm_bands(A)[0] is None   # a band in natural order is kept
-    f = nk.spd_factorize(A)
-    assert f.kind == "banded"
+    f = nk.SpdFactorization(A)
     b = rng.standard_normal(n) if nrhs == 0 else rng.standard_normal((n, nrhs))
     x = f.solve(b)
     assert x.shape == b.shape
@@ -225,7 +225,7 @@ def test_banded_square_root_round_trips(case):
     A = rand_band_spd(n, bw, rng, permute)
     if not permute:
         assert nk.rcm_bands(A)[0] is None
-    f = nk.spd_factorize(A)
+    f = nk.SpdFactorization(A)
     C = f.c_mul(np.eye(n))
     assert np.linalg.norm(C.T @ C - A.toarray()) <= 1e-12 * np.linalg.norm(A.toarray())
     assert np.allclose(f.ct_mul(np.eye(n)), C.T, rtol=0.0, atol=1e-14 * np.abs(C).max())
@@ -244,15 +244,63 @@ def test_indefinite_tridiagonal_raises(n, data):
     A = rand_band_spd(n, 1, rng).tolil()
     A[bad, bad] = -rng.uniform(0.1, 2.0)    # e_bad.T A e_bad < 0
     with pytest.raises(nk.NotSpdError):
-        nk.spd_factorize(A.tocsr())
+        nk.SpdFactorization(A.tocsr())
 
 
 def test_banded_solve_rejects_nonfinite_rhs():
     n = 6
     A = sp.diags([-np.ones(n - 1), 3 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
-    f = nk.spd_factorize(A)
+    f = nk.SpdFactorization(A)
     b = np.ones(n)
     b[2] = np.nan
     for solve in (f.solve, f.c_solve, f.ct_solve):
         with pytest.raises(ValueError):
             solve(b)
+
+
+# ---------------------------------------------------------------------------
+# dense input: its own full band in natural order
+# ---------------------------------------------------------------------------
+
+dense_cases = st.tuples(
+    st.integers(1, 40),            # n
+    st.integers(0, 6),             # bandwidth of the nonzeros; 6: no exact zeros
+    st.integers(0, 2**32 - 1),     # seed of the entries
+)
+
+
+def dense_spd(n, bw, rng):
+    """Dense SPD array, full or with exact zeros outside a permuted band."""
+    if bw == 6:
+        return rand_spd(n, rng)
+    return rand_band_spd(n, bw, rng, permute=True).toarray()
+
+
+@given(dense_cases, st.booleans(), st.floats(0.0, 10.0))
+def test_dense_input_factors_as_a_full_band(case, with_E, shift):
+    """``SpdFactorization`` of a dense A, and the pencil ``A + shift E`` of a
+    dense A with a sparse or missing E, solve like ``np.linalg.solve`` and
+    have a square root with ``C.T C`` equal to the matrix."""
+    n, bw, seed = case
+    rng = np.random.default_rng(seed)
+    A = dense_spd(n, bw, rng)
+    E = rand_band_spd(n, 1, rng) if with_E else None
+    perm, (ab,) = nk.rcm_bands(A)
+    assert perm is None and ab.shape == (n, n)
+    pencil = A + shift * (E.toarray() if with_E else np.eye(n))
+    b = rng.standard_normal((n, 3))
+    for f, M in ((nk.SpdFactorization(A), A),
+                 (pc.ShiftedPencilFactory(A, E).factor(shift), pencil)):
+        ref = np.linalg.solve(M, b)
+        assert np.linalg.norm(f.solve(b) - ref) <= 1e-11 * max(1.0, np.linalg.norm(ref))
+        C = f.c_mul(np.eye(n))
+        assert np.linalg.norm(C.T @ C - M) <= 1e-12 * np.linalg.norm(M)
+        X = b[:, :2]
+        assert np.linalg.norm(f.c_solve(f.c_mul(X)) - X) <= 1e-11 * np.linalg.norm(X)
+        assert np.linalg.norm(f.ct_solve(f.ct_mul(X)) - X) <= 1e-11 * np.linalg.norm(X)
+
+
+def test_dense_indefinite_reports_pivot_index():
+    with pytest.raises(nk.NotSpdError) as err:
+        nk.SpdFactorization(np.diag([1.0, -1.0, 2.0]))
+    assert err.value.index == 2

@@ -67,12 +67,12 @@ def test_kron_precond_factorizes_nothing_of_its_own(rng, monkeypatch, sparse):
     else:
         kron = geo.KroneckerMetric(rand_spd(m, rng), rand_spd(n, rng))
     made = []
-    for init in ("_init_dense", "_init_banded"):
-        def counted(self, *args, _orig=getattr(numkit.SpdFactorization, init)):
-            made.append(self)
-            return _orig(self, *args)
 
-        monkeypatch.setattr(numkit.SpdFactorization, init, counted)
+    def counted(self, *args, _orig=numkit.SpdFactorization._init_banded):
+        made.append(self)
+        return _orig(self, *args)
+
+    monkeypatch.setattr(numkit.SpdFactorization, "_init_banded", counted)
     prec = pc.KronPrecond(kron)
     X = std_point(m, n, 2, rng)
     prec.apply_inv_tangent(rand_eta(X, rng))
@@ -382,6 +382,14 @@ def test_tangadi_requires_shifts():
         for shifts in (None, pc.ShiftSet(())):
             with pytest.raises(ValueError, match="nonempty shift set"):
                 cls(np.eye(5), np.eye(5), None, None, shifts, 1)
+
+
+def test_adi_requires_a_sweep():
+    """tangADI and fADI refuse fewer than one sweep when built."""
+    shifts = pc.ShiftSet(((2.0, -2.0),))
+    for cls in (pc.TangAdiPrecond, pc.FadiAmbientPrecond):
+        with pytest.raises(ValueError, match="steps >= 1"):
+            cls(np.eye(5), np.eye(5), None, None, shifts, 0)
 
 
 def counted_pencil_factors(monkeypatch):

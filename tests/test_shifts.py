@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 
 from lrmeq import precond as pc
 
-from oracles import rand_spd
+from oracles import rand_band_spd, rand_spd
 
 
 def symmetric_bound_1d(ps, grid):
@@ -129,3 +129,13 @@ def test_interval_lanczos_path(rng):
     lam = np.linalg.eigvalsh(A.toarray())
     assert a <= lam[0] and b >= lam[-1]
     assert a >= lam[0] / 2 and b <= 2 * lam[-1]
+
+
+def test_gershgorin_bounds_of_dense_and_sparse_input_agree(rng):
+    A = rand_band_spd(30, 2, rng, permute=True)
+    lo, hi = pc._gershgorin(A)
+    assert pc._gershgorin(A.toarray()) == (lo, hi)
+    lam = np.linalg.eigvalsh(A.toarray())
+    assert lo <= lam[0] and hi >= lam[-1]
+    # dense input above 4096 rows takes the same formula (int8 keeps it 17 MB)
+    assert pc._gershgorin(2 * np.eye(4097, dtype=np.int8)) == (2.0, 2.0)
