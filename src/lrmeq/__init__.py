@@ -5,14 +5,14 @@ manifolds by preconditioned Riemannian nonlinear CG, with an optional
 rank-adaptive outer loop, plus a truncated-CG baseline for comparison.
 """
 
-from .equations import LowRankRhs, MultitermOperator, objective, residual, residual_norm_exact
+from .equations import LowRankRhs, MultitermOperator, residual, residual_norm_exact
 from .geometry import (
     FactoredMatrix,
     FixedRankPoint,
     KroneckerMetric,
+    LineSearchRetraction,
     TangentVector,
     project,
-    retract,
     transport,
     truncate,
     weighted_svd,

@@ -197,8 +197,9 @@ def _build_tangent_setup(inst, cfg):
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
 
 
-def _build_ambient_precond(inst, cfg, norm_F):
-    """Ambient preconditioner for truncated CG."""
+def _build_ambient_precond(inst, cfg, policy, norm_F):
+    """Ambient preconditioner for truncated CG; fADI recompresses its
+    sweeps with the solver's truncation ``policy``."""
     label = cfg["precond"]
     if label == "identity":
         return pc.IdentityPrecond()
@@ -210,7 +211,6 @@ def _build_ambient_precond(inst, cfg, norm_F):
         )
     if kind in ("sylv", "gen_sylv"):
         shifts = _wachspress_for(spec, cfg["adi_shifts"])
-        policy = TruncationPolicy.from_tol(cfg["tol"], rank_cap=cfg["rank_cap"])
 
         def trunc(Z):
             out, _ = truncate_factored(
@@ -240,7 +240,7 @@ def run_solve(cfg):
         final_rank = X.r
     else:
         norm_F = geo.factored_norm(inst.F)
-        precond = _build_ambient_precond(inst, cfg, norm_F)
+        precond = _build_ambient_precond(inst, cfg, opts, norm_F)
         X, trace, status = truncated_cg_solve(
             inst.op, inst.F, precond, opts, cfg["tol"], cfg["max_iters"]
         )

@@ -71,12 +71,6 @@ class MultitermOperator:
             K += np.kron(numkit.as_dense(Bi), numkit.as_dense(Ai))
         return K
 
-    def spd_check_dense(self):
-        """Smallest eigenvalue of the dense Kronecker matrix (small instances)."""
-        K = self.dense_kron()
-        w = np.linalg.eigvalsh(0.5 * (K + K.T))
-        return float(w[0])
-
 
 def _term_products(mats, Y):
     """``M_i Y`` for every term, stacked along the first axis."""
@@ -181,10 +175,6 @@ def _projected_terms(mats, Q, R, AY, YAY, s=1.0):
     G[:, :r, r:] = G[:, r:, :r].transpose(0, 2, 1)
     G[:, r:, r:] = Q2.T @ _term_products(mats, Q2)
     return G
-
-
-def objective(op, X, F) -> float:
-    return evaluate(op, X, F).f
 
 
 def residual_norm_exact(op, X, F) -> float:

@@ -76,12 +76,6 @@ class KroneckerMetric:
     def solve_D(self, M):
         return M if self.fact_D is None else self.fact_D.solve(M)
 
-    def dense_E(self):
-        return np.eye(self.m) if self.E is None else numkit.as_dense(self.E)
-
-    def dense_D(self):
-        return np.eye(self.n) if self.D is None else numkit.as_dense(self.D)
-
 
 @dataclass(frozen=True)
 class FactoredMatrix:
@@ -192,17 +186,6 @@ class FixedRankPoint:
             raise ValueError("scale must be positive")
         return FixedRankPoint(self.U, alpha * self.sigma, self.V, self.metric)
 
-    def validate(self, tol=1e-8):
-        """Check the weighted orthonormality invariants (for tests/debug)."""
-        r = self.r
-        du = np.linalg.norm(self.U.T @ self.EU - np.eye(r))
-        dv = np.linalg.norm(self.V.T @ self.DV - np.eye(r))
-        if max(du, dv) > tol:
-            raise ValueError(f"point factors lost weighted orthonormality ({du:.1e}, {dv:.1e})")
-        if np.any(self.sigma <= 0):
-            raise ValueError("nonpositive singular value")
-        return True
-
 
 class TangentVector:
     """Tangent vector ``U M V.T + Up V.T + U Vp.T`` at a FixedRankPoint.
@@ -232,14 +215,6 @@ class TangentVector:
         if self._D_Vp is None:
             self._D_Vp = self.point.metric.apply_D(self.Vp)
         return self._D_Vp
-
-    @classmethod
-    def zero(cls, point):
-        m, n = point.shape
-        r = point.r
-        z_m = np.zeros((m, r))
-        z_n = np.zeros((n, r))
-        return cls(np.zeros((r, r)), z_m, z_n, point, E_Up=z_m, D_Vp=z_n)
 
     def scaled(self, alpha):
         return TangentVector(alpha * self.M, alpha * self.Up, alpha * self.Vp, self.point)
@@ -445,12 +420,6 @@ class LineSearchRetraction:
     def point(self, u, s, v) -> FixedRankPoint:
         """The point of the core ``(u, s, v)`` that ``at`` returned."""
         return FixedRankPoint(self.QU @ u, s, self.QV @ v, self.X.metric)
-
-
-def retract(X: FixedRankPoint, xi: TangentVector, t: float = 1.0) -> FixedRankPoint:
-    """Metric projection retraction of ``X + t xi`` onto rank r."""
-    retr = LineSearchRetraction(X, xi)
-    return retr.point(*retr.at(t))
 
 
 def random_point(m, n, r, metric: KroneckerMetric, rng, fro_norm=1.0) -> FixedRankPoint:

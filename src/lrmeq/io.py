@@ -25,8 +25,8 @@ _MM_PRECISION = 17
 
 class InstanceError(OSError):
     """An instance directory that cannot be read back: an unknown manifest
-    format, a manifest that lacks a required key, or a file whose content
-    does not match its stored hash."""
+    format, a manifest that lacks a required key, a file whose content
+    does not match its stored hash, or matrices that do not fit together."""
 
 
 def _sha256(path):
@@ -96,8 +96,8 @@ def import_instance(in_dir) -> ProblemInstance:
     """Read back an instance directory written by ``export_instance``.
 
     Every file is checked against its sha256 in the manifest; a mismatch,
-    a missing manifest key or an unknown manifest format raises
-    ``InstanceError``.
+    a missing manifest key, an unknown manifest format, or matrices whose
+    count or shapes do not form one equation raise ``InstanceError``.
     """
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -120,15 +120,29 @@ def import_instance(in_dir) -> ProblemInstance:
         return _read_matrix(path)
 
     ell = required(manifest, "ell", "'ell'")
-    op = MultitermOperator([load(f"A{i}") for i in range(ell)],
-                           [load(f"B{i}") for i in range(ell)])
-    F = LowRankRhs(np.atleast_2d(load("FL")), np.atleast_2d(load("FR")))
+    try:
+        op = MultitermOperator([load(f"A{i}") for i in range(ell)],
+                               [load(f"B{i}") for i in range(ell)])
+        F = LowRankRhs(np.atleast_2d(load("FL")), np.atleast_2d(load("FR")))
+    except ValueError as exc:
+        raise InstanceError(f"{in_dir}: {exc}") from None
+
+    def check_shape(what, M, shape):
+        if M.shape != shape:
+            raise InstanceError(f"{in_dir}: {what} is {M.shape[0]}x{M.shape[1]}, "
+                                f"the operator needs {shape[0]}x{shape[1]}")
+
+    check_shape("the right-hand side", F, (op.m, op.n))
+    # A and E act on the m side of X, B and D on the n side
+    sides = {"A": op.m, "E": op.m, "B": op.n, "D": op.n}
     preconds = {}
     for label, entry in manifest.get("precond", {}).items():
         spec = {"kind": required(entry, "kind", f"the {label!r} preconditioner's 'kind'")}
         matrices = required(entry, "matrices", f"the {label!r} preconditioner's 'matrices'")
         for key, name in matrices.items():
             spec[key] = None if name is None else load(name)
+            if spec[key] is not None and key in sides:
+                check_shape(f"the {label!r} preconditioner's {key}", spec[key], (sides[key],) * 2)
         preconds[label] = spec
     return ProblemInstance(
         op, F,

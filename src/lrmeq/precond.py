@@ -182,17 +182,6 @@ def wachspress_shifts(a, b, c, d, J):
     return ShiftSet(pairs)
 
 
-def adi_error_bound(shifts: ShiftSet, lam, mu):
-    """Product bound ``prod |(lam - p)(mu + q)| / |(lam - q)(mu + p)|`` on a
-    grid; lam, mu are 1-d arrays, result is a (len(lam), len(mu)) array."""
-    lam = np.asarray(lam, dtype=float)[:, None]
-    mu = np.asarray(mu, dtype=float)[None, :]
-    out = np.ones((lam.shape[0], mu.shape[1]))
-    for p, q in shifts.pairs:
-        out *= np.abs((lam - p) * (mu + q)) / (np.abs((lam - q) * (mu + p)))
-    return out
-
-
 def spectral_interval(A, E=None):
     """Bracket the spectrum of the SPD pencil (A, E) with a safety margin.
 

@@ -157,15 +157,11 @@ class RnlcgState:
     rank changes; ``rnlcg_solve`` wraps it with stopping tests.
     """
 
-    def __init__(self, op, F, opts, metric=None, precond=None, X0=None, rng=None):
+    def __init__(self, op, F, opts, X0, precond=None):
         self.op = op
         self.F = F
         self.opts = opts
         self.precond = precond if precond is not None else IdentityPrecond()
-        rng = rng if rng is not None else np.random.default_rng(opts.seed)
-        if X0 is None:
-            metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
-            X0 = geo.random_point(op.m, op.n, opts.rank, metric, rng)
         self.norm_F = geo.factored_norm(F)
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")
@@ -255,7 +251,7 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None, X0=None):
         rng = np.random.default_rng(opts.seed)
         X0 = geo.random_point(op.m, op.n, opts.rank, metric, rng)
     try:
-        state = RnlcgState(op, F, opts, metric=metric, precond=precond, X0=X0)
+        state = RnlcgState(op, F, opts, X0, precond=precond)
     except SPD_LOSS:
         trace.append(iter=0, rank=X0.r)
         return trace.finish(X0, "spd_loss")

@@ -198,11 +198,11 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
     """
     trace = SolveTrace()
     rng = np.random.default_rng(opts.seed)
-    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
     if X0 is None:
+        metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
         X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
     try:
-        state = RnlcgState(op, F, opts.inner, metric=metric, precond=precond, X0=X0)
+        state = RnlcgState(op, F, opts.inner, X0, precond=precond)
     except SPD_LOSS:
         trace.append(iter=0, rank=X0.r)
         return trace.finish(X0, "spd_loss")

@@ -2,6 +2,9 @@
 
 Everything here works on explicit dense matrices and deliberately avoids
 the package's factored code paths, so failures localize to the library.
+Nothing here imports ``lrmeq``: the oracles read the attributes of the
+package's values (factors, metric matrices, shift pairs) and never call
+its functions or methods.
 """
 
 import mpmath as mp
@@ -38,8 +41,29 @@ def point_dense(X):
     return (X.U * X.sigma) @ X.V.T
 
 
+def dense(M):
+    """A dense float array of a sparse matrix or an array."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+
+
 def dense_metric(X):
-    return X.metric.dense_E(), X.metric.dense_D()
+    """Dense ``(E, D)`` of a Kronecker metric or of a point's metric; a
+    missing E or D is the identity."""
+    met = getattr(X, "metric", X)
+    E = np.eye(met.m) if met.E is None else dense(met.E)
+    D = np.eye(met.n) if met.D is None else dense(met.D)
+    return E, D
+
+
+def assert_valid_point(X, tol=1e-8):
+    """The invariants of a fixed-rank point: ``U.T E U = I``,
+    ``V.T D V = I`` within ``tol`` and positive singular values."""
+    E, D = dense_metric(X)
+    r = X.sigma.size
+    du = np.linalg.norm(X.U.T @ E @ X.U - np.eye(r))
+    dv = np.linalg.norm(X.V.T @ D @ X.V - np.eye(r))
+    assert max(du, dv) <= tol, f"factors lost weighted orthonormality ({du:.1e}, {dv:.1e})"
+    assert np.all(X.sigma > 0), "nonpositive singular value"
 
 
 def b_inner(A, B, E, D):
@@ -115,13 +139,27 @@ def spectral_radius(M):
 
 def kron_matrix(A_list, B_list):
     """sum_i kron(B_i, A_i) built densely and independently."""
-    def dense(M):
-        return M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=float)
-
     K = np.kron(dense(B_list[0]), dense(A_list[0]))
     for Ai, Bi in zip(A_list[1:], B_list[1:]):
         K = K + np.kron(dense(Bi), dense(Ai))
     return K
+
+
+def min_eigenvalue(K):
+    """Smallest eigenvalue of the symmetric part of a dense matrix."""
+    return float(np.linalg.eigvalsh(0.5 * (K + K.T))[0])
+
+
+def adi_error_bound(pairs, lam, mu):
+    """Product bound ``prod |(lam - p)(mu + q)| / |(lam - q)(mu + p)|`` of
+    the shift pairs ``(p, q)`` on a grid; lam, mu are 1-d arrays, the
+    result is a (len(lam), len(mu)) array."""
+    lam = np.asarray(lam, dtype=float)[:, None]
+    mu = np.asarray(mu, dtype=float)[None, :]
+    out = np.ones((lam.shape[0], mu.shape[1]))
+    for p, q in pairs:
+        out *= np.abs((lam - p) * (mu + q)) / (np.abs((lam - q) * (mu + p)))
+    return out
 
 
 def dense_pcg(K, b, M_inv, iters):

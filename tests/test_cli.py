@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from lrmeq import cli
@@ -9,6 +10,7 @@ from lrmeq import io as inst_io
 from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq.cli import main, run_solve, _CONFIG_DEFAULTS
+from lrmeq.trunc_cg import TruncationPolicy
 
 
 def read_trace_rows(path, drop_time=True):
@@ -248,9 +250,34 @@ def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
         assert isinstance(prec, pc.IdentityPrecond)
     else:
         assert metric.is_identity and isinstance(prec, pc.KronPrecond)
-    amb = cli._build_ambient_precond(inst, cfg, geo.factored_norm(inst.F))
+    policy = cli._solver_options(dict(cfg, solver="trunc_cg"))
+    amb = cli._build_ambient_precond(inst, cfg, policy, geo.factored_norm(inst.F))
     assert isinstance(amb, pc.KronPrecond) and amb.kron.D is None
     assert (amb.kron.m, amb.kron.n) == (m, n)
+
+
+@pytest.mark.parametrize(
+    "eps_rel_r, abs_tail, rank_cap, keep",
+    [(0.05, 0.0, None, 2), (0.0, 0.005, None, 3), (0.0, 0.0, 1, 1)],
+    ids=["eps_rel_r", "eps_abs_r", "rank_cap"],
+)
+def test_ambient_fadi_truncates_with_the_solver_policy(rng, eps_rel_r, abs_tail, rank_cap, keep):
+    """The fADI hook of truncated CG recompresses with the policy it is
+    given, each of whose thresholds here keeps fewer singular values than
+    the policy of the configured ``tol`` (all five).  ``abs_tail`` is
+    the absolute threshold ``eps_abs_r * ||F||``."""
+    inst = pb.gen_synthetic(7, 6, 2, seed=5)
+    cfg = dict(_CONFIG_DEFAULTS, solver="trunc_cg", precond="P2")
+    norm_F = geo.factored_norm(inst.F)
+    policy = TruncationPolicy(0.0, eps_rel_r, abs_tail / norm_F, rank_cap)
+    amb = cli._build_ambient_precond(inst, cfg, policy, norm_F)
+    assert isinstance(amb, pc.FadiAmbientPrecond)
+    Q1, _ = np.linalg.qr(rng.standard_normal((7, 5)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((6, 5)))
+    Z = geo.FactoredMatrix(Q1 * np.geomspace(1.0, 1e-4, 5), Q2)
+    assert amb.truncate_fn(Z).k == keep
+    default = cli._build_ambient_precond(inst, cfg, cli._solver_options(cfg), norm_F)
+    assert default.truncate_fn(Z).k == 5
 
 
 @pytest.mark.parametrize(
@@ -334,6 +361,48 @@ def test_corrupted_instance_exits_4(tmp_path):
     manifest = json.loads((inst_dir / "manifest.json").read_text())
     (inst_dir / "manifest.json").write_text(json.dumps(dict(manifest, format="other")))
     assert main(argv) == 4
+
+
+def _rewrite(inst_dir, manifest, name, M):
+    """Replace the matrix file ``name`` by ``M`` with a matching hash."""
+    path = inst_dir / manifest["files"][name]
+    inst_io._write_matrix(str(path), M)
+    manifest["sha256"][name] = inst_io._sha256(path)
+
+
+def _no_terms(inst_dir, manifest, inst):
+    manifest["ell"] = 0
+
+
+def _short_rhs(inst_dir, manifest, inst):
+    _rewrite(inst_dir, manifest, "FL", inst.F.left[:-1])
+
+
+def _short_p2_E(inst_dir, manifest, inst):
+    _rewrite(inst_dir, manifest, "p2_E", inst.p2["E"][:-1, :-1])
+
+
+def _p2_D_on_the_m_side(inst_dir, manifest, inst):
+    _rewrite(inst_dir, manifest, "p2_D", inst.p2["E"])
+
+
+@pytest.mark.parametrize("corrupt", [_no_terms, _short_rhs, _short_p2_E, _p2_D_on_the_m_side])
+def test_malformed_instance_exits_4(tmp_path, capsys, corrupt):
+    """Files that hash correctly but do not form one m x n equation with
+    its preconditioners are an unreadable instance: exit 4, not a
+    traceback from the solver's set-up."""
+    inst = pb.gen_synthetic(7, 6, 2, seed=5)
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(inst, inst_dir)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    corrupt(inst_dir, manifest, inst)
+    (inst_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(inst_io.InstanceError):
+        inst_io.import_instance(inst_dir)
+    argv = ["solve", "--instance", str(inst_dir), "--solver", "rnlcg", "--precond", "P2",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 4
+    assert "I/O error" in capsys.readouterr().err
 
 
 def _drop_ell(m):

@@ -7,6 +7,8 @@ from lrmeq import numkit
 from lrmeq import precond as pc
 
 from oracles import (
+    adi_error_bound,
+    dense_metric,
     proj_dense,
     projected_operator_matrix,
     rand_band_spd,
@@ -79,7 +81,7 @@ def test_kron_precond_factorizes_nothing_of_its_own(rng, monkeypatch, sparse):
     Z = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     W = prec.apply_inv_ambient(Z)
     assert made == []
-    E, D = kron.dense_E(), kron.dense_D()
+    E, D = dense_metric(kron)
     assert np.allclose(E @ W.densify() @ D, Z.densify(), rtol=1e-10, atol=1e-10)
 
 
@@ -530,5 +532,5 @@ def test_fadi_matches_exact_solve_rate(rng):
     resid = A @ Xd @ D + E @ Xd @ B - rhs.densify(force=True)
     lam = np.geomspace(a, bb, 80)
     mu = np.geomspace(c, d, 80)
-    bound = pc.adi_error_bound(shifts, lam, mu).max()
+    bound = adi_error_bound(shifts.pairs, lam, mu).max()
     assert np.linalg.norm(resid) <= 5 * bound * np.linalg.norm(rhs.densify(force=True))

@@ -9,7 +9,15 @@ from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import solver_rnlcg as rn
 
-from oracles import euclid_nlcg, kron_matrix, objective_diff_exact, point_dense, rand_spd, tv_dense
+from oracles import (
+    assert_valid_point,
+    euclid_nlcg,
+    kron_matrix,
+    objective_diff_exact,
+    point_dense,
+    rand_spd,
+    tv_dense,
+)
 
 
 def make_spd_problem(m, n, ell, rng, sol_rank=3, cond=30.0):
@@ -20,6 +28,15 @@ def make_spd_problem(m, n, ell, rng, sol_rank=3, cond=30.0):
     Xs = geo.random_point(m, n, sol_rank, met, rng)
     Ff = op.apply(Xs)
     return op, eqs.LowRankRhs(Ff.left, Ff.right), Xs
+
+
+def start_state(op, F, opts, metric=None, precond=None):
+    """The state ``rnlcg_solve`` starts from: a random rank-``opts.rank``
+    point of unit norm drawn from ``opts.seed``, in the identity metric
+    unless ``metric`` is given."""
+    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+    X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
+    return rn.RnlcgState(op, F, opts, X0, precond=precond)
 
 
 def line_model(state, xi):
@@ -73,7 +90,7 @@ def test_full_space_directions_match_classical_cg(rng):
     K = kron_matrix(op.A, op.B)
     b = F.densify(force=True).reshape(-1, order="F")
     opts = rn.RnlcgOptions(rank=n, tol=1e-14, max_iters=3, seed=7)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     x0 = state.X.densify(force=True).reshape(-1, order="F")
     xs, dirs = euclid_nlcg(K, b, x0, 3)
     for k in range(3):
@@ -181,7 +198,7 @@ def test_block_decrease_matches_dense_objective(rng, weighted):
     """The decrease of a trial core equals f(X_t) - f(X) of the retracted
     point, short of and beyond the exact step."""
     op, F, X = random_instance(8, 7, 3, 3, weighted, rng)
-    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=3), metric=X.metric, X0=X)
+    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=3), X)
     xi = state.h.scaled(-1.0)
     model = line_model(state, xi)
     alpha_bar = rn.initial_step(model, state.g, xi)
@@ -213,7 +230,7 @@ def test_step_makes_one_sparse_pass(rng, monkeypatch):
     at most 2r columns: r for the line-search basis, r at the new point."""
     m, n, r = 9, 8, 3
     op, F, _ = make_spd_problem(m, n, 3, rng, sol_rank=4)
-    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r, seed=2))
+    state = start_state(op, F, rn.RnlcgOptions(rank=r, seed=2))
     op.A = [CountingMatrix(Ai) for Ai in op.A]
     op.B = [CountingMatrix(Bi) for Bi in op.B]
 
@@ -237,7 +254,7 @@ def test_armijo_accepts_exact_step_full_rank(rng):
     m = n = 5
     op, F, _ = make_spd_problem(m, n, 2, rng, sol_rank=n)
     opts = rn.RnlcgOptions(rank=n, seed=3)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     xi = state.h.scaled(-1.0)
     model = line_model(state, xi)
     alpha_bar = rn.initial_step(model, state.g, xi)
@@ -249,7 +266,7 @@ def test_armijo_steep_slope_forces_backtracks(rng):
     m = n = 8
     op, F, _ = make_spd_problem(m, n, 2, rng, sol_rank=2, cond=200.0)
     opts = rn.RnlcgOptions(rank=2, armijo_slope=0.999, seed=5)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     total_backtracks = 0
     for _ in range(10):
         try:
@@ -265,7 +282,7 @@ def test_armijo_direction_scaling_invariance(rng):
     m = n = 7
     op, F, _ = make_spd_problem(m, n, 2, rng)
     opts = rn.RnlcgOptions(rank=2, seed=11)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     out = []
     for xi in (state.h.scaled(-1.0), state.h.scaled(-2.0)):
         model = line_model(state, xi)
@@ -282,7 +299,7 @@ def test_armijo_rejects_ascent(rng):
     m = n = 6
     op, F, _ = make_spd_problem(m, n, 2, rng)
     opts = rn.RnlcgOptions(rank=2, seed=13)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     with pytest.raises(rn.LineSearchError):
         rn.armijo_backtrack(line_model(state, state.h), state.h, 1.0, state.g, opts)
 
@@ -302,8 +319,9 @@ def near_solution_state(rng, metric_kind="identity", offset=1e-8):
     Fs = op.apply(Xs)
     F = eqs.LowRankRhs(Fs.left, Fs.right)
     eta = geo.project(Xs, rng.standard_normal((m, n)))
-    X0 = geo.retract(Xs, eta, offset / geo.norm(eta))
-    return rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), metric=met, X0=X0)
+    retr = geo.LineSearchRetraction(Xs, eta)
+    X0 = retr.point(*retr.at(offset / geo.norm(eta)))
+    return rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), X0)
 
 
 @pytest.mark.parametrize("kind", ["identity", "weighted"])
@@ -355,6 +373,20 @@ def test_zero_max_iters_returns_initial_guess(rng):
     assert status == "max_iter"
     assert trace.last()["iter"] == 0
     assert abs(X.frobenius_norm() - 1.0) <= 1e-12  # untouched initial guess
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_start_state_is_the_solver_start(rng, weighted):
+    """At the same seed ``start_state`` holds the point ``rnlcg_solve``
+    starts from, so the tests that step it step the solver's iterations."""
+    op, F, X = random_instance(8, 7, 3, 2, weighted, rng)
+    opts = rn.RnlcgOptions(rank=3, max_iters=0, seed=5)
+    X0, trace, status = rn.rnlcg_solve(op, F, opts, metric=X.metric)
+    state = start_state(op, F, opts, metric=X.metric)
+    assert status == "max_iter" and len(trace) == 1
+    assert state.f == trace.rows[0]["f"]
+    for a, b in ((state.X.U, X0.U), (state.X.sigma, X0.sigma), (state.X.V, X0.V)):
+        assert np.array_equal(a, b)
 
 
 def test_huge_tolerance_immediate_convergence(rng):
@@ -414,7 +446,7 @@ def test_monotone_objective_and_armijo_certificate(rng):
     m, n = 14, 12
     op, F, _ = make_spd_problem(m, n, 3, rng, sol_rank=4)
     opts = rn.RnlcgOptions(rank=4, tol=1e-9, max_iters=200, seed=2)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     checked = 0
     for _ in range(40):
         if state.res_rel() < 1e-9 or state.stagnated():
@@ -438,7 +470,7 @@ def test_beta_positive_implies_descent(rng):
     m, n = 14, 12
     op, F, _ = make_spd_problem(m, n, 3, rng, sol_rank=4)
     opts = rn.RnlcgOptions(rank=4, tol=1e-10, max_iters=100, seed=4)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     seen_beta = 0
     for _ in range(30):
         state.step()
@@ -457,7 +489,7 @@ def test_full_rank_matches_euclidean_nlcg(rng):
     K = kron_matrix(op.A, op.B)
     b = F.densify(force=True).reshape(-1, order="F")
     opts = rn.RnlcgOptions(rank=n, tol=1e-14, max_iters=5, seed=21)
-    state = rn.RnlcgState(op, F, opts)
+    state = start_state(op, F, opts)
     x0 = state.X.densify(force=True).reshape(-1, order="F")
     xs, _ = euclid_nlcg(K, b, x0, 5)
     for k in range(5):
@@ -471,7 +503,7 @@ def test_gradient_energy_nonnegative_each_iteration(rng):
     op, F, _ = make_spd_problem(m, n, 2, rng, sol_rank=3)
     prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     opts = rn.RnlcgOptions(rank=3, tol=1e-9, max_iters=60, seed=6)
-    state = rn.RnlcgState(op, F, opts, precond=prec)
+    state = start_state(op, F, opts, precond=prec)
     for _ in range(20):
         assert state.grad_energy >= 0
         state.step()
@@ -491,7 +523,7 @@ def test_long_run_preserves_point_invariants(rng):
     Xs = geo.random_point(m, n, 5, met, rng)
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
-    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=3, tol=1e-14, seed=8), metric=met)
+    state = start_state(op, F, rn.RnlcgOptions(rank=3, tol=1e-14, seed=8), metric=met)
     for _ in range(100):
         if state.stagnated():
             break
@@ -499,7 +531,7 @@ def test_long_run_preserves_point_invariants(rng):
             state.step()
         except rn.LineSearchError:
             break
-    state.X.validate(tol=1e-8)
+    assert_valid_point(state.X, tol=1e-8)
     g = state.g
     drift_u = np.linalg.norm(state.X.EU.T @ g.Up) / max(np.linalg.norm(g.Up), 1e-300)
     drift_v = np.linalg.norm(state.X.DV.T @ g.Vp) / max(np.linalg.norm(g.Vp), 1e-300)

@@ -83,10 +83,10 @@ def test_rank_increase_exact_solution_padding(rng):
     Xs = geo.random_point(m, n, 3, met, rng)
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
-    f0 = eqs.objective(op, Xs, F)
+    f0 = eqs.evaluate(op, Xs, F).f
     X2, alpha = rr.rank_increase(Xs, op, F, 2, rng)
     assert X2.r == 5
-    f1 = eqs.objective(op, X2, F)
+    f1 = eqs.evaluate(op, X2, F).f
     assert abs(f1 - f0) <= 1e-10 * max(1.0, abs(f0))
 
 
