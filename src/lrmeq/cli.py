@@ -28,6 +28,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import io as inst_io
+from . import numkit
 from . import precond as pc
 from . import problems as pb
 from .solver_rnlcg import RnlcgOptions, check_int, check_positive, rnlcg_solve
@@ -229,18 +230,27 @@ def run_solve(cfg):
     """Run one solver configuration; returns (summary dict, trace)."""
     opts = _solver_options(cfg)
     inst = inst_io.import_instance(cfg["instance"])
+    norm_F = geo.factored_norm(inst.F)
+    if cfg["solver"] != "trunc_cg" and norm_F == 0.0:
+        raise ConfigError(f"the right-hand side is zero: solver {cfg['solver']!r} measures "
+                          "its residual relative to F and cannot run (trunc_cg can)")
     t0 = time.perf_counter()
+    try:
+        if cfg["solver"] == "trunc_cg":
+            precond = _build_ambient_precond(inst, cfg, opts, norm_F)
+        else:
+            metric, precond = _build_tangent_setup(inst, cfg)
+    except numkit.NotSpdError as exc:
+        raise inst_io.InstanceError(
+            f"{cfg['instance']}: a preconditioner matrix is not SPD ({exc})"
+        ) from None
     if cfg["solver"] == "rnlcg":
-        metric, precond = _build_tangent_setup(inst, cfg)
         X, trace, status = rnlcg_solve(inst.op, inst.F, opts, metric=metric, precond=precond)
         final_rank = X.r
     elif cfg["solver"] == "rram":
-        metric, precond = _build_tangent_setup(inst, cfg)
         X, trace, status = rram_solve(inst.op, inst.F, opts, metric=metric, precond=precond)
         final_rank = X.r
     else:
-        norm_F = geo.factored_norm(inst.F)
-        precond = _build_ambient_precond(inst, cfg, opts, norm_F)
         X, trace, status = truncated_cg_solve(
             inst.op, inst.F, precond, opts, cfg["tol"], cfg["max_iters"]
         )

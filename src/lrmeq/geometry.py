@@ -315,23 +315,13 @@ def truncate(Z, r, metric: KroneckerMetric) -> FixedRankPoint:
     """Best rank-r approximation of Z in the B-norm (weighted Eckart-Young).
 
     If the numerical rank of Z is below ``r`` the returned point has the
-    smaller rank.
+    smaller rank; a Z of numerical rank 0 gives a rank-0 point.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
     U, s, V = weighted_svd(Z, metric)
     m, n = (Z.shape if isinstance(Z, FactoredMatrix) else np.asarray(Z).shape)
-    k = _numerical_rank(s, m, n)
-    keep = min(r, k)
-    if keep == 0:
-        # degenerate zero input: keep one floored, metric-normalized direction
-        U1 = np.zeros((m, 1))
-        V1 = np.zeros((n, 1))
-        U1[0, 0] = 1.0
-        V1[0, 0] = 1.0
-        U1 /= np.sqrt(float(U1.T @ metric.apply_E(U1)))
-        V1 /= np.sqrt(float(V1.T @ metric.apply_D(V1)))
-        return FixedRankPoint(U1, np.array([np.finfo(float).tiny]), V1, metric)
+    keep = min(r, _numerical_rank(s, m, n))
     return FixedRankPoint(U[:, :keep], s[:keep].copy(), V[:, :keep], metric)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.io as sio
 import scipy.sparse as sp
 
+from . import numkit
 from .equations import LowRankRhs, MultitermOperator
 from .problems import ProblemInstance, _canonical
 
@@ -26,7 +27,8 @@ _MM_PRECISION = 17
 class InstanceError(OSError):
     """An instance directory that cannot be read back: an unknown manifest
     format, a manifest that lacks a required key, a file whose content
-    does not match its stored hash, or matrices that do not fit together."""
+    does not match its stored hash, matrices that do not fit together, or
+    a preconditioner matrix that is not symmetric positive definite."""
 
 
 def _sha256(path):
@@ -96,8 +98,9 @@ def import_instance(in_dir) -> ProblemInstance:
     """Read back an instance directory written by ``export_instance``.
 
     Every file is checked against its sha256 in the manifest; a mismatch,
-    a missing manifest key, an unknown manifest format, or matrices whose
-    count or shapes do not form one equation raise ``InstanceError``.
+    a missing manifest key, an unknown manifest format, matrices whose
+    count or shapes do not form one equation, or a preconditioner matrix
+    that is not symmetric raise ``InstanceError``.
     """
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -142,7 +145,12 @@ def import_instance(in_dir) -> ProblemInstance:
         for key, name in matrices.items():
             spec[key] = None if name is None else load(name)
             if spec[key] is not None and key in sides:
-                check_shape(f"the {label!r} preconditioner's {key}", spec[key], (sides[key],) * 2)
+                what = f"the {label!r} preconditioner's {key}"
+                check_shape(what, spec[key], (sides[key],) * 2)
+                try:
+                    numkit.check_symmetric(spec[key], name=what)
+                except ValueError as exc:
+                    raise InstanceError(f"{in_dir}: {exc}") from None
         preconds[label] = spec
     return ProblemInstance(
         op, F,

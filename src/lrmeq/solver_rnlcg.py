@@ -239,17 +239,15 @@ class RnlcgState:
         return self
 
 
-def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None, X0=None):
+def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     """Run Algorithm-style fixed-rank R-NLCG until tolerance or budget.
 
     Returns ``(X, trace, status)`` with status in {"converged", "max_iter",
     "line_search_failure", "stagnated", "spd_loss"}.
     """
     trace = SolveTrace()
-    if X0 is None:
-        metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
-        rng = np.random.default_rng(opts.seed)
-        X0 = geo.random_point(op.m, op.n, opts.rank, metric, rng)
+    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+    X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
     try:
         state = RnlcgState(op, F, opts, X0, precond=precond)
     except SPD_LOSS:

@@ -1,7 +1,7 @@
 """Rank-adaptive outer loop around fixed-rank R-NLCG.
 
 Alternates fixed-rank optimization episodes with rank updates: the rank
-drops when the iterate loses numerical rank, and grows by
+drops when the iterate loses numerical rank, and grows by at most
 ``r_up`` along an exact line search in the truncated normal component of
 the negative gradient once the residual plateaus.  Plateaus are detected
 on cheap Hutch++ residual-norm estimates; convergence decisions always
@@ -67,74 +67,41 @@ def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
     return X2, r_minus
 
 
-def rank_increase(X, op, F, r_up, rng):
+def rank_increase(X, op, F, r_up):
     """Warm start on the larger manifold by a normal-direction correction.
 
-    Truncates the normal component of ``B^{-1}(F - A X)`` to rank
-    ``r_up`` (padding with random B-normal directions if its rank is
-    smaller), takes the exact line-search step along it, and returns a
-    rank ``r + r_up`` point together with the step length.  The rank never
-    grows past ``min(m, n)``: ``r_up`` is cut to the room that is left.
+    Truncates the normal component of ``B^{-1}(F - A X)`` to its best
+    approximation of rank ``min(r_up, room, k)``, where ``room`` is what is
+    left to ``min(m, n)`` and ``k`` is the component's numerical rank,
+    takes the exact line-search step along it, and returns the grown point
+    together with the step length.  With no room or no normal direction
+    it returns ``(X, 0.0)``.
     """
     metric = X.metric
-    r_up = min(r_up, min(X.shape) - X.r)
+    room = min(X.shape) - X.r
+    if room == 0:
+        return X, 0.0
     R = eqs.residual(op, X, F)
     # normal component of the negative preconditioned gradient:
     # -(E^{-1} - U U^T) R_L [(D^{-1} - V V^T) R_R]^T
     NL = -(metric.solve_E(R.left) - X.U @ (X.U.T @ R.left))
     NR = metric.solve_D(R.right) - X.V @ (X.V.T @ R.right)
-    U_n, s_n, V_n = geo.weighted_svd(geo.FactoredMatrix(NL, NR), metric)
-    k = geo._numerical_rank(s_n, *X.shape)
-    keep = min(r_up, k)
-    U_n, s_n, V_n = U_n[:, :keep], s_n[:keep], V_n[:, :keep]
-    if keep < r_up:
-        U_n, s_n, V_n = _pad_normal_directions(X, U_n, s_n, V_n, r_up - keep, rng)
-    Y = geo.FactoredMatrix(U_n * s_n, V_n)
+    N = geo.truncate(geo.FactoredMatrix(NL, NR), min(r_up, room), metric)
+    if N.r == 0:
+        return X, 0.0
+    Y = N.as_factored()
     den = geo.factored_inner(op.apply(Y), Y)
     num = -geo.factored_inner(R, Y)
     alpha = num / den if den > 0 else 0.0
-    sig_new = alpha * s_n
-    U_new = U_n.copy()
-    flip = sig_new < 0
-    if np.any(flip):
-        sig_new = np.abs(sig_new)
-        U_new[:, flip] = -U_new[:, flip]
     # combined factors stay E-/D-orthonormal because Y is B-normal to T_X
-    U_all = np.hstack([X.U, U_new])
-    V_all = np.hstack([X.V, V_n])
-    s_all = np.concatenate([X.sigma, sig_new])
+    U_all = np.hstack([X.U, -N.U if alpha < 0 else N.U])
+    V_all = np.hstack([X.V, N.V])
+    s_all = np.concatenate([X.sigma, abs(alpha) * N.sigma])
     order = np.argsort(-s_all)
     s_all = s_all[order]
     floor = geo.SIGMA_FLOOR_FACTOR * (s_all[0] if s_all[0] > 0 else 1.0)
     s_all = np.maximum(s_all, floor)
     return geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], metric), alpha
-
-
-def _pad_normal_directions(X, U_n, s_n, V_n, extra, rng):
-    """Extend (U_n, V_n) with random directions B-orthogonal to the tangent
-    space and to the existing columns; padded singular values are tiny."""
-    metric = X.metric
-    m, n = X.shape
-
-    def orth_block(base_U, gen_dim, apply_W, fact):
-        G = rng.standard_normal((gen_dim, extra))
-        W_base = apply_W(base_U)
-        for _ in range(2):  # twice for numerical safety
-            G = G - base_U @ (W_base.T @ G)
-            Q, _ = geo.weighted_qr(G, fact)
-            G = Q
-        return G
-
-    base_U = np.hstack([X.U, U_n])
-    base_V = np.hstack([X.V, V_n])
-    GU = orth_block(base_U, m, metric.apply_E, metric.fact_E)
-    GV = orth_block(base_V, n, metric.apply_D, metric.fact_D)
-    scale = s_n[0] * 1e-8 if s_n.size else X.sigma[-1] * 1e-8
-    return (
-        np.hstack([U_n, GU]),
-        np.concatenate([s_n, np.full(extra, scale)]),
-        np.hstack([V_n, GV]),
-    )
 
 
 def window_slope(values):
@@ -188,19 +155,18 @@ def hutchpp_residual_norm(R: geo.FactoredMatrix, budget, rng):
     return float(np.sqrt(max(tr, 0.0)))
 
 
-def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
+def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     """Riemannian rank-adaptive solve; returns ``(X, trace, status)``.
 
     Trace events: ``rank_up:r->r'``, ``rank_down:r->r'``, ``plateau``,
-    ``converged``, ``max_iter``, ``stagnated``, ``spd_loss``.  At rank
-    ``min(m, n)`` the rank does not grow; a phase there that takes no step
-    ends the solve with ``stagnated``.
+    ``converged``, ``max_iter``, ``stagnated``, ``spd_loss``.  Where the rank
+    cannot grow (at rank ``min(m, n)``, or with no normal direction), a
+    phase that takes no step ends the solve with ``stagnated``.
     """
     trace = SolveTrace()
     rng = np.random.default_rng(opts.seed)
-    if X0 is None:
-        metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
-        X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
+    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+    X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
     try:
         state = RnlcgState(op, F, opts.inner, X0, precond=precond)
     except SPD_LOSS:
@@ -252,12 +218,12 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None, X0=None):
         if res <= opts.tol or k >= opts.max_total_iters:
             continue
         r_old = state.X.r
-        if r_old >= min(op.m, op.n):
-            # full rank: no increase; a phase without a step would repeat itself
+        X_up, alpha_star = rank_increase(state.X, op, F, opts.r_up)
+        if X_up.r == r_old:
+            # the rank cannot grow; a phase without a step would repeat itself
             if phase_iters == 0:
                 return trace.finish(state.X, "stagnated")
             continue
-        X_up, alpha_star = rank_increase(state.X, op, F, opts.r_up, rng)
         try:
             state.restart(X_up)
         except SPD_LOSS:

@@ -386,10 +386,38 @@ def _p2_D_on_the_m_side(inst_dir, manifest, inst):
     _rewrite(inst_dir, manifest, "p2_D", inst.p2["E"])
 
 
-@pytest.mark.parametrize("corrupt", [_no_terms, _short_rhs, _short_p2_E, _p2_D_on_the_m_side])
-def test_malformed_instance_exits_4(tmp_path, capsys, corrupt):
+def _asymmetric_p2_E(inst_dir, manifest, inst):
+    E = inst.p2["E"].toarray()
+    E[0, 1] *= 1.0 + 1e-6
+    _rewrite(inst_dir, manifest, "p2_E", E)
+
+
+def _negated_p2_E(inst_dir, manifest, inst):
+    _rewrite(inst_dir, manifest, "p2_E", -inst.p2["E"])
+
+
+def _negated_p1_E(inst_dir, manifest, inst):
+    _rewrite(inst_dir, manifest, "p1_E", -inst.p1["E"])
+
+
+# (corruption, preconditioner of the solve, whether import_instance finds it);
+# an indefinite matrix is found when the set-up factors it
+MALFORMED = [
+    (_no_terms, "P2", True),
+    (_short_rhs, "P2", True),
+    (_short_p2_E, "P2", True),
+    (_p2_D_on_the_m_side, "P2", True),
+    (_asymmetric_p2_E, "P2", True),
+    (_negated_p2_E, "P2", False),
+    (_negated_p1_E, "P1", False),
+]
+
+
+@pytest.mark.parametrize("corrupt, precond, at_import", MALFORMED,
+                         ids=[case[0].__name__ for case in MALFORMED])
+def test_malformed_instance_exits_4(tmp_path, capsys, corrupt, precond, at_import):
     """Files that hash correctly but do not form one m x n equation with
-    its preconditioners are an unreadable instance: exit 4, not a
+    SPD preconditioners are an unreadable instance: exit 4, not a
     traceback from the solver's set-up."""
     inst = pb.gen_synthetic(7, 6, 2, seed=5)
     inst_dir = tmp_path / "inst"
@@ -397,12 +425,31 @@ def test_malformed_instance_exits_4(tmp_path, capsys, corrupt):
     manifest = json.loads((inst_dir / "manifest.json").read_text())
     corrupt(inst_dir, manifest, inst)
     (inst_dir / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(inst_io.InstanceError):
-        inst_io.import_instance(inst_dir)
-    argv = ["solve", "--instance", str(inst_dir), "--solver", "rnlcg", "--precond", "P2",
+    if at_import:
+        with pytest.raises(inst_io.InstanceError):
+            inst_io.import_instance(inst_dir)
+    argv = ["solve", "--instance", str(inst_dir), "--solver", "rnlcg", "--precond", precond,
             "--out", str(tmp_path / "run")]
     assert main(argv) == 4
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver, code", [("rnlcg", 3), ("rram", 3), ("trunc_cg", 0)])
+def test_zero_rhs(tmp_path, capsys, solver, code):
+    """F = 0 has the solution X = 0: truncated CG returns it, and the
+    Riemannian solvers, whose residual is relative to F, refuse the
+    instance as a configuration error naming the solver."""
+    inst = pb.gen_synthetic(7, 6, 3, seed=2)
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(inst, inst_dir)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    _rewrite(inst_dir, manifest, "FL", np.zeros_like(inst.F.left))
+    (inst_dir / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["solve", "--instance", str(inst_dir), "--solver", solver,
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == code
+    if code == 3:
+        assert f"solver {solver!r}" in capsys.readouterr().err
 
 
 def _drop_ell(m):

@@ -75,6 +75,14 @@ def test_truncate_exact_when_rank_small(rng):
     assert np.linalg.norm(X.densify(force=True) - Z.densify(force=True)) <= 1e-12 * np.linalg.norm(Z.densify(force=True))
 
 
+def test_truncate_zero_is_rank_0(rng):
+    m, n = 9, 7
+    met = make_metric(m, n, rng)
+    for Z in (np.zeros((m, n)), geo.FactoredMatrix(np.zeros((m, 2)), np.zeros((n, 2)))):
+        X = geo.truncate(Z, 3, met)
+        assert X.r == 0 and X.U.shape == (m, 0) and X.V.shape == (n, 0)
+
+
 def test_truncate_identity_metric_matches_svd(rng):
     Z = rng.standard_normal((8, 8))
     met = geo.KroneckerMetric.identity(8, 8)

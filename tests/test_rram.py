@@ -4,10 +4,11 @@ import pytest
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
 from lrmeq import precond as pc
+from lrmeq import problems as pb
 from lrmeq import solver_rram as rr
 from lrmeq.solver_rnlcg import RnlcgOptions
 
-from oracles import rand_spd
+from oracles import assert_valid_point, dense, dense_metric, point_dense, rand_spd
 
 
 def direct_rank_decrease(sigma, eps):
@@ -71,12 +72,12 @@ def test_rank_increase_identity_operator(rng):
     F = eqs.LowRankRhs(rng.standard_normal((m, 5)), rng.standard_normal((n, 5)))
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, F, 2, rng)
+    X2, alpha = rr.rank_increase(X, op, F, 2)
     assert X2.r == 4
     assert abs(alpha - 1.0) <= 1e-10
 
 
-def test_rank_increase_exact_solution_padding(rng):
+def test_rank_increase_at_exact_solution(rng):
     m = n = 9
     op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
     met = geo.KroneckerMetric.identity(m, n)
@@ -84,7 +85,7 @@ def test_rank_increase_exact_solution_padding(rng):
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
     f0 = eqs.evaluate(op, Xs, F).f
-    X2, alpha = rr.rank_increase(Xs, op, F, 2, rng)
+    X2, alpha = rr.rank_increase(Xs, op, F, 2)
     assert X2.r == 5
     f1 = eqs.evaluate(op, X2, F).f
     assert abs(f1 - f0) <= 1e-10 * max(1.0, abs(f0))
@@ -98,7 +99,7 @@ def test_rank_increase_exact_line_search(rng):
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, F, 2, rng)
+    X2, alpha = rr.rank_increase(X, op, F, 2)
     # recover Y = (X2 - X)/alpha and check optimality over a grid
     Yd = (X2.densify(force=True) - X.densify(force=True)) / alpha
     Xd = X.densify(force=True)
@@ -123,10 +124,41 @@ def test_rank_increase_direction_is_normal(rng):
     op = eqs.MultitermOperator(A, B)
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, F, 3, rng)
+    X2, alpha = rr.rank_increase(X, op, F, 3)
     Yd = (X2.densify(force=True) - X.densify(force=True))
     proj = geo.project(X, Yd)
     assert geo.norm(proj) <= 1e-10 * np.linalg.norm(Yd)
+
+
+def test_rank_increase_grows_by_the_normal_rank(rng):
+    """With l = 2 terms, r_F = 1 and r = 1 the normal component of the
+    preconditioned residual has rank below r_up = 4: the rank grows by
+    exactly that numerical rank, with no directions made up.  In the metric
+    of the first term (E = A_1, D = B_1) that term maps X to itself, which
+    is tangent, so the rank is (l - 1) r + r_F = 2."""
+    m, n = 12, 10
+    inst = pb.gen_synthetic(m, n, 2, r_F=1, seed=0)
+    op, F = inst.op, inst.F
+    met = geo.KroneckerMetric(inst.p1["E"], inst.p1["D"])
+    X = geo.random_point(m, n, 1, met, rng)
+    E, D = dense_metric(met)
+    Xd = point_dense(X)
+    Rd = F.densify(force=True) - sum(dense(Ai) @ Xd @ dense(Bi).T for Ai, Bi in zip(op.A, op.B))
+    PU = np.eye(m) - X.U @ X.U.T @ E
+    PV = np.eye(n) - X.V @ X.V.T @ D
+    k = np.linalg.matrix_rank(PU @ np.linalg.solve(E, Rd) @ np.linalg.solve(D, PV.T))
+    assert k == 2
+    X2, alpha = rr.rank_increase(X, op, F, 4)
+    assert X2.r == 1 + k
+    assert_valid_point(X2)
+    assert eqs.evaluate(op, X2, F).f < eqs.evaluate(op, X, F).f
+
+
+def test_rank_increase_at_full_rank_returns_the_point(rng):
+    op, F = identity_problem(rng, m=6, n=5)
+    X = geo.random_point(6, 5, 5, geo.KroneckerMetric.identity(6, 5), rng)
+    X2, alpha = rr.rank_increase(X, op, F, 3)
+    assert X2 is X and alpha == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +323,16 @@ def test_rram_objective_nonincreasing_across_rank_up(rng):
     for prev, cur in zip(rows, rows[1:]):
         if "rank_up" in cur["event"]:
             assert cur["f"] <= prev["f"] + 1e-10 * max(1.0, abs(prev["f"]))
+
+
+def test_rram_first_increase_adds_the_normal_rank():
+    """From r0 = 1 on an l = 2, r_F = 1 instance the normal component has
+    rank 3, so the first increase is 1 -> 4 although r_up = 4."""
+    inst = pb.gen_synthetic(30, 30, 2, r_F=1, seed=0)
+    X, trace, status = rr.rram_solve(inst.op, inst.F, rr.RramOptions(r0=1, r_up=4, tol=1e-6))
+    assert status == "converged"
+    ups = [r["event"] for r in trace.rows if "rank_up" in r["event"]]
+    assert "rank_up:1->4" in ups[0].split("+")
 
 
 # ---------------------------------------------------------------------------
