@@ -95,27 +95,38 @@ class Evaluation:
     The residual's factors hold ``A_i U S`` and ``B_i V`` (module
     docstring); with ``UAU[i] = U.T A_i U`` and ``VBV[i] = V.T B_i V`` they
     are what a line search from X reuses (``ProjectedObjective``).
+    ``RtU = R.left.T @ U`` and ``RtV = R.right.T @ V``, which the Riemannian
+    gradient needs, are assembled from the same blocks.
     """
 
     f: float               # 0.5 <A X, X> - <X, F>
     R: FactoredMatrix      # A X - F
     UAU: np.ndarray
     VBV: np.ndarray
+    RtU: np.ndarray        # [S UAU[i].T, ..., -(U.T F_L).T]
+    RtV: np.ndarray        # [VBV[i].T, ..., (V.T F_R).T]
 
 
 def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Evaluation:
-    """Objective value and factored residual, sharing the A_i U products."""
+    """Objective value, factored residual and its products with U and V,
+    sharing the A_i U and B_i V products."""
     AU = _term_products(op.A, X.U)
     BV = _term_products(op.B, X.V)
     UAU = X.U.T @ AU
     VBV = X.V.T @ BV
+    UF = X.U.T @ F.left
+    VF = X.V.T @ F.right
     S = X.sigma
     axx = float(np.sum((S[:, None] * UAU * S) * VBV))
-    xf = float(np.sum((X.U.T @ F.left) * (S[:, None] * (X.V.T @ F.right))))
+    xf = float(np.sum(UF * (S[:, None] * VF)))
     f = 0.5 * axx - xf
     left = np.hstack([*(AU * S), -F.left])
     right = np.hstack([*BV, F.right])
-    return Evaluation(f, FactoredMatrix(left, right), UAU, VBV)
+    # (A_i U S).T U = S (U.T A_i U).T and (B_i V).T V = (V.T B_i V).T
+    terms, r = op.ell * X.r, X.r
+    RtU = np.vstack([(S[:, None] * UAU.transpose(0, 2, 1)).reshape(terms, r), -UF.T])
+    RtV = np.vstack([VBV.transpose(0, 2, 1).reshape(terms, r), VF.T])
+    return Evaluation(f, FactoredMatrix(left, right), UAU, VBV, RtU, RtV)
 
 
 class ProjectedObjective:
@@ -166,7 +177,9 @@ def _projected_terms(mats, Q, R, AY, YAY, s=1.0):
     ell, r = YAY.shape[0], YAY.shape[-1]
     Q2 = Q[:, r:]
     k = r + Q2.shape[1]
-    R11_inv = np.linalg.inv(R[:r, :r])     # R11.T R11 = U.T E U = I: well conditioned
+    # R11.T R11 = U.T E U = I: well conditioned, and the identity where the
+    # retraction's gauge QR ran
+    R11_inv = np.linalg.inv(R[:r, :r])
     # Q.T M_i Y: rows R11^-T Y.T M_i Y, then Q2.T M_i Y
     Q2t_AY = (Q2.T @ AY).reshape(k - r, ell, r).transpose(1, 0, 2) / s
     T = np.concatenate([R11_inv.T @ YAY, Q2t_AY], axis=1)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 
 from . import numkit
 
@@ -27,15 +29,25 @@ DENSIFY_LIMIT = 64
 # keep points on the manifold.
 SIGMA_FLOOR_FACTOR = 1e2 * np.finfo(float).eps
 
+# ``gauge_qr`` falls back to the Householder weighted QR when the first
+# Cholesky factor's estimated condition number exceeds this.  CholeskyQR2
+# is accurate for blocks conditioned well below eps^-1/2 (Yamamoto,
+# Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015), and the Gram of a
+# rank-deficient block that still factors gives a condition near
+# eps^-1/2 ~ 7e7, above this bound.
+GAUGE_QR_MAX_COND = 1e7
+
 
 class KroneckerMetric:
     """Ambient inner product ``<X, Y> = <E X D, Y>`` with SPD E, D.
 
     ``E`` or ``D`` may be None for the identity.  The pair and its SPD
     factorizations serve as the ambient metric of the weighted geometry
-    and as the Kronecker preconditioner ``E X D`` (``precond.KronPrecond``);
-    the factorizations' Cholesky-type square roots (``E = C_E.T @ C_E``)
-    back the weighted QR.
+    and as the Kronecker preconditioner ``E X D`` (``precond.KronPrecond``).
+    The retraction's QR needs only products with E and D (``gauge_qr``).
+    The factorizations' Cholesky-type square roots (``E = C_E.T @ C_E``)
+    still back ``weighted_qr``, which ``weighted_svd`` and the retraction's
+    fallback call, and ``precond.spectral_interval``.
     """
 
     def __init__(self, E=None, D=None, m=None, n=None):
@@ -279,6 +291,53 @@ def weighted_qr(M, fact):
     return fact.c_solve(Q), R
 
 
+def gauge_qr(Y, EY, Yp, apply_E, fact):
+    """E-orthonormal QR ``[Y, Yp] = Q R`` for an E-orthonormal Y.
+
+    ``EY = E @ Y``; ``apply_E`` multiplies by E and ``fact`` is E's
+    factorization (None for the identity).  Only Yp needs factoring: two
+    CholeskyQR passes, each projecting against Y first, give
+    ``Q = [Y, Q2]`` and ``R = [[I, C], [0, R2]]`` with one product of E
+    with Yp's columns per pass and no solve.  The Householder
+    ``weighted_qr`` takes over when ``[Y, Yp]`` has more columns than rows
+    or Yp is (nearly) rank-deficient, which the Cholesky factors show.
+    """
+    m, r = Y.shape
+    k = Yp.shape[1]
+    if m >= r + k:
+        try:
+            Q2, C, R2 = _cholesky_qr2(Y, EY, Yp, apply_E)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.hstack([Y, Q2]), np.block([[np.eye(r), C], [np.zeros((k, r)), R2]])
+    return weighted_qr(np.hstack([Y, Yp]), fact)
+
+
+def _cholesky_qr2(Y, EY, Yp, apply_E):
+    """``Yp = Y C + Q2 R2`` with ``Q2.T E Q2 = I`` and ``Y.T E Q2 = 0``.
+
+    Keeps ``Yp = Y C + W T``: each pass takes W's component along Y into C
+    (the second pass removes what the first one's division amplified) and
+    divides W by the Cholesky factor of its E-Gram.  Raises ``LinAlgError``
+    when a Gram is not numerically SPD or the first factor's condition
+    number exceeds ``GAUGE_QR_MAX_COND``.
+    """
+    W = Yp
+    C = np.zeros((Y.shape[1], Yp.shape[1]))
+    T = np.eye(Yp.shape[1])
+    for first in (True, False):
+        D = EY.T @ W
+        W = W - Y @ D
+        C += D @ T
+        R = sla.cholesky(W.T @ apply_E(W), lower=False, check_finite=False)
+        if first and lapack.dtrcon(R)[0] * GAUGE_QR_MAX_COND < 1.0:
+            raise np.linalg.LinAlgError("ill-conditioned block")
+        W = blas.dtrsm(1.0, R, W, side=1)       # W R^-1
+        T = R @ T
+    return W, C, T
+
+
 def weighted_svd(Z, metric: KroneckerMetric):
     """Weighted thin SVD ``Z = U diag(s) V.T`` with E-/D-orthonormal factors.
 
@@ -344,21 +403,20 @@ def project(X: FixedRankPoint, Z) -> TangentVector:
     return TangentVector(M, Up, Vp, X)
 
 
-def riemannian_gradient(X: FixedRankPoint, Z: FactoredMatrix) -> TangentVector:
+def riemannian_gradient(X: FixedRankPoint, Z: FactoredMatrix, ZtU, ZtV) -> TangentVector:
     """Projection of ``B^{-1} Z`` for a factored Euclidean gradient Z.
 
-    The weighted products ``E @ Up`` and ``D @ Vp`` come out of the
-    formulas for free and are cached on the result.  One more projection
-    of them keeps the gauge ``U.T E Up = 0`` to rounding relative to Up,
-    which the cancellation in ``Z.left Q - E U M`` would lose as the
-    gradient shrinks.
+    ``ZtU = Z.left.T @ X.U`` and ``ZtV = Z.right.T @ X.V`` come from the
+    caller, which knows them as blocks (``equations.evaluate``).  The
+    weighted products ``E @ Up`` and ``D @ Vp`` come out of the formulas
+    for free and are cached on the result.  One more projection of them
+    keeps the gauge ``U.T E Up = 0`` to rounding relative to Up, which the
+    cancellation in ``Z.left Q - E U M`` would lose as the gradient shrinks.
     """
     metric = X.metric
-    P = Z.left.T @ X.U       # k x r
-    Q = Z.right.T @ X.V      # k x r
-    M = P.T @ Q
-    E_Up = Z.left @ Q - X.EU @ M
-    D_Vp = Z.right @ P - X.DV @ M.T
+    M = ZtU.T @ ZtV
+    E_Up = Z.left @ ZtV - X.EU @ M
+    D_Vp = Z.right @ ZtU - X.DV @ M.T
     E_Up -= X.EU @ (X.U.T @ E_Up)
     D_Vp -= X.DV @ (X.V.T @ D_Vp)
     Up = metric.solve_E(E_Up)
@@ -380,11 +438,12 @@ class LineSearchRetraction:
 
     ``X + t xi = Y (C0 + t C_xi) W.T`` for ``Y = [U, Up]``, ``W = [V, Vp]``,
     ``C0 = diag(sigma, 0)`` and ``C_xi = [[M, I], [I, 0]]``.  With the weighted
-    QRs ``Y = QU RU`` and ``W = QV RV``, which depend only on (X, xi), every
-    trial is ``QU (c0 + t xi_core) QV.T`` with the small cores
+    QRs ``Y = QU RU`` and ``W = QV RV`` (``gauge_qr``), which depend only on
+    (X, xi), every trial is ``QU (c0 + t xi_core) QV.T`` with the small cores
     ``c0 = RU C0 RV.T`` and ``xi_core = RU C_xi RV.T``, so a trial step is an
-    SVD of a core of at most ``2r x 2r``.  Because QR works column by column,
-    ``QU[:, :r] = U RU[:r, :r]^-1`` and ``QV[:, :r] = V RV[:r, :r]^-1``.
+    SVD of a core of at most ``2r x 2r``.  ``QU[:, :r] = U RU[:r, :r]^-1`` and
+    ``QV[:, :r] = V RV[:r, :r]^-1``; where the gauge path ran,
+    ``RU[:r, :r] = I`` and ``QU[:, :r] = U`` (likewise for V).
     """
 
     def __init__(self, X: FixedRankPoint, xi: TangentVector):
@@ -393,8 +452,8 @@ class LineSearchRetraction:
         self.X = X
         metric = X.metric
         r = X.r
-        self.QU, self.RU = weighted_qr(np.hstack([X.U, xi.Up]), metric.fact_E)
-        self.QV, self.RV = weighted_qr(np.hstack([X.V, xi.Vp]), metric.fact_D)
+        self.QU, self.RU = gauge_qr(X.U, X.EU, xi.Up, metric.apply_E, metric.fact_E)
+        self.QV, self.RV = gauge_qr(X.V, X.DV, xi.Vp, metric.apply_D, metric.fact_D)
         RU1, RV1 = self.RU[:, :r], self.RV[:, :r]
         self.c0 = (RU1 * X.sigma) @ RV1.T
         self.xi_core = (RU1 @ xi.M + self.RU[:, r:]) @ RV1.T + RU1 @ self.RV[:, r:].T

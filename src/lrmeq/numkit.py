@@ -157,8 +157,12 @@ class SpdFactorization:
     in one LAPACK call on R: ``pttrs`` on the equivalent ``L diag(d) L.T``
     form when the band is tridiagonal, ``pbtrs`` otherwise.  ``c_mul``,
     ``c_solve``, ``ct_mul`` and ``ct_solve`` give access to the square
-    root ``C = R P`` (P the permutation) with ``A = C.T @ C``.  Instances
-    are immutable after construction and re-entrant.
+    root ``C = R P`` (P the permutation) with ``A = C.T @ C``.  Their
+    readers are ``geometry.weighted_qr`` (behind ``weighted_svd`` and the
+    retraction's fallback) and ``precond.spectral_interval``; the
+    benchmark's tracer also patches all four by name, so they stay until
+    it changes.  Instances are immutable after construction and
+    re-entrant.
     """
 
     def __init__(self, A):

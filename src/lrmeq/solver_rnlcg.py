@@ -179,7 +179,7 @@ class RnlcgState:
         self.last_reset = False
 
     def _move_to(self, X, ev):
-        g = geo.riemannian_gradient(X, ev.R)
+        g = geo.riemannian_gradient(X, ev.R, ev.RtU, ev.RtV)
         h = self.precond.apply_inv_tangent(g)
         grad_energy = geo.inner(g, h)
         if grad_energy < 0.0:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import equations as eqs
 from . import geometry as geo
 from .solver_rnlcg import (
     SPD_LOSS, LineSearchError, RnlcgOptions, RnlcgState, check_int, check_positive,
@@ -67,21 +66,27 @@ def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
     return X2, r_minus
 
 
-def rank_increase(X, op, F, r_up):
+def rank_increase(X, op, R, r_up):
     """Warm start on the larger manifold by a normal-direction correction.
 
-    Truncates the normal component of ``B^{-1}(F - A X)`` to its best
-    approximation of rank ``min(r_up, room, k)``, where ``room`` is what is
-    left to ``min(m, n)`` and ``k`` is the component's numerical rank,
-    takes the exact line-search step along it, and returns the grown point
-    together with the step length.  With no room or no normal direction
-    it returns ``(X, 0.0)``.
+    Truncates the normal component of ``-B^{-1} R`` for the residual
+    ``R = A X - F`` at X (``RnlcgState.R``) to its best approximation of
+    rank ``min(r_up, room, k)``, where ``room`` is what is left to
+    ``min(m, n)`` and ``k`` is the component's numerical rank, takes the
+    exact line-search step along it, and returns the grown point together
+    with the step length.  With no room or no normal direction it returns
+    ``(X, 0.0)``.
     """
     metric = X.metric
-    room = min(X.shape) - X.r
+    m, n = X.shape
+    room = min(m, n) - X.r
     if room == 0:
         return X, 0.0
-    R = eqs.residual(op, X, F)
+    # R has rank at most min(m, n); with more columns than that, the solves
+    # and the truncation run on the product against an identity factor
+    if R.k > min(m, n):
+        R = (geo.FactoredMatrix(R.left @ R.right.T, np.eye(n)) if n <= m
+             else geo.FactoredMatrix(np.eye(m), R.right @ R.left.T))
     # normal component of the negative preconditioned gradient:
     # -(E^{-1} - U U^T) R_L [(D^{-1} - V V^T) R_R]^T
     NL = -(metric.solve_E(R.left) - X.U @ (X.U.T @ R.left))
@@ -218,7 +223,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
         if res <= opts.tol or k >= opts.max_total_iters:
             continue
         r_old = state.X.r
-        X_up, alpha_star = rank_increase(state.X, op, F, opts.r_up)
+        X_up, alpha_star = rank_increase(state.X, op, state.R, opts.r_up)
         if X_up.r == r_old:
             # the rank cannot grow; a phase without a step would repeat itself
             if phase_iters == 0:

@@ -3,8 +3,9 @@ import pytest
 
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
+from lrmeq import solver_rnlcg as rn
 
-from oracles import kron_matrix, min_eigenvalue, point_dense, rand_spd
+from oracles import kron_matrix, min_eigenvalue, point_dense, rand_band_spd, rand_spd
 
 
 def make_op(m, n, ell, rng, cond=10.0):
@@ -190,3 +191,24 @@ def test_asymmetric_coefficients_rejected(rng):
 def test_spd_check_dense(rng):
     op = make_op(5, 5, 2, rng)
     assert min_eigenvalue(kron_matrix(op.A, op.B)) > 0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_evaluate_blocks_are_the_residual_products(rng, weighted):
+    """``RtU``/``RtV`` from the evaluation's blocks equal ``R.left.T U`` and
+    ``R.right.T V``, and the solver's gradient equals the one built from
+    these recomputed products."""
+    m, n, r = 20, 15, 3
+    op = make_op(m, n, 3, rng)
+    F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
+    met = (geo.KroneckerMetric(rand_band_spd(m, 2, rng), rand_band_spd(n, 1, rng))
+           if weighted else geo.KroneckerMetric.identity(m, n))
+    X = geo.random_point(m, n, r, met, rng)
+    ev = eqs.evaluate(op, X, F)
+    RtU, RtV = ev.R.left.T @ X.U, ev.R.right.T @ X.V
+    assert np.linalg.norm(ev.RtU - RtU) <= 1e-13 * np.linalg.norm(RtU)
+    assert np.linalg.norm(ev.RtV - RtV) <= 1e-13 * np.linalg.norm(RtV)
+    g = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), X).g
+    ref = geo.riemannian_gradient(X, ev.R, RtU, RtV)
+    for a, b in ((g.M, ref.M), (g.Up, ref.Up), (g.Vp, ref.Vp)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)

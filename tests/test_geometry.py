@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lrmeq import geometry as geo
+from lrmeq import numkit
 
 from oracles import (
     assert_valid_point,
@@ -31,6 +34,11 @@ def retract(X, xi, t):
 
 def zero_tangent(X):
     return geo.project(X, geo.FactoredMatrix.zero(*X.shape))
+
+
+def gradient(X, Z):
+    """Riemannian gradient of a factored Z, with its products with U and V."""
+    return geo.riemannian_gradient(X, Z, Z.left.T @ X.U, Z.right.T @ X.V)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def test_gradient_identity_metric_is_projection(rng):
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, r, met, rng)
     Zf = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
-    g = geo.riemannian_gradient(X, Zf)
+    g = gradient(X, Zf)
     p = geo.project(X, Zf)
     assert np.linalg.norm(g.M - p.M) < 1e-12
     assert np.linalg.norm(g.Up - p.Up) < 1e-12
@@ -260,7 +268,7 @@ def test_gradient_identity_metric_is_projection(rng):
 def test_gradient_zero(rng):
     met = make_metric(6, 6, rng)
     X = geo.random_point(6, 6, 2, met, rng)
-    g = geo.riemannian_gradient(X, geo.FactoredMatrix.zero(6, 6))
+    g = gradient(X, geo.FactoredMatrix.zero(6, 6))
     assert np.linalg.norm(tv_dense(g)) == 0.0
 
 
@@ -271,7 +279,7 @@ def test_gradient_matches_dense_oracle(rng):
     E, D = dense_metric(met)
     X = geo.random_point(m, n, r, met, rng)
     Zf = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
-    g = geo.riemannian_gradient(X, Zf)
+    g = gradient(X, Zf)
     W = np.linalg.solve(E, Zf.densify(force=True)) @ np.linalg.inv(D)
     expected = proj_dense(X, W)
     assert np.linalg.norm(tv_dense(g) - expected) <= 1e-11 * max(1, np.linalg.norm(expected))
@@ -527,3 +535,111 @@ def test_projection_idempotent_on_rank_deficient_tangents(case):
     once = geo.project(X, tv_dense(xi))
     assert_same_tangent(once, xi)
     assert_same_tangent(geo.project(X, once.embed()), once)
+
+
+# ---------------------------------------------------------------------------
+# the retraction's QRs: gauge CholeskyQR2 and its Householder fallback
+# ---------------------------------------------------------------------------
+
+
+def assert_weighted_qr(Q, R, blocks, E, tol=1e-10):
+    """``Q.T E Q = I`` to ``tol`` and ``Q R = [blocks]``."""
+    Y = np.hstack(blocks)
+    assert np.linalg.norm(Q.T @ E @ Q - np.eye(Q.shape[1])) <= tol
+    assert np.linalg.norm(Q @ R - Y) <= 1e-10 * np.linalg.norm(Y)
+
+
+def gauge_qr_at(X, Up):
+    """``gauge_qr`` of ``[U, Up]`` at X, and whether it fell back to
+    ``weighted_qr``."""
+    met = X.metric
+    with mock.patch.object(geo, "weighted_qr", wraps=geo.weighted_qr) as wqr:
+        Q, R = geo.gauge_qr(X.U, X.EU, Up, met.apply_E, met.fact_E)
+    return Q, R, wqr.called
+
+
+@given(deficient_tangents())
+def test_retraction_qr_of_rank_deficient_tangent(case):
+    """A rank-deficient Up has no Cholesky QR: the U side falls back to the
+    Householder weighted QR, and both sides are E-/D-orthonormal QRs."""
+    X, xi, E, D = case
+    retr = geo.LineSearchRetraction(X, xi)
+    assert_weighted_qr(retr.QU, retr.RU, [X.U, xi.Up], E)
+    assert_weighted_qr(retr.QV, retr.RV, [X.V, xi.Vp], D)
+    Q, R, fell_back = gauge_qr_at(X, xi.Up)
+    assert fell_back
+    assert np.array_equal(Q, retr.QU) and np.array_equal(R, retr.RU)
+
+
+def conditioned_block(Y, EY, fact, cond, drift, rng):
+    """An ``m x r`` block with E-condition number ``cond`` in the gauge
+    ``Y.T E W = 0``, plus ``Y`` times a drift of relative size ``drift``."""
+    m, r = Y.shape
+    G = rng.standard_normal((m, r))
+    Z, _ = geo.weighted_qr(G - Y @ (EY.T @ G), fact)
+    Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    return Z @ np.diag(np.geomspace(1.0, 1.0 / cond, r)) @ Q.T + drift * Y @ rng.standard_normal((r, r))
+
+
+@st.composite
+def conditioned_tangents(draw):
+    """(point, tangent vector, dense E, dense D, fallback) where Up and Vp
+    have full rank r, a condition number from 1 to 1e10 and gauge drift
+    ``U.T E Up != 0`` (likewise Vp), and m, n are either both >= 2r or both
+    < 2r.  ``fallback`` is the branch both QRs must take: True with fewer
+    rows than columns or far past ``GAUGE_QR_MAX_COND`` = 1e7, False where
+    even the 1-norm condition number (at most r times the 2-norm one) is
+    below it, None near it."""
+    r = draw(st.integers(1, 4))
+    short = draw(st.booleans()) and r > 1
+    dims = st.integers(r, 2 * r - 1) if short else st.integers(2 * r, 14)
+    m, n = draw(dims), draw(dims)
+    cond = draw(st.sampled_from([1.0, 1e4, 1e6, 1e7, 1e10])) if r > 1 else 1.0
+    drift = draw(st.sampled_from([1e-12, 1e-6, 1.0]))
+    kind = draw(st.sampled_from(["identity", "dense", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    met, E, D = metric_of_kind(kind, m, n, rng)
+    X = geo.random_point(m, n, r, met, rng)
+    if short:
+        # no room for an r-column block in the gauge: any full-rank block
+        Up, Vp = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+    else:
+        Up = conditioned_block(X.U, X.EU, met.fact_E, cond, drift, rng)
+        Vp = conditioned_block(X.V, X.DV, met.fact_D, cond, drift, rng)
+    fallback = True if short or cond > 1e9 else (False if 4 * cond < 1e7 else None)
+    return X, geo.TangentVector(rng.standard_normal((r, r)), Up, Vp, X), E, D, fallback
+
+
+@given(conditioned_tangents())
+def test_retraction_qr_of_full_rank_tangent(case):
+    X, xi, E, D, fallback = case
+    with mock.patch.object(geo, "weighted_qr", wraps=geo.weighted_qr) as wqr:
+        retr = geo.LineSearchRetraction(X, xi)
+    assert_weighted_qr(retr.QU, retr.RU, [X.U, xi.Up], E)
+    assert_weighted_qr(retr.QV, retr.RV, [X.V, xi.Vp], D)
+    if fallback is not None:
+        assert wqr.call_count == (2 if fallback else 0)
+    if wqr.call_count == 0:
+        # the gauge path keeps U and V as the first columns, and its second
+        # pass holds orthonormality to rounding at any condition it accepts
+        r = X.r
+        assert_weighted_qr(retr.QU, retr.RU, [X.U, xi.Up], E, tol=1e-12)
+        assert_weighted_qr(retr.QV, retr.RV, [X.V, xi.Vp], D, tol=1e-12)
+        assert np.array_equal(retr.QU[:, :r], X.U) and np.array_equal(retr.RU[:r, :r], np.eye(r))
+        assert np.array_equal(retr.QV[:, :r], X.V) and np.array_equal(retr.RV[:r, :r], np.eye(r))
+
+
+def test_retraction_at_full_rank_takes_no_square_root(rng):
+    """At a weighted full-rank point with m, n >= 2r the retraction's QRs
+    multiply by E and D only: no product or solve with their square roots.
+    With n < 2r the V side falls back and does use them."""
+    m, r = 40, 4
+    for n, expected in ((30, 0), (7, 1)):
+        met = geo.KroneckerMetric(rand_band_spd(m, 3, rng, permute=True), rand_band_spd(n, 2, rng))
+        X = geo.random_point(m, n, r, met, rng)
+        xi = geo.project(X, rng.standard_normal((m, n)))
+        fact = numkit.SpdFactorization
+        with mock.patch.object(fact, "c_mul", autospec=True, side_effect=fact.c_mul) as c_mul, \
+                mock.patch.object(fact, "c_solve", autospec=True, side_effect=fact.c_solve) as c_solve:
+            geo.LineSearchRetraction(X, xi)
+        assert c_mul.call_count == c_solve.call_count == expected

@@ -201,7 +201,7 @@ def test_metric_route_equals_gradient_route(rng):
 
     met_w = geo.KroneckerMetric(E, D)
     Xw = geo.random_point(m, n, r, met_w, rng)
-    grad_metric = geo.riemannian_gradient(Xw, Zf)
+    grad_metric = geo.riemannian_gradient(Xw, Zf, Zf.left.T @ Xw.U, Zf.right.T @ Xw.V)
 
     # same manifold point in the standard representation
     met_id = geo.KroneckerMetric.identity(m, n)

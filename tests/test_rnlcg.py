@@ -107,7 +107,7 @@ def test_full_space_directions_match_classical_cg(rng):
 def steepest_step(op, F, X):
     """Exact step along the negative gradient at X, and that direction."""
     ev = eqs.evaluate(op, X, F)
-    g = geo.riemannian_gradient(X, ev.R)
+    g = geo.riemannian_gradient(X, ev.R, ev.RtU, ev.RtV)
     xi = g.scaled(-1.0)
     return rn.initial_step(eqs.ProjectedObjective(op, F, X, xi, ev), g, xi), xi
 
@@ -185,7 +185,7 @@ def test_block_step_equals_embedded_step(case):
     rng = np.random.default_rng(seed)
     op, F, X = random_instance(m, n, min(r, m, n), ell, weighted, rng)
     ev = eqs.evaluate(op, X, F)
-    g = geo.riemannian_gradient(X, ev.R)
+    g = geo.riemannian_gradient(X, ev.R, ev.RtU, ev.RtV)
     xi = geo.project(X, rng.standard_normal((m, n)))
     zeta = xi.embed()
     ref = -geo.inner(g, xi) / geo.factored_inner(op.apply(zeta), zeta)

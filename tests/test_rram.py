@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from lrmeq import problems as pb
 from lrmeq import solver_rram as rr
 from lrmeq.solver_rnlcg import RnlcgOptions
 
-from oracles import assert_valid_point, dense, dense_metric, point_dense, rand_spd
+from oracles import (
+    assert_valid_point, dense, dense_metric, point_dense, rand_band_spd, rand_spd,
+)
 
 
 def direct_rank_decrease(sigma, eps):
@@ -72,7 +76,7 @@ def test_rank_increase_identity_operator(rng):
     F = eqs.LowRankRhs(rng.standard_normal((m, 5)), rng.standard_normal((n, 5)))
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, F, 2)
+    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
     assert X2.r == 4
     assert abs(alpha - 1.0) <= 1e-10
 
@@ -85,7 +89,7 @@ def test_rank_increase_at_exact_solution(rng):
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
     f0 = eqs.evaluate(op, Xs, F).f
-    X2, alpha = rr.rank_increase(Xs, op, F, 2)
+    X2, alpha = rr.rank_increase(Xs, op, eqs.residual(op, Xs, F), 2)
     assert X2.r == 5
     f1 = eqs.evaluate(op, X2, F).f
     assert abs(f1 - f0) <= 1e-10 * max(1.0, abs(f0))
@@ -99,7 +103,7 @@ def test_rank_increase_exact_line_search(rng):
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     met = geo.KroneckerMetric.identity(m, n)
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, F, 2)
+    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
     # recover Y = (X2 - X)/alpha and check optimality over a grid
     Yd = (X2.densify(force=True) - X.densify(force=True)) / alpha
     Xd = X.densify(force=True)
@@ -124,7 +128,7 @@ def test_rank_increase_direction_is_normal(rng):
     op = eqs.MultitermOperator(A, B)
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, F, 3)
+    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
     Yd = (X2.densify(force=True) - X.densify(force=True))
     proj = geo.project(X, Yd)
     assert geo.norm(proj) <= 1e-10 * np.linalg.norm(Yd)
@@ -148,7 +152,7 @@ def test_rank_increase_grows_by_the_normal_rank(rng):
     PV = np.eye(n) - X.V @ X.V.T @ D
     k = np.linalg.matrix_rank(PU @ np.linalg.solve(E, Rd) @ np.linalg.solve(D, PV.T))
     assert k == 2
-    X2, alpha = rr.rank_increase(X, op, F, 4)
+    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 4)
     assert X2.r == 1 + k
     assert_valid_point(X2)
     assert eqs.evaluate(op, X2, F).f < eqs.evaluate(op, X, F).f
@@ -157,8 +161,60 @@ def test_rank_increase_grows_by_the_normal_rank(rng):
 def test_rank_increase_at_full_rank_returns_the_point(rng):
     op, F = identity_problem(rng, m=6, n=5)
     X = geo.random_point(6, 5, 5, geo.KroneckerMetric.identity(6, 5), rng)
-    X2, alpha = rr.rank_increase(X, op, F, 3)
+    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
     assert X2 is X and alpha == 0.0
+
+
+def dense_weighted_truncation(Z, k, E, D):
+    """Best rank-k approximation of Z in the norm ``||L_E.T Z L_D||`` for
+    the Cholesky factors ``E = L_E L_E.T`` and ``D = L_D L_D.T``."""
+    LE, LD = np.linalg.cholesky(E), np.linalg.cholesky(D)
+    u, s, vt = np.linalg.svd(LE.T @ Z @ LD)
+    return np.linalg.solve(LE.T, (u[:, :k] * s[:k]) @ vt[:k]) @ np.linalg.inv(LD)
+
+
+@pytest.mark.parametrize("m, n", [(30, 5), (6, 25)])
+def test_rank_increase_weighted_residual_wider_than_min_dimension(m, n, rng):
+    """l r + r_F = 8 residual columns exceed min(m, n), in a tall and a wide
+    shape: the step is alpha times the B-truncation of the normal component
+    ``-(E^-1 - U U.T) R (D^-1 - V V.T)``, and alpha is the exact minimizer
+    of f along it."""
+    inst = pb.gen_synthetic(m, n, 3, r_F=2, seed=1)
+    op, F = inst.op, inst.F
+    met = geo.KroneckerMetric(rand_band_spd(m, 2, rng), rand_band_spd(n, 1, rng))
+    r, r_up = 2, 2
+    X = geo.random_point(m, n, r, met, rng)
+    R = eqs.evaluate(op, X, F).R
+    assert R.k > min(m, n)
+    X2, alpha = rr.rank_increase(X, op, R, r_up)
+    assert X2.r == r + r_up
+    assert_valid_point(X2)
+    E, D = dense_metric(met)
+    Rd = R.densify(force=True)
+    N = -(np.linalg.inv(E) - X.U @ X.U.T) @ Rd @ (np.linalg.inv(D) - X.V @ X.V.T)
+    Nk = dense_weighted_truncation(N, r_up, E, D)
+    step = point_dense(X2) - point_dense(X)
+    assert np.linalg.norm(step - alpha * Nk) <= 1e-10 * np.linalg.norm(alpha * Nk)
+    ANk = sum(dense(Ai) @ Nk @ dense(Bi).T for Ai, Bi in zip(op.A, op.B))
+    assert alpha == pytest.approx(-np.sum(Rd * Nk) / np.sum(ANk * Nk), rel=1e-10)
+
+
+def test_rank_increase_solves_at_most_min_dimension_columns(rng):
+    """A residual with l r + r_F = 11 > n = 6 columns, as on the sg-rram
+    workload: the solves with E and D see at most n right-hand sides."""
+    m, n = 40, 6
+    inst = pb.gen_synthetic(m, n, 3, r_F=2, seed=3)
+    met = geo.KroneckerMetric(rand_band_spd(m, 3, rng), rand_band_spd(n, 1, rng))
+    X = geo.random_point(m, n, 3, met, rng)
+    R = eqs.evaluate(inst.op, X, inst.F).R
+    assert R.k == 11
+    with mock.patch.object(met, "solve_E", wraps=met.solve_E) as solve_E, \
+            mock.patch.object(met, "solve_D", wraps=met.solve_D) as solve_D:
+        X2, _ = rr.rank_increase(X, inst.op, R, 2)
+    assert X2.r == 5
+    for solve in (solve_E, solve_D):
+        assert solve.called
+        assert sum(c.args[0].shape[1] for c in solve.call_args_list) <= n
 
 
 # ---------------------------------------------------------------------------
