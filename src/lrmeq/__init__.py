@@ -24,6 +24,7 @@ from .precond import (
     KronPrecond,
     ShiftSet,
     TangAdiPrecond,
+    adi_shifts,
     spectral_interval,
     wachspress_shifts,
 )

@@ -33,7 +33,7 @@ from . import precond as pc
 from . import problems as pb
 from .solver_rnlcg import RnlcgOptions, check_int, check_positive, rnlcg_solve
 from .solver_rram import RramOptions, rram_solve
-from .trunc_cg import TruncationPolicy, truncate_factored, truncated_cg_solve
+from .trunc_cg import TruncationPolicy, truncated_cg_solve
 
 _ENV_OUT = "LRMEQ_OUT"
 
@@ -153,12 +153,6 @@ def _solver_options(cfg):
         raise ConfigError(str(exc)) from None
 
 
-def _wachspress_for(spec, J):
-    a, b = pc.spectral_interval(spec["A"], spec.get("E"))
-    c, d = pc.spectral_interval(spec["B"], spec.get("D"))
-    return pc.wachspress_shifts(a, b, c, d, J)
-
-
 def _precond_spec(inst, label):
     """The instance's preconditioner spec behind a ``precond`` label other
     than ``identity``; tangADI uses P2, or P1 where there is no P2."""
@@ -173,28 +167,27 @@ def _precond_spec(inst, label):
 
 def _build_tangent_setup(inst, cfg):
     """Metric and tangent-space preconditioner for the Riemannian solvers."""
-    m, n = inst.op.m, inst.op.n
     label = cfg["precond"]
-    identity = geo.KroneckerMetric.identity(m, n)
+    identity = geo.KroneckerMetric()
     if label == "identity":
         return identity, pc.IdentityPrecond()
     spec = _precond_spec(inst, label)
     kind = spec["kind"]
-    if label == "tangadi":
-        if kind != "gen_sylv":
-            raise ConfigError("tangADI needs a generalized-Sylvester preconditioner spec")
-        shifts = _wachspress_for(spec, cfg["adi_shifts"])
-        return identity, pc.TangAdiPrecond(
-            spec["A"], spec["B"], spec["D"], spec["E"], shifts, cfg["adi_steps"]
-        )
+    if label == "tangadi" and kind != "gen_sylv":
+        raise ConfigError("tangADI needs a generalized-Sylvester preconditioner spec")
     # a missing E or D (a "sylv" spec has neither) is the identity
-    metric = geo.KroneckerMetric(spec.get("E"), spec.get("D"), m=m, n=n)
+    kron = geo.KroneckerMetric(spec.get("E"), spec.get("D"))
+    if label == "tangadi":
+        shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
+        return identity, pc.TangAdiPrecond(
+            spec["A"], spec["B"], kron, shifts, cfg["adi_steps"]
+        )
     if kind in ("sylv", "gen_sylv"):
-        return metric, pc.GenSylvesterPrecond(spec["A"], spec["B"], metric)
+        return kron, pc.GenSylvesterPrecond(spec["A"], spec["B"], kron)
     if kind == "kron":
         if cfg["kron_mode"] == "metric":
-            return metric, pc.IdentityPrecond()
-        return identity, pc.KronPrecond(metric)
+            return kron, pc.IdentityPrecond()
+        return identity, pc.KronPrecond(kron)
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
 
 
@@ -206,22 +199,14 @@ def _build_ambient_precond(inst, cfg, policy, norm_F):
         return pc.IdentityPrecond()
     spec = _precond_spec(inst, label)
     kind = spec["kind"]
+    kron = geo.KroneckerMetric(spec.get("E"), spec.get("D"))
     if kind == "kron":
-        return pc.KronPrecond(
-            geo.KroneckerMetric(spec["E"], spec["D"], m=inst.op.m, n=inst.op.n)
-        )
+        return pc.KronPrecond(kron)
     if kind in ("sylv", "gen_sylv"):
-        shifts = _wachspress_for(spec, cfg["adi_shifts"])
-
-        def trunc(Z):
-            out, _ = truncate_factored(
-                Z, policy.eps_rel_r, policy.eps_abs_r, norm_F, policy.rank_cap
-            )
-            return out
-
+        shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
         return pc.FadiAmbientPrecond(
-            spec["A"], spec["B"], spec.get("D"), spec.get("E"),
-            shifts=shifts, steps=cfg["adi_steps"], truncate_fn=trunc,
+            spec["A"], spec["B"], kron, shifts, cfg["adi_steps"],
+            truncate_fn=lambda Z: policy.truncate_residual(Z, norm_F)[0],
         )
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
 
@@ -364,14 +349,14 @@ def cmd_verify(_args):
         "generalized Sylvester solve forward-check",
         geo.norm(back.plus(eta, -1.0)) <= 1e-9 * eta_norm,
     )
-    met_id = geo.KroneckerMetric.identity(m, n)
+    met_id = geo.KroneckerMetric()
     Xs = geo.random_point(m, n, r, met_id, rng)
     eta_s = geo.project(Xs, rng.standard_normal((m, n)))
     xi_star = geo.project(Xs, rng.standard_normal((m, n)))
     dense_star = Xs.U @ xi_star.M @ Xs.V.T + xi_star.Up @ Xs.V.T + Xs.U @ xi_star.Vp.T
     PX = geo.project(Xs, A @ dense_star @ D + E @ dense_star @ B)
     sh = pc.ShiftSet(((2.0, -2.0),))
-    again = pc.TangAdiPrecond(A, B, D, E, sh, steps=80).apply_inv_tangent(PX)
+    again = pc.TangAdiPrecond(A, B, met, sh, steps=80).apply_inv_tangent(PX)
     check(
         "tangADI converges to the exact preimage",
         geo.norm(again.plus(xi_star, -1.0)) <= 1e-8 * geo.norm(xi_star),

@@ -82,10 +82,7 @@ def _term_products(mats, Y):
 
 def residual(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> FactoredMatrix:
     """Factored residual ``A X - F`` of rank ``ell * r + r_F``."""
-    US = X.U * X.sigma
-    left = np.hstack([Ai @ US for Ai in op.A] + [-F.left])
-    right = np.hstack([Bi @ X.V for Bi in op.B] + [F.right])
-    return FactoredMatrix(left, right)
+    return op.apply(X).hstack(F.scaled(-1.0))
 
 
 @dataclass(frozen=True)

@@ -41,34 +41,27 @@ GAUGE_QR_MAX_COND = 1e7
 class KroneckerMetric:
     """Ambient inner product ``<X, Y> = <E X D, Y>`` with SPD E, D.
 
-    ``E`` or ``D`` may be None for the identity.  The pair and its SPD
-    factorizations serve as the ambient metric of the weighted geometry
-    and as the Kronecker preconditioner ``E X D`` (``precond.KronPrecond``).
+    ``E`` or ``D`` may be None for the identity; ``KroneckerMetric()`` is
+    the standard metric.  The pair and its SPD factorizations serve as the
+    ambient metric of the weighted geometry, as the Kronecker
+    preconditioner ``E X D`` (``precond.KronPrecond``) and as the pair
+    behind the ADI pencils ``(A - q E, B + p D)`` (``precond.TangAdiPrecond``,
+    ``precond.FadiAmbientPrecond``, ``precond.adi_shifts``).
     The retraction's QR needs only products with E and D (``gauge_qr``).
     The factorizations' Cholesky-type square roots (``E = C_E.T @ C_E``)
     still back ``weighted_qr``, which ``weighted_svd`` and the retraction's
     fallback call, and ``precond.spectral_interval``.
     """
 
-    def __init__(self, E=None, D=None, m=None, n=None):
-        if E is None and m is None:
-            raise ValueError("need E or m")
-        if D is None and n is None:
-            raise ValueError("need D or n")
+    def __init__(self, E=None, D=None):
         self.E = E
         self.D = D
-        self.m = int(E.shape[0]) if E is not None else int(m)
-        self.n = int(D.shape[0]) if D is not None else int(n)
         if E is not None:
             numkit.check_symmetric(E, name="E")
         if D is not None:
             numkit.check_symmetric(D, name="D")
         self.fact_E = numkit.SpdFactorization(E) if E is not None else None
         self.fact_D = numkit.SpdFactorization(D) if D is not None else None
-
-    @classmethod
-    def identity(cls, m, n):
-        return cls(None, None, m, n)
 
     @property
     def is_identity(self):

@@ -12,7 +12,6 @@ own full band.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 
 import numpy as np
@@ -23,20 +22,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class NotSpdError(ValueError):
-    """Raised when a matrix handed to ``SpdFactorization`` is not SPD.
-
-    ``index`` is the 1-based index of the failing pivot / leading minor
-    when the underlying LAPACK routine reports one, else -1.
-    """
-
-    def __init__(self, message, index=-1):
-        super().__init__(message)
-        self.index = index
-
-
-def _pivot_index(exc):
-    m = re.search(r"(\d+)", str(exc))
-    return int(m.group(1)) if m else -1
+    """Raised when a matrix handed to ``SpdFactorization`` is not SPD; the
+    message is LAPACK's, which names the failing leading minor."""
 
 
 def svd_thin(A):
@@ -159,10 +146,11 @@ class SpdFactorization:
     ``c_solve``, ``ct_mul`` and ``ct_solve`` give access to the square
     root ``C = R P`` (P the permutation) with ``A = C.T @ C``.  Their
     readers are ``geometry.weighted_qr`` (behind ``weighted_svd`` and the
-    retraction's fallback) and ``precond.spectral_interval``; the
-    benchmark's tracer also patches all four by name, so they stay until
-    it changes.  Instances are immutable after construction and
-    re-entrant.
+    retraction's fallback) and, through the ``fact_E`` or ``fact_D`` of a
+    ``KroneckerMetric``, ``precond.spectral_interval`` (``c_solve`` and
+    ``ct_solve``); the benchmark's tracer also patches all four by name,
+    so they stay until it changes.  Instances are immutable after
+    construction and re-entrant.
     """
 
     def __init__(self, A):
@@ -173,7 +161,7 @@ class SpdFactorization:
         try:
             self._ab = sla.cholesky_banded(ab_upper, lower=False)
         except sla.LinAlgError as exc:
-            raise NotSpdError(str(exc), _pivot_index(exc)) from exc
+            raise NotSpdError(str(exc)) from exc
         self._perm, self._iperm = perm, iperm
         self._pttrs = None
         if self._ab.shape[0] == 2:

@@ -182,15 +182,15 @@ def wachspress_shifts(a, b, c, d, J):
     return ShiftSet(pairs)
 
 
-def spectral_interval(A, E=None):
+def spectral_interval(A, fact_E):
     """Bracket the spectrum of the SPD pencil (A, E) with a safety margin.
 
-    Small problems use a dense solve; larger ones a short Lanczos run on
-    ``C_E^{-T} A C_E^{-1}`` with a deterministic start vector, falling
-    back to Gershgorin-type bounds on breakdown.
+    ``fact_E`` is E's ``SpdFactorization`` (a ``KroneckerMetric``'s
+    ``fact_E`` or ``fact_D``), None for the identity.  Small problems use a
+    dense solve; larger ones a short Lanczos run on ``C_E^{-T} A C_E^{-1}``
+    with a deterministic start vector, stopped early on breakdown.
     """
     m = A.shape[0]
-    fact_E = numkit.SpdFactorization(E) if E is not None else None
 
     def opmul(X):
         Y = X if fact_E is None else fact_E.c_solve(X)
@@ -208,42 +208,32 @@ def spectral_interval(A, E=None):
     alphas, betas = [], []
     beta = 0.0
     v_prev = np.zeros(m)
-    try:
-        for k in range(_LANCZOS_STEPS):
-            Vb[:, k] = v
-            w = opmul(v)
-            alpha = float(v @ w)
-            w = w - alpha * v - beta * v_prev
-            w -= Vb[:, : k + 1] @ (Vb[:, : k + 1].T @ w)  # full reorthogonalization
-            alphas.append(alpha)
-            beta = float(np.linalg.norm(w))
-            if beta < 1e-13 * max(abs(alpha), 1.0):
-                break
-            betas.append(beta)
-            v_prev = v
-            v = w / beta
-        theta = sla.eigh_tridiagonal(
-            np.array(alphas), np.array(betas[: len(alphas) - 1]), eigvals_only=True
-        )
-        return _SAFETY_LO * float(theta[0]), _SAFETY_HI * float(theta[-1])
-    except Exception:
-        lo_A, hi_A = _gershgorin(A)
-        if E is None:
-            lo_E = hi_E = 1.0
-        else:
-            lo_E, hi_E = _gershgorin(E)
-        lo = max(lo_A, 1e-300) / max(hi_E, 1e-300)
-        hi = max(hi_A, 1e-300) / max(lo_E, 1e-300)
-        if lo <= 0 or not np.isfinite(hi):
-            raise ValueError("could not bracket the pencil spectrum")
-        return _SAFETY_LO * lo, _SAFETY_HI * hi
+    for k in range(_LANCZOS_STEPS):
+        Vb[:, k] = v
+        w = opmul(v)
+        alpha = float(v @ w)
+        w = w - alpha * v - beta * v_prev
+        w -= Vb[:, : k + 1] @ (Vb[:, : k + 1].T @ w)  # full reorthogonalization
+        alphas.append(alpha)
+        beta = float(np.linalg.norm(w))
+        if beta < 1e-13 * max(abs(alpha), 1.0):
+            break
+        betas.append(beta)
+        v_prev = v
+        v = w / beta
+    theta = sla.eigh_tridiagonal(
+        np.array(alphas), np.array(betas[: len(alphas) - 1]), eigvals_only=True
+    )
+    return _SAFETY_LO * float(theta[0]), _SAFETY_HI * float(theta[-1])
 
 
-def _gershgorin(A):
-    A = sp.csr_matrix(A)
-    diag = A.diagonal()
-    off = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
-    return float(np.min(diag - off)), float(np.max(diag + off))
+def adi_shifts(A, B, kron: KroneckerMetric, J):
+    """J Wachspress shift pairs for ``P X = A X D + E X B``, with ``(E, D)``
+    the pair of ``kron``, from the spectral intervals of the pencils
+    ``(A, E)`` and ``(B, D)``."""
+    a, b = spectral_interval(A, kron.fact_E)
+    c, d = spectral_interval(B, kron.fact_D)
+    return wachspress_shifts(a, b, c, d, J)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +344,24 @@ class GenSylvesterPrecond:
 
 class _AdiPrecond:
     """Shift pairs and sweep count of an ADI preconditioner for
-    ``P X = A X D + E X B`` (``D`` or ``E`` None means the identity), with
-    the factorizations of its shifted pencils made on the first apply."""
+    ``P X = A X D + E X B``, with ``(E, D)`` the pair of a ``KroneckerMetric``
+    and the factorizations of its shifted pencils made on the first apply."""
 
-    def __init__(self, A, B, D, E, shifts: ShiftSet, steps=None):
-        if shifts is None or len(shifts) == 0:
+    def __init__(self, A, B, kron: KroneckerMetric, shifts: ShiftSet, steps=None):
+        if not shifts:
             raise ValueError("ADI needs a nonempty shift set")
         self.steps = len(shifts) if steps is None else int(steps)
         if self.steps < 1:
             raise ValueError(f"ADI needs steps >= 1, got {steps}")
-        self.A, self.B, self.D, self.E = A, B, D, E
+        self.A, self.B, self.kron = A, B, kron
         self.shifts = shifts
 
     @cached_property
     def factors(self):
         """Factorizations ``(A - q_j E, B + p_j D)`` of the shift pairs that
         ``steps`` sweeps use."""
-        factory_AE = ShiftedPencilFactory(self.A, self.E)
-        factory_BD = ShiftedPencilFactory(self.B, self.D)
+        factory_AE = ShiftedPencilFactory(self.A, self.kron.E)
+        factory_BD = ShiftedPencilFactory(self.B, self.kron.D)
         return [
             (factory_AE.factor(-q), factory_BD.factor(p))
             for p, q in self.shifts.pairs[: self.steps]
@@ -394,14 +384,14 @@ class TangAdiPrecond(_AdiPrecond):
         X = eta.point
         if not X.metric.is_identity:
             raise ValueError("tangADI operates in the standard metric")
-        A, B, D, E = self.A, self.B, self.D, self.E
+        A, B, kron = self.A, self.B, self.kron
         shifts, factors = self.shifts, self.factors
 
         U, V = X.U, X.V
         AU = A @ U
         BV = B @ V
-        EU = E @ U if E is not None else U
-        DV = D @ V if D is not None else V
+        EU = kron.apply_E(U)
+        DV = kron.apply_D(V)
         S_AU = U.T @ AU
         S_EU = U.T @ EU
         S_BV = V.T @ BV
@@ -424,8 +414,8 @@ class TangAdiPrecond(_AdiPrecond):
                 Mj, Uj, Vj = xi
                 AU_p, S_A = AU - p * EU, S_AU - p * S_EU
                 BV_q, S_B = BV + q * DV, S_BV + q * S_DV
-                AUj = A @ Uj - p * (E @ Uj if E is not None else Uj)
-                BVj = B @ Vj + q * (D @ Vj if D is not None else Vj)
+                AUj = A @ Uj - p * kron.apply_E(Uj)
+                BVj = B @ Vj + q * kron.apply_D(Vj)
                 UtAUj = U.T @ AUj
                 core = Mj @ S_B + BVj.T @ V              # U^T xi (B + q D) V
                 rhs_u += AU_p @ core + AUj @ S_B         # Z_j V
@@ -446,8 +436,9 @@ class FadiAmbientPrecond(_AdiPrecond):
     truncation hook is installed.
     """
 
-    def __init__(self, A, B, D=None, E=None, shifts=None, steps=None, truncate_fn=None):
-        super().__init__(A, B, D, E, shifts, steps)
+    def __init__(self, A, B, kron: KroneckerMetric, shifts: ShiftSet, steps=None,
+                 truncate_fn=None):
+        super().__init__(A, B, kron, shifts, steps)
         self.truncate_fn = truncate_fn
 
     def apply_inv_ambient(self, Z: FactoredMatrix) -> FactoredMatrix:
@@ -460,8 +451,8 @@ class FadiAmbientPrecond(_AdiPrecond):
             new_l = [fa.solve((p - q) * Z.left)]
             new_r = [fb.solve(Z.right)]
             if Xl.shape[1]:
-                AX = self.A @ Xl - p * (self.E @ Xl if self.E is not None else Xl)
-                BX = self.B @ Xr + q * (self.D @ Xr if self.D is not None else Xr)
+                AX = self.A @ Xl - p * self.kron.apply_E(Xl)
+                BX = self.B @ Xr + q * self.kron.apply_D(Xr)
                 new_l.append(fa.solve(AX))
                 new_r.append(fb.solve(BX))
             Xl = np.hstack(new_l)

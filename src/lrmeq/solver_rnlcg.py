@@ -246,7 +246,7 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     "line_search_failure", "stagnated", "spd_loss"}.
     """
     trace = SolveTrace()
-    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+    metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
     try:
         state = RnlcgState(op, F, opts, X0, precond=precond)

@@ -170,7 +170,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     """
     trace = SolveTrace()
     rng = np.random.default_rng(opts.seed)
-    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+    metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
     try:
         state = RnlcgState(op, F, opts.inner, X0, precond=precond)

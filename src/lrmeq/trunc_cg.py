@@ -48,6 +48,12 @@ class TruncationPolicy:
             if v < 0:
                 raise ValueError("tolerances must be nonnegative")
 
+    def truncate_residual(self, Z, norm_F):
+        """Recompress a residual-type factored matrix (the residual R_k, the
+        direction P_k, an fADI sweep) by the mixed criterion relative to
+        ``norm_F = ||F||_F``; returns ``(Z', discarded_tail)``."""
+        return truncate_factored(Z, self.eps_rel_r, self.eps_abs_r, norm_F, self.rank_cap)
+
 
 def truncate_factored(Z: FactoredMatrix, eps_rel, eps_abs=0.0, norm_ref=1.0, rank_cap=None):
     """Recompression of a factored matrix through its SVD
@@ -57,7 +63,7 @@ def truncate_factored(Z: FactoredMatrix, eps_rel, eps_abs=0.0, norm_ref=1.0, ran
     ``tail <= max(eps_abs * norm_ref, eps_rel * ||Z||_F)``; a rank cap,
     when set, is applied afterwards.  Returns ``(Z', discarded_tail)``.
     """
-    U, s, V = geo.weighted_svd(Z, geo.KroneckerMetric.identity(*Z.shape))
+    U, s, V = geo.weighted_svd(Z, geo.KroneckerMetric())
     norm_z = float(np.linalg.norm(s))
     thresh = max(eps_abs * norm_ref, eps_rel * norm_z)
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
@@ -90,11 +96,6 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
     def trunc_x(Z):
         return truncate_factored(Z, policy.eps_rel_x, 0.0, 1.0, policy.rank_cap)
 
-    def trunc_r(Z):
-        return truncate_factored(
-            Z, policy.eps_rel_r, policy.eps_abs_r, norm_F, policy.rank_cap
-        )
-
     def true_residual():
         AX = op.apply(X)
         R_true = FactoredMatrix(np.hstack([F.left, -AX.left]), np.hstack([F.right, AX.right]))
@@ -122,14 +123,14 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             return stop("cg_breakdown")
         omega = factored_inner(P, R) / pq
         X, _ = trunc_x(X.hstack(P.scaled(omega)))
-        R, _ = trunc_r(R.hstack(Q.scaled(-omega)))
+        R, _ = policy.truncate_residual(R.hstack(Q.scaled(-omega)), norm_F)
         res = factored_norm(R) / norm_F
         kind = "recursive"
         if res <= tol:
             R_true, res = true_residual()
             kind = "exact"
             if res > tol:
-                R, _ = trunc_r(R_true)
+                R, _ = policy.truncate_residual(R_true, norm_F)
         res_hist.append(res)
         Z = precond.apply_inv_ambient(R)
         if kind == "exact":
@@ -139,7 +140,7 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             # direction conjugation is robust to truncation drift (equals the
             # usual <R,Z> ratio in exact arithmetic)
             beta = -factored_inner(Z, Q) / pq
-            P, _ = trunc_r(Z.hstack(P.scaled(beta)))
+            P, _ = policy.truncate_residual(Z.hstack(P.scaled(beta)), norm_F)
         trace.append(
             iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
             beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,

@@ -46,12 +46,14 @@ def dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
-def dense_metric(X):
-    """Dense ``(E, D)`` of a Kronecker metric or of a point's metric; a
-    missing E or D is the identity."""
+def dense_metric(X, shape=None):
+    """Dense ``(E, D)`` of a point's metric, or of a Kronecker metric on
+    ``m x n`` matrices for ``shape = (m, n)``; a missing E or D is the
+    identity."""
     met = getattr(X, "metric", X)
-    E = np.eye(met.m) if met.E is None else dense(met.E)
-    D = np.eye(met.n) if met.D is None else dense(met.D)
+    m, n = X.shape if shape is None else shape
+    E = np.eye(m) if met.E is None else dense(met.E)
+    D = np.eye(n) if met.D is None else dense(met.D)
     return E, D
 
 

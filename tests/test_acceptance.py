@@ -40,7 +40,7 @@ def report(num, name, ok, detail=""):
 
 
 def _std_point(m, n, r, rng):
-    return geo.random_point(m, n, r, geo.KroneckerMetric.identity(m, n), rng)
+    return geo.random_point(m, n, r, geo.KroneckerMetric(), rng)
 
 
 def test_criterion_1_dense_preconditioner_oracles():
@@ -90,7 +90,7 @@ def test_criterion_2_weighted_geometry_suite():
         n = int(rng.integers(6, 11))
         r = int(rng.integers(1, 4))
         met = geo.KroneckerMetric(rand_spd(m, rng, 8.0), rand_spd(n, rng, 8.0))
-        E, D = dense_metric(met)
+        E, D = dense_metric(met, (m, n))
         X = geo.random_point(m, n, r, met, rng)
         Z = rng.standard_normal((m, n))
         # weighted SVD reconstruction
@@ -142,8 +142,9 @@ def test_criterion_3_spectral_radius_inequality():
         r = int(rng.integers(1, 3))
         A, B = rand_spd(m, rng, 15.0), rand_spd(n, rng, 15.0)
         D, E = rand_spd(n, rng, 4.0), rand_spd(m, rng, 4.0)
-        a, b = pc.spectral_interval(A, E)
-        c, d = pc.spectral_interval(B, D)
+        kron = geo.KroneckerMetric(E, D)
+        a, b = pc.spectral_interval(A, kron.fact_E)
+        c, d = pc.spectral_interval(B, kron.fact_D)
         p, q = float(np.sqrt(a * b)), -float(np.sqrt(c * d))
         X = _std_point(m, n, r, rng)
         amb_G, amb_N = _shifted_ops(A, B, D, E, p, q)
@@ -169,8 +170,9 @@ def test_criterion_4_tangadi_contraction():
         r = int(rng.integers(1, 3))
         A, B = rand_spd(m, rng, 20.0), rand_spd(n, rng, 20.0)
         D, E = rand_spd(n, rng, 3.0), rand_spd(m, rng, 3.0)
-        a, b = pc.spectral_interval(A, E)
-        c, d = pc.spectral_interval(B, D)
+        kron = geo.KroneckerMetric(E, D)
+        a, b = pc.spectral_interval(A, kron.fact_E)
+        c, d = pc.spectral_interval(B, kron.fact_D)
         p, q = float(np.sqrt(a * b)), -float(np.sqrt(c * d))
         shifts = pc.ShiftSet(((p, q),))
         X = _std_point(m, n, r, rng)
@@ -191,7 +193,7 @@ def test_criterion_4_tangadi_contraction():
 
         errs = []
         for steps in range(1, 10):
-            out = pc.TangAdiPrecond(A, B, D, E, shifts, steps).apply_inv_tangent(eta)
+            out = pc.TangAdiPrecond(A, B, kron, shifts, steps).apply_inv_tangent(eta)
             errs.append(g_norm(tv_dense(out) - star_d))
         ratios = [errs[j + 1] / errs[j] for j in range(3, 8) if errs[j] > 1e-13]
         if ratios:
@@ -282,17 +284,16 @@ def test_criterion_7_preconditioner_ordering():
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),
                               metric=met, precond=prec2)
     prec1 = pc.GenSylvesterPrecond(
-        inst.p1["A"], inst.p1["B"], geo.KroneckerMetric.identity(inst.op.m, inst.op.n)
+        inst.p1["A"], inst.p1["B"], geo.KroneckerMetric()
     )
     _, tr1, st1 = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),
                               precond=prec1)
     _, tr0, st0 = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0))
-    a, b = pc.spectral_interval(spec["A"], spec["E"])
-    c, d = pc.spectral_interval(spec["B"], spec["D"])
-    shifts = pc.wachspress_shifts(a, b, c, d, 8)
-    prec_adi = pc.TangAdiPrecond(spec["A"], spec["B"], spec["D"], spec["E"], shifts, 8)
+    kron = geo.KroneckerMetric(spec["E"], spec["D"])
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
+    prec_adi = pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts, 8)
     _, tra, sta = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),
                               precond=prec_adi)
@@ -323,19 +324,15 @@ def test_criterion_8_truncated_cg_fidelity():
     # (b) rank cap below the solution rank on the n=200 instance: stagnation
     inst = pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3)
     spec = inst.p2
-    a, b = pc.spectral_interval(spec["A"], spec["E"])
-    c, d = pc.spectral_interval(spec["B"], spec["D"])
-    shifts = pc.wachspress_shifts(a, b, c, d, 8)
+    kron = geo.KroneckerMetric(spec["E"], spec["D"])
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
     tol = 1e-6
     norm_F = geo.factored_norm(inst.F)
     policy = tc.TruncationPolicy.from_tol(tol, rank_cap=12)
-
-    def trunc(Z):
-        out, _ = tc.truncate_factored(Z, policy.eps_rel_r, policy.eps_abs_r, norm_F, 12)
-        return out
-
-    prec = pc.FadiAmbientPrecond(spec["A"], spec["B"], spec["D"], spec["E"],
-                                 shifts=shifts, steps=8, truncate_fn=trunc)
+    prec = pc.FadiAmbientPrecond(
+        spec["A"], spec["B"], kron, shifts, 8,
+        truncate_fn=lambda Z: policy.truncate_residual(Z, norm_F)[0],
+    )
     Xc, trc, stc = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 400)
     min_res = min(r["res_rel"] for r in trc.rows)
     ok2 = stc in ("stagnated", "cg_breakdown") and min_res > tol
@@ -350,7 +347,7 @@ def test_criterion_9_rram_mechanics():
     A = [rand_spd(18, rng, 60.0), np.eye(18)]
     B = [np.eye(16), rand_spd(16, rng, 60.0)]
     op = eqs.MultitermOperator(A, B)
-    met = geo.KroneckerMetric.identity(18, 16)
+    met = geo.KroneckerMetric()
     Xs = geo.random_point(18, 16, 6, met, rng)
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
@@ -426,7 +423,7 @@ def test_criterion_10_stochastic_galerkin_analogue():
     ok = worst <= 1e-13 and abs(g01 - 1.0 / np.sqrt(3.0)) <= 1e-14
 
     inst = pb.gen_stoch_galerkin(32, q, p)
-    met2 = geo.KroneckerMetric(inst.p2["E"], inst.p2["D"], m=inst.op.m, n=inst.op.n)
+    met2 = geo.KroneckerMetric(inst.p2["E"], inst.p2["D"])
     X, trace, status = rram_solve(
         inst.op, inst.F,
         RramOptions(r0=3, r_up=3, tol=1e-5, max_total_iters=400, seed=0,
@@ -436,7 +433,7 @@ def test_criterion_10_stochastic_galerkin_analogue():
     res = eqs.residual_norm_exact(inst.op, X, inst.F)
     ok &= status == "converged" and res <= 1e-5
 
-    met1 = geo.KroneckerMetric(inst.p1["E"], None, m=inst.op.m, n=inst.op.n)
+    met1 = geo.KroneckerMetric(inst.p1["E"], None)
     _, tr1, st1 = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=30, tol=1e-5, max_iters=400, seed=0),
                               metric=met1)

@@ -7,6 +7,7 @@ import pytest
 from lrmeq import cli
 from lrmeq import geometry as geo
 from lrmeq import io as inst_io
+from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq.cli import main, run_solve, _CONFIG_DEFAULTS
@@ -82,7 +83,7 @@ def test_spd_loss_exits_with_code_2(tmp_path, monkeypatch):
             return eta if self.applies == 1 else eta.scaled(-1.0)
 
     def setup(inst, cfg):
-        return geo.KroneckerMetric.identity(inst.op.m, inst.op.n), TurnsIndefinite()
+        return geo.KroneckerMetric(), TurnsIndefinite()
 
     inst_dir = tmp_path / "inst"
     inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
@@ -221,7 +222,7 @@ def test_identical_compare_rows_mod_time(tmp_path):
 def test_p1_is_generalized_sylvester_in_the_identity_metric(tmp_path):
     inst = pb.gen_fd_diffusion_paper(24)
     metric, prec = cli._build_tangent_setup(inst, dict(_CONFIG_DEFAULTS, precond="P1"))
-    assert metric.is_identity and (metric.m, metric.n) == (inst.op.m, inst.op.n)
+    assert metric.is_identity
     assert isinstance(prec, pc.GenSylvesterPrecond)
     assert prec.metric is metric
 
@@ -238,14 +239,13 @@ def test_p1_is_generalized_sylvester_in_the_identity_metric(tmp_path):
 
 @pytest.mark.parametrize("kron_mode", ["metric", "gradient"])
 def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
-    """The stochastic-Galerkin P1 spec has ``D = None``: the Kronecker
-    metric takes the identity D from the instance's n."""
+    """The stochastic-Galerkin P1 spec has ``D = None``, which the Kronecker
+    metric keeps as the identity."""
     inst = pb.gen_stoch_galerkin(6, 2, 2)
-    m, n = inst.op.m, inst.op.n
     cfg = dict(_CONFIG_DEFAULTS, precond="P1", kron_mode=kron_mode)
     metric, prec = cli._build_tangent_setup(inst, cfg)
     kron = metric if kron_mode == "metric" else prec.kron
-    assert kron.E is inst.p1["E"] and kron.D is None and (kron.m, kron.n) == (m, n)
+    assert kron.E is inst.p1["E"] and kron.D is None
     if kron_mode == "metric":
         assert isinstance(prec, pc.IdentityPrecond)
     else:
@@ -253,7 +253,41 @@ def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
     policy = cli._solver_options(dict(cfg, solver="trunc_cg"))
     amb = cli._build_ambient_precond(inst, cfg, policy, geo.factored_norm(inst.F))
     assert isinstance(amb, pc.KronPrecond) and amb.kron.D is None
-    assert (amb.kron.m, amb.kron.n) == (m, n)
+
+
+def test_tangadi_setup_factors_e_and_d_once(monkeypatch):
+    """tangADI's set-up factors E and D once each, in the KroneckerMetric it
+    hands to the preconditioner; the two spectral intervals use those
+    factorizations and make none of their own, and the shifted pencils wait
+    for the first apply."""
+    inst = pb.gen_fd_diffusion_paper(24)
+    events = []
+    init, interval = numkit.SpdFactorization.__init__, pc.spectral_interval
+
+    def counted_init(self, A):
+        events.append(("factor", A))
+        init(self, A)
+
+    def counted_interval(A, fact_E):
+        events.append(("interval", fact_E))
+        out = interval(A, fact_E)
+        events.append(("interval done", None))
+        return out
+
+    monkeypatch.setattr(numkit.SpdFactorization, "__init__", counted_init)
+    monkeypatch.setattr(pc, "spectral_interval", counted_interval)
+    metric, prec = cli._build_tangent_setup(inst, dict(_CONFIG_DEFAULTS, precond="tangadi"))
+    assert metric.is_identity and isinstance(prec, pc.TangAdiPrecond)
+    kron = prec.kron
+    assert kron.E is inst.p2["E"] and kron.D is inst.p2["D"]
+    expected = [
+        ("factor", kron.E), ("factor", kron.D),
+        ("interval", kron.fact_E), ("interval done", None),
+        ("interval", kron.fact_D), ("interval done", None),
+    ]
+    assert len(events) == len(expected)
+    assert all(k == k2 and x is x2 for (k, x), (k2, x2) in zip(events, expected))
+    assert "factors" not in vars(prec)
 
 
 @pytest.mark.parametrize(

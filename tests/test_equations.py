@@ -15,7 +15,7 @@ def make_op(m, n, ell, rng, cond=10.0):
 
 
 def rand_point(m, n, r, rng):
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     return geo.random_point(m, n, r, met, rng)
 
 
@@ -70,7 +70,7 @@ def test_residual_dense_and_rank(rng):
 
 
 def test_objective_identity_case():
-    met = geo.KroneckerMetric.identity(3, 3)
+    met = geo.KroneckerMetric()
     e1 = np.array([[1.0], [0.0], [0.0]])
     X = geo.FixedRankPoint(e1, np.array([1.0]), e1, met)
     op = eqs.MultitermOperator([np.eye(3)], [np.eye(3)])
@@ -202,7 +202,7 @@ def test_evaluate_blocks_are_the_residual_products(rng, weighted):
     op = make_op(m, n, 3, rng)
     F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
     met = (geo.KroneckerMetric(rand_band_spd(m, 2, rng), rand_band_spd(n, 1, rng))
-           if weighted else geo.KroneckerMetric.identity(m, n))
+           if weighted else geo.KroneckerMetric())
     X = geo.random_point(m, n, r, met, rng)
     ev = eqs.evaluate(op, X, F)
     RtU, RtV = ev.R.left.T @ X.U, ev.R.right.T @ X.V

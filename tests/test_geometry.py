@@ -22,7 +22,7 @@ from oracles import (
 
 def make_metric(m, n, rng, weighted=True, cond=10.0):
     if not weighted:
-        return geo.KroneckerMetric.identity(m, n)
+        return geo.KroneckerMetric()
     return geo.KroneckerMetric(rand_spd(m, rng, cond), rand_spd(n, rng, cond))
 
 
@@ -48,7 +48,7 @@ def gradient(X, Z):
 
 def test_weighted_svd_identity_metric_is_svd(rng):
     Z = rng.standard_normal((7, 5))
-    met = geo.KroneckerMetric.identity(7, 5)
+    met = geo.KroneckerMetric()
     U, s, V = geo.weighted_svd(Z, met)
     Us, ss, Vs = np.linalg.svd(Z, full_matrices=False)
     assert np.allclose(s, ss)
@@ -68,7 +68,7 @@ def test_weighted_svd_reconstruction_and_orthogonality(rng):
     met = make_metric(m, n, rng)
     Z = rng.standard_normal((m, n))
     U, s, V = geo.weighted_svd(Z, met)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     assert np.linalg.norm(U @ np.diag(s) @ V.T - Z) <= 1e-12 * np.linalg.norm(Z)
     assert np.linalg.norm(U.T @ E @ U - np.eye(len(s))) <= 1e-12
     assert np.linalg.norm(V.T @ D @ V - np.eye(len(s))) <= 1e-12
@@ -93,7 +93,7 @@ def test_truncate_zero_is_rank_0(rng):
 
 def test_truncate_identity_metric_matches_svd(rng):
     Z = rng.standard_normal((8, 8))
-    met = geo.KroneckerMetric.identity(8, 8)
+    met = geo.KroneckerMetric()
     X = geo.truncate(Z, 3, met)
     U, s, Vt = np.linalg.svd(Z)
     best = (U[:, :3] * s[:3]) @ Vt[:3]
@@ -104,7 +104,7 @@ def test_weighted_eckart_young_brute_force(rng):
     m = n = 10
     r = 3
     met = make_metric(m, n, rng, cond=5.0)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     Zf = geo.FactoredMatrix(rng.standard_normal((m, 6)), rng.standard_normal((n, 6)))
     Z = Zf.densify(force=True)
     X = geo.truncate(Zf, r, met)
@@ -131,7 +131,7 @@ def test_weighted_eckart_young_brute_force(rng):
 
 
 def test_project_rank_one_identity():
-    met = geo.KroneckerMetric.identity(2, 2)
+    met = geo.KroneckerMetric()
     e1 = np.array([[1.0], [0.0]])
     X = geo.FixedRankPoint(e1, np.array([1.0]), e1, met)
     xi = geo.project(X, np.eye(2))
@@ -140,7 +140,7 @@ def test_project_rank_one_identity():
 
 
 def test_project_normal_space_input():
-    met = geo.KroneckerMetric.identity(2, 2)
+    met = geo.KroneckerMetric()
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
     X = geo.FixedRankPoint(e1, np.array([1.0]), e1, met)
@@ -153,7 +153,7 @@ def test_projection_residual_b_orthogonal(rng, weighted):
     m = n = 8
     r = 2
     met = make_metric(m, n, rng, weighted)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     X = geo.random_point(m, n, r, met, rng)
     Z = rng.standard_normal((m, n))
     xi = geo.project(X, Z)
@@ -223,7 +223,7 @@ def test_inner_positive_definite(rng):
 def test_inner_matches_dense(rng, weighted):
     m, n, r = 8, 7, 2
     met = make_metric(m, n, rng, weighted)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     X = geo.random_point(m, n, r, met, rng)
     xi = geo.project(X, rng.standard_normal((m, n)))
     eta = geo.project(X, rng.standard_normal((m, n)))
@@ -256,7 +256,7 @@ def test_densify_guard():
 
 def test_gradient_identity_metric_is_projection(rng):
     m, n, r = 8, 7, 2
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, r, met, rng)
     Zf = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     g = gradient(X, Zf)
@@ -276,7 +276,7 @@ def test_gradient_matches_dense_oracle(rng):
     m = n = 8
     r = 2
     met = make_metric(m, n, rng)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     X = geo.random_point(m, n, r, met, rng)
     Zf = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     g = gradient(X, Zf)
@@ -305,7 +305,7 @@ def test_retract_zero_step(rng):
 
 def test_retract_full_rank_is_addition(rng):
     m = n = 5
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, m, met, rng)
     xi = geo.project(X, rng.standard_normal((m, n)))
     t = 0.7
@@ -330,7 +330,7 @@ def test_retract_local_rigidity(rng):
     m = n = 8
     r = 2
     met = make_metric(m, n, rng)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     X = geo.random_point(m, n, r, met, rng)
     xi = geo.project(X, rng.standard_normal((m, n)))
     xi = xi.scaled(1.0 / geo.norm(xi))
@@ -366,7 +366,7 @@ def test_retraction_reuses_qr_over_steps(rng):
 def test_metric_reduction_standard_case(rng):
     """Every operation with E = I, D = I matches the standard-metric path."""
     m, n, r = 8, 7, 2
-    ident = geo.KroneckerMetric.identity(m, n)
+    ident = geo.KroneckerMetric()
     expl = geo.KroneckerMetric(np.eye(m), np.eye(n))
     Z = rng.standard_normal((m, n))
     U1, s1, V1 = geo.weighted_svd(Z, ident)
@@ -386,7 +386,7 @@ def test_standard_metric_projection_formula(rng):
     """Identity-metric projection agrees with the direct standard-geometry
     coefficient formulas M = U'ZV, Up = ZV - UM, Vp = Z'U - VM'."""
     m, n, r = 9, 8, 3
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, r, met, rng)
     Z = rng.standard_normal((m, n))
     xi = geo.project(X, Z)
@@ -438,7 +438,7 @@ def dense_weighted_singular_values(Zd, E, D):
 def metric_of_kind(kind, m, n, rng):
     """(metric, dense E, dense D) for an identity, dense or sparse metric."""
     if kind == "identity":
-        return geo.KroneckerMetric.identity(m, n), np.eye(m), np.eye(n)
+        return geo.KroneckerMetric(), np.eye(m), np.eye(n)
     if kind == "sparse":
         E, D = rand_band_spd(m, 2, rng, permute=True), rand_band_spd(n, 1, rng)
         return geo.KroneckerMetric(E, D), E.toarray(), D.toarray()

@@ -115,9 +115,8 @@ def test_spd_tridiag_matches_dense_inverse():
 def test_spd_rejects_indefinite():
     with pytest.raises(nk.NotSpdError):
         nk.SpdFactorization(np.diag([1.0, -1.0, 2.0]))
-    with pytest.raises(nk.NotSpdError) as err:
+    with pytest.raises(nk.NotSpdError, match="2-th leading minor not positive definite"):
         nk.SpdFactorization(sp.diags([np.array([1.0, -1.0, 2.0])], [0]).tocsr())
-    assert err.value.index != 0
 
 
 def test_sqrt_factor_roundtrip(rng):
@@ -301,6 +300,5 @@ def test_dense_input_factors_as_a_full_band(case, with_E, shift):
 
 
 def test_dense_indefinite_reports_pivot_index():
-    with pytest.raises(nk.NotSpdError) as err:
+    with pytest.raises(nk.NotSpdError, match="2-th leading minor not positive definite"):
         nk.SpdFactorization(np.diag([1.0, -1.0, 2.0]))
-    assert err.value.index == 2

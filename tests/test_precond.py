@@ -20,7 +20,7 @@ from oracles import (
 
 
 def std_point(m, n, r, rng):
-    return geo.random_point(m, n, r, geo.KroneckerMetric.identity(m, n), rng)
+    return geo.random_point(m, n, r, geo.KroneckerMetric(), rng)
 
 
 def rand_eta(X, rng):
@@ -35,7 +35,7 @@ def rand_eta(X, rng):
 def test_kron_identity_matrices(rng):
     X = std_point(7, 6, 2, rng)
     eta = rand_eta(X, rng)
-    xi = pc.KronPrecond(geo.KroneckerMetric.identity(7, 6)).apply_inv_tangent(eta)
+    xi = pc.KronPrecond(geo.KroneckerMetric()).apply_inv_tangent(eta)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta)) <= 1e-14
 
 
@@ -81,7 +81,7 @@ def test_kron_precond_factorizes_nothing_of_its_own(rng, monkeypatch, sparse):
     Z = geo.FactoredMatrix(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     W = prec.apply_inv_ambient(Z)
     assert made == []
-    E, D = dense_metric(kron)
+    E, D = dense_metric(kron, (m, n))
     assert np.allclose(E @ W.densify() @ D, Z.densify(), rtol=1e-10, atol=1e-10)
 
 
@@ -204,7 +204,7 @@ def test_metric_route_equals_gradient_route(rng):
     grad_metric = geo.riemannian_gradient(Xw, Zf, Zf.left.T @ Xw.U, Zf.right.T @ Xw.V)
 
     # same manifold point in the standard representation
-    met_id = geo.KroneckerMetric.identity(m, n)
+    met_id = geo.KroneckerMetric()
     Xs = geo.truncate(Xw.densify(force=True), r, met_id)
     grad_std = geo.project(Xs, Zd)
     grad_precond = pc.KronPrecond(geo.KroneckerMetric(E, D)).apply_inv_tangent(grad_std)
@@ -250,7 +250,9 @@ def test_tangadi_identity_one_step_exact(rng):
     X = std_point(m, n, 2, rng)
     eta = rand_eta(X, rng)
     shifts = pc.ShiftSet(((1.0, -1.0),))
-    prec = pc.TangAdiPrecond(np.eye(m), np.eye(n), np.eye(n), np.eye(m), shifts, 1)
+    prec = pc.TangAdiPrecond(
+        np.eye(m), np.eye(n), geo.KroneckerMetric(np.eye(m), np.eye(n)), shifts, 1
+    )
     xi = prec.apply_inv_tangent(eta)
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 2.0) <= 1e-12
 
@@ -264,17 +266,18 @@ def test_tangadi_fixed_point(rng):
     X = std_point(m, n, 2, rng)
     A, B = rand_spd(m, rng), rand_spd(n, rng)
     D, E = rand_spd(n, rng, 3.0), rand_spd(m, rng, 3.0)
+    kron = geo.KroneckerMetric(E, D)
     xi_star = rand_eta(X, rng)
     eta = geo.project(X, A @ tv_dense(xi_star) @ D + E @ tv_dense(xi_star) @ B)
     for p, q in ((2.0, -2.0), (0.7, -5.0), (11.0, -0.3)):
         shifts = pc.ShiftSet(((p, q),))
-        xi_1 = tv_dense(pc.TangAdiPrecond(A, B, D, E, shifts, 1).apply_inv_tangent(eta))
-        xi_2 = tv_dense(pc.TangAdiPrecond(A, B, D, E, shifts, 2).apply_inv_tangent(eta))
+        xi_1 = tv_dense(pc.TangAdiPrecond(A, B, kron, shifts, 1).apply_inv_tangent(eta))
+        xi_2 = tv_dense(pc.TangAdiPrecond(A, B, kron, shifts, 2).apply_inv_tangent(eta))
         rhs = proj_dense(X, (A - p * E) @ xi_1 @ (B + q * D)) + (p - q) * tv_dense(eta)
         expected = solve_projected_dense(X, rhs, lambda T: (A - q * E) @ T @ (B + p * D))
         assert np.linalg.norm(xi_2 - expected) <= 1e-11 * np.linalg.norm(expected)
     shifts = pc.ShiftSet(((2.0, -2.0),))
-    out = pc.TangAdiPrecond(A, B, D, E, shifts, 120).apply_inv_tangent(eta)
+    out = pc.TangAdiPrecond(A, B, kron, shifts, 120).apply_inv_tangent(eta)
     assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
 
@@ -288,12 +291,11 @@ def test_tangadi_one_sweep_on_diffusion_instance(rng):
     inst = pb.gen_fd_diffusion_paper(n)
     spec = inst.p2
     A, B, D, E = (spec[k] for k in "ABDE")
-    a, bb = pc.spectral_interval(A, E)
-    c, d = pc.spectral_interval(B, D)
-    shifts = pc.wachspress_shifts(a, bb, c, d, 8)
+    kron = geo.KroneckerMetric(E, D)
+    shifts = pc.adi_shifts(A, B, kron, 8)
     X = std_point(n, n, 3, rng)
     eta = rand_eta(X, rng)
-    xi = pc.TangAdiPrecond(A, B, D, E, shifts, 8).apply_inv_tangent(eta)
+    xi = pc.TangAdiPrecond(A, B, kron, shifts, 8).apply_inv_tangent(eta)
     xid = tv_dense(xi)
     back = geo.project(X, A.toarray() @ xid @ D.toarray() + E.toarray() @ xid @ B.toarray())
     rel = geo.norm(back.plus(eta, -1.0)) / geo.norm(eta)
@@ -305,12 +307,13 @@ def test_tangadi_shift_order_invariant_fixed_point(rng):
     X = std_point(m, n, 2, rng)
     A, B = rand_spd(m, rng), rand_spd(n, rng)
     D, E = rand_spd(n, rng, 2.0), rand_spd(m, rng, 2.0)
+    kron = geo.KroneckerMetric(E, D)
     xi_star = rand_eta(X, rng)
     eta = geo.project(X, A @ tv_dense(xi_star) @ D + E @ tv_dense(xi_star) @ B)
     pairs = ((1.5, -2.0), (4.0, -0.8), (0.9, -6.0))
     for order in (pairs, pairs[::-1]):
         shifts = pc.ShiftSet(order)
-        out = pc.TangAdiPrecond(A, B, D, E, shifts, 60).apply_inv_tangent(eta)
+        out = pc.TangAdiPrecond(A, B, kron, shifts, 60).apply_inv_tangent(eta)
         assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
 
@@ -323,8 +326,9 @@ def test_tangadi_contraction_rate(rng):
         X = std_point(m, n, r, local)
         A, B = rand_spd(m, local, 20.0), rand_spd(n, local, 20.0)
         D, E = rand_spd(n, local, 3.0), rand_spd(m, local, 3.0)
-        a, bb = pc.spectral_interval(A, E)
-        c, d = pc.spectral_interval(B, D)
+        kron = geo.KroneckerMetric(E, D)
+        a, bb = pc.spectral_interval(A, kron.fact_E)
+        c, d = pc.spectral_interval(B, kron.fact_D)
         p, q = float(np.sqrt(a * bb)), -float(np.sqrt(c * d))
         shifts = pc.ShiftSet(((p, q),))
 
@@ -348,7 +352,7 @@ def test_tangadi_contraction_rate(rng):
 
         errs = []
         for steps in range(1, 10):
-            out = pc.TangAdiPrecond(A, B, D, E, shifts, steps).apply_inv_tangent(eta)
+            out = pc.TangAdiPrecond(A, B, kron, shifts, steps).apply_inv_tangent(eta)
             errs.append(g_norm(tv_dense(out) - tv_dense(xi_star)))
         ratios = [errs[j + 1] / errs[j] for j in range(3, 8) if errs[j] > 1e-13]
         if ratios and max(ratios) > rho_X + 0.05:
@@ -365,8 +369,9 @@ def test_spectral_radius_inequality(rng):
         X = std_point(m, n, 2, local)
         A, B = rand_spd(m, local, 15.0), rand_spd(n, local, 15.0)
         D, E = rand_spd(n, local, 4.0), rand_spd(m, local, 4.0)
-        a, bb = pc.spectral_interval(A, E)
-        c, d = pc.spectral_interval(B, D)
+        kron = geo.KroneckerMetric(E, D)
+        a, bb = pc.spectral_interval(A, kron.fact_E)
+        c, d = pc.spectral_interval(B, kron.fact_D)
         p, q = float(np.sqrt(a * bb)), -float(np.sqrt(c * d))
 
         _, G_c, _ = projected_operator_matrix(X, lambda T: (A - q * E) @ T @ (B + p * D))
@@ -383,7 +388,7 @@ def test_tangadi_requires_shifts():
     for cls in (pc.TangAdiPrecond, pc.FadiAmbientPrecond):
         for shifts in (None, pc.ShiftSet(())):
             with pytest.raises(ValueError, match="nonempty shift set"):
-                cls(np.eye(5), np.eye(5), None, None, shifts, 1)
+                cls(np.eye(5), np.eye(5), geo.KroneckerMetric(), shifts, 1)
 
 
 def test_adi_requires_a_sweep():
@@ -391,7 +396,7 @@ def test_adi_requires_a_sweep():
     shifts = pc.ShiftSet(((2.0, -2.0),))
     for cls in (pc.TangAdiPrecond, pc.FadiAmbientPrecond):
         with pytest.raises(ValueError, match="steps >= 1"):
-            cls(np.eye(5), np.eye(5), None, None, shifts, 0)
+            cls(np.eye(5), np.eye(5), geo.KroneckerMetric(), shifts, 0)
 
 
 def counted_pencil_factors(monkeypatch):
@@ -434,15 +439,16 @@ def test_tangadi_factors_each_shift_pair_once(rng, monkeypatch):
     m, n = 20, 18
     A, B = sparse_tridiag(m, rng), sparse_tridiag(n, rng)
     D, E = sparse_diag(n, rng), sparse_diag(m, rng)
+    kron = geo.KroneckerMetric(E, D)
     shifts = pc.ShiftSet(((2.0, -0.5), (3.0, -0.3), (1.5, -0.8)))
     X = std_point(m, n, 2, rng)
     etas = [rand_eta(X, rng) for _ in range(3)]
-    prec = pc.TangAdiPrecond(A, B, D, E, shifts, steps=5)
+    prec = pc.TangAdiPrecond(A, B, kron, shifts, steps=5)
     calls = counted_pencil_factors(monkeypatch)
     out = [prec.apply_inv_tangent(eta) for eta in etas]
     assert sorted(calls) == sorted([-q for _, q in shifts.pairs] + [p for p, _ in shifts.pairs])
     for eta, xi in zip(etas, out):
-        fresh = pc.TangAdiPrecond(A, B, D, E, shifts, 5).apply_inv_tangent(eta)
+        fresh = pc.TangAdiPrecond(A, B, kron, shifts, 5).apply_inv_tangent(eta)
         assert np.array_equal(tv_dense(xi), tv_dense(fresh))
 
 
@@ -476,7 +482,7 @@ def test_gen_sylvester_precond_rejects_point_of_other_metric(rng):
     others = (
         geo.KroneckerMetric(E.copy(), D),
         geo.KroneckerMetric(E, D.copy()),
-        geo.KroneckerMetric.identity(m, n),
+        geo.KroneckerMetric(),
     )
     for other in others:
         X = geo.random_point(m, n, 2, other, rng)
@@ -522,11 +528,12 @@ def test_fadi_matches_exact_solve_rate(rng):
     m = n = 12
     A, E = rand_spd(m, rng, 40.0), np.eye(m)
     B, D = rand_spd(n, rng, 40.0), np.eye(n)
-    a, bb = pc.spectral_interval(A, E)
-    c, d = pc.spectral_interval(B, D)
+    kron = geo.KroneckerMetric(E, D)
+    a, bb = pc.spectral_interval(A, kron.fact_E)
+    c, d = pc.spectral_interval(B, kron.fact_D)
     shifts = pc.wachspress_shifts(a, bb, c, d, 6)
     rhs = geo.FactoredMatrix(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
-    prec = pc.FadiAmbientPrecond(A, B, D, E, shifts=shifts, steps=6)
+    prec = pc.FadiAmbientPrecond(A, B, kron, shifts, 6)
     X = prec.apply_inv_ambient(rhs)
     Xd = X.densify(force=True)
     resid = A @ Xd @ D + E @ Xd @ B - rhs.densify(force=True)

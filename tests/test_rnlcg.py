@@ -24,7 +24,7 @@ def make_spd_problem(m, n, ell, rng, sol_rank=3, cond=30.0):
     A = [rand_spd(m, rng, cond)] + [rand_spd(m, rng, 3.0) for _ in range(ell - 1)]
     B = [np.eye(n)] + [rand_spd(n, rng, cond) for _ in range(ell - 1)]
     op = eqs.MultitermOperator(A, B)
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     Xs = geo.random_point(m, n, sol_rank, met, rng)
     Ff = op.apply(Xs)
     return op, eqs.LowRankRhs(Ff.left, Ff.right), Xs
@@ -34,7 +34,7 @@ def start_state(op, F, opts, metric=None, precond=None):
     """The state ``rnlcg_solve`` starts from: a random rank-``opts.rank``
     point of unit norm drawn from ``opts.seed``, in the identity metric
     unless ``metric`` is given."""
-    metric = metric if metric is not None else geo.KroneckerMetric.identity(op.m, op.n)
+    metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
     return rn.RnlcgState(op, F, opts, X0, precond=precond)
 
@@ -49,7 +49,7 @@ def line_model(state, xi):
 
 
 def test_first_iteration_steepest_descent(rng):
-    met = geo.KroneckerMetric.identity(7, 6)
+    met = geo.KroneckerMetric()
     X = geo.random_point(7, 6, 2, met, rng)
     g = geo.project(X, rng.standard_normal((7, 6)))
     xi, beta, reset = rn.search_direction(g, g, None)
@@ -58,7 +58,7 @@ def test_first_iteration_steepest_descent(rng):
 
 
 def test_hs_numerator_cancels(rng):
-    met = geo.KroneckerMetric.identity(7, 6)
+    met = geo.KroneckerMetric()
     X = geo.random_point(7, 6, 2, met, rng)
     g = geo.project(X, rng.standard_normal((7, 6)))
     # previous gradient transported exactly equals current one and the
@@ -70,7 +70,7 @@ def test_hs_numerator_cancels(rng):
 
 
 def test_descent_safeguard_resets(rng):
-    met = geo.KroneckerMetric.identity(7, 6)
+    met = geo.KroneckerMetric()
     X = geo.random_point(7, 6, 2, met, rng)
     g = geo.project(X, rng.standard_normal((7, 6)))
     # adversarial history: transported direction strongly aligned with +g
@@ -116,7 +116,7 @@ def test_initial_step_identity_operator(rng):
     m = n = 6
     op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
     F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
     alpha, _ = steepest_step(op, F, X)
     assert abs(alpha - 1.0) <= 1e-12
@@ -125,7 +125,7 @@ def test_initial_step_identity_operator(rng):
 def test_initial_step_homogeneity(rng):
     m = n = 6
     op, F, _ = make_spd_problem(m, n, 2, rng)
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
     alpha1, _ = steepest_step(op, F, X)
     c = 3.7
@@ -139,7 +139,7 @@ def test_initial_step_homogeneity(rng):
 def test_initial_step_is_line_minimizer(rng):
     m = n = 7
     op, F, _ = make_spd_problem(m, n, 2, rng)
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
     alpha, xi = steepest_step(op, F, X)
     Xd = point_dense(X)
@@ -172,7 +172,7 @@ def random_instance(m, n, r, ell, weighted, rng):
     if weighted:
         met = geo.KroneckerMetric(rand_spd(m, rng, 4.0), rand_spd(n, rng, 4.0))
     else:
-        met = geo.KroneckerMetric.identity(m, n)
+        met = geo.KroneckerMetric()
     F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
     return op, F, geo.random_point(m, n, r, met, rng)
 
@@ -312,7 +312,7 @@ def near_solution_state(rng, metric_kind="identity", offset=1e-8):
     B = [np.eye(n), rand_spd(n, rng, 30.0), rand_spd(n, rng, 4.0)]
     op = eqs.MultitermOperator(A, B)
     if metric_kind == "identity":
-        met = geo.KroneckerMetric.identity(m, n)
+        met = geo.KroneckerMetric()
     else:
         met = geo.KroneckerMetric(rand_spd(m, rng, 4.0), rand_spd(n, rng, 3.0))
     Xs = geo.random_point(m, n, r, met, rng)
@@ -359,7 +359,7 @@ def test_identity_operator_low_rank_rhs(rng):
     X, trace, status = rn.rnlcg_solve(op, F, rn.RnlcgOptions(rank=r, tol=1e-10, max_iters=15))
     assert status == "converged"
     # the solution is the best rank-r approximation of F, namely F itself
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     best = geo.truncate(F, r, met)
     err = np.linalg.norm(X.densify(force=True) - best.densify(force=True))
     assert err <= 1e-8 * np.linalg.norm(best.densify(force=True))

@@ -24,7 +24,7 @@ def direct_rank_decrease(sigma, eps):
 
 
 def make_point(sigma, rng, m=8, n=8):
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     r = len(sigma)
     U, _ = np.linalg.qr(rng.standard_normal((m, r)))
     V, _ = np.linalg.qr(rng.standard_normal((n, r)))
@@ -74,7 +74,7 @@ def test_rank_increase_identity_operator(rng):
     m = n = 10
     op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
     F = eqs.LowRankRhs(rng.standard_normal((m, 5)), rng.standard_normal((n, 5)))
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
     X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
     assert X2.r == 4
@@ -84,7 +84,7 @@ def test_rank_increase_identity_operator(rng):
 def test_rank_increase_at_exact_solution(rng):
     m = n = 9
     op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     Xs = geo.random_point(m, n, 3, met, rng)
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
@@ -101,7 +101,7 @@ def test_rank_increase_exact_line_search(rng):
     B = [np.eye(n), rand_spd(n, rng, 20.0)]
     op = eqs.MultitermOperator(A, B)
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
     X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
     # recover Y = (X2 - X)/alpha and check optimality over a grid
@@ -145,7 +145,7 @@ def test_rank_increase_grows_by_the_normal_rank(rng):
     op, F = inst.op, inst.F
     met = geo.KroneckerMetric(inst.p1["E"], inst.p1["D"])
     X = geo.random_point(m, n, 1, met, rng)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     Xd = point_dense(X)
     Rd = F.densify(force=True) - sum(dense(Ai) @ Xd @ dense(Bi).T for Ai, Bi in zip(op.A, op.B))
     PU = np.eye(m) - X.U @ X.U.T @ E
@@ -160,7 +160,7 @@ def test_rank_increase_grows_by_the_normal_rank(rng):
 
 def test_rank_increase_at_full_rank_returns_the_point(rng):
     op, F = identity_problem(rng, m=6, n=5)
-    X = geo.random_point(6, 5, 5, geo.KroneckerMetric.identity(6, 5), rng)
+    X = geo.random_point(6, 5, 5, geo.KroneckerMetric(), rng)
     X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
     assert X2 is X and alpha == 0.0
 
@@ -189,7 +189,7 @@ def test_rank_increase_weighted_residual_wider_than_min_dimension(m, n, rng):
     X2, alpha = rr.rank_increase(X, op, R, r_up)
     assert X2.r == r + r_up
     assert_valid_point(X2)
-    E, D = dense_metric(met)
+    E, D = dense_metric(met, (m, n))
     Rd = R.densify(force=True)
     N = -(np.linalg.inv(E) - X.U @ X.U.T) @ Rd @ (np.linalg.inv(D) - X.V @ X.V.T)
     Nk = dense_weighted_truncation(N, r_up, E, D)
@@ -313,7 +313,7 @@ def make_spd_problem(m, n, rng, sol_rank=5):
     A = [rand_spd(m, rng, 60.0), np.eye(m)]
     B = [np.eye(n), rand_spd(n, rng, 60.0)]
     op = eqs.MultitermOperator(A, B)
-    met = geo.KroneckerMetric.identity(m, n)
+    met = geo.KroneckerMetric()
     Xs = geo.random_point(m, n, sol_rank, met, rng)
     Ff = op.apply(Xs)
     return op, eqs.LowRankRhs(Ff.left, Ff.right)

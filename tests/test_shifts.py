@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from lrmeq import numkit
 from lrmeq import precond as pc
 
-from oracles import adi_error_bound, rand_band_spd, rand_spd
+from oracles import adi_error_bound, rand_spd
 
 
 def symmetric_bound_1d(ps, grid):
@@ -105,14 +106,14 @@ def test_interval_diagonal():
 
 def test_interval_equal_pencil(rng):
     A = rand_spd(12, rng)
-    a, b = pc.spectral_interval(A, A)
+    a, b = pc.spectral_interval(A, numkit.SpdFactorization(A))
     assert 0.5 <= a <= 1.0 and 1.0 <= b <= 2.0
 
 
 def test_interval_contains_generalized_spectrum(rng):
     A = rand_spd(50, rng, cond=200.0)
     E = rand_spd(50, rng, cond=5.0)
-    a, b = pc.spectral_interval(A, E)
+    a, b = pc.spectral_interval(A, numkit.SpdFactorization(E))
     lam = np.linalg.eigvals(np.linalg.solve(E, A)).real
     assert a <= lam.min() + 1e-12
     assert b >= lam.max() - 1e-12
@@ -130,11 +131,22 @@ def test_interval_lanczos_path(rng):
     assert a >= lam[0] / 2 and b <= 2 * lam[-1]
 
 
-def test_gershgorin_bounds_of_dense_and_sparse_input_agree(rng):
-    A = rand_band_spd(30, 2, rng, permute=True)
-    lo, hi = pc._gershgorin(A)
-    assert pc._gershgorin(A.toarray()) == (lo, hi)
-    lam = np.linalg.eigvalsh(A.toarray())
-    assert lo <= lam[0] and hi >= lam[-1]
-    # dense input above 4096 rows takes the same formula (int8 keeps it 17 MB)
-    assert pc._gershgorin(2 * np.eye(4097, dtype=np.int8)) == (2.0, 2.0)
+def test_interval_lanczos_breakdown(rng, monkeypatch):
+    """For ``A = 2 E`` above the dense cutoff the pencil operator is ``2 I``:
+    the first Lanczos step leaves no residual, the run stops there, and the
+    bracket is the safety margin around 2."""
+    n = 300
+    off = -rng.uniform(0.2, 1.0, size=n - 1)
+    E = sp.diags([off, 3.0 + rng.uniform(size=n), off], [-1, 0, 1]).tocsr()
+    fact = numkit.SpdFactorization(E)
+    applies = []
+    c_solve = numkit.SpdFactorization.c_solve
+
+    def counted(self, b):
+        applies.append(b.shape)
+        return c_solve(self, b)
+
+    monkeypatch.setattr(numkit.SpdFactorization, "c_solve", counted)
+    a, b = pc.spectral_interval((2.0 * E).tocsr(), fact)
+    assert applies == [(n,)]
+    assert a == pytest.approx(1.8, rel=1e-12) and b == pytest.approx(2.2, rel=1e-12)

@@ -200,19 +200,15 @@ def test_no_divergence_at_truncation_floor():
 
     inst = pb.gen_fd_diffusion_paper(100, alpha=10.0, lk=3)
     spec = inst.p2
-    a, b = pc.spectral_interval(spec["A"], spec["E"])
-    c, d = pc.spectral_interval(spec["B"], spec["D"])
-    shifts = pc.wachspress_shifts(a, b, c, d, 8)
+    kron = geo.KroneckerMetric(spec["E"], spec["D"])
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
     tol = 1e-6
     norm_F = geo.factored_norm(inst.F)
     policy = tc.TruncationPolicy.from_tol(tol)
-
-    def trunc(Z):
-        out, _ = tc.truncate_factored(Z, policy.eps_rel_r, policy.eps_abs_r, norm_F)
-        return out
-
-    prec = pc.FadiAmbientPrecond(spec["A"], spec["B"], spec["D"], spec["E"],
-                                 shifts=shifts, steps=8, truncate_fn=trunc)
+    prec = pc.FadiAmbientPrecond(
+        spec["A"], spec["B"], kron, shifts, 8,
+        truncate_fn=lambda Z: policy.truncate_residual(Z, norm_F)[0],
+    )
     _, trace, _ = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 60)
     hist = [r["res_rel"] for r in trace.rows]
     floor = min(hist)
