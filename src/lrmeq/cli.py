@@ -4,7 +4,8 @@ Subcommands:
 
 *   ``generate`` -- build a problem family instance and write it to disk,
 *   ``solve``    -- run a solver configuration, writing trace.csv and
-    summary.json into the output directory,
+    summary.json (with the config echo and an environment block) into the
+    output directory,
 *   ``compare``  -- align several run summaries into one CSV table,
 *   ``verify``   -- run the dense-oracle self-check suite on a tiny
     instance.
@@ -21,10 +22,12 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import geometry as geo
 from . import io as inst_io
@@ -251,8 +254,21 @@ def run_solve(cfg):
         "wall_s": wall,
         "config": {k: v for k, v in cfg.items() if k != "out"},
         "seed": cfg["seed"],
+        "environment": _environment(),
     }
     return summary, trace
+
+
+def _environment():
+    """Library versions, BLAS thread settings (None where unset) and CPU
+    count: the scope within which a run's trace is reproducible."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def cmd_solve(args):

@@ -106,21 +106,31 @@ class Evaluation:
 
 def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Evaluation:
     """Objective value, factored residual and its products with U and V,
-    sharing the A_i U and B_i V products."""
-    AU = _term_products(op.A, X.U)
-    BV = _term_products(op.B, X.V)
-    UAU = X.U.T @ AU
-    VBV = X.V.T @ BV
+    sharing the A_i U and B_i V products, which go straight into the
+    residual's factors."""
+    (m, n), r, ell = X.shape, X.r, op.ell
+    terms = ell * r
+    S = X.sigma
+    left = np.empty((m, terms + F.k))
+    right = np.empty((n, terms + F.k))
+    UAU = np.empty((ell, r, r))
+    VBV = np.empty((ell, r, r))
+    for i, (Ai, Bi) in enumerate(zip(op.A, op.B)):
+        cols = slice(i * r, (i + 1) * r)
+        AU = Ai @ X.U
+        UAU[i] = X.U.T @ AU
+        np.multiply(AU, S, out=left[:, cols])
+        BV = Bi @ X.V
+        VBV[i] = X.V.T @ BV
+        right[:, cols] = BV
+    np.negative(F.left, out=left[:, terms:])
+    right[:, terms:] = F.right
     UF = X.U.T @ F.left
     VF = X.V.T @ F.right
-    S = X.sigma
     axx = float(np.sum((S[:, None] * UAU * S) * VBV))
     xf = float(np.sum(UF * (S[:, None] * VF)))
     f = 0.5 * axx - xf
-    left = np.hstack([*(AU * S), -F.left])
-    right = np.hstack([*BV, F.right])
     # (A_i U S).T U = S (U.T A_i U).T and (B_i V).T V = (V.T B_i V).T
-    terms, r = op.ell * X.r, X.r
     RtU = np.vstack([(S[:, None] * UAU.transpose(0, 2, 1)).reshape(terms, r), -UF.T])
     RtV = np.vstack([VBV.transpose(0, 2, 1).reshape(terms, r), VF.T])
     return Evaluation(f, FactoredMatrix(left, right), UAU, VBV, RtU, RtV)

@@ -6,8 +6,8 @@ and SPD factorizations that expose a triangular square-root factor
 ``C`` with ``A = C.T @ C``.  There is one SPD backend, a banded Cholesky:
 a sparse matrix is factorized in its band, after a reverse-Cuthill-McKee
 reordering when that narrows the band, so banded problems (tridiagonal,
-five-point stencils) factor in O(n * bandwidth^2); a dense matrix is its
-own full band.
+five-point stencils) factor in O(n * bandwidth^2), a tridiagonal band by
+``pttrf``; a dense matrix is its own full band.
 """
 
 from __future__ import annotations
@@ -139,18 +139,21 @@ def _lapack_solve(routine, factor, b, **kw):
 class SpdFactorization:
     """Banded Cholesky factorization of an SPD matrix with repeated solves.
 
-    The matrix, permuted as ``rcm_bands`` orders it, is ``R.T @ R`` with
-    an upper-triangular banded factor R.  ``solve`` solves with the matrix
-    in one LAPACK call on R: ``pttrs`` on the equivalent ``L diag(d) L.T``
-    form when the band is tridiagonal, ``pbtrs`` otherwise.  ``c_mul``,
+    The matrix, permuted as ``rcm_bands`` orders it, is factored in one
+    LAPACK call: ``pttrf`` to ``L diag(d) L.T`` (L unit lower bidiagonal)
+    when the band is tridiagonal, ``pbtrf`` to ``R.T @ R`` (R upper
+    triangular banded) otherwise.  ``solve`` solves with the matrix in one
+    LAPACK call on that factor, ``pttrs`` or ``pbtrs``.  ``c_mul``,
     ``c_solve``, ``ct_mul`` and ``ct_solve`` give access to the square
-    root ``C = R P`` (P the permutation) with ``A = C.T @ C``.  Their
+    root ``C = R P`` (P the permutation) with ``A = C.T @ C``; for a
+    tridiagonal band R is ``diag(sqrt(d)) + superdiag(e * sqrt(d))``,
+    derived from ``(d, e)`` on the first call that needs it.  Their
     readers are ``geometry.weighted_qr`` (behind ``weighted_svd`` and the
     retraction's fallback) and, through the ``fact_E`` or ``fact_D`` of a
     ``KroneckerMetric``, ``precond.spectral_interval`` (``c_solve`` and
     ``ct_solve``); the benchmark's tracer also patches all four by name,
     so they stay until it changes.  Instances are immutable after
-    construction and re-entrant.
+    construction (but for that derived R) and re-entrant.
     """
 
     def __init__(self, A):
@@ -158,15 +161,20 @@ class SpdFactorization:
         self._init_banded(ab, perm, None if perm is None else np.argsort(perm))
 
     def _init_banded(self, ab_upper, perm, iperm):
+        self._perm, self._iperm = perm, iperm
+        self._pttrs = None
+        if ab_upper.shape[0] == 2:
+            ab_upper = np.asarray_chkfinite(ab_upper, dtype=float)
+            d, e, info = lapack.dpttrf(ab_upper[1], ab_upper[0, 1:])
+            if info != 0:
+                # the message of the banded path (scipy's cholesky_banded)
+                raise NotSpdError(f"{info}-th leading minor not positive definite")
+            self._pttrs = (d, e)
+            return
         try:
             self._ab = sla.cholesky_banded(ab_upper, lower=False)
         except sla.LinAlgError as exc:
             raise NotSpdError(str(exc)) from exc
-        self._perm, self._iperm = perm, iperm
-        self._pttrs = None
-        if self._ab.shape[0] == 2:
-            # R = diag(r) + superdiagonal s gives d = r^2, e = s / r
-            self._pttrs = (self._ab[1] ** 2, self._ab[0, 1:] / self._ab[1, :-1])
 
     @classmethod
     def from_banded(cls, ab_upper, perm=None, iperm=None):
@@ -176,6 +184,17 @@ class SpdFactorization:
         self = cls.__new__(cls)
         self._init_banded(ab_upper, perm, iperm)
         return self
+
+    @cached_property
+    def _ab(self):
+        """Upper-banded R of a tridiagonal band, from ``L diag(d) L.T``:
+        ``R = diag(d)^(1/2) L.T``.  The banded path sets ``_ab`` itself."""
+        d, e = self._pttrs
+        r = np.sqrt(d)
+        ab = np.zeros((2, d.size))
+        ab[1] = r
+        ab[0, 1:] = e * r[:-1]
+        return ab
 
     @cached_property
     def _R(self):

@@ -94,7 +94,7 @@ def _inv_spd_small(S):
     return L_inv.T @ L_inv
 
 
-def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
+def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K, sol):
     """One bordered solve with the pencil ``A + s_i E`` per shift ``s_i``.
 
     Column ``i`` solves ``(A + s_i E) w = H[:, i] - G m + Y c`` subject to
@@ -102,25 +102,45 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
     ``K = A Ub``, as an affine function ``w = W[:, i] - C_i m`` of the core
     column ``m`` that is not known yet.  Because ``(A + s E)^{-1} G =
     Ub - W1 (s I + diag(lam))`` with ``W1 = (A + s E)^{-1} Y``, each shift
-    solves only ``[Y, H[:, i]]``, and ``C_i = Ub + W1 S^{-1} Y^T Ub`` with
-    ``S = -Y^T W1``.  Returns ``W``, the ``C_i`` and the blocks
-    ``s_i I - K^T C_i`` with which ``m`` enters the core system.
+    factors its pencil and solves only ``[Y, H[:, i]]``, into row ``i`` of
+    the buffer ``sol`` of shape ``(k, r + 1, n)``; all other algebra runs
+    once, batched over the shifts.  With ``S = -Y^T W1`` and ``w_h`` the
+    solution for ``H[:, i]``, the bordering gives ``corr = S^{-1} [Y^T Ub,
+    Y^T w_h]``, ``C_i = Ub + W1 corr[:, :r]`` and ``W[:, i] = w_h + W1
+    corr[:, r]``.
+
+    Leaves ``[W1, w_h]^T`` in ``sol[i]`` and returns ``(corr, KtW,
+    blocks)``: the stacked ``corr`` (``(k, r, r + 1)``), from which and
+    ``sol`` ``_bordered_columns`` forms the columns once ``m`` is known,
+    ``K^T W`` (row ``i`` is ``K^T W[:, i]``) and the blocks ``s_i I - K^T
+    C_i`` with which ``m`` enters the core system.
     """
-    r = Y.shape[1]
-    YK = np.hstack([Y, K])
-    YtU, KtU = np.vsplit(YK.T @ Ub, 2)
-    W = np.empty((Y.shape[0], r))
-    C = []
-    blocks = []
+    (n, r), k = Y.shape, len(shifts)
+    rhs = np.empty((n, r + 1), order="F")
+    rhs[:, :r] = Y
     for i, s in enumerate(shifts):
-        sol = factory.factor(s).solve(np.hstack([Y, H[:, i : i + 1]]))
-        W1 = sol[:, :r]
-        YKt_sol = YK.T @ sol
-        corr = np.linalg.solve(-YKt_sol[:r, :r], np.hstack([YtU, YKt_sol[:r, r:]]))
-        C.append(Ub + W1 @ corr[:, :r])
-        W[:, i] = sol[:, r] + W1 @ corr[:, r]
-        blocks.append(s * np.eye(r) - KtU - YKt_sol[r:, :r] @ corr[:, :r])
-    return W, C, blocks
+        rhs[:, r] = H[:, i]
+        sol[i] = factory.factor(s).solve(rhs).T
+    YK = np.hstack([Y, K])
+    # P[i, c] = [Y, K]^T sol_i[:, c], for all shifts in one product
+    P = (sol.reshape(k * (r + 1), n) @ YK).reshape(k, r + 1, 2 * r)
+    YtU, KtU = Y.T @ Ub, K.T @ Ub
+    YtW1 = P[:, :r, :r].transpose(0, 2, 1)
+    KtW1 = P[:, :r, r:].transpose(0, 2, 1)
+    border = np.concatenate([np.broadcast_to(YtU, (k, r, r)), P[:, r, :r, None]], axis=2)
+    corr = np.linalg.solve(-YtW1, border)
+    KtW = P[:, r, r:] + (KtW1 @ corr[:, :, r:])[:, :, 0]
+    blocks = shifts[:, None, None] * np.eye(r) - KtU - KtW1 @ corr[:, :, :r]
+    return corr, KtW, blocks
+
+
+def _bordered_columns(sol, corr, Ub, M):
+    """The columns ``W[:, i] - C_i M[:, i]`` of ``_bordered_shifted_solves``
+    without forming ``C_i``: ``w_h + W1 (corr[:, r] - corr[:, :r] m) - Ub m``."""
+    r = Ub.shape[1]
+    q = corr[:, :, r] - (corr[:, :, :r] @ M.T[:, :, None])[:, :, 0]
+    cols = sol[:, r] + (q[:, None, :] @ sol[:, :r])[:, 0]
+    return cols.T - Ub @ M
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +302,26 @@ class KronPrecond:
 class GenSylvesterPrecond:
     """Exact inverse of ``E^{-1} A xi + xi B D^{-1}`` in the metric ``(E, D)``;
     the identity metric gives the Sylvester ``A xi + xi B``.  It applies
-    only at points of a metric that holds the same E and D objects."""
+    only at points of a metric that holds the same E and D objects.
+
+    Each side keeps the buffer of its stacked shifted solutions from one
+    apply to the next, while the rank stays the same, so one instance
+    serves one thread at a time.
+    """
 
     def __init__(self, A, B, metric: KroneckerMetric):
         self.A, self.B, self.metric = A, B, metric
         self.factory_AE = ShiftedPencilFactory(A, metric.E)
         self.factory_BD = ShiftedPencilFactory(B, metric.D)
+        self._sol_u = self._sol_v = np.empty(0)
+
+    def _stacks(self, m, n, r):
+        """The U- and V-side buffers of ``_bordered_shifted_solves`` at rank r."""
+        if self._sol_u.shape != (r, r + 1, m):
+            self._sol_u = np.empty((r, r + 1, m))
+        if self._sol_v.shape != (r, r + 1, n):
+            self._sol_v = np.empty((r, r + 1, n))
+        return self._sol_u, self._sol_v
 
     def apply_inv_tangent(self, eta):
         """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly at
@@ -295,7 +329,8 @@ class GenSylvesterPrecond:
 
         Only pencils ``A + lam E`` and ``B + lam D`` are ever factorized,
         r shifts of each, and each shifted solve takes r + 1 right-hand
-        sides.
+        sides; the algebra around the solves runs once per side, over
+        arrays stacked along the shift axis.
         """
         X = eta.point
         if X.metric.E is not self.metric.E or X.metric.D is not self.metric.D:
@@ -314,24 +349,27 @@ class GenSylvesterPrecond:
         Meta_b = QA.T @ eta.M @ QB
 
         AUb, BVb = AU @ QA, BV @ QB
-        W_u, C_u, LamB_blocks = _bordered_shifted_solves(
-            self.factory_AE, lamB, U @ QA, X.EU @ QA, E_Ueta_b, AUb
+        Ub, Vb = U @ QA, V @ QB
+        sol_u, sol_v = self._stacks(*X.shape, r)
+        corr_u, KtW_u, LamB_blocks = _bordered_shifted_solves(
+            self.factory_AE, lamB, Ub, X.EU @ QA, E_Ueta_b, AUb, sol_u
         )
-        W_v, C_v, LamA_blocks = _bordered_shifted_solves(
-            self.factory_BD, lamA, V @ QB, X.DV @ QB, D_Veta_b, BVb
+        corr_v, KtW_v, LamA_blocks = _bordered_shifted_solves(
+            self.factory_BD, lamA, Vb, X.DV @ QB, D_Veta_b, BVb, sol_v
         )
 
-        R = Meta_b - AUb.T @ W_u - (BVb.T @ W_v).T
+        R = Meta_b - KtW_u.T - KtW_v
+        # T acts on Mb.flatten("F"): T4[i, a, j, b] couples Mb[a, i] to Mb[b, j];
+        # column i of Mb meets LamB_blocks[i], row j meets LamA_blocks[j]
         T = np.zeros((r * r, r * r))
-        for i in range(r):
-            T[r * i : r * (i + 1), r * i : r * (i + 1)] += LamB_blocks[i]
-        stride = np.arange(r) * r
-        for j in range(r):
-            T[np.ix_(j + stride, j + stride)] += LamA_blocks[j]
+        T4 = T.reshape(r, r, r, r)
+        idx = np.arange(r)
+        T4[idx, :, idx, :] = LamB_blocks
+        T4[:, idx, :, idx] += LamA_blocks
         Mb = np.linalg.solve(T, R.flatten(order="F")).reshape((r, r), order="F")
 
-        Ub_xi = W_u - np.column_stack([C_u[i] @ Mb[:, i] for i in range(r)])
-        Vb_xi = W_v - np.column_stack([C_v[j] @ Mb[j, :] for j in range(r)])
+        Ub_xi = _bordered_columns(sol_u, corr_u, Ub, Mb)
+        Vb_xi = _bordered_columns(sol_v, corr_v, Vb, Mb.T)
 
         U_xi = Ub_xi @ QB.T
         V_xi = Vb_xi @ QA.T

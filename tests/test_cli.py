@@ -1,8 +1,11 @@
 import csv
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from lrmeq import cli
 from lrmeq import geometry as geo
@@ -178,6 +181,33 @@ def test_compare_table(tmp_path):
     assert rows[0] == ["solver", "precond", "iters", "time_s", "final_rank", "final_res"]
     assert len(rows) == 3
     assert rows[1][1] == "identity" and rows[2][1] == "P1"
+
+
+def test_summary_records_the_environment(tmp_path, monkeypatch):
+    """summary.json holds the library versions, the BLAS thread settings as
+    set (None where unset) and the CPU count; ``compare`` ignores them."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
+    out = tmp_path / "run"
+    main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg", "--precond", "P1",
+          "--rank", "6", "--tol", "1e-8", "--out", str(out)])
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+        "cpu_count": os.cpu_count(),
+    }
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(summary, environment={"python": "0", "threads": {}})))
+    table = tmp_path / "cmp.csv"
+    assert main(["compare", str(out / "summary.json"), str(other), "--out", str(table)]) == 0
+    rows = list(csv.reader(open(table)))
+    assert len(rows) == 3 and rows[1] == rows[2]
 
 
 def test_compare_requires_two(tmp_path):

@@ -246,6 +246,24 @@ def test_indefinite_tridiagonal_raises(n, data):
         nk.SpdFactorization(A.tocsr())
 
 
+def test_tridiagonal_band_factors_without_banded_cholesky(rng, monkeypatch):
+    """A tridiagonal band is factored by ``pttrf`` alone; its square root
+    comes from that ``L diag(d) L.T`` when a square-root method asks."""
+    def banded_cholesky(*args, **kwargs):
+        raise AssertionError("banded Cholesky of a tridiagonal band")
+
+    monkeypatch.setattr(nk.sla, "cholesky_banded", banded_cholesky)
+    n = 30
+    A = rand_band_spd(n, 1, rng)
+    f = nk.SpdFactorization(A)
+    b = rng.standard_normal((n, 2))
+    ref = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(f.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    C = f.c_mul(np.eye(n))
+    assert np.linalg.norm(C.T @ C - A.toarray()) <= 1e-12 * np.linalg.norm(A.toarray())
+    assert np.linalg.norm(f.c_solve(C) - np.eye(n)) <= 1e-11 * np.sqrt(n)
+
+
 def test_banded_solve_rejects_nonfinite_rhs():
     n = 6
     A = sp.diags([-np.ones(n - 1), 3 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()

@@ -150,18 +150,49 @@ def test_gen_sylvester_doubling_identity(rng):
     assert np.linalg.norm(tv_dense(xi) - tv_dense(eta) / 2.0) <= 1e-11
 
 
+def gen_sylvester_dense_error(A, B, X, rng):
+    """Distance of P2's apply at a random tangent vector from the dense
+    oracle, and the bound the dense-oracle tests hold it to."""
+    eta = rand_eta(X, rng)
+    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
+    E, D = dense_metric(X)
+    Einv, Dinv = np.linalg.inv(E), np.linalg.inv(D)
+    expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ A @ T + T @ B @ Dinv)
+    return np.linalg.norm(tv_dense(xi) - expected), 1e-9 * max(1, np.linalg.norm(expected))
+
+
 def test_gen_sylvester_dense_oracle(rng):
     m = n = 8
     E, D = rand_spd(m, rng, 5.0), rand_spd(n, rng, 5.0)
-    met = geo.KroneckerMetric(E, D)
-    X = geo.random_point(m, n, 2, met, rng)
+    X = geo.random_point(m, n, 2, geo.KroneckerMetric(E, D), rng)
     A, B = rand_spd(m, rng, 30.0), rand_spd(n, rng, 30.0)
-    eta = rand_eta(X, rng)
-    xi = pc.GenSylvesterPrecond(A, B, X.metric).apply_inv_tangent(eta)
-    Einv = np.linalg.inv(E)
-    Dinv = np.linalg.inv(D)
-    expected = solve_projected_dense(X, tv_dense(eta), lambda T: Einv @ A @ T + T @ B @ Dinv)
-    assert np.linalg.norm(tv_dense(xi) - expected) <= 1e-9 * max(1, np.linalg.norm(expected))
+    err, bound = gen_sylvester_dense_error(A, B, X, rng)
+    assert err <= bound
+
+
+def test_gen_sylvester_dense_oracle_rank_one(rng):
+    """r = 1: one shift per side, a 1 x 1 core and 1 x 1 bordering systems."""
+    m, n = 8, 7
+    E, D = rand_spd(m, rng, 5.0), rand_spd(n, rng, 5.0)
+    X = geo.random_point(m, n, 1, geo.KroneckerMetric(E, D), rng)
+    A, B = rand_spd(m, rng, 30.0), rand_spd(n, rng, 30.0)
+    err, bound = gen_sylvester_dense_error(A, B, X, rng)
+    assert err <= bound
+
+
+def test_gen_sylvester_dense_oracle_equal_shifts(rng):
+    """``V^T B V`` with a repeated eigenvalue: two U-side shifts are equal
+    and eigh's basis of their eigenspace is arbitrary."""
+    m, n, r = 9, 8, 3
+    E, D = rand_spd(m, rng, 5.0), rand_spd(n, rng, 5.0)
+    X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
+    DV = D @ X.V
+    B = D + DV @ np.diag([1.0, 1.0, 3.0]) @ DV.T   # V^T B V = I + diag(1, 1, 3)
+    lamB = np.linalg.eigvalsh(X.V.T @ B @ X.V)
+    assert np.isclose(lamB[0], lamB[1], rtol=0.0, atol=1e-12) and lamB[2] > lamB[1] + 1.0
+    A = rand_spd(m, rng, 30.0)
+    err, bound = gen_sylvester_dense_error(A, B, X, rng)
+    assert err <= bound
 
 
 def symmetric_permutation(M, p):
@@ -433,6 +464,22 @@ def test_pencil_factor_matches_dense_solve(rng, wide):
     x = pc.ShiftedPencilFactory(A, E).factor(1.0).solve(b)
     expected = np.linalg.solve((A + E).toarray(), b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_pencil_factor_at_indefinite_shift_names_the_minor(rng):
+    """``A + s E`` of a tridiagonal pencil at a shift where it is
+    indefinite: ``pttrf`` fails at the second pivot, and the error names
+    that minor as the banded Cholesky of the same matrix does."""
+    n = 12
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+    E = sparse_diag(n, rng)
+    s = -1.5 / E[0, 0]      # pivots (A + s E)[0, 0] = 0.5, then 2 + s E[1, 1] - 2 < 0
+    assert numkit.rcm_bands(A, E)[1][0].shape[0] == 2
+    msg = "2-th leading minor not positive definite"
+    with pytest.raises(numkit.NotSpdError, match=msg):
+        pc.ShiftedPencilFactory(A, E).factor(s)
+    with pytest.raises(numkit.NotSpdError, match=msg):
+        numkit.SpdFactorization((A + s * E).toarray())
 
 
 def test_tangadi_factors_each_shift_pair_once(rng, monkeypatch):
