@@ -194,7 +194,7 @@ def _build_tangent_setup(inst, cfg):
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
 
 
-def _build_ambient_precond(inst, cfg, policy, norm_F):
+def _build_ambient_precond(inst, cfg, policy):
     """Ambient preconditioner for truncated CG; fADI recompresses its
     sweeps with the solver's truncation ``policy``."""
     label = cfg["precond"]
@@ -209,7 +209,7 @@ def _build_ambient_precond(inst, cfg, policy, norm_F):
         shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
         return pc.FadiAmbientPrecond(
             spec["A"], spec["B"], kron, shifts, cfg["adi_steps"],
-            truncate_fn=lambda Z: policy.truncate_residual(Z, norm_F)[0],
+            truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
         )
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
 
@@ -218,14 +218,13 @@ def run_solve(cfg):
     """Run one solver configuration; returns (summary dict, trace)."""
     opts = _solver_options(cfg)
     inst = inst_io.import_instance(cfg["instance"])
-    norm_F = geo.factored_norm(inst.F)
-    if cfg["solver"] != "trunc_cg" and norm_F == 0.0:
+    if cfg["solver"] != "trunc_cg" and geo.factored_norm(inst.F) == 0.0:
         raise ConfigError(f"the right-hand side is zero: solver {cfg['solver']!r} measures "
                           "its residual relative to F and cannot run (trunc_cg can)")
     t0 = time.perf_counter()
     try:
         if cfg["solver"] == "trunc_cg":
-            precond = _build_ambient_precond(inst, cfg, opts, norm_F)
+            precond = _build_ambient_precond(inst, cfg, opts)
         else:
             metric, precond = _build_tangent_setup(inst, cfg)
     except numkit.NotSpdError as exc:

@@ -80,8 +80,9 @@ def _term_products(mats, Y):
     return out
 
 
-def residual(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> FactoredMatrix:
-    """Factored residual ``A X - F`` of rank ``ell * r + r_F``."""
+def residual(op: MultitermOperator, X, F: FactoredMatrix) -> FactoredMatrix:
+    """Factored residual ``A X - F`` of rank ``ell * k + r_F``, for X a
+    fixed-rank point or a factored matrix of rank k."""
     return op.apply(X).hstack(F.scaled(-1.0))
 
 

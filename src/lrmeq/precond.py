@@ -134,13 +134,15 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K, sol):
     return corr, KtW, blocks
 
 
-def _bordered_columns(sol, corr, Ub, M):
+def _bordered_columns(sol, corr, M):
     """The columns ``W[:, i] - C_i M[:, i]`` of ``_bordered_shifted_solves``
-    without forming ``C_i``: ``w_h + W1 (corr[:, r] - corr[:, :r] m) - Ub m``."""
-    r = Ub.shape[1]
+    without forming ``C_i``, up to a component in ``span(Ub)``: ``w_h + W1
+    (corr[:, r] - corr[:, :r] m)``.  The term ``- Ub m`` is left out because
+    the E-projection that ends ``apply_inv_tangent`` removes it."""
+    r = sol.shape[1] - 1
     q = corr[:, :, r] - (corr[:, :, :r] @ M.T[:, :, None])[:, :, 0]
     cols = sol[:, r] + (q[:, None, :] @ sol[:, :r])[:, 0]
-    return cols.T - Ub @ M
+    return cols.T
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +370,14 @@ class GenSylvesterPrecond:
         T4[:, idx, :, idx] += LamA_blocks
         Mb = np.linalg.solve(T, R.flatten(order="F")).reshape((r, r), order="F")
 
-        Ub_xi = _bordered_columns(sol_u, corr_u, Ub, Mb)
-        Vb_xi = _bordered_columns(sol_v, corr_v, Vb, Mb.T)
+        Ub_xi = _bordered_columns(sol_u, corr_u, Mb)
+        Vb_xi = _bordered_columns(sol_v, corr_v, Mb.T)
 
         U_xi = Ub_xi @ QB.T
         V_xi = Vb_xi @ QA.T
         M_xi = QA @ Mb @ QB.T
-        # numerical hygiene: enforce the weighted-orthogonality constraints
+        # the weighted-orthogonality constraints: this removes the span(U)
+        # and span(V) components that _bordered_columns leaves in
         U_xi -= U @ (X.EU.T @ U_xi)
         V_xi -= V @ (X.DV.T @ V_xi)
         return TangentVector(M_xi, U_xi, V_xi, X)

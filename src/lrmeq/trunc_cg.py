@@ -2,9 +2,10 @@
 
 Baseline for benchmark comparisons: standard PCG recurrences on the
 matrix equation, with every iterate kept in factored form and
-recompressed.  Truncation roles: the iterate X_k uses a relative
-tolerance, the residual R_k and direction P_k a mixed absolute-relative
-criterion, and Q_k = A P_k is never truncated.  The residual is updated
+recompressed.  Every recompression is relative to the norm of the
+quantity it truncates (Kressner & Tobler 2011): the iterate X_k at one
+tolerance, the residual R_k, the direction P_k and the fADI sweeps at
+another, and Q_k = A P_k is never truncated.  The residual is updated
 by the recurrence (trace rows ``recursive``); once that reaches the
 tolerance, the true residual ``F - A X`` decides convergence (rows
 ``exact``) and, when it misses, replaces the recursive one.  The last
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equations as eqs
 from . import geometry as geo
 from .geometry import FactoredMatrix, factored_inner, factored_norm
 from .trace import SolveTrace
@@ -27,45 +29,40 @@ _STAG_FACTOR = 0.98
 
 @dataclass
 class TruncationPolicy:
-    """Truncation tolerances derived from the target residual ``tol``."""
+    """Relative truncation tolerances derived from the target residual
+    ``tol``: ``eps_rel_x`` for the iterate, ``eps_rel_r`` for the residual,
+    the direction and the fADI sweeps."""
 
     eps_rel_x: float
     eps_rel_r: float
-    eps_abs_r: float
     rank_cap: int | None = None
 
     @classmethod
     def from_tol(cls, tol, rank_cap=None):
-        return cls(
-            eps_rel_x=0.0025 * tol,
-            eps_rel_r=0.1 * tol,
-            eps_abs_r=0.001 * tol,
-            rank_cap=rank_cap,
-        )
+        return cls(eps_rel_x=0.0025 * tol, eps_rel_r=0.1 * tol, rank_cap=rank_cap)
 
     def __post_init__(self):
-        for v in (self.eps_rel_x, self.eps_rel_r, self.eps_abs_r):
-            if v < 0:
-                raise ValueError("tolerances must be nonnegative")
+        if self.eps_rel_x < 0 or self.eps_rel_r < 0:
+            raise ValueError("tolerances must be nonnegative")
 
-    def truncate_residual(self, Z, norm_F):
+    def truncate_residual(self, Z):
         """Recompress a residual-type factored matrix (the residual R_k, the
-        direction P_k, an fADI sweep) by the mixed criterion relative to
-        ``norm_F = ||F||_F``; returns ``(Z', discarded_tail)``."""
-        return truncate_factored(Z, self.eps_rel_r, self.eps_abs_r, norm_F, self.rank_cap)
+        direction P_k, an fADI sweep) relative to its own norm; returns
+        ``(Z', discarded_tail)``."""
+        return truncate_factored(Z, self.eps_rel_r, self.rank_cap)
 
 
-def truncate_factored(Z: FactoredMatrix, eps_rel, eps_abs=0.0, norm_ref=1.0, rank_cap=None):
+def truncate_factored(Z: FactoredMatrix, eps_rel, rank_cap=None):
     """Recompression of a factored matrix through its SVD
     (``geometry.weighted_svd`` in the identity metric).
 
     Keeps the smallest rank whose discarded tail satisfies
-    ``tail <= max(eps_abs * norm_ref, eps_rel * ||Z||_F)``; a rank cap,
-    when set, is applied afterwards.  Returns ``(Z', discarded_tail)``.
+    ``tail <= eps_rel * ||Z||_F``; a rank cap, when set, is applied
+    afterwards.  Returns ``(Z', discarded_tail)``.
     """
     U, s, V = geo.weighted_svd(Z, geo.KroneckerMetric())
     norm_z = float(np.linalg.norm(s))
-    thresh = max(eps_abs * norm_ref, eps_rel * norm_z)
+    thresh = eps_rel * norm_z
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
     keep = int(np.searchsorted(-tails, -thresh))    # smallest k with tails[k] <= thresh
     keep = max(keep, 1) if norm_z > 0 else 0
@@ -94,11 +91,10 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
         return trace.finish(X, "converged")
 
     def trunc_x(Z):
-        return truncate_factored(Z, policy.eps_rel_x, 0.0, 1.0, policy.rank_cap)
+        return truncate_factored(Z, policy.eps_rel_x, policy.rank_cap)
 
     def true_residual():
-        AX = op.apply(X)
-        R_true = FactoredMatrix(np.hstack([F.left, -AX.left]), np.hstack([F.right, AX.right]))
+        R_true = eqs.residual(op, X, F)    # A X - F
         return R_true, factored_norm(R_true) / norm_F
 
     def stop(status):
@@ -123,14 +119,14 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             return stop("cg_breakdown")
         omega = factored_inner(P, R) / pq
         X, _ = trunc_x(X.hstack(P.scaled(omega)))
-        R, _ = policy.truncate_residual(R.hstack(Q.scaled(-omega)), norm_F)
+        R, _ = policy.truncate_residual(R.hstack(Q.scaled(-omega)))
         res = factored_norm(R) / norm_F
         kind = "recursive"
         if res <= tol:
             R_true, res = true_residual()
             kind = "exact"
             if res > tol:
-                R, _ = policy.truncate_residual(R_true, norm_F)
+                R, _ = policy.truncate_residual(R_true.scaled(-1.0))
         res_hist.append(res)
         Z = precond.apply_inv_ambient(R)
         if kind == "exact":
@@ -140,7 +136,7 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             # direction conjugation is robust to truncation drift (equals the
             # usual <R,Z> ratio in exact arithmetic)
             beta = -factored_inner(Z, Q) / pq
-            P, _ = policy.truncate_residual(Z.hstack(P.scaled(beta)), norm_F)
+            P, _ = policy.truncate_residual(Z.hstack(P.scaled(beta)))
         trace.append(
             iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
             beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,

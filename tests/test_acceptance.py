@@ -312,7 +312,7 @@ def test_criterion_8_truncated_cg_fidelity():
     B = [np.eye(6), rand_spd(6, rng, 20.0)]
     op = eqs.MultitermOperator(A, B)
     F = eqs.LowRankRhs(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
-    policy0 = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0, eps_abs_r=0.0)
+    policy0 = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0)
     _, trace, _ = tc.truncated_cg_solve(op, F, pc.IdentityPrecond(), policy0, 1e-16, 10)
     K = kron_matrix(op.A, op.B)
     bb = F.densify(force=True).reshape(-1, order="F")
@@ -327,11 +327,10 @@ def test_criterion_8_truncated_cg_fidelity():
     kron = geo.KroneckerMetric(spec["E"], spec["D"])
     shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
     tol = 1e-6
-    norm_F = geo.factored_norm(inst.F)
     policy = tc.TruncationPolicy.from_tol(tol, rank_cap=12)
     prec = pc.FadiAmbientPrecond(
         spec["A"], spec["B"], kron, shifts, 8,
-        truncate_fn=lambda Z: policy.truncate_residual(Z, norm_F)[0],
+        truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
     )
     Xc, trc, stc = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 400)
     min_res = min(r["res_rel"] for r in trc.rows)
@@ -339,6 +338,34 @@ def test_criterion_8_truncated_cg_fidelity():
     report(8, "truncated-CG fidelity (dense PCG oracle; rank-cap stagnation)",
            ok and ok2,
            f"no-trunc match {match:.1e}; capped: {stc} at min res {min_res:.1e}")
+
+
+def test_criterion_8_uncapped_truncated_cg_converges_on_fd200(tmp_path, monkeypatch):
+    """Truncated CG with P2 (fADI) and no rank cap reaches 1e-6 on the
+    fd-diffusion n=200 instance: every recompression is relative to the
+    norm of what it truncates, so the preconditioned direction keeps the
+    rank it needs."""
+    from lrmeq import cli
+    from lrmeq import io as inst_io
+
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3), inst_dir)
+    solves = []
+
+    def kept(*args):
+        out = tc.truncated_cg_solve(*args)
+        solves.append((args[0], args[1], out[0]))
+        return out
+
+    monkeypatch.setattr(cli, "truncated_cg_solve", kept)
+    cfg = dict(cli._CONFIG_DEFAULTS, instance=str(inst_dir), solver="trunc_cg",
+               precond="P2", tol=1e-6)
+    summary, _ = cli.run_solve(cfg)
+    (op, F, X), = solves
+    res = eqs.residual_norm_exact(op, X, F)
+    ok = summary["status"] == "converged" and res <= 1e-6 and summary["iters"] <= 60
+    report(8, "uncapped truncated CG converges on fd n=200", ok,
+           f"{summary['status']} in {summary['iters']} iterations, exact res {res:.1e}")
 
 
 def test_criterion_9_rram_mechanics():

@@ -281,7 +281,7 @@ def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
     else:
         assert metric.is_identity and isinstance(prec, pc.KronPrecond)
     policy = cli._solver_options(dict(cfg, solver="trunc_cg"))
-    amb = cli._build_ambient_precond(inst, cfg, policy, geo.factored_norm(inst.F))
+    amb = cli._build_ambient_precond(inst, cfg, policy)
     assert isinstance(amb, pc.KronPrecond) and amb.kron.D is None
 
 
@@ -321,26 +321,24 @@ def test_tangadi_setup_factors_e_and_d_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "eps_rel_r, abs_tail, rank_cap, keep",
-    [(0.05, 0.0, None, 2), (0.0, 0.005, None, 3), (0.0, 0.0, 1, 1)],
-    ids=["eps_rel_r", "eps_abs_r", "rank_cap"],
+    "eps_rel_r, rank_cap, keep",
+    [(0.05, None, 2), (0.0, 1, 1)],
+    ids=["eps_rel_r", "rank_cap"],
 )
-def test_ambient_fadi_truncates_with_the_solver_policy(rng, eps_rel_r, abs_tail, rank_cap, keep):
+def test_ambient_fadi_truncates_with_the_solver_policy(rng, eps_rel_r, rank_cap, keep):
     """The fADI hook of truncated CG recompresses with the policy it is
     given, each of whose thresholds here keeps fewer singular values than
-    the policy of the configured ``tol`` (all five).  ``abs_tail`` is
-    the absolute threshold ``eps_abs_r * ||F||``."""
+    the policy of the configured ``tol`` (all five)."""
     inst = pb.gen_synthetic(7, 6, 2, seed=5)
     cfg = dict(_CONFIG_DEFAULTS, solver="trunc_cg", precond="P2")
-    norm_F = geo.factored_norm(inst.F)
-    policy = TruncationPolicy(0.0, eps_rel_r, abs_tail / norm_F, rank_cap)
-    amb = cli._build_ambient_precond(inst, cfg, policy, norm_F)
+    policy = TruncationPolicy(0.0, eps_rel_r, rank_cap)
+    amb = cli._build_ambient_precond(inst, cfg, policy)
     assert isinstance(amb, pc.FadiAmbientPrecond)
     Q1, _ = np.linalg.qr(rng.standard_normal((7, 5)))
     Q2, _ = np.linalg.qr(rng.standard_normal((6, 5)))
     Z = geo.FactoredMatrix(Q1 * np.geomspace(1.0, 1e-4, 5), Q2)
     assert amb.truncate_fn(Z).k == keep
-    default = cli._build_ambient_precond(inst, cfg, cli._solver_options(cfg), norm_F)
+    default = cli._build_ambient_precond(inst, cfg, cli._solver_options(cfg))
     assert default.truncate_fn(Z).k == 5
 
 

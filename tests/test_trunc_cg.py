@@ -27,7 +27,7 @@ def make_spd_problem(m, n, rng, ell=2, cond=20.0):
 def test_truncate_exact_recompression(rng):
     Z = geo.FactoredMatrix(rng.standard_normal((10, 3)), rng.standard_normal((8, 3)))
     Zpad = Z.hstack(Z.scaled(0.0))  # rank-6 representation, numerical rank 3
-    out, discarded = tc.truncate_factored(Zpad, 0.0, 0.0)
+    out, discarded = tc.truncate_factored(Zpad, 0.0)
     assert out.k == 3
     assert discarded <= 1e-13 * geo.factored_norm(Z)
     assert np.linalg.norm(out.densify(force=True) - Z.densify(force=True)) <= 1e-12
@@ -35,14 +35,14 @@ def test_truncate_exact_recompression(rng):
 
 def test_truncate_extreme_tolerance(rng):
     Z = geo.FactoredMatrix(rng.standard_normal((10, 4)), rng.standard_normal((8, 4)))
-    out, _ = tc.truncate_factored(Z, 1.0, 0.0)
+    out, _ = tc.truncate_factored(Z, 1.0)
     assert out.k <= 1
 
 
 def test_truncate_matches_dense_svd_oracle(rng):
     Z = geo.FactoredMatrix(rng.standard_normal((12, 10)), rng.standard_normal((11, 10)))
     eps_rel = 1e-3
-    out, discarded = tc.truncate_factored(Z, eps_rel, 0.0)
+    out, discarded = tc.truncate_factored(Z, eps_rel)
     s = np.linalg.svd(Z.densify(force=True), compute_uv=False)
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
     thresh = eps_rel * np.linalg.norm(s)
@@ -62,16 +62,28 @@ def test_truncate_tail_matches_dense_singular_values(m, n, k, eps_rel, cap, seed
     left = rng.standard_normal((m, k)) * np.geomspace(1.0, 1e-4, k)
     Z = geo.FactoredMatrix(left, rng.standard_normal((n, k)))
     Zd = Z.densify(force=True)
-    out, discarded = tc.truncate_factored(Z, eps_rel, 0.0, rank_cap=cap)
+    out, discarded = tc.truncate_factored(Z, eps_rel, rank_cap=cap)
     s = np.linalg.svd(Zd, compute_uv=False)
     assert discarded == pytest.approx(np.linalg.norm(s[out.k:]), rel=1e-8, abs=1e-12 * s[0])
     err = np.linalg.norm(out.densify(force=True) - Zd)
     assert err == pytest.approx(discarded, rel=1e-8, abs=1e-12 * s[0])
 
 
+@given(st.integers(2, 12), st.integers(2, 12), st.integers(1, 16),
+       st.sampled_from([1e-8, 1.0, 1e8]), st.integers(0, 2**32 - 1))
+def test_residual_truncation_is_scale_invariant(m, n, k, c, seed):
+    """The kept rank depends on the shape of the singular values, not on
+    their scale: ``Z`` and ``c Z`` are cut at the same rank."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((m, k)) * np.geomspace(1.0, 1e-9, k)
+    Z = geo.FactoredMatrix(left, rng.standard_normal((n, k)))
+    policy = tc.TruncationPolicy.from_tol(1e-6)
+    assert policy.truncate_residual(Z.scaled(c))[0].k == policy.truncate_residual(Z)[0].k
+
+
 def test_truncate_rank_cap_applied_last(rng):
     Z = geo.FactoredMatrix(rng.standard_normal((12, 8)), rng.standard_normal((11, 8)))
-    out, _ = tc.truncate_factored(Z, 0.0, 0.0, rank_cap=3)
+    out, _ = tc.truncate_factored(Z, 0.0, rank_cap=3)
     assert out.k == 3
 
 
@@ -79,7 +91,6 @@ def test_policy_from_tol():
     p = tc.TruncationPolicy.from_tol(1e-6)
     assert p.eps_rel_x == 0.0025e-6
     assert p.eps_rel_r == 0.1e-6
-    assert p.eps_abs_r == 0.001e-6
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +101,7 @@ def test_policy_from_tol():
 def test_no_truncation_matches_dense_pcg(rng):
     m = n = 6
     op, F = make_spd_problem(m, n, rng)
-    policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0, eps_abs_r=0.0)
+    policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0)
     X, trace, status = tc.truncated_cg_solve(
         op, F, pc.IdentityPrecond(), policy, 1e-14, 10
     )
@@ -109,7 +120,7 @@ def test_no_truncation_matches_dense_pcg(rng):
 def test_no_truncation_with_kron_precond_matches_dense_pcg(rng):
     m = n = 6
     op, F = make_spd_problem(m, n, rng)
-    policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0, eps_abs_r=0.0)
+    policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0)
     prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, 1e-14, 10)
     K = kron_matrix(op.A, op.B)
@@ -156,7 +167,7 @@ def true_residual(op, X, F):
 def test_unconverged_exit_reports_true_residual(rng):
     m, n = 16, 14
     op, F = make_spd_problem(m, n, rng, cond=10.0)
-    coarse = tc.TruncationPolicy(eps_rel_x=1e-2, eps_rel_r=1e-2, eps_abs_r=0.0)
+    coarse = tc.TruncationPolicy(eps_rel_x=1e-2, eps_rel_r=1e-2)
     prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
     X, trace, status = tc.truncated_cg_solve(op, F, prec, coarse, 1e-12, 5)
     assert status == "max_iter"
@@ -203,11 +214,10 @@ def test_no_divergence_at_truncation_floor():
     kron = geo.KroneckerMetric(spec["E"], spec["D"])
     shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
     tol = 1e-6
-    norm_F = geo.factored_norm(inst.F)
     policy = tc.TruncationPolicy.from_tol(tol)
     prec = pc.FadiAmbientPrecond(
         spec["A"], spec["B"], kron, shifts, 8,
-        truncate_fn=lambda Z: policy.truncate_residual(Z, norm_F)[0],
+        truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
     )
     _, trace, _ = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 60)
     hist = [r["res_rel"] for r in trace.rows]
@@ -219,5 +229,5 @@ def test_no_divergence_at_truncation_floor():
 def test_truncation_certificates_satisfy_policy(rng):
     Z = geo.FactoredMatrix(rng.standard_normal((12, 9)), rng.standard_normal((11, 9)))
     norm_z = geo.factored_norm(Z)
-    out, discarded = tc.truncate_factored(Z, 1e-2, 1e-3, norm_ref=norm_z)
-    assert discarded <= max(1e-3 * norm_z, 1e-2 * norm_z) + 1e-12
+    out, discarded = tc.truncate_factored(Z, 1e-2)
+    assert discarded <= 1e-2 * norm_z + 1e-12
