@@ -22,7 +22,6 @@ from .precond import (
     GenSylvesterPrecond,
     IdentityPrecond,
     KronPrecond,
-    ShiftSet,
     TangAdiPrecond,
     adi_shifts,
     spectral_interval,

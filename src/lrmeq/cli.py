@@ -51,7 +51,6 @@ _CONFIG_DEFAULTS = {
     "seed": 0,
     "max_iters": 500,
     "adi_shifts": 8,
-    "adi_steps": 8,
     "rank_cap": None,
     "check_every": 1,
 }
@@ -106,6 +105,8 @@ def _load_config(args):
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: the config file is not a JSON object")
         unknown = set(file_cfg) - set(_CONFIG_DEFAULTS) - {"instance", "out"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -136,7 +137,6 @@ def _solver_options(cfg):
     configuration error that names the setting."""
     try:
         check_int("adi_shifts", cfg["adi_shifts"], 1)
-        check_int("adi_steps", cfg["adi_steps"], 1)
         check_int("max_iters", cfg["max_iters"], 0)   # RRAM's max_total_iters
         if cfg["solver"] == "rnlcg":
             return RnlcgOptions(
@@ -182,9 +182,7 @@ def _build_tangent_setup(inst, cfg):
     kron = geo.KroneckerMetric(spec.get("E"), spec.get("D"))
     if label == "tangadi":
         shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
-        return identity, pc.TangAdiPrecond(
-            spec["A"], spec["B"], kron, shifts, cfg["adi_steps"]
-        )
+        return identity, pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts)
     if kind in ("sylv", "gen_sylv"):
         return kron, pc.GenSylvesterPrecond(spec["A"], spec["B"], kron)
     if kind == "kron":
@@ -208,7 +206,7 @@ def _build_ambient_precond(inst, cfg, policy):
     if kind in ("sylv", "gen_sylv"):
         shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
         return pc.FadiAmbientPrecond(
-            spec["A"], spec["B"], kron, shifts, cfg["adi_steps"],
+            spec["A"], spec["B"], kron, shifts,
             truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
         )
     raise ConfigError(f"unsupported preconditioner kind {kind!r}")
@@ -370,8 +368,7 @@ def cmd_verify(_args):
     xi_star = geo.project(Xs, rng.standard_normal((m, n)))
     dense_star = Xs.U @ xi_star.M @ Xs.V.T + xi_star.Up @ Xs.V.T + Xs.U @ xi_star.Vp.T
     PX = geo.project(Xs, A @ dense_star @ D + E @ dense_star @ B)
-    sh = pc.ShiftSet(((2.0, -2.0),))
-    again = pc.TangAdiPrecond(A, B, met, sh, steps=80).apply_inv_tangent(PX)
+    again = pc.TangAdiPrecond(A, B, met, ((2.0, -2.0),) * 80).apply_inv_tangent(PX)
     check(
         "tangADI converges to the exact preimage",
         geo.norm(again.plus(xi_star, -1.0)) <= 1e-8 * geo.norm(xi_star),
@@ -428,7 +425,6 @@ def main(argv=None):
     s.add_argument("--seed", type=int)
     s.add_argument("--max-iters", dest="max_iters", type=int)
     s.add_argument("--adi-shifts", dest="adi_shifts", type=int)
-    s.add_argument("--adi-steps", dest="adi_steps", type=int)
     s.add_argument("--rank-cap", dest="rank_cap", type=int)
     s.add_argument("--check-every", dest="check_every", type=int)
     s.add_argument("--out")

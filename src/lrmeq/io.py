@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import scipy.io as sio
@@ -98,13 +99,20 @@ def import_instance(in_dir) -> ProblemInstance:
     """Read back an instance directory written by ``export_instance``.
 
     Every file is checked against its sha256 in the manifest; a mismatch,
-    a missing manifest key, an unknown manifest format, matrices whose
-    count or shapes do not form one equation, or a preconditioner matrix
-    that is not symmetric raise ``InstanceError``.
+    a missing manifest key, a manifest entry of the wrong JSON type, an
+    unknown manifest format, matrices whose count or shapes do not form one
+    equation, or a preconditioner matrix that is not symmetric raise
+    ``InstanceError``.
     """
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "lrmeq-instance-v1":
+
+    def json_object(value, what):
+        if not isinstance(value, dict):
+            raise InstanceError(f"{in_dir}: {what} is not a JSON object")
+        return value
+
+    if json_object(manifest, "the manifest").get("format") != "lrmeq-instance-v1":
         raise InstanceError(f"{in_dir}: unrecognized instance manifest")
 
     def required(mapping, key, what):
@@ -113,8 +121,8 @@ def import_instance(in_dir) -> ProblemInstance:
         except (KeyError, TypeError):
             raise InstanceError(f"{in_dir}: manifest lacks {what}") from None
 
-    files = required(manifest, "files", "'files'")
-    hashes = manifest.get("sha256", {})
+    files = json_object(required(manifest, "files", "'files'"), "'files'")
+    hashes = json_object(manifest.get("sha256", {}), "'sha256'")
 
     def load(name):
         path = os.path.join(in_dir, required(files, name, f"the file entry {name!r}"))
@@ -123,12 +131,18 @@ def import_instance(in_dir) -> ProblemInstance:
         return _read_matrix(path)
 
     ell = required(manifest, "ell", "'ell'")
+    if type(ell) is not int or ell < 1:   # a bool is an int too
+        raise InstanceError(f"{in_dir}: 'ell' is {ell!r}, not a positive integer")
     try:
         op = MultitermOperator([load(f"A{i}") for i in range(ell)],
                                [load(f"B{i}") for i in range(ell)])
         F = LowRankRhs(np.atleast_2d(load("FL")), np.atleast_2d(load("FR")))
     except ValueError as exc:
         raise InstanceError(f"{in_dir}: {exc}") from None
+    for side in "AB":
+        count = sum(re.fullmatch(side + r"\d+", name) is not None for name in files)
+        if count != ell:
+            raise InstanceError(f"{in_dir}: 'ell' is {ell}, but 'files' holds {count} {side} terms")
 
     def check_shape(what, M, shape):
         if M.shape != shape:
@@ -139,9 +153,10 @@ def import_instance(in_dir) -> ProblemInstance:
     # A and E act on the m side of X, B and D on the n side
     sides = {"A": op.m, "E": op.m, "B": op.n, "D": op.n}
     preconds = {}
-    for label, entry in manifest.get("precond", {}).items():
+    for label, entry in json_object(manifest.get("precond", {}), "'precond'").items():
         spec = {"kind": required(entry, "kind", f"the {label!r} preconditioner's 'kind'")}
-        matrices = required(entry, "matrices", f"the {label!r} preconditioner's 'matrices'")
+        what = f"the {label!r} preconditioner's 'matrices'"
+        matrices = json_object(required(entry, "matrices", what), what)
         for key, name in matrices.items():
             spec[key] = None if name is None else load(name)
             if spec[key] is not None and key in sides:

@@ -15,13 +15,12 @@ parameters and spectral-interval estimation for SPD pencils.
 
 All exact solves reduce to r shifted sparse solves plus small dense
 algebra; shifted factorizations come from ``ShiftedPencilFactory``.  The
-ADI preconditioners (tangADI, fADI), whose shifts are fixed, factor each
-shift pair once, on their first application.
+ADI preconditioners (tangADI, fADI) run one sweep per shift pair; their
+shifts are fixed, so they factor each pair once, on their first application.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import mpmath as mp
@@ -150,38 +149,26 @@ def _bordered_columns(sol, corr, M):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftSet:
-    """ADI shift pairs (p_j, q_j); for spectra in [a, b] x [c, d]
-    admissibility requires q_j < a and p_j > -c."""
-
-    pairs: tuple
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def pair(self, j):
-        return self.pairs[j % len(self.pairs)]
-
-
 def wachspress_shifts(a, b, c, d, J):
     """(Sub)optimal ADI shift pairs for spectra in [a, b] x [c, d].
 
     Solves the classical rational minimax problem via a Moebius
     transformation onto symmetric intervals followed by Zolotarev's
     elliptic-function solution: zeros at ``dn((2j-1) K / (2J), k)``.
-    Returns pairs (p_j, q_j) with p_j in [a, b] and q_j in [-d, -c].
+    Returns a tuple of pairs (p_j, q_j) with p_j in [a, b] and q_j in
+    [-d, -c], one per ADI sweep; admissibility for spectra in [a, b] x
+    [c, d] requires q_j < a and p_j > -c.
     """
     if not (0 < a <= b and 0 < c <= d):
         raise ValueError("need 0 < a <= b and 0 < c <= d")
     if J < 1:
         raise ValueError("need at least one shift")
     if a == b and c == d:
-        return ShiftSet(((float(a), float(-c)),))
+        return ((float(a), float(-c)),)
     if a == b:
-        return ShiftSet(((float(a), -float(np.sqrt(c * d))),))
+        return ((float(a), -float(np.sqrt(c * d))),)
     if c == d:
-        return ShiftSet(((float(np.sqrt(a * b)), float(-c)),))
+        return ((float(np.sqrt(a * b)), float(-c)),)
 
     gamma = (a + c) * (b + d) / ((a + d) * (b + c))
     s = 2.0 / gamma - 1.0
@@ -200,8 +187,7 @@ def wachspress_shifts(a, b, c, d, J):
         t_w = s_w * (b + c) / (b + d)
         return (t_w * d - c) / (1.0 - t_w)
 
-    pairs = tuple((pull_back(w), pull_back(-w)) for w in ws)
-    return ShiftSet(pairs)
+    return tuple((pull_back(w), pull_back(-w)) for w in ws)
 
 
 def spectral_interval(A, fact_E):
@@ -384,40 +370,33 @@ class GenSylvesterPrecond:
 
 
 class _AdiPrecond:
-    """Shift pairs and sweep count of an ADI preconditioner for
-    ``P X = A X D + E X B``, with ``(E, D)`` the pair of a ``KroneckerMetric``
-    and the factorizations of its shifted pencils made on the first apply."""
+    """Shift pairs of an ADI preconditioner for ``P X = A X D + E X B``, with
+    ``(E, D)`` the pair of a ``KroneckerMetric``: one sweep per pair, and the
+    factorizations of its shifted pencils made on the first apply."""
 
-    def __init__(self, A, B, kron: KroneckerMetric, shifts: ShiftSet, steps=None):
+    def __init__(self, A, B, kron: KroneckerMetric, shifts):
         if not shifts:
             raise ValueError("ADI needs a nonempty shift set")
-        self.steps = len(shifts) if steps is None else int(steps)
-        if self.steps < 1:
-            raise ValueError(f"ADI needs steps >= 1, got {steps}")
         self.A, self.B, self.kron = A, B, kron
-        self.shifts = shifts
+        self.shifts = tuple(shifts)
 
     @cached_property
     def factors(self):
-        """Factorizations ``(A - q_j E, B + p_j D)`` of the shift pairs that
-        ``steps`` sweeps use."""
+        """Factorizations ``(A - q_j E, B + p_j D)`` of the shift pairs."""
         factory_AE = ShiftedPencilFactory(self.A, self.kron.E)
         factory_BD = ShiftedPencilFactory(self.B, self.kron.D)
-        return [
-            (factory_AE.factor(-q), factory_BD.factor(p))
-            for p, q in self.shifts.pairs[: self.steps]
-        ]
+        return [(factory_AE.factor(-q), factory_BD.factor(p)) for p, q in self.shifts]
 
 
 class TangAdiPrecond(_AdiPrecond):
     """Approximate inverse of ``P X = A X D + E X B`` by tangADI sweeps."""
 
     def apply_inv_tangent(self, eta):
-        """Approximate ``P_X^{-1} eta`` at ``X = eta.point`` by ``steps``
-        sweeps of the tangent-space ADI fixed-point iteration, starting from
-        zero and cycling through the shift pairs.
+        """Approximate ``P_X^{-1} eta`` at ``X = eta.point`` by one sweep of
+        the tangent-space ADI fixed-point iteration per shift pair, starting
+        from zero.
 
-        Each step costs r sparse solves with ``A - q_j E`` and ``B + p_j D``,
+        Each sweep costs r sparse solves with ``A - q_j E`` and ``B + p_j D``,
         products of A, E, B, D with the r columns of the last iterate's
         ``Up`` and ``Vp`` (``A U``, ``E U``, ``B V``, ``D V`` are formed once
         per apply) and O(r^2 (m + n)) dense work.
@@ -426,7 +405,6 @@ class TangAdiPrecond(_AdiPrecond):
         if not X.metric.is_identity:
             raise ValueError("tangADI operates in the standard metric")
         A, B, kron = self.A, self.B, self.kron
-        shifts, factors = self.shifts, self.factors
 
         U, V = X.U, X.V
         AU = A @ U
@@ -441,10 +419,8 @@ class TangAdiPrecond(_AdiPrecond):
         VpVM_eta = eta.Vp + V @ eta.M.T
 
         xi = None
-        for j in range(self.steps):
-            p, q = shifts.pair(j)
-            # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
-            fact_A, fact_B = factors[j % len(shifts)]
+        # (A - q E), SPD for q < a, and (B + p D), SPD for p > -c
+        for (p, q), (fact_A, fact_B) in zip(self.shifts, self.factors):
             # the half-step is the Kronecker tangent solve with L = A - q E,
             # R = B + p D and rho = Z_j + (p - q) eta
             pq = p - q
@@ -472,23 +448,20 @@ class TangAdiPrecond(_AdiPrecond):
 class FadiAmbientPrecond(_AdiPrecond):
     """Factored ADI approximation of the ambient generalized Sylvester solve.
 
-    Used as the truncated-CG preconditioner: applies ``steps`` ADI sweeps
-    to a factored right-hand side, recompressing after each sweep when a
-    truncation hook is installed.
+    Used as the truncated-CG preconditioner: applies one ADI sweep per
+    shift pair to a factored right-hand side, recompressing after each
+    sweep when a truncation hook is installed.
     """
 
-    def __init__(self, A, B, kron: KroneckerMetric, shifts: ShiftSet, steps=None,
-                 truncate_fn=None):
-        super().__init__(A, B, kron, shifts, steps)
+    def __init__(self, A, B, kron: KroneckerMetric, shifts, truncate_fn=None):
+        super().__init__(A, B, kron, shifts)
         self.truncate_fn = truncate_fn
 
     def apply_inv_ambient(self, Z: FactoredMatrix) -> FactoredMatrix:
         m, n = Z.shape
         Xl = np.zeros((m, 0))
         Xr = np.zeros((n, 0))
-        for j in range(self.steps):
-            p, q = self.shifts.pair(j)
-            fa, fb = self.factors[j % len(self.shifts)]
+        for (p, q), (fa, fb) in zip(self.shifts, self.factors):
             new_l = [fa.solve((p - q) * Z.left)]
             new_r = [fb.solve(Z.right)]
             if Xl.shape[1]:

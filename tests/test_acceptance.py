@@ -174,7 +174,6 @@ def test_criterion_4_tangadi_contraction():
         a, b = pc.spectral_interval(A, kron.fact_E)
         c, d = pc.spectral_interval(B, kron.fact_D)
         p, q = float(np.sqrt(a * b)), -float(np.sqrt(c * d))
-        shifts = pc.ShiftSet(((p, q),))
         X = _std_point(m, n, r, rng)
         amb_G, _ = _shifted_ops(A, B, D, E, p, q)
         _, G_c, _ = projected_operator_matrix(X, amb_G)
@@ -193,7 +192,7 @@ def test_criterion_4_tangadi_contraction():
 
         errs = []
         for steps in range(1, 10):
-            out = pc.TangAdiPrecond(A, B, kron, shifts, steps).apply_inv_tangent(eta)
+            out = pc.TangAdiPrecond(A, B, kron, ((p, q),) * steps).apply_inv_tangent(eta)
             errs.append(g_norm(tv_dense(out) - star_d))
         ratios = [errs[j + 1] / errs[j] for j in range(3, 8) if errs[j] > 1e-13]
         if ratios:
@@ -205,7 +204,7 @@ def test_criterion_4_tangadi_contraction():
 
 def test_criterion_5_wachspress_shifts():
     s1 = pc.wachspress_shifts(1.0, 100.0, 1.0, 100.0, 1)
-    p1, q1 = s1.pairs[0]
+    p1, q1 = s1[0]
     ok = abs(p1 - 10.0) <= 1e-8 and abs(q1 + 10.0) <= 1e-8
     detail = [f"J=1 shift {p1:.12f}"]
     lam = np.geomspace(1.0, 100.0, 200)
@@ -219,7 +218,7 @@ def test_criterion_5_wachspress_shifts():
 
     for J in (2, 4):
         ours = adi_error_bound(
-            pc.wachspress_shifts(1.0, 100.0, 1.0, 100.0, J).pairs, lam, lam
+            pc.wachspress_shifts(1.0, 100.0, 1.0, 100.0, J), lam, lam
         ).max()
         best = None
         rng = np.random.default_rng(0)
@@ -293,7 +292,7 @@ def test_criterion_7_preconditioner_ordering():
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0))
     kron = geo.KroneckerMetric(spec["E"], spec["D"])
     shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
-    prec_adi = pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts, 8)
+    prec_adi = pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts)
     _, tra, sta = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),
                               precond=prec_adi)
@@ -329,15 +328,19 @@ def test_criterion_8_truncated_cg_fidelity():
     tol = 1e-6
     policy = tc.TruncationPolicy.from_tol(tol, rank_cap=12)
     prec = pc.FadiAmbientPrecond(
-        spec["A"], spec["B"], kron, shifts, 8,
+        spec["A"], spec["B"], kron, shifts,
         truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
     )
     Xc, trc, stc = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 400)
-    min_res = min(r["res_rel"] for r in trc.rows)
-    ok2 = stc in ("stagnated", "cg_breakdown") and min_res > tol
+    # the capped run ends on an exact residual that is the true one, above tol
+    last = trc.last()
+    exact = eqs.residual_norm_exact(inst.op, Xc, inst.F)
+    ok2 = (stc in ("stagnated", "cg_breakdown") and last["res_kind"] == "exact"
+           and abs(last["res_rel"] - exact) <= 1e-9 * exact and exact > tol)
     report(8, "truncated-CG fidelity (dense PCG oracle; rank-cap stagnation)",
            ok and ok2,
-           f"no-trunc match {match:.1e}; capped: {stc} at min res {min_res:.1e}")
+           f"no-trunc match {match:.1e}; capped: {stc} after {last['iter']} iterations "
+           f"at exact res {exact:.2e}")
 
 
 def test_criterion_8_uncapped_truncated_cg_converges_on_fd200(tmp_path, monkeypatch):

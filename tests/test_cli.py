@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -355,7 +356,40 @@ def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("argv", [["--precond", "p2"], ["--rank", "abc"]], ids=["choice", "type"])
+@pytest.mark.parametrize("content", ["3", '[{"a": 1}]'], ids=["number", "list"])
+def test_config_file_not_an_object_exits_3(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["solve", "--config", str(cfg), "--instance", str(tmp_path)]) == 3
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_config_file_with_removed_key_exits_3(tmp_path, capsys):
+    """``adi_steps`` is gone (the sweep count is the number of shifts):
+    a config file that still sets it names it as an unknown key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"adi_steps": 8}))
+    assert main(["solve", "--config", str(cfg), "--instance", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "adi_steps" in err
+
+
+def test_solve_flags_are_the_config_keys(capsys):
+    """``lrmeq solve`` has one flag per config key, and besides them only
+    ``--config``, ``--instance``, ``--out`` and ``--help``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    expected = {"--" + key.replace("_", "-") for key in _CONFIG_DEFAULTS}
+    assert len(expected) == len(_CONFIG_DEFAULTS)
+    assert flags == expected | {"--config", "--instance", "--out", "--help"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["--precond", "p2"], ["--rank", "abc"], ["--adi-steps", "8"]],
+    ids=["choice", "type", "removed"],
+)
 def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
     """A rejected flag value is an invalid configuration (3), like the same
     value in a config file, not a solve that did not converge (2)."""
@@ -373,7 +407,7 @@ def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
         ("rram", "flag", "r0", 0),
         ("rram", "flag", "r_up", 0),
         ("rnlcg", "flag", "adi_shifts", 0),
-        ("trunc_cg", "flag", "adi_steps", 0),
+        ("trunc_cg", "flag", "adi_shifts", 0),
         ("rram", "flag", "tol", -1.0),
         ("rnlcg", "file", "rank", "12"),
         ("rnlcg", "file", "tol", "1e-6"),
@@ -512,6 +546,41 @@ def test_zero_rhs(tmp_path, capsys, solver, code):
     assert main(argv) == code
     if code == 3:
         assert f"solver {solver!r}" in capsys.readouterr().err
+
+
+def _with_p2_matrices(m, matrices):
+    precond = dict(m["precond"], p2=dict(m["precond"]["p2"], matrices=matrices))
+    return dict(m, precond=precond)
+
+
+# rewrites of a 3-term instance's manifest whose hashes all still match
+WRONG_TYPE = {
+    "ell_bool": lambda m: dict(m, ell=True),
+    "ell_short": lambda m: dict(m, ell=1),
+    "ell_float": lambda m: dict(m, ell=3.0),
+    "precond_list": lambda m: dict(m, precond=[]),
+    "matrices_list": lambda m: _with_p2_matrices(m, []),
+    "sha256_list": lambda m: dict(m, sha256=[]),
+    "manifest_list": lambda m: [m],
+}
+
+
+@pytest.mark.parametrize("rewrite", list(WRONG_TYPE.values()), ids=list(WRONG_TYPE))
+def test_manifest_entry_of_wrong_type_exits_4(tmp_path, capsys, rewrite):
+    """``ell`` must be a positive integer (not a bool) that counts the A and
+    the B terms in ``files``, and the manifest, ``precond``, each
+    ``matrices`` and ``sha256`` are JSON objects: anything else is an
+    unreadable instance, not a traceback or a truncated equation."""
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 3, seed=5), inst_dir)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    (inst_dir / "manifest.json").write_text(json.dumps(rewrite(manifest)))
+    with pytest.raises(inst_io.InstanceError):
+        inst_io.import_instance(inst_dir)
+    argv = ["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 4
+    assert "I/O error" in capsys.readouterr().err
 
 
 def _drop_ell(m):

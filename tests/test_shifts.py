@@ -40,12 +40,12 @@ def brute_force_symmetric(J, a, b, n_grid=200, restarts=3):
 
 def test_point_spectra_single_shift():
     s = pc.wachspress_shifts(1.0, 1.0, 1.0, 1.0, 1)
-    assert s.pairs == ((1.0, -1.0),)
+    assert s == ((1.0, -1.0),)
 
 
 def test_one_shift_symmetric_geometric_mean():
     s = pc.wachspress_shifts(1.0, 100.0, 1.0, 100.0, 1)
-    p, q = s.pairs[0]
+    p, q = s[0]
     assert abs(p - 10.0) <= 1e-8
     assert abs(q + 10.0) <= 1e-8
     # J=1 minimax brute force over a log grid confirms the optimum
@@ -59,7 +59,7 @@ def test_one_shift_symmetric_geometric_mean():
 def test_symmetric_grid_minimax(J):
     s = pc.wachspress_shifts(1.0, 100.0, 1.0, 100.0, J)
     lam = np.geomspace(1.0, 100.0, 200)
-    ours = adi_error_bound(s.pairs, lam, lam).max()
+    ours = adi_error_bound(s, lam, lam).max()
     ps, _ = brute_force_symmetric(J, 1.0, 100.0)
     ref = adi_error_bound([(p, -p) for p in ps], lam, lam).max()
     assert ours <= 1.1 * ref
@@ -69,19 +69,19 @@ def test_asymmetric_shifts_admissible_and_effective():
     a, b, c, d = 0.5, 80.0, 2.0, 300.0
     s = pc.wachspress_shifts(a, b, c, d, 5)
     assert len(s) == 5
-    for p, q in s.pairs:
+    for p, q in s:
         assert a <= p <= b
         assert -d <= q <= -c
     lam = np.geomspace(a, b, 120)
     mu = np.geomspace(c, d, 120)
-    assert adi_error_bound(s.pairs, lam, mu).max() < 5e-3
+    assert adi_error_bound(s, lam, mu).max() < 5e-3
 
 
 def test_degenerate_single_sides():
     s = pc.wachspress_shifts(2.0, 2.0, 1.0, 9.0, 4)
-    assert s.pairs[0][0] == 2.0
+    assert s[0][0] == 2.0
     s = pc.wachspress_shifts(1.0, 9.0, 2.0, 2.0, 4)
-    assert s.pairs[0][1] == -2.0
+    assert s[0][1] == -2.0
 
 
 def test_invalid_intervals_rejected():

@@ -216,7 +216,7 @@ def test_no_divergence_at_truncation_floor():
     tol = 1e-6
     policy = tc.TruncationPolicy.from_tol(tol)
     prec = pc.FadiAmbientPrecond(
-        spec["A"], spec["B"], kron, shifts, 8,
+        spec["A"], spec["B"], kron, shifts,
         truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
     )
     _, trace, _ = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 60)
