@@ -7,8 +7,8 @@ Subcommands:
     summary.json (with the config echo and an environment block) into the
     output directory,
 *   ``compare``  -- align several run summaries into one CSV table,
-*   ``verify``   -- run the dense-oracle self-check suite on a tiny
-    instance.
+*   ``verify``   -- run the dense-oracle self-check suite on tiny
+    instances, and on a QR and factored norms over several QR panels.
 
 Exit codes: 0 success, 2 solver non-convergence (or failed verify),
 3 invalid configuration (a flag, config key or setting that is rejected),
@@ -323,7 +323,8 @@ def cmd_compare(args):
 
 
 def cmd_verify(_args):
-    """Dense-oracle self-checks on tiny seeded instances."""
+    """Dense-oracle self-checks on tiny seeded instances, and on the
+    blocked QR and factored norm at a size that spans several panels."""
     rng = np.random.default_rng(0)
     failures = 0
 
@@ -383,6 +384,22 @@ def cmd_verify(_args):
         Xr.densify(force=True) - x.reshape((6, 6), order="F")
     ) / np.linalg.norm(x)
     check("tiny instance matches dense Kronecker solve", status == "converged" and err <= 1e-7)
+    # one size over several QR panels, so the blocked Householder QR runs
+    W = rng.standard_normal((200, 70))
+    Q, R = numkit.qr_thin(W)
+    check(
+        "200x70 QR matches dense QR",
+        np.linalg.norm(Q @ R - W) <= 1e-13 * np.linalg.norm(W)
+        and np.linalg.norm(Q.T @ Q - np.eye(70)) <= 1e-13
+        and np.allclose(np.abs(R), np.abs(np.linalg.qr(W, mode="r")), atol=1e-12),
+    )
+    for rows in (150, 50):  # k <= rows: QR and trmm; k > rows: the dense product
+        Zf = geo.FactoredMatrix(W, rng.standard_normal((rows, 70)))
+        ref = np.linalg.norm(Zf.left @ Zf.right.T)
+        check(
+            f"factored norm of 200x{rows} rank-70 product",
+            abs(geo.factored_norm(Zf) - ref) <= 1e-12 * ref,
+        )
     print("verify:", "all checks passed" if failures == 0 else f"{failures} check(s) FAILED")
     return 0 if failures == 0 else 2
 

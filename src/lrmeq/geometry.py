@@ -132,14 +132,22 @@ def factored_inner(Z1: FactoredMatrix, Z2: FactoredMatrix) -> float:
 
 
 def factored_norm(Z: FactoredMatrix) -> float:
-    """Frobenius norm of ``left @ right.T``."""
+    """Frobenius norm of ``left @ right.T``.
+
+    With ``L`` the factor with fewer rows (l of them) and ``R`` the other
+    one, the norm is ``||R R_L^T||_F`` for the R-only QR ``L = Q_L R_L``;
+    ``trmm`` multiplies by the k x k triangle.  When k > l the dense
+    ``R @ L.T`` costs the flops of ``R @ R_L.T``, so it is taken without
+    the QR.
+    """
     if Z.k == 0:
         return 0.0
     L, R = Z.left, Z.right
     if L.shape[0] > R.shape[0]:
         L, R = R, L
-    # ||R L^T|| = ||R R_L^T|| for the QR factor L = Q_L R_L of the shorter side
-    return float(np.linalg.norm(R @ numkit.qr_r(L).T))
+    if Z.k > L.shape[0]:
+        return float(np.linalg.norm(R @ L.T))
+    return float(np.linalg.norm(blas.dtrmm(1.0, numkit.qr_r(L), R, side=1, trans_a=1)))
 
 
 class FixedRankPoint:

@@ -1,9 +1,12 @@
 """Dense and sparse linear-algebra kernels shared by all modules.
 
 Everything here is a thin, deterministic layer over numpy/scipy LAPACK
-wrappers: thin SVD/QR with fixed sign conventions, symmetric eigensolves,
-and SPD factorizations that expose a triangular square-root factor
-``C`` with ``A = C.T @ C``.  There is one SPD backend, a banded Cholesky:
+wrappers: a thin SVD with fixed signs; one Householder QR, the compact-WY
+``geqrt`` in panels of ``QR_PANEL`` columns, which yields the R factor
+alone (``qr_r``, behind the exact residual norms) or a thin QR with
+``R[i, i] >= 0`` whose Q ``gemqrt`` forms (``qr_thin``); and SPD
+factorizations that expose a triangular square-root factor ``C`` with
+``A = C.T @ C``.  There is one SPD backend, a banded Cholesky:
 a sparse matrix is factorized in its band, after a reverse-Cuthill-McKee
 reordering when that narrows the band, so banded problems (tridiagonal,
 five-point stencils) factor in O(n * bandwidth^2), a tridiagonal band by
@@ -47,19 +50,29 @@ def svd_thin(A):
     return U, s, V
 
 
-def _geqrf(A):
-    """Householder QR of ``A`` in LAPACK's compact form ``(qr, tau)``."""
+# Panel width of the compact-WY Householder QR (``geqrt``).  At the widths
+# the solvers factor, about 100 columns, ``geqrf`` runs mostly its level-2
+# code (below LAPACK's blocking crossover), while ``geqrt`` applies every
+# panel's block reflector as level-3 products.
+QR_PANEL = 32
+
+
+def _geqrt(A):
+    """Householder QR of a nonempty ``A`` in LAPACK's compact-WY form
+    ``(qr, T)``: R on and above the diagonal of ``qr``, the reflectors
+    below it, and the triangular factors ``T`` of the panels' block
+    reflectors ``I - V T V.T``."""
     A = np.asarray_chkfinite(A, dtype=float)
-    lwork, _ = lapack.dgeqrf_lwork(*A.shape)
-    qr, tau, _, info = lapack.dgeqrf(A, lwork=int(lwork))
+    qr, T, info = lapack.dgeqrt(min(QR_PANEL, *A.shape), A)
     if info != 0:
-        raise sla.LinAlgError(f"dgeqrf failed with info = {info}")
-    return qr, tau
+        raise sla.LinAlgError(f"dgeqrt failed with info = {info}")
+    return qr, T
 
 
 def qr_r(A):
-    """The ``min(m, k) x k`` triangular factor of a QR of ``A`` (signs not fixed)."""
-    qr, _ = _geqrf(A)
+    """The ``min(m, k) x k`` triangular factor of a QR of a nonempty ``A``
+    (signs not fixed)."""
+    qr, _ = _geqrt(A)
     return np.triu(qr[: min(qr.shape)])
 
 
@@ -67,18 +80,20 @@ def qr_thin(A):
     """Thin QR ``A = Q @ R`` with the sign convention ``R[i, i] >= 0``.
 
     For ``m x k`` input, ``Q`` is ``m x min(m, k)`` and ``R`` is
-    ``min(m, k) x k`` (upper trapezoidal when ``m < k``).
+    ``min(m, k) x k`` (upper trapezoidal when ``m < k``).  ``Q`` is the
+    block reflectors applied to the leading ``min(m, k)`` columns of the
+    identity.
     """
     A = np.asarray(A, dtype=float)
     m, k = A.shape
     p = min(m, k)
     if p == 0:
         return np.eye(m, p), np.zeros((p, k))
-    qr, tau = _geqrf(A)
+    qr, T = _geqrt(A)
     R = np.triu(qr[:p])
-    Q, _, info = lapack.dorgqr(qr[:, :p], tau, lwork=max(64 * p, 1))
+    Q, info = lapack.dgemqrt(qr[:, :p], T, np.eye(m, p, order="F"), overwrite_c=True)
     if info != 0:
-        raise sla.LinAlgError(f"dorgqr failed with info = {info}")
+        raise sla.LinAlgError(f"dgemqrt failed with info = {info}")
     flip = np.diag(R) < 0.0
     if np.any(flip):
         Q[:, flip] = -Q[:, flip]

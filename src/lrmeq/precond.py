@@ -27,6 +27,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from . import numkit
 from .geometry import FactoredMatrix, KroneckerMetric, TangentVector
@@ -354,7 +355,13 @@ class GenSylvesterPrecond:
         idx = np.arange(r)
         T4[idx, :, idx, :] = LamB_blocks
         T4[:, idx, :, idx] += LamA_blocks
-        Mb = np.linalg.solve(T, R.flatten(order="F")).reshape((r, r), order="F")
+        # T is SPD; T.T is its storage in the Fortran order LAPACK factors in place
+        _, mb, info = lapack.dposv(T.T, R.flatten(order="F"), overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise numkit.NotSpdError(
+                f"generalized Sylvester core not SPD: {info}-th leading minor"
+            )
+        Mb = mb.reshape((r, r), order="F")
 
         Ub_xi = _bordered_columns(sol_u, corr_u, Mb)
         Vb_xi = _bordered_columns(sol_v, corr_v, Mb.T)

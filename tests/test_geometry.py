@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lrmeq import geometry as geo
@@ -409,19 +409,55 @@ def test_random_point_norm_and_validity(rng):
 # factored norms against dense references
 # ---------------------------------------------------------------------------
 
-# (m, n, k, seed); k may exceed m or n, and k = 0 is the zero matrix
+# (m, n, k, seed); k may exceed m or n, and k = 0 is the zero matrix.  The
+# examples span several QR panels: the shorter factor has at least k rows
+# (its QR and ``trmm``) or fewer (the dense product), and either factor is
+# the shorter one
 factored_cases = st.tuples(
     st.integers(1, 12), st.integers(1, 12), st.integers(0, 15), st.integers(0, 2**32 - 1)
 )
 
 
 @given(factored_cases)
+@example((150, 220, 100, 0))
+@example((220, 150, 100, 1))
+@example((100, 100, 100, 2))
+@example((40, 90, 70, 3))
+@example((90, 40, 70, 4))
+@example((99, 100, 100, 5))
 def test_factored_norm_is_frobenius_norm(case):
     m, n, k, seed = case
     rng = np.random.default_rng(seed)
     Z = geo.FactoredMatrix(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
     ref = np.linalg.norm(Z.left @ Z.right.T)
     assert geo.factored_norm(Z) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+def test_factored_norm_of_cancelling_residual():
+    """A near-solution's residual on fd n = 200: ``||L||_F ||R||_F`` of its
+    factors exceeds the residual norm more than 1e6-fold.  The QR-based
+    norm stays within a few ``u ||L||_F ||R||_F`` of the norm of the
+    product formed in extended precision, and (as measured, 6e-12) within
+    1e-9 relative of it, where the Gram form ``sqrt(factored_inner(Z, Z))``
+    is off by 1.7e-8."""
+    from lrmeq import equations as eqs
+    from lrmeq import precond as pc
+    from lrmeq import problems as pb
+    from lrmeq.solver_rnlcg import RnlcgOptions, rnlcg_solve
+
+    inst = pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3)
+    met = geo.KroneckerMetric(inst.p2["E"], inst.p2["D"])
+    prec = pc.GenSylvesterPrecond(inst.p2["A"], inst.p2["B"], met)
+    opts = RnlcgOptions(rank=12, tol=1e-6, max_iters=30, seed=0)
+    X, _, _ = rnlcg_solve(inst.op, inst.F, opts, metric=met, precond=prec)
+    Z = eqs.residual(inst.op, X, inst.F)
+    wide = Z.left.astype(np.longdouble) @ Z.right.T.astype(np.longdouble)
+    ref = float(np.sqrt(np.sum(wide * wide)))
+    scale = np.linalg.norm(Z.left) * np.linalg.norm(Z.right)
+    assert scale >= 1e6 * ref
+    u = np.finfo(float).eps / 2
+    assert abs(geo.factored_norm(Z) - ref) <= 4 * u * scale
+    assert geo.factored_norm(Z) == pytest.approx(ref, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

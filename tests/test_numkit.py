@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lrmeq import numkit as nk
@@ -62,17 +62,31 @@ def test_qr_reconstruction(rng):
     assert np.allclose(np.triu(R), R)
 
 
-# (m, k, rank, seed): tall, square and wide input, of full or lower rank
-qr_cases = st.tuples(
-    st.integers(1, 14), st.integers(1, 14), st.integers(0, 14), st.integers(0, 2**32 - 1)
+# (m, k, rank, seed): tall, square and wide input, of full or lower rank,
+# within one QR panel (``numkit.QR_PANEL`` = 32 columns) or over several,
+# up to about 100 columns
+qr_cases = st.one_of(
+    st.tuples(
+        st.integers(1, 14), st.integers(1, 14), st.integers(0, 14), st.integers(0, 2**32 - 1)
+    ),
+    st.tuples(
+        st.integers(1, 110), st.integers(33, 110), st.integers(0, 110), st.integers(0, 2**32 - 1)
+    ),
 )
 
 
 @given(qr_cases)
+@example((200, 100, 100, 0))
+@example((100, 100, 100, 1))
+@example((64, 100, 64, 2))
+@example((100, 97, 40, 3))
+@example((40, 100, 25, 4))
+@example((1, 100, 1, 5))
 def test_qr_thin_matches_numpy_qr(case):
     """Tall, wide and rank-deficient input: ``Q R = A`` with orthonormal Q,
     ``R[i, i] >= 0`` and the shapes of ``np.linalg.qr``, whose factors it
-    equals up to the signs of Q's columns where R's diagonal is nonzero."""
+    equals up to the signs of Q's columns where R's diagonal is nonzero;
+    ``qr_r`` gives the same R up to the signs of its rows."""
     m, k, rank, seed = case
     rng = np.random.default_rng(seed)
     rank = min(rank, m, k)
@@ -90,11 +104,16 @@ def test_qr_thin_matches_numpy_qr(case):
     signs = np.sign(np.diag(R_np)[:lead])
     assert np.allclose(R[:lead], signs[:, None] * R_np[:lead], atol=1e-12 * scale)
     assert np.allclose(Q[:, :lead], Q_np[:, :lead] * signs, atol=1e-10)
+    R_only = nk.qr_r(A)
+    assert R_only.shape == (p, k) and np.array_equal(np.triu(R_only), R_only)
+    assert np.allclose(np.abs(R_only), np.abs(R), rtol=0.0, atol=1e-13 * scale)
 
 
 def test_qr_thin_rejects_nonfinite():
     with pytest.raises(ValueError):
         nk.qr_thin(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        nk.qr_r(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_spd_scaled_identity():

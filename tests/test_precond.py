@@ -532,6 +532,34 @@ def test_gen_sylvester_precond_rejects_point_of_other_metric(rng):
     )
 
 
+def test_gen_sylvester_core_not_spd_raises_and_solver_ends_with_spd_loss(monkeypatch):
+    """At X = u u^T, u = (1, 1)/sqrt(2), with A = B = diag(-1, 5), both
+    shifted pencils A + 2 I = diag(1, 7) are SPD, but the operator's
+    compression on the tangent space, in the basis (u u^T, u' u^T, u u'^T)
+    for u' = (1, -1)/sqrt(2), is [[4, -3, -3], [-3, 4, 0], [-3, 0, 4]]
+    with eigenvalue 4 - 3 sqrt(2) < 0: only the 1 x 1 core, its Schur
+    complement 4 - 9/4 - 9/4, is not SPD.  Its Cholesky fails with
+    ``NotSpdError``, and R-NLCG started there ends with ``spd_loss``."""
+    from lrmeq import equations as eqs
+    from lrmeq import solver_rnlcg as rn
+
+    A = np.diag([-1.0, 5.0])
+    met = geo.KroneckerMetric()
+    u = np.full((2, 1), np.sqrt(0.5))
+    X = geo.FixedRankPoint(u, np.array([1.0]), u.copy(), met)
+    numkit.SpdFactorization(A + 2.0 * np.eye(2))  # the pencil at u^T A u = 2 factors
+    with pytest.raises(numkit.NotSpdError, match="core not SPD"):
+        pc.GenSylvesterPrecond(A, A, met).apply_inv_tangent(geo.project(X, np.eye(2)))
+
+    monkeypatch.setattr(rn.geo, "random_point", lambda *args: X)
+    op = eqs.MultitermOperator([np.eye(2)], [np.eye(2)])
+    F = eqs.LowRankRhs(np.ones((2, 1)), np.array([[1.0], [2.0]]))
+    opts = rn.RnlcgOptions(rank=1)
+    _, trace, status = rn.rnlcg_solve(op, F, opts, precond=pc.GenSylvesterPrecond(A, A, met))
+    assert status == "spd_loss"
+    assert len(trace) == 1 and trace.last()["event"] == "spd_loss"
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 def test_gen_sylvester_solves_r_plus_one_columns_per_shift(rng, monkeypatch, sparse):
     m, n, r = 16, 14, 3
