@@ -80,14 +80,16 @@ def _default_out(name):
 
 
 def cmd_generate(args):
-    if args.family == "fd-diffusion":
-        inst = pb.gen_fd_diffusion_paper(args.n, alpha=args.alpha, lk=args.lk)
-    elif args.family == "stoch-galerkin":
-        inst = pb.gen_stoch_galerkin(args.n, args.q, args.p, theta=args.theta)
-    elif args.family == "synthetic":
-        inst = pb.gen_synthetic(args.m, args.n, args.l, seed=args.seed)
-    else:
-        raise ConfigError(f"unknown family {args.family!r}")
+    try:
+        if args.family == "fd-diffusion":
+            inst = pb.gen_fd_diffusion_paper(args.n, alpha=args.alpha, lk=args.lk)
+        elif args.family == "stoch-galerkin":
+            inst = pb.gen_stoch_galerkin(args.n, args.q, args.p, theta=args.theta)
+        else:
+            inst = pb.gen_synthetic(args.m, args.n, args.l, seed=args.seed)
+    except ValueError as exc:
+        # a setting the generator rejects
+        raise ConfigError(str(exc)) from None
     out = args.out or _default_out(f"instance-{args.family}")
     manifest = inst_io.export_instance(inst, out)
     print(f"wrote {args.family} instance ({manifest['ell']} terms, "
@@ -110,6 +112,9 @@ def _load_config(args):
         unknown = set(file_cfg) - set(_CONFIG_DEFAULTS) - {"instance", "out"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("instance", "out"):
+            if not isinstance(file_cfg.get(key, ""), str):
+                raise ConfigError(f"config key {key!r} must be a string path")
         cfg.update(file_cfg)
     for key in _CONFIG_DEFAULTS:
         val = getattr(args, key.replace("-", "_"), None)

@@ -25,8 +25,12 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class NotSpdError(ValueError):
-    """Raised when a matrix handed to ``SpdFactorization`` is not SPD; the
-    message is LAPACK's, which names the failing leading minor."""
+    """The one signal that an operator, a preconditioner or a matrix built
+    from them is not SPD: a failed factorization (``SpdFactorization``,
+    whose message is LAPACK's and names the failing leading minor), a
+    projected system that is not SPD, a curvature or energy that must be
+    positive and is not, or a pencil whose spectrum is not positive.  Every
+    solver turns it into the status ``spd_loss``."""
 
 
 def svd_thin(A):

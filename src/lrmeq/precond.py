@@ -94,7 +94,7 @@ def _inv_spd_small(S):
     return L_inv.T @ L_inv
 
 
-def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K, sol):
+def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K):
     """One bordered solve with the pencil ``A + s_i E`` per shift ``s_i``.
 
     Column ``i`` solves ``(A + s_i E) w = H[:, i] - G m + Y c`` subject to
@@ -103,13 +103,13 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K, sol):
     column ``m`` that is not known yet.  Because ``(A + s E)^{-1} G =
     Ub - W1 (s I + diag(lam))`` with ``W1 = (A + s E)^{-1} Y``, each shift
     factors its pencil and solves only ``[Y, H[:, i]]``, into row ``i`` of
-    the buffer ``sol`` of shape ``(k, r + 1, n)``; all other algebra runs
+    a new stack ``sol`` of shape ``(k, r + 1, n)``; all other algebra runs
     once, batched over the shifts.  With ``S = -Y^T W1`` and ``w_h`` the
     solution for ``H[:, i]``, the bordering gives ``corr = S^{-1} [Y^T Ub,
     Y^T w_h]``, ``C_i = Ub + W1 corr[:, :r]`` and ``W[:, i] = w_h + W1
     corr[:, r]``.
 
-    Leaves ``[W1, w_h]^T`` in ``sol[i]`` and returns ``(corr, KtW,
+    Leaves ``[W1, w_h]^T`` in ``sol[i]`` and returns ``(sol, corr, KtW,
     blocks)``: the stacked ``corr`` (``(k, r, r + 1)``), from which and
     ``sol`` ``_bordered_columns`` forms the columns once ``m`` is known,
     ``K^T W`` (row ``i`` is ``K^T W[:, i]``) and the blocks ``s_i I - K^T
@@ -118,6 +118,7 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K, sol):
     (n, r), k = Y.shape, len(shifts)
     rhs = np.empty((n, r + 1), order="F")
     rhs[:, :r] = Y
+    sol = np.empty((k, r + 1, n))
     for i, s in enumerate(shifts):
         rhs[:, r] = H[:, i]
         sol[i] = factory.factor(s).solve(rhs).T
@@ -131,7 +132,7 @@ def _bordered_shifted_solves(factory, shifts, Ub, Y, H, K, sol):
     corr = np.linalg.solve(-YtW1, border)
     KtW = P[:, r, r:] + (KtW1 @ corr[:, :, r:])[:, :, 0]
     blocks = shifts[:, None, None] * np.eye(r) - KtU - KtW1 @ corr[:, :, :r]
-    return corr, KtW, blocks
+    return sol, corr, KtW, blocks
 
 
 def _bordered_columns(sol, corr, M):
@@ -197,7 +198,8 @@ def spectral_interval(A, fact_E):
     ``fact_E`` is E's ``SpdFactorization`` (a ``KroneckerMetric``'s
     ``fact_E`` or ``fact_D``), None for the identity.  Small problems use a
     dense solve; larger ones a short Lanczos run on ``C_E^{-T} A C_E^{-1}``
-    with a deterministic start vector, stopped early on breakdown.
+    with a deterministic start vector, stopped early on breakdown.  A lower
+    end that is not positive raises ``NotSpdError``.
     """
     m = A.shape[0]
 
@@ -208,31 +210,32 @@ def spectral_interval(A, fact_E):
 
     if m <= _DENSE_EIG_LIMIT:
         S = opmul(np.eye(m))
-        w = np.linalg.eigvalsh(0.5 * (S + S.T))
-        return _SAFETY_LO * float(w[0]), _SAFETY_HI * float(w[-1])
-
-    v = np.ones(m) + 1e-3 * np.sin(np.arange(m))
-    v /= np.linalg.norm(v)
-    Vb = np.zeros((m, _LANCZOS_STEPS))
-    alphas, betas = [], []
-    beta = 0.0
-    v_prev = np.zeros(m)
-    for k in range(_LANCZOS_STEPS):
-        Vb[:, k] = v
-        w = opmul(v)
-        alpha = float(v @ w)
-        w = w - alpha * v - beta * v_prev
-        w -= Vb[:, : k + 1] @ (Vb[:, : k + 1].T @ w)  # full reorthogonalization
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-13 * max(abs(alpha), 1.0):
-            break
-        betas.append(beta)
-        v_prev = v
-        v = w / beta
-    theta = sla.eigh_tridiagonal(
-        np.array(alphas), np.array(betas[: len(alphas) - 1]), eigvals_only=True
-    )
+        theta = np.linalg.eigvalsh(0.5 * (S + S.T))
+    else:
+        v = np.ones(m) + 1e-3 * np.sin(np.arange(m))
+        v /= np.linalg.norm(v)
+        Vb = np.zeros((m, _LANCZOS_STEPS))
+        alphas, betas = [], []
+        beta = 0.0
+        v_prev = np.zeros(m)
+        for k in range(_LANCZOS_STEPS):
+            Vb[:, k] = v
+            w = opmul(v)
+            alpha = float(v @ w)
+            w = w - alpha * v - beta * v_prev
+            w -= Vb[:, : k + 1] @ (Vb[:, : k + 1].T @ w)  # full reorthogonalization
+            alphas.append(alpha)
+            beta = float(np.linalg.norm(w))
+            if beta < 1e-13 * max(abs(alpha), 1.0):
+                break
+            betas.append(beta)
+            v_prev = v
+            v = w / beta
+        theta = sla.eigh_tridiagonal(
+            np.array(alphas), np.array(betas[: len(alphas) - 1]), eigvals_only=True
+        )
+    if not theta[0] > 0.0:
+        raise numkit.NotSpdError(f"pencil not SPD: smallest eigenvalue estimate {theta[0]:.3e}")
     return _SAFETY_LO * float(theta[0]), _SAFETY_HI * float(theta[-1])
 
 
@@ -292,25 +295,12 @@ class GenSylvesterPrecond:
     """Exact inverse of ``E^{-1} A xi + xi B D^{-1}`` in the metric ``(E, D)``;
     the identity metric gives the Sylvester ``A xi + xi B``.  It applies
     only at points of a metric that holds the same E and D objects.
-
-    Each side keeps the buffer of its stacked shifted solutions from one
-    apply to the next, while the rank stays the same, so one instance
-    serves one thread at a time.
     """
 
     def __init__(self, A, B, metric: KroneckerMetric):
         self.A, self.B, self.metric = A, B, metric
         self.factory_AE = ShiftedPencilFactory(A, metric.E)
         self.factory_BD = ShiftedPencilFactory(B, metric.D)
-        self._sol_u = self._sol_v = np.empty(0)
-
-    def _stacks(self, m, n, r):
-        """The U- and V-side buffers of ``_bordered_shifted_solves`` at rank r."""
-        if self._sol_u.shape != (r, r + 1, m):
-            self._sol_u = np.empty((r, r + 1, m))
-        if self._sol_v.shape != (r, r + 1, n):
-            self._sol_v = np.empty((r, r + 1, n))
-        return self._sol_u, self._sol_v
 
     def apply_inv_tangent(self, eta):
         """Solve ``Proj_X^B(E^{-1} A xi + xi B D^{-1}) = eta`` exactly at
@@ -339,12 +329,11 @@ class GenSylvesterPrecond:
 
         AUb, BVb = AU @ QA, BV @ QB
         Ub, Vb = U @ QA, V @ QB
-        sol_u, sol_v = self._stacks(*X.shape, r)
-        corr_u, KtW_u, LamB_blocks = _bordered_shifted_solves(
-            self.factory_AE, lamB, Ub, X.EU @ QA, E_Ueta_b, AUb, sol_u
+        sol_u, corr_u, KtW_u, LamB_blocks = _bordered_shifted_solves(
+            self.factory_AE, lamB, Ub, X.EU @ QA, E_Ueta_b, AUb
         )
-        corr_v, KtW_v, LamA_blocks = _bordered_shifted_solves(
-            self.factory_BD, lamA, Vb, X.DV @ QB, D_Veta_b, BVb, sol_v
+        sol_v, corr_v, KtW_v, LamA_blocks = _bordered_shifted_solves(
+            self.factory_BD, lamA, Vb, X.DV @ QB, D_Veta_b, BVb
         )
 
         R = Meta_b - KtW_u.T - KtW_v

@@ -40,15 +40,6 @@ class LineSearchError(RuntimeError):
     pass
 
 
-class SpdLossError(RuntimeError):
-    """Raised when a curvature term that must be positive is not."""
-
-
-# What a step raises when the operator or preconditioner stops being SPD:
-# a nonpositive curvature, or a projected small system that is not SPD.
-SPD_LOSS = (SpdLossError, numkit.NotSpdError)
-
-
 @dataclass
 class RnlcgOptions:
     rank: int
@@ -117,7 +108,7 @@ def initial_step(model, g, xi):
     """
     den = model.curvature(model.retr.xi_core)
     if den <= 0.0:
-        raise SpdLossError(f"nonpositive curvature <A xi, xi> = {den:.3e}")
+        raise numkit.NotSpdError(f"nonpositive curvature <A xi, xi> = {den:.3e}")
     return -geo.inner(g, xi) / den
 
 
@@ -183,7 +174,7 @@ class RnlcgState:
         h = self.precond.apply_inv_tangent(g)
         grad_energy = geo.inner(g, h)
         if grad_energy < 0.0:
-            raise SpdLossError(
+            raise numkit.NotSpdError(
                 f"<g, P^-1 g> = {grad_energy:.3e} < 0: preconditioner not SPD"
             )
         self.X, self.ev = X, ev
@@ -250,7 +241,7 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
     try:
         state = RnlcgState(op, F, opts, X0, precond=precond)
-    except SPD_LOSS:
+    except numkit.NotSpdError:
         trace.append(iter=0, rank=X0.r)
         return trace.finish(X0, "spd_loss")
     k = 0
@@ -265,7 +256,7 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
             state.step()
         except LineSearchError:
             return trace.finish(state.X, "line_search_failure")
-        except SPD_LOSS:
+        except numkit.NotSpdError:
             return trace.finish(state.X, "spd_loss")
         k += 1
         event = "reset_rgd" if state.last_reset else ""

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
+from .numkit import NotSpdError
 from .solver_rnlcg import (
-    SPD_LOSS, LineSearchError, RnlcgOptions, RnlcgState, check_int, check_positive,
+    LineSearchError, RnlcgOptions, RnlcgState, check_int, check_positive,
 )
 from .trace import SolveTrace
 
@@ -51,19 +52,18 @@ def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
     """Truncate away the trailing singular values that fail the
     numerical-rank test ``sigma_k^2 / sum(sigma^2) >= eps_sigma^2``.
 
-    Returns ``(X', r_minus)``: ``(X, r)`` when the last singular value
-    passes the test, else the point cut after the last value that passes
-    (rank one when none does), so ``r_minus < r``.
+    Returns X itself when the last singular value passes the test, else
+    the point cut after the last value that passes (rank one when none
+    does), so of lower rank.
     """
     share = X.sigma**2 / np.sum(X.sigma**2)
     if not share[-1] < eps_sigma**2:
-        return X, X.r
+        return X
     mask = share >= eps_sigma**2
     r_minus = int(np.max(np.nonzero(mask)[0]) + 1) if np.any(mask) else 1
-    X2 = geo.FixedRankPoint(
+    return geo.FixedRankPoint(
         X.U[:, :r_minus], X.sigma[:r_minus].copy(), X.V[:, :r_minus], X.metric
     )
-    return X2, r_minus
 
 
 def rank_increase(X, op, R, r_up):
@@ -75,7 +75,8 @@ def rank_increase(X, op, R, r_up):
     ``min(m, n)`` and ``k`` is the component's numerical rank, takes the
     exact line-search step along it, and returns the grown point together
     with the step length.  With no room or no normal direction it returns
-    ``(X, 0.0)``.
+    ``(X, 0.0)``; a nonpositive curvature ``<A Y, Y>`` along the direction
+    Y raises ``NotSpdError``.
     """
     metric = X.metric
     m, n = X.shape
@@ -96,8 +97,9 @@ def rank_increase(X, op, R, r_up):
         return X, 0.0
     Y = N.as_factored()
     den = geo.factored_inner(op.apply(Y), Y)
-    num = -geo.factored_inner(R, Y)
-    alpha = num / den if den > 0 else 0.0
+    if den <= 0.0:
+        raise NotSpdError(f"nonpositive curvature <A Y, Y> = {den:.3e}")
+    alpha = -geo.factored_inner(R, Y) / den
     # combined factors stay E-/D-orthonormal because Y is B-normal to T_X
     U_all = np.hstack([X.U, -N.U if alpha < 0 else N.U])
     V_all = np.hstack([X.V, N.V])
@@ -164,9 +166,12 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     """Riemannian rank-adaptive solve; returns ``(X, trace, status)``.
 
     Trace events: ``rank_up:r->r'``, ``rank_down:r->r'``, ``plateau``,
-    ``converged``, ``max_iter``, ``stagnated``, ``spd_loss``.  Where the rank
-    cannot grow (at rank ``min(m, n)``, or with no normal direction), a
-    phase that takes no step ends the solve with ``stagnated``.
+    ``converged``, ``max_iter``, ``stagnated``, ``spd_loss``.  A phase ends
+    on a failed line search, and before a step at a stationary point; a
+    ``NotSpdError`` anywhere (a step, a restart, a rank increase) ends the
+    solve with ``spd_loss``, as in ``rnlcg_solve``.  Where the rank cannot
+    grow (at rank ``min(m, n)``, or with no normal direction), a phase that
+    takes no step ends the solve with ``stagnated``.
     """
     trace = SolveTrace()
     rng = np.random.default_rng(opts.seed)
@@ -174,7 +179,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     X0 = geo.random_point(op.m, op.n, opts.r0, metric, rng)
     try:
         state = RnlcgState(op, F, opts.inner, X0, precond=precond)
-    except SPD_LOSS:
+    except NotSpdError:
         trace.append(iter=0, rank=X0.r)
         return trace.finish(X0, "spd_loss")
 
@@ -188,27 +193,29 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
         # ---- fixed-rank phase -------------------------------------------
         log_hist = []
         phase_iters = 0
-        while True:
+        while not state.stagnated():
             try:
                 state.step()
-            except (LineSearchError, *SPD_LOSS):
+            except LineSearchError:
                 break
+            except NotSpdError:
+                return trace.finish(state.X, "spd_loss")
             k += 1
             phase_iters += 1
             est = hutchpp_residual_norm(state.R, HUTCH_BUDGET, rng) / state.norm_F
             log_hist.append(np.log10(max(est, 1e-300)))
             event = ""
-            X2, r_minus = rank_decrease(state.X, EPS_SIGMA)
-            if r_minus < state.X.r:
-                event = f"rank_down:{state.X.r}->{r_minus}"
+            X2 = rank_decrease(state.X, EPS_SIGMA)
+            if X2.r < state.X.r:
+                event = f"rank_down:{state.X.r}->{X2.r}"
                 try:
                     state.restart(X2)
-                except SPD_LOSS:
+                except NotSpdError:
                     state.record(trace, k, res_rel=est, res_kind="hutchpp")
                     return trace.finish(state.X, "spd_loss")
                 log_hist = []
             state.record(trace, k, res_rel=est, res_kind="hutchpp", event=event)
-            if k >= opts.max_total_iters or phase_iters >= MAX_PHASE_ITERS or state.stagnated():
+            if k >= opts.max_total_iters or phase_iters >= MAX_PHASE_ITERS:
                 break
             # the exact residual decides convergence once the estimate is near tol
             if est <= TOL_EXIT_FACT * opts.tol:
@@ -223,16 +230,17 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
         if res <= opts.tol or k >= opts.max_total_iters:
             continue
         r_old = state.X.r
-        X_up, alpha_star = rank_increase(state.X, op, state.R, opts.r_up)
+        try:
+            X_up, alpha_star = rank_increase(state.X, op, state.R, opts.r_up)
+            if X_up.r > r_old:
+                state.restart(X_up)
+        except NotSpdError:
+            return trace.finish(state.X, "spd_loss")
         if X_up.r == r_old:
             # the rank cannot grow; a phase without a step would repeat itself
             if phase_iters == 0:
                 return trace.finish(state.X, "stagnated")
             continue
-        try:
-            state.restart(X_up)
-        except SPD_LOSS:
-            return trace.finish(state.X, "spd_loss")
         k += 1
         res = state.res_rel()
         state.record(

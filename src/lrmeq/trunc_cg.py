@@ -77,7 +77,9 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
     """Preconditioned CG with low-rank truncation; returns ``(X, trace, status)``.
 
     ``precond`` must provide ``apply_inv_ambient`` on factored matrices.
-    Status is one of converged / max_iter / stagnated / cg_breakdown.
+    Status is one of converged / max_iter / stagnated / spd_loss; a
+    nonpositive curvature ``<P, A P>`` means the operator or the
+    preconditioner is not SPD, and ends the solve with ``spd_loss``.
     """
     trace = SolveTrace(extra_columns=("rank_x", "rank_r", "rank_p"))
     m, n = op.m, op.n
@@ -116,7 +118,7 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
         Q = op.apply(P)                    # never truncated
         pq = factored_inner(P, Q)
         if pq <= 0.0:
-            return stop("cg_breakdown")
+            return stop("spd_loss")
         omega = factored_inner(P, R) / pq
         X, _ = trunc_x(X.hstack(P.scaled(omega)))
         R, _ = policy.truncate_residual(R.hstack(Q.scaled(-omega)))

@@ -335,7 +335,7 @@ def test_criterion_8_truncated_cg_fidelity():
     # the capped run ends on an exact residual that is the true one, above tol
     last = trc.last()
     exact = eqs.residual_norm_exact(inst.op, Xc, inst.F)
-    ok2 = (stc in ("stagnated", "cg_breakdown") and last["res_kind"] == "exact"
+    ok2 = (stc in ("stagnated", "spd_loss") and last["res_kind"] == "exact"
            and abs(last["res_rel"] - exact) <= 1e-9 * exact and exact > tol)
     report(8, "truncated-CG fidelity (dense PCG oracle; rank-cap stagnation)",
            ok and ok2,

@@ -439,6 +439,48 @@ def test_bad_setting_exits_3_before_set_up(tmp_path, capsys, monkeypatch, solver
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--family", "fd-diffusion", "--n", "1"],
+     ["--family", "stoch-galerkin", "--n", "4", "--theta", "5"],
+     ["--family", "synthetic", "--l", "0"]],
+    ids=["fd-n", "sg-theta", "synthetic-l"],
+)
+def test_generate_rejected_setting_exits_3(tmp_path, capsys, flags):
+    """A setting the generator rejects is an invalid configuration."""
+    assert main(["generate", *flags, "--out", str(tmp_path / "inst")]) == 3
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "inst").exists()
+
+
+@pytest.mark.parametrize("key", ["instance", "out"])
+def test_config_file_path_not_a_string_exits_3(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instance": str(tmp_path), key: 3}))
+    assert main(["solve", "--config", str(cfg)]) == 3
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--precond", "tangadi"], ["--solver", "trunc_cg", "--precond", "P2"]],
+    ids=["tangadi", "trunc_cg-fadi"],
+)
+def test_non_spd_preconditioner_pencil_exits_4(tmp_path, capsys, flags):
+    """P2's A shifted to ``A - 0.5 lam_max(A) I`` is symmetric but the pencil
+    (A, E) is indefinite: the Wachspress set-up finds it and exits 4, as for
+    any preconditioner matrix that is not SPD."""
+    inst = pb.gen_fd_diffusion_paper(30)
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(inst, inst_dir)
+    manifest = json.loads((inst_dir / "manifest.json").read_text())
+    A = inst.p2["A"].toarray()
+    _rewrite(inst_dir, manifest, "p2_A", A - 0.5 * np.linalg.eigvalsh(A)[-1] * np.eye(len(A)))
+    (inst_dir / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["solve", "--instance", str(inst_dir), *flags, "--out", str(tmp_path / "run")]
+    assert main(argv) == 4
+    assert "not SPD" in capsys.readouterr().err
+
+
 def test_corrupted_instance_exits_4(tmp_path):
     inst_dir = tmp_path / "inst"
     inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)

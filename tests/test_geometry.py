@@ -231,6 +231,32 @@ def test_inner_matches_dense(rng, weighted):
     assert abs(geo.inner(xi, eta) - dense) <= 1e-12 * max(1.0, abs(dense))
 
 
+def drifted_tangent(rng, rel_drift):
+    """A tangent vector in a weighted metric whose Up has drifted into
+    span(U) by ``rel_drift`` relative to its norm, and the vector before."""
+    met = make_metric(9, 8, rng)
+    X = geo.random_point(9, 8, 3, met, rng)
+    xi = geo.project(X, rng.standard_normal((9, 8)))
+    c = rng.standard_normal((3, 3))
+    drift = X.U @ (rel_drift * np.linalg.norm(xi.Up) / np.linalg.norm(X.U @ c) * c)
+    return geo.TangentVector(xi.M, xi.Up + drift, xi.Vp, X), xi
+
+
+def test_retangentialize_projects_out_drift_above_tol(rng):
+    drifted, xi = drifted_tangent(rng, 1e-6)
+    X = xi.point
+    assert np.linalg.norm(X.EU.T @ drifted.Up) > 1e-10 * np.linalg.norm(drifted.Up)
+    out = drifted.retangentialize(tol=1e-10)
+    assert np.linalg.norm(X.EU.T @ out.Up) <= 1e-14 * np.linalg.norm(out.Up)
+    assert np.linalg.norm(out.Up - xi.Up) <= 1e-13 * np.linalg.norm(xi.Up)
+    assert out.M is drifted.M and out.Vp is drifted.Vp
+
+
+def test_retangentialize_keeps_vector_below_tol(rng):
+    drifted, _ = drifted_tangent(rng, 1e-12)
+    assert drifted.retangentialize(tol=1e-10) is drifted
+
+
 def test_embed_zero_and_dense(rng):
     m, n, r = 8, 8, 2
     met = make_metric(m, n, rng)

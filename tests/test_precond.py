@@ -505,6 +505,30 @@ def test_gen_sylvester_factories_keep_no_factorization(rng, monkeypatch):
         assert not any(isinstance(v, numkit.SpdFactorization) for v in held)
 
 
+def test_gen_sylvester_instance_at_changing_ranks_matches_fresh_ones(rng):
+    """RRAM applies one P2 instance at points of changing rank: at ranks
+    3, 5, 3 it returns exactly what a fresh instance returns."""
+    m, n = 16, 14
+    A, B = sparse_tridiag(m, rng), sparse_tridiag(n, rng)
+    met = geo.KroneckerMetric(sparse_diag(m, rng), sparse_diag(n, rng))
+    prec = pc.GenSylvesterPrecond(A, B, met)
+    for r in (3, 5, 3):
+        eta = rand_eta(geo.random_point(m, n, r, met, rng), rng)
+        fresh = pc.GenSylvesterPrecond(A, B, met).apply_inv_tangent(eta)
+        assert np.array_equal(tv_dense(prec.apply_inv_tangent(eta)), tv_dense(fresh))
+
+
+@pytest.mark.parametrize("m", [12, 300], ids=["dense", "lanczos"])
+def test_spectral_interval_of_indefinite_pencil_raises(rng, m):
+    """A pencil with a negative eigenvalue is not SPD: both the dense
+    eigensolve and Lanczos raise ``NotSpdError`` instead of handing a
+    negative lower end to ``wachspress_shifts``."""
+    A = sp.diags([np.linspace(-1.0, 3.0, m)], [0]).tocsr()
+    fact_E = geo.KroneckerMetric(sparse_diag(m, rng), None).fact_E
+    with pytest.raises(numkit.NotSpdError, match="pencil not SPD"):
+        pc.spectral_interval(A, fact_E)
+
+
 def test_gen_sylvester_precond_rejects_point_of_other_metric(rng):
     """P2 takes E and D from its metric; at a point whose metric holds other
     E or D objects, equal values included, it raises instead of returning

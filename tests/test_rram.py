@@ -5,6 +5,7 @@ import pytest
 
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
+from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq import solver_rram as rr
@@ -38,14 +39,13 @@ def make_point(sigma, rng, m=8, n=8):
 
 def test_rank_decrease_tiny_tail(rng):
     X = make_point([1.0, 1e-12], rng)
-    X2, r2 = rr.rank_decrease(X, 1e-4)
-    assert r2 == 1 == direct_rank_decrease([1.0, 1e-12], 1e-4)
+    X2 = rr.rank_decrease(X, 1e-4)
+    assert X2.r == 1 == direct_rank_decrease([1.0, 1e-12], 1e-4)
 
 
 def test_rank_decrease_no_trigger(rng):
     X = make_point([1.0, 1.0], rng)
-    X2, r2 = rr.rank_decrease(X, 0.5)
-    assert r2 == 2
+    X2 = rr.rank_decrease(X, 0.5)
     assert X2 is X
 
 
@@ -53,16 +53,16 @@ def test_rank_decrease_mixed_spectrum(rng):
     sigma = [1.0, 0.5, 1e-3, 1e-9]
     expected = direct_rank_decrease(sigma, 1e-2)
     X = make_point(sigma, rng)
-    X2, r2 = rr.rank_decrease(X, 1e-2)
-    assert r2 == expected == 2
+    X2 = rr.rank_decrease(X, 1e-2)
+    assert X2.r == expected == 2
     assert np.allclose(X2.sigma, sigma[:2])
 
 
 def test_rank_decrease_clamps_to_one(rng):
     # every value fails the test relative to the sum: clamp at rank one
     X = make_point([1.0, 1.0, 1.0, 1.0], rng)
-    X2, r2 = rr.rank_decrease(X, 0.9)
-    assert r2 == 1
+    X2 = rr.rank_decrease(X, 0.9)
+    assert X2.r == 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +396,17 @@ def test_rram_first_increase_adds_the_normal_rank():
 # ---------------------------------------------------------------------------
 
 
-class NegatesAfterFirstApply:
-    """Preconditioner stub: the identity once, the negated identity after."""
+class NegatesAboveRank:
+    """Preconditioner stub: the identity at rank ``r`` or below, the negated
+    identity above."""
 
-    applies = 0
+    def __init__(self, r):
+        self.r = r
+        self.applies = 0
 
     def apply_inv_tangent(self, eta):
         self.applies += 1
-        return eta if self.applies == 1 else eta.scaled(-1.0)
+        return eta if eta.point.r <= self.r else eta.scaled(-1.0)
 
 
 class Negates:
@@ -417,14 +420,15 @@ def identity_problem(rng, m=8, n=8, rank=3):
 
 
 def test_rram_spd_loss_at_restart_ends_with_status(rng):
-    """The first step loses SPD-ness inside the phase; the restart after the
-    rank increase applies the preconditioner again and must not raise."""
+    """The preconditioner stops being SPD above rank 1: the restart after
+    the rank increase applies it again, and the solve ends with
+    ``spd_loss`` at the last point of rank 1 instead of raising."""
     op, F = identity_problem(rng)
-    prec = NegatesAfterFirstApply()
+    prec = NegatesAboveRank(1)
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, r_up=1, tol=1e-10), precond=prec)
     assert status == "spd_loss"
-    assert prec.applies == 3    # start, failed step, failed restart
-    assert X.r == 1 and trace.last()["event"] == "spd_loss"
+    assert X.r == 1 and trace.last()["event"].endswith("spd_loss")
+    assert all(r["rank"] == 1 for r in trace.rows)
     assert not any("rank_up" in r["event"] for r in trace.rows)
 
 
@@ -461,12 +465,57 @@ def test_rram_rank_never_exceeds_min_dimension(prec_name, r0):
             assert int(new) <= 6 and int(old) < int(new)
 
 
+class Zero:
+    def apply_inv_tangent(self, eta):
+        return eta.scaled(0.0)
+
+
 def test_rram_full_rank_phase_without_step_stagnates(rng):
     """At rank min(m, n) there is no rank increase; a phase that takes no
-    step ends the solve instead of repeating itself."""
+    step ends the solve instead of repeating itself.  A zero preconditioner
+    makes every point stationary, so the phase ends before its first step,
+    not on the zero curvature that step would meet."""
     op, F = identity_problem(rng, m=4, n=4)
-    prec = NegatesAfterFirstApply()
-    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-10), precond=prec)
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-10), precond=Zero())
     assert status == "stagnated"
-    assert prec.applies == 2    # start, failed step
-    assert X.r == 4 and all(r["rank"] == 4 for r in trace.rows)
+    assert len(trace) == 1 and X.r == 4
+
+
+def indefinite_problem():
+    """A = diag(linspace(-1, 3, 12)), B = I: the operator is not SPD."""
+    rng = np.random.default_rng(0)
+    op = eqs.MultitermOperator([np.diag(np.linspace(-1.0, 3.0, 12))], [np.eye(12)])
+    return op, eqs.LowRankRhs(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rram_step_spd_loss_ends_with_status(seed):
+    """A step's SPD loss ends the solve with ``spd_loss``, as it does for
+    R-NLCG, and is not taken for the end of a phase: once taken so, the
+    rank grew to 12 and the solve ended ``stagnated``."""
+    op, F = indefinite_problem()
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=2, seed=seed))
+    assert status == "spd_loss"
+    assert X.r == 2 and not any("rank_up" in r["event"] for r in trace.rows)
+
+
+def test_rank_increase_nonpositive_curvature_raises(rng):
+    """``<A Y, Y> <= 0`` along the normal direction raises ``NotSpdError``
+    instead of taking the step length 0."""
+    op = eqs.MultitermOperator([-np.eye(8)], [np.eye(8)])
+    F = eqs.LowRankRhs(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+    X = geo.random_point(8, 8, 1, geo.KroneckerMetric(), rng)
+    with pytest.raises(numkit.NotSpdError, match="curvature"):
+        rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
+
+
+def test_rram_rank_increase_spd_loss_ends_with_status(rng, monkeypatch):
+    """A rank increase that meets a nonpositive curvature ends the solve
+    with ``spd_loss``."""
+    def not_spd(*args):
+        raise numkit.NotSpdError("nonpositive curvature")
+
+    monkeypatch.setattr(rr, "rank_increase", not_spd)
+    op, F = identity_problem(rng)
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, r_up=1, tol=1e-10))
+    assert status == "spd_loss" and X.r == 1

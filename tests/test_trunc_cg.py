@@ -144,6 +144,21 @@ def test_zero_rhs_returns_zero(rng):
     assert len(trace.rows) == 1
 
 
+def test_indefinite_operator_ends_with_spd_loss():
+    """A nonpositive ``<P, A P>`` ends the solve with ``spd_loss``, the
+    status every solver gives a lost SPD property, on an exact row."""
+    rng = np.random.default_rng(0)
+    op = eqs.MultitermOperator([np.diag(np.linspace(-1.0, 3.0, 12))], [np.eye(12)])
+    F = eqs.LowRankRhs(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
+    X, trace, status = tc.truncated_cg_solve(
+        op, F, pc.IdentityPrecond(), tc.TruncationPolicy.from_tol(1e-6), 1e-6, 100
+    )
+    last = trace.last()
+    assert status == "spd_loss" and last["event"] == "spd_loss"
+    assert last["res_kind"] == "exact"
+    assert last["res_rel"] == pytest.approx(eqs.residual_norm_exact(op, X, F), rel=1e-12)
+
+
 def test_converges_with_truncation(rng):
     m, n = 16, 14
     op, F = make_spd_problem(m, n, rng, cond=10.0)
