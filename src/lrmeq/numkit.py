@@ -42,15 +42,12 @@ def svd_thin(A):
     A = np.asarray(A, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     V = Vt.T
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        amax = np.max(np.abs(col))
-        if amax == 0.0:
-            continue
-        idx = np.argmax(np.abs(col) > 1e-12 * amax)
-        if col[idx] < 0.0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+    absU = np.abs(U)
+    # an all-zero column finds no such entry, takes row 0 and keeps its sign
+    idx = np.argmax(absU > 1e-12 * absU.max(axis=0, initial=0.0), axis=0)
+    flip = U[idx, np.arange(U.shape[1])] < 0.0
+    U[:, flip] = -U[:, flip]
+    V[:, flip] = -V[:, flip]
     return U, s, V
 
 

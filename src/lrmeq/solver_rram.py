@@ -169,7 +169,8 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     ``converged``, ``max_iter``, ``stagnated``, ``spd_loss``.  A phase ends
     on a failed line search, and before a step at a stationary point; a
     ``NotSpdError`` anywhere (a step, a restart, a rank increase) ends the
-    solve with ``spd_loss``, as in ``rnlcg_solve``.  Where the rank cannot
+    solve with ``spd_loss``, as in ``rnlcg_solve``, on a row with the exact
+    residual at the returned point.  Where the rank cannot
     grow (at rank ``min(m, n)``, or with no normal direction), a phase that
     takes no step ends the solve with ``stagnated``.
     """
@@ -182,6 +183,11 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     except NotSpdError:
         trace.append(iter=0, rank=X0.r)
         return trace.finish(X0, "spd_loss")
+
+    def spd_loss():
+        # a step or a restart that raises leaves the state as it was
+        trace.update_last(res_rel=state.res_rel(), res_kind="exact")
+        return trace.finish(state.X, "spd_loss")
 
     k = 0
     res = state.res_rel()
@@ -199,7 +205,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             except LineSearchError:
                 break
             except NotSpdError:
-                return trace.finish(state.X, "spd_loss")
+                return spd_loss()
             k += 1
             phase_iters += 1
             est = hutchpp_residual_norm(state.R, HUTCH_BUDGET, rng) / state.norm_F
@@ -211,8 +217,8 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
                 try:
                     state.restart(X2)
                 except NotSpdError:
-                    state.record(trace, k, res_rel=est, res_kind="hutchpp")
-                    return trace.finish(state.X, "spd_loss")
+                    state.record(trace, k)
+                    return spd_loss()
                 log_hist = []
             state.record(trace, k, res_rel=est, res_kind="hutchpp", event=event)
             if k >= opts.max_total_iters or phase_iters >= MAX_PHASE_ITERS:
@@ -235,7 +241,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             if X_up.r > r_old:
                 state.restart(X_up)
         except NotSpdError:
-            return trace.finish(state.X, "spd_loss")
+            return spd_loss()
         if X_up.r == r_old:
             # the rank cannot grow; a phase without a step would repeat itself
             if phase_iters == 0:

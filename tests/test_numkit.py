@@ -39,6 +39,44 @@ def test_svd_sign_convention(rng):
         assert col[idx] >= 0
 
 
+def loop_sign_fix(U, V):
+    """The sign rule of ``svd_thin`` column by column, as a reference."""
+    U, V = U.copy(), V.copy()
+    for j in range(U.shape[1]):
+        col = U[:, j]
+        amax = np.max(np.abs(col))
+        if amax == 0.0:
+            continue
+        idx = np.argmax(np.abs(col) > 1e-12 * amax)
+        if col[idx] < 0.0:
+            U[:, j] = -U[:, j]
+            V[:, j] = -V[:, j]
+    return U, V
+
+
+def test_svd_sign_fix_matches_column_loop_bitwise(rng, monkeypatch):
+    """The vectorized sign fix gives the column loop's U and V bit for bit,
+    with rows below the threshold, an all-zero column and -0.0 entries."""
+    A = rng.standard_normal((9, 5))
+    A[:2] *= 1e-14          # leading entries of U below 1e-12 of the column max
+    U0, s0, Vt0 = np.linalg.svd(A, full_matrices=False)
+    U, s, V = nk.svd_thin(A)
+    U_ref, V_ref = loop_sign_fix(U0, Vt0.T)
+    assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref) and np.array_equal(s, s0)
+    # the sign fix on crafted factors: a negligible first entry of the other
+    # sign than the first one that counts, both ways, and a zero column
+    U0[:, 0] = [1e-15, -1e-14, -0.5, 0.1, 0.0, 0.3, -0.2, 0.4, 0.1]
+    U0[:, 1] = [-1e-15, 1e-14, 0.5, 0.1, 0.0, 0.3, -0.2, 0.4, 0.1]
+    U0[:, 3] = 0.0
+    U0[:, 4] = -0.0
+    monkeypatch.setattr(np.linalg, "svd", lambda M, full_matrices: (U0.copy(), s0, Vt0.copy()))
+    U, s, V = nk.svd_thin(A)
+    U_ref, V_ref = loop_sign_fix(U0, Vt0.T)
+    assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
+    assert U[2, 0] == 0.5 and U[2, 1] == 0.5 and np.array_equal(V[:, 3], Vt0[3])
+    assert np.array_equal(np.signbit(U[:, 3:]), np.signbit(U0[:, 3:]))
+
+
 def test_qr_orthonormal_input(rng):
     Q0, _ = np.linalg.qr(rng.standard_normal((7, 3)))
     Q, R = nk.qr_thin(Q0)

@@ -309,16 +309,74 @@ def test_tangadi_fixed_point(rng):
     assert geo.norm(out.plus(xi_star, -1.0)) <= 1e-11 * geo.norm(xi_star)
 
 
-def test_tangadi_one_sweep_on_diffusion_instance(rng):
-    """One sweep of 8 Wachspress shifts on a small diffusion-preconditioner
-    instance leaves a small forward residual (threshold calibrated at build
-    time: observed 2.4e-3 .. 4.7e-3 across sizes)."""
+def diffusion_p2(n=32):
+    """The P2 coefficients ``(A, B, D, E)`` of the fd-diffusion instance."""
     from lrmeq import problems as pb
 
+    spec = pb.gen_fd_diffusion_paper(n).p2
+    return tuple(spec[k] for k in "ABDE")
+
+
+def test_tangadi_fixed_point_on_diffusion_shifts(rng):
+    """The two-sweep check of ``test_tangadi_fixed_point`` for consecutive
+    pairs of the 8 Wachspress shifts of the fd-diffusion P2 pencils, where
+    the second sweep runs from the first sweep's iterate with another pair."""
     n = 32
-    inst = pb.gen_fd_diffusion_paper(n)
-    spec = inst.p2
-    A, B, D, E = (spec[k] for k in "ABDE")
+    A, B, D, E = diffusion_p2(n)
+    kron = geo.KroneckerMetric(E, D)
+    shifts = pc.adi_shifts(A, B, kron, 8)
+    A, B, D, E = (M.toarray() for M in (A, B, D, E))
+    X = std_point(n, n, 3, rng)
+    eta = rand_eta(X, rng)
+    for first, (p, q) in zip(shifts, shifts[1:]):
+        xi_1 = tv_dense(pc.TangAdiPrecond(A, B, kron, (first,)).apply_inv_tangent(eta))
+        xi_2 = tv_dense(pc.TangAdiPrecond(A, B, kron, (first, (p, q))).apply_inv_tangent(eta))
+        rhs = proj_dense(X, (A - p * E) @ xi_1 @ (B + q * D)) + (p - q) * tv_dense(eta)
+        expected = solve_projected_dense(X, rhs, lambda T: (A - q * E) @ T @ (B + p * D))
+        assert np.linalg.norm(xi_2 - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class CountingMatrix:
+    """A matrix whose products ``M @ X`` are counted by columns of X."""
+
+    def __init__(self, M):
+        self.M, self.cols = M, []
+
+    def __matmul__(self, X):
+        self.cols.append(X.shape[1])
+        return self.M @ X
+
+
+def test_tangadi_multiplies_A_and_B_once_per_apply(rng, monkeypatch):
+    """A sweep multiplies only E and D (by the last iterate's r columns):
+    one apply multiplies A by U and B by V once, and E and D once per sweep."""
+    n, r = 32, 3
+    A, B, D, E = diffusion_p2(n)
+    kron = geo.KroneckerMetric(E, D)
+    shifts = pc.adi_shifts(A, B, kron, 8)
+    X = std_point(n, n, r, rng)
+    eta = rand_eta(X, rng)
+    prec = pc.TangAdiPrecond(A, B, kron, shifts)
+    prec.factors        # the pencils are factored from A and B before the swap
+    prec.A, prec.B = CountingMatrix(A), CountingMatrix(B)
+    E_cols, D_cols = [], []
+    apply_E, apply_D = kron.apply_E, kron.apply_D
+    monkeypatch.setattr(kron, "apply_E", lambda M: E_cols.append(M.shape[1]) or apply_E(M))
+    monkeypatch.setattr(kron, "apply_D", lambda M: D_cols.append(M.shape[1]) or apply_D(M))
+    xi = prec.apply_inv_tangent(eta)
+    assert prec.A.cols == [r] and prec.B.cols == [r]
+    assert E_cols == [r] * len(shifts) and D_cols == [r] * len(shifts)
+    fresh = pc.TangAdiPrecond(A, B, geo.KroneckerMetric(E, D), shifts).apply_inv_tangent(eta)
+    assert np.array_equal(tv_dense(xi), tv_dense(fresh))
+
+
+def test_tangadi_one_sweep_on_diffusion_instance(rng):
+    """One apply, with one sweep for each of 8 Wachspress shift pairs, on a
+    small diffusion-preconditioner instance leaves a small forward residual
+    (threshold calibrated at build time: observed 2.4e-3 .. 4.7e-3 across
+    sizes)."""
+    n = 32
+    A, B, D, E = diffusion_p2(n)
     kron = geo.KroneckerMetric(E, D)
     shifts = pc.adi_shifts(A, B, kron, 8)
     X = std_point(n, n, 3, rng)

@@ -492,11 +492,15 @@ def indefinite_problem():
 def test_rram_step_spd_loss_ends_with_status(seed):
     """A step's SPD loss ends the solve with ``spd_loss``, as it does for
     R-NLCG, and is not taken for the end of a phase: once taken so, the
-    rank grew to 12 and the solve ended ``stagnated``."""
+    rank grew to 12 and the solve ended ``stagnated``.  The last row holds
+    the exact residual at the returned point, not a Hutch++ estimate."""
     op, F = indefinite_problem()
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=2, seed=seed))
     assert status == "spd_loss"
     assert X.r == 2 and not any("rank_up" in r["event"] for r in trace.rows)
+    last, exact = trace.last(), eqs.residual_norm_exact(op, X, F)
+    assert last["res_kind"] == "exact"
+    assert abs(last["res_rel"] - exact) <= 1e-9 * exact
 
 
 def test_rank_increase_nonpositive_curvature_raises(rng):
