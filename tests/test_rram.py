@@ -9,7 +9,7 @@ from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq import solver_rram as rr
-from lrmeq.solver_rnlcg import RnlcgOptions
+from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState
 
 from oracles import (
     assert_valid_point, dense, dense_metric, point_dense, rand_band_spd, rand_spd,
@@ -222,26 +222,42 @@ def test_rank_increase_solves_at_most_min_dimension_columns(rng):
 # ---------------------------------------------------------------------------
 
 
+def direct_plateau(history):
+    """Direct evaluation of the phase-end rule: at least MIN_PHASE_STEPS
+    steps, and the last one gained fewer than PLATEAU_DECADES decades."""
+    if len(history) < rr.MIN_PHASE_STEPS:
+        return False
+    return history[-2] - history[-1] < rr.PLATEAU_DECADES
+
+
 def test_plateau_constant_slope_never_halts():
-    for rate in np.random.default_rng(0).uniform(0.05, 2.0, size=50):
+    for rate in np.random.default_rng(0).uniform(1.01 * rr.PLATEAU_DECADES, 2.0, size=50):
         hist = list(-rate * np.arange(12))
-        for k in range(4, 12):
-            assert not rr.plateau_detect(hist[:k], 3, 0.75)
+        for k in range(1, 12):
+            assert not rr.plateau_detect(hist[:k])
 
 
 def test_plateau_flatline_halts():
     hist = list(-0.4 * np.arange(8)) + [-2.8] * 4
-    assert rr.plateau_detect(hist, 3, 0.75)
+    assert rr.plateau_detect(hist)
+    assert rr.plateau_detect([-1.0, -1.0, -1.0])
 
 
 def test_plateau_needs_enough_samples():
-    assert not rr.plateau_detect([-1.0, -2.0, -3.0], 3, 0.75)
+    assert not rr.plateau_detect([-1.0, -1.0])
+    assert not rr.plateau_detect([-1.0])
+
+
+def test_plateau_reads_only_the_last_step():
+    """A slow step ends the phase even after fast ones, and a fast step
+    keeps it going after slow ones."""
+    assert rr.plateau_detect([-1.0, -3.0, -3.01])
+    assert not rr.plateau_detect([-1.0, -1.01, -1.02, -2.0])
 
 
 def test_plateau_matches_direct_simulation():
     """Synthetic residual sequence whose decay rate halves every 5 steps:
     the first halt index agrees with a direct evaluation of the rule."""
-    w_len, fact = 3, 0.75
     vals = []
     level = 0.0
     rate = 0.8
@@ -251,16 +267,8 @@ def test_plateau_matches_direct_simulation():
         if (k + 1) % 5 == 0:
             rate /= 2.0
 
-    def direct(history):
-        if len(history) < w_len + 1:
-            return False
-        x = np.arange(w_len)
-        recent = np.polyfit(x, history[-w_len:], 1)[0]
-        mean = (history[-1] - history[0]) / (len(history) - 1)
-        return recent >= fact * mean
-
-    halts = [k for k in range(1, 31) if rr.plateau_detect(vals[:k], w_len, fact)]
-    halts_direct = [k for k in range(1, 31) if direct(vals[:k])]
+    halts = [k for k in range(1, 31) if rr.plateau_detect(vals[:k])]
+    halts_direct = [k for k in range(1, 31) if direct_plateau(vals[:k])]
     assert halts == halts_direct
     assert halts  # the slowing sequence does eventually halt
 
@@ -350,9 +358,11 @@ def test_rram_converges_with_rank_growth(rng):
     X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
     assert status == "converged"
     assert any("rank_up" in r["event"] for r in trace.rows)
-    # exact convergence certificate, not the estimate
+    # every row is exact, and the last is the returned point's residual
+    assert all(r["res_kind"] == "exact" for r in trace.rows)
+    exact = eqs.residual_norm_exact(op, X, F)
     assert float(trace.last()["res_rel"]) <= 1e-7
-    assert trace.last()["res_kind"] == "exact"
+    assert abs(trace.last()["res_rel"] - exact) <= 1e-9 * exact
 
 
 def test_rram_rank_changes_only_at_tagged_events(rng):
@@ -379,6 +389,108 @@ def test_rram_objective_nonincreasing_across_rank_up(rng):
     for prev, cur in zip(rows, rows[1:]):
         if "rank_up" in cur["event"]:
             assert cur["f"] <= prev["f"] + 1e-10 * max(1.0, abs(prev["f"]))
+
+
+PHASE_ENDS = ("plateau", "line_search", "phase_cap")
+
+
+@pytest.mark.parametrize("reason", PHASE_ENDS)
+def test_rram_phase_end_rows_carry_their_reason(reason, rng, monkeypatch):
+    """The row that ends a phase names why: a plateau, a failed line
+    search (here every third step fails) or the phase cap (here 2 steps).
+    Every rank increase follows such a row."""
+    if reason == "phase_cap":
+        monkeypatch.setattr(rr, "MAX_PHASE_ITERS", 2)
+    elif reason == "line_search":
+        step, calls = RnlcgState.step, [0]
+
+        def failing_step(self):
+            calls[0] += 1
+            if calls[0] % 3 == 0:
+                raise LineSearchError("stub")
+            return step(self)
+
+        monkeypatch.setattr(RnlcgState, "step", failing_step)
+    op, F = make_spd_problem(18, 16, rng, sol_rank=6)
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=4), precond=prec)
+    assert status == "converged"
+    tags = [set(r["event"].split("+")) for r in trace.rows]
+    assert any(reason in t for t in tags)
+    for prev, cur in zip(tags, tags[1:]):
+        if any(p.startswith("rank_up:") for p in cur):
+            assert prev & set(PHASE_ENDS)
+
+
+def lower_rank_solution_problem(seed):
+    """A rank-2 solution with the Kronecker preconditioner of the terms."""
+    rng = np.random.default_rng(seed)
+    op, F = make_spd_problem(18, 16, rng, sol_rank=2)
+    return op, F, pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rram_cut_to_the_solution_rank_is_taken(seed):
+    """Started at rank 4 on a rank-2 solution, the iterate loses numerical
+    rank, and the cuts down to rank 2 cost the residual nothing: they are
+    taken, and the solve converges at rank 2."""
+    op, F, prec = lower_rank_solution_problem(seed)
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=seed), precond=prec)
+    assert status == "converged" and X.r == 2
+    downs = [p for r in trace.rows for p in r["event"].split("+") if p.startswith("rank_down:")]
+    assert downs and downs[-1].endswith("->2")
+    assert not any("rank_up" in r["event"] for r in trace.rows)
+
+
+def test_rram_cut_decision_matches_direct_residuals(monkeypatch):
+    """Every step proposes to drop the last column; a proposal is taken
+    (``rank_down``) exactly when the cut point's residual is at most the
+    step's plus ``CUT_TOL_SHARE * tol``, else tagged ``cut_refused``."""
+    tol = 1e-8
+    proposals = []
+
+    def drop_last(X, eps_sigma):
+        if X.r == 1:
+            return X
+        cut = geo.FixedRankPoint(X.U[:, :-1], X.sigma[:-1].copy(), X.V[:, :-1], X.metric)
+        proposals.append((X, cut))
+        return cut
+
+    monkeypatch.setattr(rr, "rank_decrease", drop_last)
+    op, F, prec = lower_rank_solution_problem(0)
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=3, r_up=2, tol=tol, seed=0), precond=prec)
+    assert status == "converged"
+    decisions = [p.split(":")[0] for r in trace.rows for p in r["event"].split("+")
+                 if p.startswith(("rank_down:", "cut_refused:"))]
+    assert len(decisions) == len(proposals)
+    assert {"rank_down", "cut_refused"} <= set(decisions)
+    for decision, (X_step, X_cut) in zip(decisions, proposals):
+        res = eqs.residual_norm_exact(op, X_step, F)
+        res_cut = eqs.residual_norm_exact(op, X_cut, F)
+        taken = res_cut <= res + rr.CUT_TOL_SHARE * tol
+        assert decision == ("rank_down" if taken else "cut_refused")
+
+
+def test_rram_evaluates_each_point_once(monkeypatch):
+    """An accepted cut hands its evaluation to the restart: no point is
+    evaluated twice in a solve that takes cuts."""
+    seen = []
+    evaluate = eqs.evaluate
+
+    def counting(op, X, F):
+        seen.append(X)      # held, so no id is reused
+        return evaluate(op, X, F)
+
+    monkeypatch.setattr(eqs, "evaluate", counting)
+    op, F, prec = lower_rank_solution_problem(0)
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=0), precond=prec)
+    assert status == "converged"
+    assert any("rank_down" in r["event"] for r in trace.rows)
+    assert len({id(X) for X in seen}) == len(seen)
 
 
 def test_rram_first_increase_adds_the_normal_rank():
@@ -492,12 +604,14 @@ def indefinite_problem():
 def test_rram_step_spd_loss_ends_with_status(seed):
     """A step's SPD loss ends the solve with ``spd_loss``, as it does for
     R-NLCG, and is not taken for the end of a phase: once taken so, the
-    rank grew to 12 and the solve ended ``stagnated``.  The last row holds
-    the exact residual at the returned point, not a Hutch++ estimate."""
+    rank grew to 12 and the solve ended ``stagnated``.  The rank may grow
+    before the failing step, but not after it, and the last row holds the
+    exact residual at the returned point."""
     op, F = indefinite_problem()
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=2, seed=seed))
     assert status == "spd_loss"
-    assert X.r == 2 and not any("rank_up" in r["event"] for r in trace.rows)
+    assert X.r < 12 and trace.last()["rank"] == X.r
+    assert "rank_up" not in trace.last()["event"]
     last, exact = trace.last(), eqs.residual_norm_exact(op, X, F)
     assert last["res_kind"] == "exact"
     assert abs(last["res_rel"] - exact) <= 1e-9 * exact
