@@ -3,14 +3,18 @@
 The operator is ``A X = sum_i A_i X B_i.T`` with symmetric coefficient
 matrices; the induced Kronecker system matrix is assumed SPD (verified
 densely only on small test instances).  Residuals and gradients are kept
-in factored form throughout: for ``X = U diag(s) V.T``,
+in factored form: for ``X = U diag(s) V.T``,
 
     A X - F = [A_1 U S, ..., A_l U S, -F_L] @ [B_1 V, ..., B_l V, F_R].T
+
+until those ``l r + r_F`` columns outnumber ``min(m, n)``; from there
+``evaluate`` forms the m x n residual once (``Evaluation``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,27 +92,46 @@ def residual(op: MultitermOperator, X, F: FactoredMatrix) -> FactoredMatrix:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """Objective, factored residual and the projected terms at a point X.
+    """Objective, residual and the projected terms at a point X.
 
-    The residual's factors hold ``A_i U S`` and ``B_i V`` (module
-    docstring); with ``UAU[i] = U.T A_i U`` and ``VBV[i] = V.T B_i V`` they
-    are what a line search from X reuses (``ProjectedObjective``).
-    ``RtU = R.left.T @ U`` and ``RtV = R.right.T @ V``, which the Riemannian
-    gradient needs, are assembled from the same blocks.
+    ``AUS = [A_1 U S, ..., A_l U S]`` and ``BV = [B_1 V, ..., B_l V]`` are
+    the residual's term blocks (module docstring); with ``UAU[i] = U.T A_i
+    U`` and ``VBV[i] = V.T B_i V`` they are what a line search from X reuses
+    (``ProjectedObjective``).  R carries ``A X - F`` in its factors
+    ``[AUS, -F_L] @ [BV, F_R].T`` while their ``l r + r_F`` columns are at
+    most ``min(m, n)``.  Past that it carries the dense residual ``Rd``
+    formed once, as ``(Rd, I_n)``, or ``(I_m, Rd.T)`` when ``m < n``, so
+    ``R.k <= min(m, n)`` always.  ``RtU = R.left.T @ U`` and ``RtV =
+    R.right.T @ V``, which the Riemannian gradient needs, are assembled
+    from the blocks.
     """
 
     f: float               # 0.5 <A X, X> - <X, F>
     R: FactoredMatrix      # A X - F
+    dense: bool            # R carries the dense residual and an identity
+    AUS: np.ndarray
+    BV: np.ndarray
     UAU: np.ndarray
     VBV: np.ndarray
-    RtU: np.ndarray        # [S UAU[i].T, ..., -(U.T F_L).T]
-    RtV: np.ndarray        # [VBV[i].T, ..., (V.T F_R).T]
+    RtU: np.ndarray
+    RtV: np.ndarray
+
+    @cached_property
+    def norm(self) -> float:
+        """``||A X - F||_F``: the Frobenius norm of the dense residual, or
+        ``factored_norm`` of the factors."""
+        if self.dense:
+            return float(np.linalg.norm(self.R.left if self.R.shape[0] >= self.R.shape[1]
+                                        else self.R.right))
+        return factored_norm(self.R)
 
 
-def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Evaluation:
-    """Objective value, factored residual and its products with U and V,
-    sharing the A_i U and B_i V products, which go straight into the
-    residual's factors."""
+def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix,
+             UAU=None, VBV=None) -> Evaluation:
+    """Objective value, residual and its products with U and V, sharing
+    the A_i U and B_i V products, which go straight into the residual's
+    factors.  ``UAU`` and ``VBV`` are taken as given when the caller holds
+    them (a line search's accepted point), else formed."""
     (m, n), r, ell = X.shape, X.r, op.ell
     terms = ell * r
     S = X.sigma
@@ -116,16 +139,19 @@ def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Eva
     # takes the factors without a transposed copy
     left = np.empty((m, terms + F.k), order="F")
     right = np.empty((n, terms + F.k), order="F")
-    UAU = np.empty((ell, r, r))
-    VBV = np.empty((ell, r, r))
+    form = UAU is None
+    if form:
+        UAU = np.empty((ell, r, r))
+        VBV = np.empty((ell, r, r))
     for i, (Ai, Bi) in enumerate(zip(op.A, op.B)):
         cols = slice(i * r, (i + 1) * r)
         AU = Ai @ X.U
-        UAU[i] = X.U.T @ AU
         np.multiply(AU, S, out=left[:, cols])
         BV = Bi @ X.V
-        VBV[i] = X.V.T @ BV
         right[:, cols] = BV
+        if form:
+            UAU[i] = X.U.T @ AU
+            VBV[i] = X.V.T @ BV
     np.negative(F.left, out=left[:, terms:])
     right[:, terms:] = F.right
     UF = X.U.T @ F.left
@@ -136,7 +162,16 @@ def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix) -> Eva
     # (A_i U S).T U = S (U.T A_i U).T and (B_i V).T V = (V.T B_i V).T
     RtU = np.vstack([(S[:, None] * UAU.transpose(0, 2, 1)).reshape(terms, r), -UF.T])
     RtV = np.vstack([VBV.transpose(0, 2, 1).reshape(terms, r), VF.T])
-    return Evaluation(f, FactoredMatrix(left, right), UAU, VBV, RtU, RtV)
+    dense = terms + F.k > min(m, n)
+    if not dense:
+        R = FactoredMatrix(left, right)
+    elif m >= n:
+        R = FactoredMatrix(left @ right.T, np.eye(n))
+        RtU, RtV = right @ RtU, X.V
+    else:
+        R = FactoredMatrix(np.eye(m), right @ left.T)
+        RtU, RtV = X.U, left @ RtV
+    return Evaluation(f, R, dense, left[:, :terms], right[:, :terms], UAU, VBV, RtU, RtV)
 
 
 class ProjectedObjective:
@@ -157,9 +192,8 @@ class ProjectedObjective:
 
     def __init__(self, op, F, X, xi, ev):
         self.retr = retr = LineSearchRetraction(X, xi)
-        terms = op.ell * X.r
-        self.G = _projected_terms(op.A, retr.QU, retr.RU, ev.R.left[:, :terms], ev.UAU, X.sigma)
-        self.K = _projected_terms(op.B, retr.QV, retr.RV, ev.R.right[:, :terms], ev.VBV)
+        self.G = _projected_terms(op.A, retr.QU, retr.RU, ev.AUS, ev.UAU, X.sigma)
+        self.K = _projected_terms(op.B, retr.QV, retr.RV, ev.BV, ev.VBV)
         FQ = (retr.QU.T @ F.left) @ (F.right.T @ retr.QV)
         # core of QU.T (A X - F) QV, the residual at X seen from the subspace
         self.res_core = np.sum(self.G @ retr.c0 @ self.K, axis=0) - FQ

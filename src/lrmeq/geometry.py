@@ -47,10 +47,12 @@ class KroneckerMetric:
     preconditioner ``E X D`` (``precond.KronPrecond``) and as the pair
     behind the ADI pencils ``(A - q E, B + p D)`` (``precond.TangAdiPrecond``,
     ``precond.FadiAmbientPrecond``, ``precond.adi_shifts``).
-    The retraction's QR needs only products with E and D (``gauge_qr``).
-    The factorizations' Cholesky-type square roots (``E = C_E.T @ C_E``)
-    still back ``weighted_qr``, which ``weighted_svd`` and the retraction's
-    fallback call, and ``precond.spectral_interval``.
+    The retraction's QR (``gauge_qr``) and RRAM's rank increase need only
+    products with and solves by E and D.  The factorizations'
+    Cholesky-type square roots (``E = C_E.T @ C_E``) still back
+    ``weighted_qr``, which ``weighted_svd`` (behind ``truncate`` and
+    ``random_point``) and the retraction's fallback call, and
+    ``precond.spectral_interval``.
     """
 
     def __init__(self, E=None, D=None):

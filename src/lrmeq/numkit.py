@@ -164,8 +164,9 @@ class SpdFactorization:
     root ``C = R P`` (P the permutation) with ``A = C.T @ C``; for a
     tridiagonal band R is ``diag(sqrt(d)) + superdiag(e * sqrt(d))``,
     derived from ``(d, e)`` on the first call that needs it.  Their
-    readers are ``geometry.weighted_qr`` (behind ``weighted_svd`` and the
-    retraction's fallback) and, through the ``fact_E`` or ``fact_D`` of a
+    readers are ``geometry.weighted_qr`` (behind ``weighted_svd``, so
+    ``truncate`` and ``random_point``, and the retraction's fallback; not
+    the rank increase) and, through the ``fact_E`` or ``fact_D`` of a
     ``KroneckerMetric``, ``precond.spectral_interval`` (``c_solve`` and
     ``ct_solve``); the benchmark's tracer also patches all four by name,
     so they stay until it changes.  Instances are immutable after

@@ -13,8 +13,9 @@ projected onto it as 2r x 2r blocks (``equations.ProjectedObjective``);
 ``A_i U`` and ``B_i V`` come from the factored residual at X, so the
 only new sparse products are ``A_i`` and ``B_i`` on the at most r columns
 the QRs add.  The exact step and the Armijo test of every trial are then
-small-matrix algebra, and the accepted point is evaluated once, which
-gives the next residual and products.
+small-matrix algebra, and the accepted point ``QU u diag(s) (QV v).T`` is
+evaluated once, which gives the next residual; its blocks ``U.T A_i U =
+u.T G_i u`` and ``V.T B_i V = v.T K_i v`` come from the projected terms.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class RnlcgState:
 
     def res_rel(self):
         """Exact relative Frobenius residual at the current point."""
-        return geo.factored_norm(self.R) / self.norm_F
+        return self.ev.norm / self.norm_F
 
     def stagnated(self):
         return np.sqrt(max(self.grad_energy, 0.0)) <= STAG_GRAD_TOL * self.norm_F
@@ -218,9 +219,10 @@ class RnlcgState:
         alpha_bar = initial_step(model, self.g, xi)
         alpha, (u, s, v), n_back, _ = armijo_backtrack(model, xi, alpha_bar, self.g, self.opts)
         X_new = model.retr.point(u, s, v)
+        UAU, VBV = u.T @ model.G @ u, v.T @ model.K @ v
         del model      # its bases need not outlive the line search
         h, g_xi = self.h, geo.inner(self.g, xi)
-        self._move_to(X_new, eqs.evaluate(self.op, X_new, self.F))
+        self._move_to(X_new, eqs.evaluate(self.op, X_new, self.F, UAU, VBV))
         self._xi_prev = xi
         self._h_prev = h
         self._prev_g_xi = g_xi

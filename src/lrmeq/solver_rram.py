@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import equations as eqs
 from . import geometry as geo
+from . import numkit
 from .numkit import NotSpdError
 from .solver_rnlcg import (
     LineSearchError, RnlcgOptions, RnlcgState, check_int, check_positive,
@@ -26,6 +28,7 @@ from .trace import SolveTrace
 
 EPS_SIGMA = 1e-8          # numerical-rank threshold of the proposed rank cuts
 CUT_TOL_SHARE = 0.1       # a cut may raise the residual by this share of tol
+CUT_BOUND_SLACK = 1e-12   # rounding of the relative residuals in a cut's bound
 MIN_PHASE_STEPS = 3       # R-NLCG steps in one fixed-rank phase at least
 PLATEAU_DECADES = 0.05    # a phase ends once a step gains fewer decades than this
 MAX_PHASE_ITERS = 200     # R-NLCG steps in one fixed-rank phase at most
@@ -72,45 +75,97 @@ def rank_increase(X, op, R, r_up):
     """Warm start on the larger manifold by a normal-direction correction.
 
     Truncates the normal component of ``-B^{-1} R`` for the residual
-    ``R = A X - F`` at X (``RnlcgState.R``) to its best approximation of
+    ``R = A X - F`` at X (``Evaluation.R``) to its best approximation of
     rank ``min(r_up, room, k)``, where ``room`` is what is left to
     ``min(m, n)`` and ``k`` is the component's numerical rank, takes the
     exact line-search step along it, and returns the grown point together
-    with the step length.  With no room or no normal direction it returns
-    ``(X, 0.0)``; a nonpositive curvature ``<A Y, Y>`` along the direction
-    Y raises ``NotSpdError``.
+    with the step length.  The truncation (``_leading_normal_directions``)
+    factors k x k matrices for the k columns of R and solves with E and D,
+    but takes no weighted QR and no square root of E or D.  With no room
+    or no normal direction it returns ``(X, 0.0)``; a nonpositive
+    curvature ``<A Y, Y>`` along the direction Y raises ``NotSpdError``.
     """
-    metric = X.metric
     m, n = X.shape
     room = min(m, n) - X.r
     if room == 0:
         return X, 0.0
-    # R has rank at most min(m, n); with more columns than that, the solves
-    # and the truncation run on the product against an identity factor
-    if R.k > min(m, n):
-        R = (geo.FactoredMatrix(R.left @ R.right.T, np.eye(n)) if n <= m
-             else geo.FactoredMatrix(np.eye(m), R.right @ R.left.T))
-    # normal component of the negative preconditioned gradient:
-    # -(E^{-1} - U U^T) R_L [(D^{-1} - V V^T) R_R]^T
-    NL = -(metric.solve_E(R.left) - X.U @ (X.U.T @ R.left))
-    NR = metric.solve_D(R.right) - X.V @ (X.V.T @ R.right)
-    N = geo.truncate(geo.FactoredMatrix(NL, NR), min(r_up, room), metric)
-    if N.r == 0:
+    NU, s_N, NV = _leading_normal_directions(X, R, min(r_up, room))
+    if s_N.size == 0:
         return X, 0.0
-    Y = N.as_factored()
+    Y = geo.FactoredMatrix(NU * s_N, NV)
     den = geo.factored_inner(op.apply(Y), Y)
     if den <= 0.0:
         raise NotSpdError(f"nonpositive curvature <A Y, Y> = {den:.3e}")
     alpha = -geo.factored_inner(R, Y) / den
     # combined factors stay E-/D-orthonormal because Y is B-normal to T_X
-    U_all = np.hstack([X.U, -N.U if alpha < 0 else N.U])
-    V_all = np.hstack([X.V, N.V])
-    s_all = np.concatenate([X.sigma, abs(alpha) * N.sigma])
+    U_all = np.hstack([X.U, -NU if alpha < 0 else NU])
+    V_all = np.hstack([X.V, NV])
+    s_all = np.concatenate([X.sigma, abs(alpha) * s_N])
     order = np.argsort(-s_all)
     s_all = s_all[order]
     floor = geo.SIGMA_FLOOR_FACTOR * (s_all[0] if s_all[0] > 0 else 1.0)
     s_all = np.maximum(s_all, floor)
-    return geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], metric), alpha
+    return geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], X.metric), alpha
+
+
+def _leading_normal_directions(X, R, r):
+    """The ``r`` leading terms ``(NU, s, NV)`` of the weighted SVD of the
+    normal component of ``-B^{-1} R`` at X,
+
+        N = -(E^{-1} - U U.T) R_L [(D^{-1} - V V.T) R_R].T = NL NR.T,
+
+    with ``NU.T E NU = I`` and ``NV.T D NV = I``, fewer where N has lower
+    numerical rank.  The D side is folded first.  A Householder QR ``NR =
+    Q T``, the Cholesky factor of ``Q.T D Q = C.T C`` and the SVD ``C T =
+    Y diag(sig) Z.T`` give ``NR = Qd Y diag(sig) Z.T`` with the
+    D-orthonormal ``Qd = Q C^-1``.  So ``N = K (Qd Y).T`` for ``K = NL Z
+    diag(sig)``, whose q columns (``sig`` past NR's rounding, ``q <=
+    n - r``) are all that E solves with.  The eigenvectors W of K's E-Gram
+    then give ``NU = K W s^-1`` and ``NV = Qd Y W``.  An eigenvalue at or
+    below ``max(m, n) * eps`` times the largest is the rounding of the
+    Gram, so it sets the numerical rank.  No weighted QR is taken.
+    """
+    metric = X.metric
+    eps_dim = max(X.shape) * np.finfo(float).eps
+    NR = metric.solve_D(R.right) - X.V @ (X.V.T @ R.right)
+    Q, T = numkit.qr_thin(NR)
+    C = sla.cholesky(_sym(Q.T @ metric.apply_D(Q)), check_finite=False)
+    Y, sig, Z = numkit.svd_thin(C @ T)
+    q = int(np.count_nonzero(sig > eps_dim * sig[0]))
+    if q == 0:
+        return X.U[:, :0], sig[:0], X.V[:, :0]
+    RZ = R.left @ (Z[:, :q] * sig[:q])
+    K = -(metric.solve_E(RZ) - X.U @ (X.U.T @ RZ))
+    mu, W = np.linalg.eigh(_sym(K.T @ metric.apply_E(K)))
+    mu, W = mu[::-1], W[:, ::-1]
+    k = min(r, int(np.count_nonzero(mu > eps_dim * max(mu[0], 0.0))))
+    s, W = np.sqrt(mu[:k]), W[:, :k]
+    return K @ (W / s), s, Q @ sla.solve_triangular(C, Y[:, :q] @ W, check_finite=False)
+
+
+def _sym(G):
+    return 0.5 * (G + G.T)
+
+
+def _taken_cut(op, F, state, X_cut, res, tol):
+    """The evaluation at the proposed cut ``X_cut`` of the state's point X
+    if the cut is taken, that is, if its exact residual is at most ``res +
+    CUT_TOL_SHARE * tol``; None if it is refused.
+
+    ``X - X_cut`` is X's dropped tail (``rank_decrease`` keeps the leading
+    terms), so ``A X_cut - F = (A X - F) - A (X - X_cut)`` and the cut's
+    residual is at least ``t - res`` for ``t = ||A (X - X_cut)|| / ||F||``,
+    which the tail's ``l (r - r')`` columns give.  Where ``t`` exceeds
+    ``2 res + CUT_TOL_SHARE * tol`` by more than the norms' rounding
+    (``CUT_BOUND_SLACK``), the cut is refused without evaluating X_cut.
+    """
+    X, r = state.X, X_cut.r
+    tail = geo.FactoredMatrix(X.U[:, r:] * X.sigma[r:], X.V[:, r:])
+    t = geo.factored_norm(op.apply(tail)) / state.norm_F
+    if t > 2.0 * res + CUT_TOL_SHARE * tol + CUT_BOUND_SLACK:
+        return None
+    ev = eqs.evaluate(op, X_cut, F)
+    return ev if ev.norm / state.norm_F <= res + CUT_TOL_SHARE * tol else None
 
 
 def plateau_detect(log_res_history):
@@ -206,15 +261,14 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             X_cut = rank_decrease(state.X, EPS_SIGMA)
             if X_cut.r < state.X.r:
                 cut = f"{state.X.r}->{X_cut.r}"
-                ev = eqs.evaluate(op, X_cut, F)
-                res_cut = geo.factored_norm(ev.R) / state.norm_F
-                if res_cut <= res + CUT_TOL_SHARE * opts.tol:
+                ev = _taken_cut(op, F, state, X_cut, res, opts.tol)
+                if ev is not None:
                     try:
                         state.restart(X_cut, ev)
                     except NotSpdError:
                         state.record(trace, k, res_rel=res, res_kind="exact")
                         return trace.finish(state.X, "spd_loss")
-                    res, event, log_hist = res_cut, f"rank_down:{cut}", []
+                    res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
                 else:
                     event = f"cut_refused:{cut}"
             state.record(trace, k, res_rel=res, res_kind="exact", event=event)

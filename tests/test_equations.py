@@ -212,3 +212,29 @@ def test_evaluate_blocks_are_the_residual_products(rng, weighted):
     ref = geo.riemannian_gradient(X, ev.R, RtU, RtV)
     for a, b in ((g.M, ref.M), (g.Up, ref.Up), (g.Vp, ref.Vp)):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("m, n, r", [(30, 5, 2), (6, 25, 2), (20, 15, 3)])
+def test_evaluate_carries_the_residual_dense_past_min_dimension(m, n, r, rng):
+    """Past ``l r + r_F > min(m, n)`` the evaluation's residual is the dense
+    ``A X - F`` against an identity, of width ``min(m, n)``, tall or wide;
+    below it, the factors.  Either way R equals ``eqs.residual`` densified,
+    its norm is the exact Frobenius norm, its products with U and V are
+    the gradient's, and the term blocks are the operator's ``A_i U S`` and
+    ``B_i V``."""
+    op = make_op(m, n, 3, rng)
+    F = eqs.LowRankRhs(rng.standard_normal((m, 2)), rng.standard_normal((n, 2)))
+    met = geo.KroneckerMetric(rand_band_spd(m, 2, rng), rand_band_spd(n, 1, rng))
+    X = geo.random_point(m, n, r, met, rng)
+    ev = eqs.evaluate(op, X, F)
+    assert ev.dense == (3 * r + 2 > min(m, n))
+    assert ev.R.k <= min(m, n) if ev.dense else ev.R.k == 3 * r + 2
+    ref = eqs.residual(op, X, F).densify(force=True)
+    Rd = ev.R.densify(force=True)
+    assert np.linalg.norm(Rd - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert ev.norm == pytest.approx(np.linalg.norm(ref), rel=1e-13)
+    assert np.linalg.norm(ev.R.left.T @ X.U - ev.RtU) <= 1e-13 * np.linalg.norm(ev.RtU)
+    assert np.linalg.norm(ev.R.right.T @ X.V - ev.RtV) <= 1e-13 * np.linalg.norm(ev.RtV)
+    AX = op.apply(X)
+    assert np.linalg.norm(ev.AUS - AX.left) <= 1e-14 * np.linalg.norm(AX.left)
+    assert np.array_equal(ev.BV, AX.right)

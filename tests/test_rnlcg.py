@@ -214,6 +214,38 @@ def test_block_decrease_matches_dense_objective(rng, weighted):
         assert model.decrease((u * s) @ v.T) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("m, n, r, fallback", [(12, 10, 2, False), (9, 8, 5, True)])
+def test_step_hands_over_the_accepted_points_blocks(m, n, r, fallback, rng, monkeypatch):
+    """The blocks a step hands to the evaluation of its accepted point,
+    ``u.T G_i u`` and ``v.T K_i v`` from the line search, are ``U.T A_i U``
+    and ``V.T B_i V`` there to 1e-12, on the retraction's gauge path and on
+    its Householder fallback (``[U, Up]`` wider than tall)."""
+    op, F, X = random_instance(m, n, r, 3, True, rng)
+    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), X)
+    handed, fallbacks = [], []
+    evaluate, weighted_qr = eqs.evaluate, geo.weighted_qr
+
+    def capture(op_, Y, F_, UAU=None, VBV=None):
+        if UAU is not None:
+            handed.append((Y, UAU, VBV))
+        return evaluate(op_, Y, F_, UAU, VBV)
+
+    def counting_qr(*args):
+        fallbacks.append(args)
+        return weighted_qr(*args)
+
+    monkeypatch.setattr(eqs, "evaluate", capture)
+    monkeypatch.setattr(geo, "weighted_qr", counting_qr)
+    for _ in range(3):
+        state.step()
+    assert len(handed) == 3 and bool(fallbacks) == fallback
+    for Y, UAU, VBV in handed:
+        for i, (Ai, Bi) in enumerate(zip(op.A, op.B)):
+            ref_u, ref_v = Y.U.T @ Ai @ Y.U, Y.V.T @ Bi @ Y.V
+            assert np.linalg.norm(UAU[i] - ref_u) <= 1e-12 * np.linalg.norm(ref_u)
+            assert np.linalg.norm(VBV[i] - ref_v) <= 1e-12 * np.linalg.norm(ref_v)
+
+
 class CountingMatrix:
     """Dense coefficient that counts the columns it is applied to."""
 

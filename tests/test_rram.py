@@ -176,7 +176,8 @@ def dense_weighted_truncation(Z, k, E, D):
 @pytest.mark.parametrize("m, n", [(30, 5), (6, 25)])
 def test_rank_increase_weighted_residual_wider_than_min_dimension(m, n, rng):
     """l r + r_F = 8 residual columns exceed min(m, n), in a tall and a wide
-    shape: the step is alpha times the B-truncation of the normal component
+    shape, so the evaluation carries the dense residual: the step is alpha
+    times the B-truncation of the normal component
     ``-(E^-1 - U U.T) R (D^-1 - V V.T)``, and alpha is the exact minimizer
     of f along it."""
     inst = pb.gen_synthetic(m, n, 3, r_F=2, seed=1)
@@ -185,7 +186,7 @@ def test_rank_increase_weighted_residual_wider_than_min_dimension(m, n, rng):
     r, r_up = 2, 2
     X = geo.random_point(m, n, r, met, rng)
     R = eqs.evaluate(op, X, F).R
-    assert R.k > min(m, n)
+    assert op.ell * r + F.k > min(m, n) and R.k == min(m, n)
     X2, alpha = rr.rank_increase(X, op, R, r_up)
     assert X2.r == r + r_up
     assert_valid_point(X2)
@@ -199,15 +200,85 @@ def test_rank_increase_weighted_residual_wider_than_min_dimension(m, n, rng):
     assert alpha == pytest.approx(-np.sum(Rd * Nk) / np.sum(ANk * Nk), rel=1e-10)
 
 
+def dense_rank_increase_step(X, op, Rd, r_up):
+    """The rank increase's step ``alpha N_k`` densely: ``N_k`` is the
+    B-truncation to rank ``r_up`` of the normal component ``-(E^-1 - U U.T)
+    Rd (D^-1 - V V.T)`` and alpha the exact minimizer of f along it."""
+    E, D = dense_metric(X)
+    N = -(np.linalg.inv(E) - X.U @ X.U.T) @ Rd @ (np.linalg.inv(D) - X.V @ X.V.T)
+    Nk = dense_weighted_truncation(N, r_up, E, D)
+    ANk = sum(dense(Ai) @ Nk @ dense(Bi).T for Ai, Bi in zip(op.A, op.B))
+    return -np.sum(Rd * Nk) / np.sum(ANk * Nk) * Nk
+
+
+@pytest.mark.parametrize("m, n", [(14, 12), (10, 16)])
+def test_rank_increase_of_a_factored_residual_matches_the_dense_oracle(m, n, rng):
+    """In a non-identity metric, tall and wide, with a residual that stays
+    factored (l r + r_F <= min(m, n)): the grown point is X plus the dense
+    oracle's step, to 1e-10."""
+    inst = pb.gen_synthetic(m, n, 3, r_F=1, seed=2)
+    op, F = inst.op, inst.F
+    met = geo.KroneckerMetric(rand_band_spd(m, 2, rng), rand_band_spd(n, 1, rng))
+    r, r_up = 2, 3
+    X = geo.random_point(m, n, r, met, rng)
+    ev = eqs.evaluate(op, X, F)
+    assert not ev.dense
+    X2, alpha = rr.rank_increase(X, op, ev.R, r_up)
+    assert X2.r == r + r_up
+    assert_valid_point(X2)
+    ref = dense_rank_increase_step(X, op, ev.R.densify(force=True), r_up)
+    step = point_dense(X2) - point_dense(X)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("m, n", [(12, 10), (7, 15)])
+def test_rank_increase_of_a_rank_deficient_normal_component(m, n, rng):
+    """In the metric of the first term (E = A_1, D = B_1) of an l = 2,
+    r_F = 1 instance at rank 1, the normal component has rank 2 < r_up = 4:
+    the rank grows by 2, with no direction made up from the rounding of
+    the Grams, and the step is the dense oracle's to 1e-10."""
+    inst = pb.gen_synthetic(m, n, 2, r_F=1, seed=0)
+    op, F = inst.op, inst.F
+    met = geo.KroneckerMetric(inst.p1["E"], inst.p1["D"])
+    X = geo.random_point(m, n, 1, met, rng)
+    R = eqs.evaluate(op, X, F).R
+    X2, alpha = rr.rank_increase(X, op, R, 4)
+    assert X2.r == 3
+    assert_valid_point(X2)
+    ref = dense_rank_increase_step(X, op, R.densify(force=True), 4)
+    step = point_dense(X2) - point_dense(X)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_rank_increase_takes_no_square_root(rng):
+    """The rank increase solves with E and D but neither multiplies nor
+    solves by their square roots, and takes no weighted SVD."""
+    m, n = 30, 6
+    inst = pb.gen_synthetic(m, n, 3, r_F=2, seed=3)
+    met = geo.KroneckerMetric(rand_band_spd(m, 3, rng), rand_band_spd(n, 1, rng))
+    X = geo.random_point(m, n, 2, met, rng)
+    R = eqs.evaluate(inst.op, X, inst.F).R
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("square root or weighted SVD in the rank increase")
+
+    with mock.patch.multiple(numkit.SpdFactorization, c_mul=refuse, ct_mul=refuse,
+                             c_solve=refuse, ct_solve=refuse), \
+            mock.patch.object(geo, "weighted_svd", refuse):
+        X2, _ = rr.rank_increase(X, inst.op, R, 2)
+    assert X2.r == 4
+
+
 def test_rank_increase_solves_at_most_min_dimension_columns(rng):
     """A residual with l r + r_F = 11 > n = 6 columns, as on the sg-rram
-    workload: the solves with E and D see at most n right-hand sides."""
+    workload: the evaluation carries it dense, and the solves with E and D
+    see at most n right-hand sides."""
     m, n = 40, 6
     inst = pb.gen_synthetic(m, n, 3, r_F=2, seed=3)
     met = geo.KroneckerMetric(rand_band_spd(m, 3, rng), rand_band_spd(n, 1, rng))
     X = geo.random_point(m, n, 3, met, rng)
     R = eqs.evaluate(inst.op, X, inst.F).R
-    assert R.k == 11
+    assert inst.op.ell * X.r + inst.F.k == 11 and R.k == n
     with mock.patch.object(met, "solve_E", wraps=met.solve_E) as solve_E, \
             mock.patch.object(met, "solve_D", wraps=met.solve_D) as solve_D:
         X2, _ = rr.rank_increase(X, inst.op, R, 2)
@@ -474,15 +545,59 @@ def test_rram_cut_decision_matches_direct_residuals(monkeypatch):
         assert decision == ("rank_down" if taken else "cut_refused")
 
 
+def test_rram_cut_is_evaluated_only_where_the_bound_cannot_decide(monkeypatch):
+    """A proposed cut is evaluated only where the triangle bound ``res_cut
+    >= t - res``, ``t = ||A (X - X_cut)|| / ||F||``, cannot refuse it, that
+    is, where ``t <= 2 res + CUT_TOL_SHARE * tol`` (up to rounding).  The
+    run has cuts of both kinds, and every refusal still matches the
+    residuals."""
+    tol = 1e-8
+    proposals = []
+
+    def drop_last(X, eps_sigma):
+        if X.r == 1:
+            return X
+        cut = geo.FixedRankPoint(X.U[:, :-1], X.sigma[:-1].copy(), X.V[:, :-1], X.metric)
+        proposals.append((X, cut))
+        return cut
+
+    evaluated = []
+    evaluate = eqs.evaluate
+
+    def counting(op, X, F, *blocks):
+        evaluated.append(X)
+        return evaluate(op, X, F, *blocks)
+
+    monkeypatch.setattr(rr, "rank_decrease", drop_last)
+    monkeypatch.setattr(eqs, "evaluate", counting)
+    op, F, prec = lower_rank_solution_problem(0)
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=3, r_up=2, tol=tol, seed=0), precond=prec)
+    assert status == "converged"
+    nrm_F = np.linalg.norm(F.densify(force=True))
+    bound_decided = 0
+    for X_step, X_cut in proposals:
+        res = eqs.residual_norm_exact(op, X_step, F)
+        tail = point_dense(X_step) - point_dense(X_cut)
+        t = np.linalg.norm(sum(dense(Ai) @ tail @ dense(Bi).T
+                               for Ai, Bi in zip(op.A, op.B))) / nrm_F
+        was_evaluated = any(Y is X_cut for Y in evaluated)
+        assert was_evaluated == (t <= 2 * res + rr.CUT_TOL_SHARE * tol + rr.CUT_BOUND_SLACK)
+        if not was_evaluated:
+            bound_decided += 1
+            assert eqs.residual_norm_exact(op, X_cut, F) > res + rr.CUT_TOL_SHARE * tol
+    assert 0 < bound_decided < len(proposals)
+
+
 def test_rram_evaluates_each_point_once(monkeypatch):
     """An accepted cut hands its evaluation to the restart: no point is
     evaluated twice in a solve that takes cuts."""
     seen = []
     evaluate = eqs.evaluate
 
-    def counting(op, X, F):
+    def counting(op, X, F, *blocks):
         seen.append(X)      # held, so no id is reused
-        return evaluate(op, X, F)
+        return evaluate(op, X, F, *blocks)
 
     monkeypatch.setattr(eqs, "evaluate", counting)
     op, F, prec = lower_rank_solution_problem(0)
