@@ -43,7 +43,6 @@ _ENV_OUT = "LRMEQ_OUT"
 _CONFIG_DEFAULTS = {
     "solver": "rram",
     "precond": "P2",
-    "kron_mode": "metric",
     "rank": 12,
     "r0": 3,
     "r_up": 3,
@@ -131,8 +130,6 @@ def _load_config(args):
         raise ConfigError(f"unknown solver {cfg['solver']!r}")
     if cfg["precond"] not in ("identity", "P1", "P2", "tangadi"):
         raise ConfigError(f"unknown preconditioner {cfg['precond']!r}")
-    if cfg["kron_mode"] not in ("metric", "gradient"):
-        raise ConfigError(f"unknown Kronecker mode {cfg['kron_mode']!r}")
     return cfg
 
 
@@ -174,7 +171,8 @@ def _precond_spec(inst, label):
 
 
 def _build_tangent_setup(inst, cfg):
-    """Metric and tangent-space preconditioner for the Riemannian solvers."""
+    """Metric and tangent-space preconditioner for the Riemannian solvers.
+    A Kronecker spec ``E X D`` is the metric, with no preconditioner."""
     label = cfg["precond"]
     identity = geo.KroneckerMetric()
     if label == "identity":
@@ -188,13 +186,9 @@ def _build_tangent_setup(inst, cfg):
     if label == "tangadi":
         shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
         return identity, pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts)
-    if kind in ("sylv", "gen_sylv"):
-        return kron, pc.GenSylvesterPrecond(spec["A"], spec["B"], kron)
     if kind == "kron":
-        if cfg["kron_mode"] == "metric":
-            return kron, pc.IdentityPrecond()
-        return identity, pc.KronPrecond(kron)
-    raise ConfigError(f"unsupported preconditioner kind {kind!r}")
+        return kron, pc.IdentityPrecond()
+    return kron, pc.GenSylvesterPrecond(spec["A"], spec["B"], kron)
 
 
 def _build_ambient_precond(inst, cfg, policy):
@@ -208,13 +202,11 @@ def _build_ambient_precond(inst, cfg, policy):
     kron = geo.KroneckerMetric(spec.get("E"), spec.get("D"))
     if kind == "kron":
         return pc.KronPrecond(kron)
-    if kind in ("sylv", "gen_sylv"):
-        shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
-        return pc.FadiAmbientPrecond(
-            spec["A"], spec["B"], kron, shifts,
-            truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
-        )
-    raise ConfigError(f"unsupported preconditioner kind {kind!r}")
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
+    return pc.FadiAmbientPrecond(
+        spec["A"], spec["B"], kron, shifts,
+        truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
+    )
 
 
 def run_solve(cfg):
@@ -383,8 +375,8 @@ def cmd_verify(_args):
     K = inst.op.dense_kron()
     x = np.linalg.solve(K, inst.F.densify(force=True).reshape(-1, order="F"))
     opts = RnlcgOptions(rank=6, tol=1e-10, max_iters=300)
-    kron = pc.KronPrecond(geo.KroneckerMetric(inst.p1["E"], inst.p1["D"]))
-    Xr, _, status = rnlcg_solve(inst.op, inst.F, opts, precond=kron)
+    kron = geo.KroneckerMetric(inst.p1["E"], inst.p1["D"])
+    Xr, _, status = rnlcg_solve(inst.op, inst.F, opts, metric=kron)
     err = np.linalg.norm(
         Xr.densify(force=True) - x.reshape((6, 6), order="F")
     ) / np.linalg.norm(x)
@@ -439,7 +431,6 @@ def main(argv=None):
     s.add_argument("--instance")
     s.add_argument("--solver", choices=["rnlcg", "rram", "trunc_cg"])
     s.add_argument("--precond", choices=["identity", "P1", "P2", "tangadi"])
-    s.add_argument("--kron-mode", dest="kron_mode", choices=["metric", "gradient"])
     s.add_argument("--rank", type=int)
     s.add_argument("--r0", type=int)
     s.add_argument("--r-up", dest="r_up", type=int)

@@ -43,8 +43,9 @@ class KroneckerMetric:
 
     ``E`` or ``D`` may be None for the identity; ``KroneckerMetric()`` is
     the standard metric.  The pair and its SPD factorizations serve as the
-    ambient metric of the weighted geometry, as the Kronecker
-    preconditioner ``E X D`` (``precond.KronPrecond``) and as the pair
+    ambient metric of the weighted geometry (which is how the Riemannian
+    solvers apply the Kronecker preconditioner ``E X D``), as truncated
+    CG's ambient solve with ``E X D`` (``precond.KronPrecond``) and as the pair
     behind the ADI pencils ``(A - q E, B + p D)`` (``precond.TangAdiPrecond``,
     ``precond.FadiAmbientPrecond``, ``precond.adi_shifts``).
     The retraction's QR (``gauge_qr``) and RRAM's rank increase need only

@@ -23,13 +23,16 @@ from .equations import LowRankRhs, MultitermOperator
 from .problems import ProblemInstance, _canonical
 
 _MM_PRECISION = 17
+# the matrices each preconditioner kind needs; a missing E or D is the identity
+_PRECOND_NEEDS = {"kron": (), "sylv": ("A", "B"), "gen_sylv": ("A", "B")}
 
 
 class InstanceError(OSError):
     """An instance directory that cannot be read back: an unknown manifest
-    format, a manifest that lacks a required key, a file whose content
-    does not match its stored hash, matrices that do not fit together, or
-    a preconditioner matrix that is not symmetric positive definite."""
+    format or preconditioner kind, a manifest that lacks a required key
+    or preconditioner matrix, a file whose content does not match its
+    stored hash, matrices that do not fit together, or a preconditioner
+    matrix that is not symmetric positive definite."""
 
 
 def _sha256(path):
@@ -100,9 +103,10 @@ def import_instance(in_dir) -> ProblemInstance:
 
     Every file is checked against its sha256 in the manifest; a mismatch,
     a missing manifest key, a manifest entry of the wrong JSON type, an
-    unknown manifest format, matrices whose count or shapes do not form one
-    equation, or a preconditioner matrix that is not symmetric raise
-    ``InstanceError``.
+    unknown manifest format or preconditioner kind, a preconditioner spec
+    without a matrix its kind needs, matrices whose count or shapes do not
+    form one equation, or a preconditioner matrix that is not symmetric
+    raise ``InstanceError``.
     """
     with open(os.path.join(in_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
@@ -154,9 +158,15 @@ def import_instance(in_dir) -> ProblemInstance:
     sides = {"A": op.m, "E": op.m, "B": op.n, "D": op.n}
     preconds = {}
     for label, entry in json_object(manifest.get("precond", {}), "'precond'").items():
-        spec = {"kind": required(entry, "kind", f"the {label!r} preconditioner's 'kind'")}
+        kind = required(entry, "kind", f"the {label!r} preconditioner's 'kind'")
+        if not isinstance(kind, str) or kind not in _PRECOND_NEEDS:
+            raise InstanceError(f"{in_dir}: the {label!r} preconditioner's kind {kind!r} is unknown")
+        spec = {"kind": kind}
         what = f"the {label!r} preconditioner's 'matrices'"
         matrices = json_object(required(entry, "matrices", what), what)
+        for key in _PRECOND_NEEDS[kind]:
+            if matrices.get(key) is None:
+                raise InstanceError(f"{in_dir}: manifest lacks the {label!r} preconditioner's {key}")
         for key, name in matrices.items():
             spec[key] = None if name is None else load(name)
             if spec[key] is not None and key in sides:

@@ -1,18 +1,20 @@
-"""Tangent-space preconditioners for SPD multiterm matrix equations.
+"""Preconditioners for SPD multiterm matrix equations.
 
-Every preconditioner is a case of the projected operator
-``P X = A X D + E X B``, with one term or two:
+Every preconditioner is a case of the operator ``P X = A X D + E X B``,
+with one term or two:
 
-*   ``P X = E X D``           (Kronecker / metric preconditioner),
 *   ``P X = A X D + E X B``   (generalized Sylvester, via a metric split;
     ``E = D = I`` gives the Sylvester preconditioner ``A X + X B``),
-
-inverted exactly on the tangent space, and an approximate ADI-type
-fixed-point iteration on the tangent space (``tangADI``, whose sweeps are
-exact solves with the shifted pencils ``(A - q E, B + p D)`` that multiply
-only E and D, by the ADI identity ``(A - q E)^{-1} (A - p E) = I + (q - p)
-(A - q E)^{-1} E``) with Wachspress' elliptic-integral shift parameters
-and spectral-interval estimation for SPD pencils.
+    inverted exactly on the tangent space, and by an approximate ADI-type
+    fixed-point iteration on the tangent space (``tangADI``, whose sweeps
+    are exact solves with the shifted pencils ``(A - q E, B + p D)`` that
+    multiply only E and D, by the ADI identity ``(A - q E)^{-1} (A - p E) =
+    I + (q - p) (A - q E)^{-1} E``) with Wachspress' elliptic-integral
+    shift parameters and spectral-interval estimation for SPD pencils;
+*   ``P X = E X D``           (Kronecker), inverted on factored matrices
+    for truncated CG (``KronPrecond``).  The Riemannian solvers apply it
+    as a change of the ambient metric (``KroneckerMetric(E, D)``), not as
+    a solve on the tangent space.
 
 All exact solves reduce to r shifted sparse solves plus small dense
 algebra; shifted factorizations come from ``ShiftedPencilFactory``.  The
@@ -62,25 +64,6 @@ class ShiftedPencilFactory:
 # ---------------------------------------------------------------------------
 # Kernels of the exact tangent-space solves
 # ---------------------------------------------------------------------------
-
-
-def _kron_tangent_solve(U, V, LU, RV, S_L, S_R, fact_L, fact_R, rhs_u, rhs_v, M):
-    """Exact solve of ``Proj_X(L xi R) = Proj_X(rho)`` for SPD ``L, R`` at
-    ``X = U S V^T`` in the standard metric.
-
-    Takes ``LU = L U``, ``RV = R V``, ``S_L = U^T L U``, ``S_R = V^T R V``,
-    the factorizations of L and R (None for the identity) and the
-    projections ``rhs_u = rho V``, ``rhs_v = rho^T U``, ``M = U^T rho V``;
-    returns the factors ``(M_xi, U_xi, V_xi)`` of ``xi``.
-    """
-    S_L_inv = _inv_spd_small(S_L)
-    S_R_inv = _inv_spd_small(S_R)
-    W = fact_L.solve(rhs_u) if fact_L is not None else rhs_u
-    U_xi = (W - U @ (U.T @ W)) @ S_R_inv
-    W = fact_R.solve(rhs_v) if fact_R is not None else rhs_v
-    V_xi = (W - V @ (V.T @ W)) @ S_L_inv
-    inner = M - (LU.T @ U_xi) @ S_R - S_L @ (V_xi.T @ RV)
-    return S_L_inv @ inner @ S_R_inv, U_xi, V_xi
 
 
 def _inv_spd_small(S):
@@ -270,28 +253,14 @@ class IdentityPrecond:
 
 
 class KronPrecond:
-    """Exact inverse of ``P X = E X D`` (tangent and ambient application)
-    for the pair ``(E, D)`` of a ``KroneckerMetric``, whose factorizations
-    it uses."""
+    """Exact inverse of ``P X = E X D`` on factored matrices, for the pair
+    ``(E, D)`` of a ``KroneckerMetric``, whose factorizations it uses:
+    truncated CG's ambient preconditioner.  The Riemannian solvers apply
+    the same operator as a change of metric (``metric=KroneckerMetric(E,
+    D)``)."""
 
     def __init__(self, kron: KroneckerMetric):
         self.kron = kron
-
-    def apply_inv_tangent(self, eta):
-        """Solve ``Proj_X(E xi D) = eta`` on the tangent space at
-        ``X = eta.point`` (standard metric).
-
-        Costs r linear solves with each of E and D plus O(r^2 (m + n)) work.
-        """
-        X, kron = eta.point, self.kron
-        U, V = X.U, X.V
-        EU = kron.apply_E(U)
-        DV = kron.apply_D(V)
-        M_xi, U_xi, V_xi = _kron_tangent_solve(
-            U, V, EU, DV, U.T @ EU, V.T @ DV, kron.fact_E, kron.fact_D,
-            eta.Up + U @ eta.M, eta.Vp + V @ eta.M.T, eta.M,
-        )
-        return TangentVector(M_xi, U_xi, V_xi, X)
 
     def apply_inv_ambient(self, Z):
         return FactoredMatrix(self.kron.solve_E(Z.left), self.kron.solve_D(Z.right))

@@ -105,8 +105,7 @@ def test_solve_writes_outputs_and_converges(tmp_path):
     inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)
     out = tmp_path / "run"
     code = main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
-                 "--precond", "P1", "--kron-mode", "gradient", "--rank", "6",
-                 "--tol", "1e-8", "--out", str(out)])
+                 "--precond", "P1", "--rank", "6", "--tol", "1e-8", "--out", str(out)])
     assert code == 0
     with open(out / "summary.json") as fh:
         summary = json.load(fh)
@@ -158,8 +157,7 @@ def test_determinism_identical_traces(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         code = main(["solve", "--instance", str(inst_dir), "--solver", "rram",
-                     "--precond", "P1", "--kron-mode", "gradient", "--r0", "2",
-                     "--r-up", "2", "--tol", "1e-7", "--seed", "11", "--out", str(out)])
+                     "--precond", "P1", "--r0", "2", "--r-up", "2", "--tol", "1e-7", "--seed", "11", "--out", str(out)])
         outs.append(out)
     t1 = read_trace_rows(outs[0] / "trace.csv")
     t2 = read_trace_rows(outs[1] / "trace.csv")
@@ -173,8 +171,7 @@ def test_compare_table(tmp_path):
     for i, precond in enumerate(["identity", "P1"]):
         out = tmp_path / f"run{i}"
         main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
-              "--precond", precond, "--kron-mode", "gradient", "--rank", "6",
-              "--tol", "1e-8", "--out", str(out)])
+              "--precond", precond, "--rank", "6", "--tol", "1e-8", "--out", str(out)])
         summaries.append(str(out / "summary.json"))
     table = tmp_path / "cmp.csv"
     assert main(["compare", *summaries, "--out", str(table)]) == 0
@@ -268,19 +265,16 @@ def test_p1_is_generalized_sylvester_in_the_identity_metric(tmp_path):
     assert summary["status"] == "converged" and float(summary["final_res"]) <= 1e-6
 
 
-@pytest.mark.parametrize("kron_mode", ["metric", "gradient"])
-def test_stoch_galerkin_p1_builds_in_both_kron_modes(kron_mode):
+def test_stoch_galerkin_p1_builds():
     """The stochastic-Galerkin P1 spec has ``D = None``, which the Kronecker
-    metric keeps as the identity."""
+    metric keeps as the identity.  The Riemannian solvers take the spec as
+    their metric, with no preconditioner, and truncated CG as its ambient
+    solve."""
     inst = pb.gen_stoch_galerkin(6, 2, 2)
-    cfg = dict(_CONFIG_DEFAULTS, precond="P1", kron_mode=kron_mode)
+    cfg = dict(_CONFIG_DEFAULTS, precond="P1")
     metric, prec = cli._build_tangent_setup(inst, cfg)
-    kron = metric if kron_mode == "metric" else prec.kron
-    assert kron.E is inst.p1["E"] and kron.D is None
-    if kron_mode == "metric":
-        assert isinstance(prec, pc.IdentityPrecond)
-    else:
-        assert metric.is_identity and isinstance(prec, pc.KronPrecond)
+    assert metric.E is inst.p1["E"] and metric.D is None
+    assert isinstance(prec, pc.IdentityPrecond)
     policy = cli._solver_options(dict(cfg, solver="trunc_cg"))
     amb = cli._build_ambient_precond(inst, cfg, policy)
     assert isinstance(amb, pc.KronPrecond) and amb.kron.D is None
@@ -344,8 +338,7 @@ def test_ambient_fadi_truncates_with_the_solver_policy(rng, eps_rel_r, rank_cap,
 
 
 @pytest.mark.parametrize(
-    "bad", [{"solver": "rnlgc"}, {"precond": "p2"}, {"kron_mode": "metrc"}],
-    ids=["solver", "precond", "kron_mode"],
+    "bad", [{"solver": "rnlgc"}, {"precond": "p2"}], ids=["solver", "precond"],
 )
 def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
     inst_dir = tmp_path / "inst"
@@ -364,14 +357,17 @@ def test_config_file_not_an_object_exits_3(tmp_path, capsys, content):
     assert "JSON object" in capsys.readouterr().err
 
 
-def test_config_file_with_removed_key_exits_3(tmp_path, capsys):
-    """``adi_steps`` is gone (the sweep count is the number of shifts):
-    a config file that still sets it names it as an unknown key."""
+@pytest.mark.parametrize("key, value", [("adi_steps", 8), ("kron_mode", "metric")],
+                         ids=["adi_steps", "kron_mode"])
+def test_config_file_with_removed_key_exits_3(tmp_path, capsys, key, value):
+    """``adi_steps`` is gone (the sweep count is the number of shifts), and
+    so is ``kron_mode`` (a Kronecker preconditioner is always the metric):
+    a config file that still sets one names it as an unknown key."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"adi_steps": 8}))
+    cfg.write_text(json.dumps({key: value}))
     assert main(["solve", "--config", str(cfg), "--instance", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "unknown config keys" in err and "adi_steps" in err
+    assert "unknown config keys" in err and key in err
 
 
 def test_solve_flags_are_the_config_keys(capsys):
@@ -387,8 +383,9 @@ def test_solve_flags_are_the_config_keys(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--precond", "p2"], ["--rank", "abc"], ["--adi-steps", "8"]],
-    ids=["choice", "type", "removed"],
+    "argv",
+    [["--precond", "p2"], ["--rank", "abc"], ["--adi-steps", "8"], ["--kron-mode", "metric"]],
+    ids=["choice", "type", "removed", "removed_kron_mode"],
 )
 def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
     """A rejected flag value is an invalid configuration (3), like the same
@@ -602,6 +599,8 @@ WRONG_TYPE = {
     "ell_float": lambda m: dict(m, ell=3.0),
     "precond_list": lambda m: dict(m, precond=[]),
     "matrices_list": lambda m: _with_p2_matrices(m, []),
+    "precond_kind_unknown": lambda m: dict(
+        m, precond=dict(m["precond"], p2=dict(m["precond"]["p2"], kind="bogus"))),
     "sha256_list": lambda m: dict(m, sha256=[]),
     "manifest_list": lambda m: [m],
 }
@@ -610,9 +609,11 @@ WRONG_TYPE = {
 @pytest.mark.parametrize("rewrite", list(WRONG_TYPE.values()), ids=list(WRONG_TYPE))
 def test_manifest_entry_of_wrong_type_exits_4(tmp_path, capsys, rewrite):
     """``ell`` must be a positive integer (not a bool) that counts the A and
-    the B terms in ``files``, and the manifest, ``precond``, each
-    ``matrices`` and ``sha256`` are JSON objects: anything else is an
-    unreadable instance, not a traceback or a truncated equation."""
+    the B terms in ``files``, the manifest, ``precond``, each ``matrices``
+    and ``sha256`` are JSON objects, and a preconditioner's ``kind`` is
+    ``kron``, ``sylv`` or ``gen_sylv``: anything else is an unreadable
+    instance, not a traceback, a configuration error or a truncated
+    equation."""
     inst_dir = tmp_path / "inst"
     inst_io.export_instance(pb.gen_synthetic(6, 6, 3, seed=5), inst_dir)
     manifest = json.loads((inst_dir / "manifest.json").read_text())
@@ -645,8 +646,14 @@ def _drop_precond_matrices(m):
     del m["precond"]["p2"]["matrices"]
 
 
+def _drop_p2_A(m):
+    """A generalized-Sylvester spec without its A (E and D may be missing:
+    each is then the identity)."""
+    del m["precond"]["p2"]["matrices"]["A"]
+
+
 @pytest.mark.parametrize("drop", [_drop_ell, _drop_files, _drop_file_entry,
-                                  _drop_precond_kind, _drop_precond_matrices])
+                                  _drop_precond_kind, _drop_precond_matrices, _drop_p2_A])
 def test_manifest_missing_key_exits_4(tmp_path, capsys, drop):
     inst_dir = tmp_path / "inst"
     inst_io.export_instance(pb.gen_synthetic(6, 6, 2, seed=5), inst_dir)

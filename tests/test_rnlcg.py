@@ -533,9 +533,9 @@ def test_full_rank_matches_euclidean_nlcg(rng):
 def test_gradient_energy_nonnegative_each_iteration(rng):
     m, n = 12, 10
     op, F, _ = make_spd_problem(m, n, 2, rng, sol_rank=3)
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    met = geo.KroneckerMetric(op.A[0], op.B[1])
     opts = rn.RnlcgOptions(rank=3, tol=1e-9, max_iters=60, seed=6)
-    state = start_state(op, F, opts, precond=prec)
+    state = start_state(op, F, opts, metric=met)
     for _ in range(20):
         assert state.grad_energy >= 0
         state.step()

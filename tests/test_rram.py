@@ -6,7 +6,6 @@ import pytest
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
 from lrmeq import numkit
-from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq import solver_rram as rr
 from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState
@@ -423,10 +422,10 @@ def test_rram_trivial_tolerance(rng):
 def test_rram_converges_with_rank_growth(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    met = geo.KroneckerMetric(op.A[0], op.B[1])
     opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=1,
                           inner=RnlcgOptions(rank=2, tol=1e-7, seed=1))
-    X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
+    X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     assert status == "converged"
     assert any("rank_up" in r["event"] for r in trace.rows)
     # every row is exact, and the last is the returned point's residual
@@ -439,10 +438,10 @@ def test_rram_converges_with_rank_growth(rng):
 def test_rram_rank_changes_only_at_tagged_events(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    met = geo.KroneckerMetric(op.A[0], op.B[1])
     opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=3,
                           inner=RnlcgOptions(rank=2, tol=1e-7, seed=3))
-    X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
+    X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     rows = trace.rows
     for prev, cur in zip(rows, rows[1:]):
         if cur["rank"] != prev["rank"]:
@@ -452,10 +451,10 @@ def test_rram_rank_changes_only_at_tagged_events(rng):
 def test_rram_objective_nonincreasing_across_rank_up(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    met = geo.KroneckerMetric(op.A[0], op.B[1])
     opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=5,
                           inner=RnlcgOptions(rank=2, tol=1e-7, seed=5))
-    X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
+    X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     rows = trace.rows
     for prev, cur in zip(rows, rows[1:]):
         if "rank_up" in cur["event"]:
@@ -483,9 +482,9 @@ def test_rram_phase_end_rows_carry_their_reason(reason, rng, monkeypatch):
 
         monkeypatch.setattr(RnlcgState, "step", failing_step)
     op, F = make_spd_problem(18, 16, rng, sol_rank=6)
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    met = geo.KroneckerMetric(op.A[0], op.B[1])
     X, trace, status = rr.rram_solve(
-        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=4), precond=prec)
+        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=4), metric=met)
     assert status == "converged"
     tags = [set(r["event"].split("+")) for r in trace.rows]
     assert any(reason in t for t in tags)
@@ -495,10 +494,10 @@ def test_rram_phase_end_rows_carry_their_reason(reason, rng, monkeypatch):
 
 
 def lower_rank_solution_problem(seed):
-    """A rank-2 solution with the Kronecker preconditioner of the terms."""
+    """A rank-2 solution, and the Kronecker metric of the terms."""
     rng = np.random.default_rng(seed)
     op, F = make_spd_problem(18, 16, rng, sol_rank=2)
-    return op, F, pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    return op, F, geo.KroneckerMetric(op.A[0], op.B[1])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -506,9 +505,9 @@ def test_rram_cut_to_the_solution_rank_is_taken(seed):
     """Started at rank 4 on a rank-2 solution, the iterate loses numerical
     rank, and the cuts down to rank 2 cost the residual nothing: they are
     taken, and the solve converges at rank 2."""
-    op, F, prec = lower_rank_solution_problem(seed)
+    op, F, met = lower_rank_solution_problem(seed)
     X, trace, status = rr.rram_solve(
-        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=seed), precond=prec)
+        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=seed), metric=met)
     assert status == "converged" and X.r == 2
     downs = [p for r in trace.rows for p in r["event"].split("+") if p.startswith("rank_down:")]
     assert downs and downs[-1].endswith("->2")
@@ -530,9 +529,9 @@ def test_rram_cut_decision_matches_direct_residuals(monkeypatch):
         return cut
 
     monkeypatch.setattr(rr, "rank_decrease", drop_last)
-    op, F, prec = lower_rank_solution_problem(0)
+    op, F, met = lower_rank_solution_problem(0)
     X, trace, status = rr.rram_solve(
-        op, F, rr.RramOptions(r0=3, r_up=2, tol=tol, seed=0), precond=prec)
+        op, F, rr.RramOptions(r0=3, r_up=2, tol=tol, seed=0), metric=met)
     assert status == "converged"
     decisions = [p.split(":")[0] for r in trace.rows for p in r["event"].split("+")
                  if p.startswith(("rank_down:", "cut_refused:"))]
@@ -570,9 +569,9 @@ def test_rram_cut_is_evaluated_only_where_the_bound_cannot_decide(monkeypatch):
 
     monkeypatch.setattr(rr, "rank_decrease", drop_last)
     monkeypatch.setattr(eqs, "evaluate", counting)
-    op, F, prec = lower_rank_solution_problem(0)
+    op, F, met = lower_rank_solution_problem(0)
     X, trace, status = rr.rram_solve(
-        op, F, rr.RramOptions(r0=3, r_up=2, tol=tol, seed=0), precond=prec)
+        op, F, rr.RramOptions(r0=3, r_up=2, tol=tol, seed=0), metric=met)
     assert status == "converged"
     nrm_F = np.linalg.norm(F.densify(force=True))
     bound_decided = 0
@@ -600,9 +599,9 @@ def test_rram_evaluates_each_point_once(monkeypatch):
         return evaluate(op, X, F, *blocks)
 
     monkeypatch.setattr(eqs, "evaluate", counting)
-    op, F, prec = lower_rank_solution_problem(0)
+    op, F, met = lower_rank_solution_problem(0)
     X, trace, status = rr.rram_solve(
-        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=0), precond=prec)
+        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=0), metric=met)
     assert status == "converged"
     assert any("rank_down" in r["event"] for r in trace.rows)
     assert len({id(X) for X in seen}) == len(seen)
@@ -671,19 +670,20 @@ def test_rram_spd_loss_at_start_ends_with_status(rng):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("prec_name, r0", [("kron", 4), ("identity", 3)])
-def test_rram_rank_never_exceeds_min_dimension(prec_name, r0):
-    """On a 7x6 problem the rank stops at 6.  Uncapped, rank increases
-    padded past it: rank 4 -> 7 with the Kronecker preconditioner ended
-    with ``spd_loss``, and without one rows of rank 9 were logged as ``6->9``."""
+@pytest.mark.parametrize("metric_name, r0", [("kron", 4), ("identity", 3)])
+def test_rram_rank_never_exceeds_min_dimension(metric_name, r0):
+    """On a 7x6 problem the rank stops at 6, in the Kronecker metric of two
+    terms and in the standard one.  Uncapped, rank increases padded past
+    it: rank 4 -> 7 with a Kronecker preconditioner ended with
+    ``spd_loss``, and without one rows of rank 9 were logged as ``6->9``."""
     from lrmeq import problems as pb
 
     inst = pb.gen_synthetic(7, 6, 3, seed=2)
     op, F = inst.op, inst.F
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1])) if prec_name == "kron" else None
+    met = geo.KroneckerMetric(op.A[0], op.B[1]) if metric_name == "kron" else None
     opts = rr.RramOptions(r0=r0, r_up=3, tol=1e-13, max_total_iters=500,
                           inner=RnlcgOptions(rank=r0, tol=1e-13))
-    X, trace, status = rr.rram_solve(op, F, opts, precond=prec)
+    X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     assert status == "converged"
     assert max(r["rank"] for r in trace.rows) <= 6
     for r in trace.rows:
