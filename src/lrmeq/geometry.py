@@ -29,12 +29,11 @@ DENSIFY_LIMIT = 64
 # keep points on the manifold.
 SIGMA_FLOOR_FACTOR = 1e2 * np.finfo(float).eps
 
-# ``gauge_qr`` falls back to the Householder weighted QR when the first
-# Cholesky factor's estimated condition number exceeds this.  CholeskyQR2
-# is accurate for blocks conditioned well below eps^-1/2 (Yamamoto,
-# Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015), and the Gram of a
-# rank-deficient block that still factors gives a condition near
-# eps^-1/2 ~ 7e7, above this bound.
+# ``gauge_qr`` falls back to the Householder weighted QR when its triangle's
+# estimated condition number exceeds this.  CholeskyQR2 is accurate for
+# blocks conditioned well below eps^-1/2 (Yamamoto, Nakatsukasa, Yanagisawa
+# & Fukaya, ETNA 2015), and a rank-deficient block whose Grams still factor
+# gives a triangle conditioned near eps^-1, far above this bound.
 GAUGE_QR_MAX_COND = 1e7
 
 
@@ -48,12 +47,10 @@ class KroneckerMetric:
     CG's ambient solve with ``E X D`` (``precond.KronPrecond``) and as the pair
     behind the ADI pencils ``(A - q E, B + p D)`` (``precond.TangAdiPrecond``,
     ``precond.FadiAmbientPrecond``, ``precond.adi_shifts``).
-    The retraction's QR (``gauge_qr``) and RRAM's rank increase need only
-    products with and solves by E and D.  The factorizations'
-    Cholesky-type square roots (``E = C_E.T @ C_E``) still back
-    ``weighted_qr``, which ``weighted_svd`` (behind ``truncate`` and
-    ``random_point``) and the retraction's fallback call, and
-    ``precond.spectral_interval``.
+    Outside this class the package reaches E and D through ``apply_*``
+    (products) and ``solve_*`` (solves by the factorizations ``fact_E``,
+    ``fact_D``); the ADI pencils also read the matrices.  No square root of
+    E or D is taken.  On an identity side both return their argument.
     """
 
     def __init__(self, E=None, D=None):
@@ -69,6 +66,12 @@ class KroneckerMetric:
     @property
     def is_identity(self):
         return self.E is None and self.D is None
+
+    def products(self):
+        """``(apply_E, apply_D)`` with None for an identity side, as the
+        weighted QRs take them: an identity side takes no Gram pass."""
+        return (None if self.E is None else self.apply_E,
+                None if self.D is None else self.apply_D)
 
     # -- E side -------------------------------------------------------------
     def apply_E(self, M):
@@ -287,24 +290,34 @@ def norm(xi: TangentVector) -> float:
     return float(np.sqrt(max(inner(xi, xi), 0.0)))
 
 
-def weighted_qr(M, fact):
-    """QR with E-orthonormal Q: standard QR of ``C_E @ M``, then back-solve."""
-    if fact is None:
-        return numkit.qr_thin(M)
-    Q, R = numkit.qr_thin(fact.c_mul(M))
-    return fact.c_solve(Q), R
+def weighted_qr(M, apply_E):
+    """QR ``M = Q R`` with ``Q.T E Q = I`` from products with E alone.
+
+    ``apply_E`` multiplies by E, None for the identity.  A Householder QR
+    ``M = Q0 R0`` comes first: Q0 is orthonormal whatever the rank or the
+    shape of M, so its E-Gram ``Q0.T E Q0`` is SPD with condition number at
+    most that of E, and the two CholeskyQR passes of ``_cholesky_qr2`` on
+    Q0 (with no block to project against) give ``Q = Q0 T^-1`` and ``R = T
+    R0`` (Lowery & Langou, "Stability analysis of QR factorization in an
+    oblique inner product", 2014).  The identity takes no Gram pass.
+    """
+    Q, R = numkit.qr_thin(M)
+    if apply_E is None:
+        return Q, R
+    Q, _, T = _cholesky_qr2(Q[:, :0], Q[:, :0], Q, apply_E)
+    return Q, T @ R
 
 
-def gauge_qr(Y, EY, Yp, apply_E, fact):
+def gauge_qr(Y, EY, Yp, apply_E):
     """E-orthonormal QR ``[Y, Yp] = Q R`` for an E-orthonormal Y.
 
-    ``EY = E @ Y``; ``apply_E`` multiplies by E and ``fact`` is E's
-    factorization (None for the identity).  Only Yp needs factoring: two
-    CholeskyQR passes, each projecting against Y first, give
-    ``Q = [Y, Q2]`` and ``R = [[I, C], [0, R2]]`` with one product of E
-    with Yp's columns per pass and no solve.  The Householder
-    ``weighted_qr`` takes over when ``[Y, Yp]`` has more columns than rows
-    or Yp is (nearly) rank-deficient, which the Cholesky factors show.
+    ``EY = E @ Y``; ``apply_E`` multiplies by E, None for the identity.
+    Only Yp needs factoring: two CholeskyQR passes, each projecting against
+    Y first, give ``Q = [Y, Q2]`` and ``R = [[I, C], [0, R2]]`` with one
+    product of E with Yp's columns per pass and no solve.  The Householder
+    ``weighted_qr`` takes over when ``[Y, Yp]`` has more columns than rows,
+    a Gram fails to factor, or R2's estimated condition number exceeds
+    ``GAUGE_QR_MAX_COND`` (Yp is then nearly rank-deficient).
     """
     m, r = Y.shape
     k = Yp.shape[1]
@@ -314,29 +327,30 @@ def gauge_qr(Y, EY, Yp, apply_E, fact):
         except np.linalg.LinAlgError:
             pass
         else:
-            return np.hstack([Y, Q2]), np.block([[np.eye(r), C], [np.zeros((k, r)), R2]])
-    return weighted_qr(np.hstack([Y, Yp]), fact)
+            if lapack.dtrcon(R2)[0] * GAUGE_QR_MAX_COND >= 1.0:
+                return np.hstack([Y, Q2]), np.block([[np.eye(r), C], [np.zeros((k, r)), R2]])
+    return weighted_qr(np.hstack([Y, Yp]), apply_E)
 
 
 def _cholesky_qr2(Y, EY, Yp, apply_E):
     """``Yp = Y C + Q2 R2`` with ``Q2.T E Q2 = I`` and ``Y.T E Q2 = 0``.
 
-    Keeps ``Yp = Y C + W T``: each pass takes W's component along Y into C
-    (the second pass removes what the first one's division amplified) and
-    divides W by the Cholesky factor of its E-Gram.  Raises ``LinAlgError``
-    when a Gram is not numerically SPD or the first factor's condition
-    number exceeds ``GAUGE_QR_MAX_COND``.
+    The one CholeskyQR kernel of the package (``gauge_qr``, ``weighted_qr``
+    and, through it, RRAM's rank increase).  Keeps ``Yp = Y C + W T``: each
+    pass takes W's component along Y into C (the second pass removes what
+    the first one's division amplified) and divides W by the Cholesky
+    factor of its E-Gram; ``apply_E`` is None for the identity.  Raises
+    ``LinAlgError`` when a Gram is not numerically SPD.
     """
     W = Yp
     C = np.zeros((Y.shape[1], Yp.shape[1]))
     T = np.eye(Yp.shape[1])
-    for first in (True, False):
+    for _ in range(2):
         D = EY.T @ W
         W = W - Y @ D
         C += D @ T
-        R = sla.cholesky(W.T @ apply_E(W), lower=False, check_finite=False)
-        if first and lapack.dtrcon(R)[0] * GAUGE_QR_MAX_COND < 1.0:
-            raise np.linalg.LinAlgError("ill-conditioned block")
+        EW = W if apply_E is None else apply_E(W)
+        R = sla.cholesky(W.T @ EW, lower=False, check_finite=False)
         W = blas.dtrsm(1.0, R, W, side=1)       # W R^-1
         T = R @ T
     return W, C, T
@@ -357,13 +371,14 @@ def weighted_svd(Z, metric: KroneckerMetric):
     m, n = Z.shape
     if Z.k == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    apply_E, apply_D = metric.products()
     if m <= n:
-        QL, TL = weighted_qr(Z.left, metric.fact_E)
-        QR_, TR = weighted_qr(Z.right @ TL.T, metric.fact_D)
+        QL, TL = weighted_qr(Z.left, apply_E)
+        QR_, TR = weighted_qr(Z.right @ TL.T, apply_D)
         C = TR.T
     else:
-        QR_, TR = weighted_qr(Z.right, metric.fact_D)
-        QL, C = weighted_qr(Z.left @ TR.T, metric.fact_E)
+        QR_, TR = weighted_qr(Z.right, apply_D)
+        QL, C = weighted_qr(Z.left @ TR.T, apply_E)
     u, s, v = numkit.svd_thin(C)
     return QL @ u, s, QR_ @ v
 
@@ -454,10 +469,10 @@ class LineSearchRetraction:
         if xi.point is not X:
             raise ValueError("tangent vector not based at X")
         self.X = X
-        metric = X.metric
         r = X.r
-        self.QU, self.RU = gauge_qr(X.U, X.EU, xi.Up, metric.apply_E, metric.fact_E)
-        self.QV, self.RV = gauge_qr(X.V, X.DV, xi.Vp, metric.apply_D, metric.fact_D)
+        apply_E, apply_D = X.metric.products()
+        self.QU, self.RU = gauge_qr(X.U, X.EU, xi.Up, apply_E)
+        self.QV, self.RV = gauge_qr(X.V, X.DV, xi.Vp, apply_D)
         RU1, RV1 = self.RU[:, :r], self.RV[:, :r]
         self.c0 = (RU1 * X.sigma) @ RV1.T
         self.xi_core = (RU1 @ xi.M + self.RU[:, r:]) @ RV1.T + RU1 @ self.RV[:, r:].T

@@ -5,8 +5,8 @@ wrappers: a thin SVD with fixed signs; one Householder QR, the compact-WY
 ``geqrt`` in panels of ``QR_PANEL`` columns, which yields the R factor
 alone (``qr_r``, behind the exact residual norms) or a thin QR with
 ``R[i, i] >= 0`` whose Q ``gemqrt`` forms (``qr_thin``); and SPD
-factorizations that expose a triangular square-root factor ``C`` with
-``A = C.T @ C``.  There is one SPD backend, a banded Cholesky:
+factorizations with repeated solves.  There is one SPD backend, a banded
+Cholesky:
 a sparse matrix is factorized in its band, after a reverse-Cuthill-McKee
 reordering when that narrows the band, so banded problems (tridiagonal,
 five-point stencils) factor in O(n * bandwidth^2), a tridiagonal band by
@@ -159,18 +159,18 @@ class SpdFactorization:
     LAPACK call: ``pttrf`` to ``L diag(d) L.T`` (L unit lower bidiagonal)
     when the band is tridiagonal, ``pbtrf`` to ``R.T @ R`` (R upper
     triangular banded) otherwise.  ``solve`` solves with the matrix in one
-    LAPACK call on that factor, ``pttrs`` or ``pbtrs``.  ``c_mul``,
-    ``c_solve``, ``ct_mul`` and ``ct_solve`` give access to the square
-    root ``C = R P`` (P the permutation) with ``A = C.T @ C``; for a
-    tridiagonal band R is ``diag(sqrt(d)) + superdiag(e * sqrt(d))``,
-    derived from ``(d, e)`` on the first call that needs it.  Their
-    readers are ``geometry.weighted_qr`` (behind ``weighted_svd``, so
-    ``truncate`` and ``random_point``, and the retraction's fallback; not
-    the rank increase) and, through the ``fact_E`` or ``fact_D`` of a
-    ``KroneckerMetric``, ``precond.spectral_interval`` (``c_solve`` and
-    ``ct_solve``); the benchmark's tracer also patches all four by name,
-    so they stay until it changes.  Instances are immutable after
-    construction (but for that derived R) and re-entrant.
+    LAPACK call on that factor, ``pttrs`` or ``pbtrs``; the package calls
+    no other method of an instance.  Instances are immutable after
+    construction (but for the derived R below) and re-entrant.
+
+    ``c_mul``, ``c_solve``, ``ct_mul`` and ``ct_solve`` (the square root
+    ``C = R P``, P the permutation, with ``A = C.T @ C``; for a tridiagonal
+    band R is ``diag(sqrt(d)) + superdiag(e * sqrt(d))``, the derived
+    ``_ab``, and ``_R`` is its CSR copy) have no reader in the package: the
+    weighted QRs and the spectral intervals take products with the matrix
+    and solves by it.  They stay only because the benchmark's tracer
+    (``bench/tracer.py``) wraps them by name and ``test_numkit`` checks
+    them, and go with the next change of the benchmark.
     """
 
     def __init__(self, A):

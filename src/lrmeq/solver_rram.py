@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import equations as eqs
 from . import geometry as geo
@@ -80,10 +79,10 @@ def rank_increase(X, op, R, r_up):
     ``min(m, n)`` and ``k`` is the component's numerical rank, takes the
     exact line-search step along it, and returns the grown point together
     with the step length.  The truncation (``_leading_normal_directions``)
-    factors k x k matrices for the k columns of R and solves with E and D,
-    but takes no weighted QR and no square root of E or D.  With no room
-    or no normal direction it returns ``(X, 0.0)``; a nonpositive
-    curvature ``<A Y, Y>`` along the direction Y raises ``NotSpdError``.
+    solves with E and D, takes one weighted QR on the D side and no
+    weighted SVD.  With no room or no normal direction it returns ``(X,
+    0.0)``; a nonpositive curvature ``<A Y, Y>`` along the direction Y
+    raises ``NotSpdError``.
     """
     m, n = X.shape
     room = min(m, n) - X.r
@@ -115,22 +114,20 @@ def _leading_normal_directions(X, R, r):
         N = -(E^{-1} - U U.T) R_L [(D^{-1} - V V.T) R_R].T = NL NR.T,
 
     with ``NU.T E NU = I`` and ``NV.T D NV = I``, fewer where N has lower
-    numerical rank.  The D side is folded first.  A Householder QR ``NR =
-    Q T``, the Cholesky factor of ``Q.T D Q = C.T C`` and the SVD ``C T =
-    Y diag(sig) Z.T`` give ``NR = Qd Y diag(sig) Z.T`` with the
-    D-orthonormal ``Qd = Q C^-1``.  So ``N = K (Qd Y).T`` for ``K = NL Z
-    diag(sig)``, whose q columns (``sig`` past NR's rounding, ``q <=
-    n - r``) are all that E solves with.  The eigenvectors W of K's E-Gram
-    then give ``NU = K W s^-1`` and ``NV = Qd Y W``.  An eigenvalue at or
-    below ``max(m, n) * eps`` times the largest is the rounding of the
-    Gram, so it sets the numerical rank.  No weighted QR is taken.
+    numerical rank.  The D side is folded first: the weighted QR ``NR = Qd
+    T`` (``geometry.weighted_qr``, products with D only) and the SVD ``T =
+    Y diag(sig) Z.T`` give ``N = K (Qd Y).T`` for ``K = NL Z diag(sig)``,
+    whose q columns (``sig`` past NR's rounding, ``q <= n - r``) are all
+    that E solves with.  The eigenvectors W of K's E-Gram then give ``NU =
+    K W s^-1`` and ``NV = Qd Y W``.  An eigenvalue at or below ``max(m, n)
+    * eps`` times the largest is the rounding of the Gram, so it sets the
+    numerical rank.
     """
     metric = X.metric
     eps_dim = max(X.shape) * np.finfo(float).eps
     NR = metric.solve_D(R.right) - X.V @ (X.V.T @ R.right)
-    Q, T = numkit.qr_thin(NR)
-    C = sla.cholesky(_sym(Q.T @ metric.apply_D(Q)), check_finite=False)
-    Y, sig, Z = numkit.svd_thin(C @ T)
+    Qd, T = geo.weighted_qr(NR, metric.products()[1])
+    Y, sig, Z = numkit.svd_thin(T)
     q = int(np.count_nonzero(sig > eps_dim * sig[0]))
     if q == 0:
         return X.U[:, :0], sig[:0], X.V[:, :0]
@@ -140,7 +137,7 @@ def _leading_normal_directions(X, R, r):
     mu, W = mu[::-1], W[:, ::-1]
     k = min(r, int(np.count_nonzero(mu > eps_dim * max(mu[0], 0.0))))
     s, W = np.sqrt(mu[:k]), W[:, :k]
-    return K @ (W / s), s, Q @ sla.solve_triangular(C, Y[:, :q] @ W, check_finite=False)
+    return K @ (W / s), s, Qd @ (Y[:, :q] @ W)
 
 
 def _sym(G):

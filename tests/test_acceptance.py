@@ -139,8 +139,8 @@ def test_criterion_3_spectral_radius_inequality():
         A, B = rand_spd(m, rng, 15.0), rand_spd(n, rng, 15.0)
         D, E = rand_spd(n, rng, 4.0), rand_spd(m, rng, 4.0)
         kron = geo.KroneckerMetric(E, D)
-        a, b = pc.spectral_interval(A, kron.fact_E)
-        c, d = pc.spectral_interval(B, kron.fact_D)
+        a, b = pc.spectral_interval(A, kron.apply_E, kron.solve_E)
+        c, d = pc.spectral_interval(B, kron.apply_D, kron.solve_D)
         p, q = float(np.sqrt(a * b)), -float(np.sqrt(c * d))
         X = _std_point(m, n, r, rng)
         amb_G, amb_N = _shifted_ops(A, B, D, E, p, q)
@@ -167,8 +167,8 @@ def test_criterion_4_tangadi_contraction():
         A, B = rand_spd(m, rng, 20.0), rand_spd(n, rng, 20.0)
         D, E = rand_spd(n, rng, 3.0), rand_spd(m, rng, 3.0)
         kron = geo.KroneckerMetric(E, D)
-        a, b = pc.spectral_interval(A, kron.fact_E)
-        c, d = pc.spectral_interval(B, kron.fact_D)
+        a, b = pc.spectral_interval(A, kron.apply_E, kron.solve_E)
+        c, d = pc.spectral_interval(B, kron.apply_D, kron.solve_D)
         p, q = float(np.sqrt(a * b)), -float(np.sqrt(c * d))
         X = _std_point(m, n, r, rng)
         amb_G, _ = _shifted_ops(A, B, D, E, p, q)

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -563,9 +564,39 @@ def assert_same_tangent(xi, eta):
 def test_weighted_qr_of_rank_deficient_block(case):
     X, xi, E, _ = case
     Y = np.hstack([X.U, xi.Up])
-    Q, R = geo.weighted_qr(Y, X.metric.fact_E)
+    Q, R = geo.weighted_qr(Y, X.metric.products()[0])
     assert np.linalg.norm(Q.T @ E @ Q - np.eye(Q.shape[1])) <= 1e-10
     assert np.linalg.norm(Q @ R - Y) <= 1e-10 * np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("shape", ["tall-deficient", "wide"])
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
+def test_weighted_qr_at_ill_conditioned_E(cond, shape):
+    """At a dense E of condition number up to 1e12, for a rank-10 300 x 20
+    block and a wide 300 x 400 one, the weighted QR from products with E
+    keeps E-orthonormality and reconstruction within twice the errors of
+    the QR through E's square root (``C M = Q0 R``, ``Q = C^-1 Q0`` for
+    ``E = C.T C``).  At 1e12 the wide block's Cholesky factor is past
+    ``GAUGE_QR_MAX_COND`` in the 1-norm estimate, so ``gauge_qr``'s gate
+    must not reach this path."""
+    rng = np.random.default_rng(11)
+    m = 300
+    E = rand_spd(m, rng, cond)
+    E = 0.5 * (E + E.T)
+    if shape == "wide":
+        M = rng.standard_normal((m, 400))
+    else:
+        M = rng.standard_normal((m, 10)) @ rng.standard_normal((10, 20))
+
+    def errors(Q, R):
+        return (np.linalg.norm(Q.T @ E @ Q - np.eye(Q.shape[1])),
+                np.linalg.norm(Q @ R - M) / np.linalg.norm(M))
+
+    orth, rec = errors(*geo.weighted_qr(M, lambda W: E @ W))
+    C = sla.cholesky(E)
+    Q0, R0 = np.linalg.qr(C @ M)
+    orth_ref, rec_ref = errors(sla.solve_triangular(C, Q0), R0)
+    assert orth <= 2.0 * orth_ref and rec <= 2.0 * rec_ref
 
 
 @given(deficient_tangents(), st.floats(0.05, 1.0))
@@ -616,7 +647,7 @@ def gauge_qr_at(X, Up):
     ``weighted_qr``."""
     met = X.metric
     with mock.patch.object(geo, "weighted_qr", wraps=geo.weighted_qr) as wqr:
-        Q, R = geo.gauge_qr(X.U, X.EU, Up, met.apply_E, met.fact_E)
+        Q, R = geo.gauge_qr(X.U, X.EU, Up, met.products()[0])
     return Q, R, wqr.called
 
 
@@ -633,12 +664,12 @@ def test_retraction_qr_of_rank_deficient_tangent(case):
     assert np.array_equal(Q, retr.QU) and np.array_equal(R, retr.RU)
 
 
-def conditioned_block(Y, EY, fact, cond, drift, rng):
+def conditioned_block(Y, EY, apply_E, cond, drift, rng):
     """An ``m x r`` block with E-condition number ``cond`` in the gauge
     ``Y.T E W = 0``, plus ``Y`` times a drift of relative size ``drift``."""
     m, r = Y.shape
     G = rng.standard_normal((m, r))
-    Z, _ = geo.weighted_qr(G - Y @ (EY.T @ G), fact)
+    Z, _ = geo.weighted_qr(G - Y @ (EY.T @ G), apply_E)
     Q, _ = np.linalg.qr(rng.standard_normal((r, r)))
     return Z @ np.diag(np.geomspace(1.0, 1.0 / cond, r)) @ Q.T + drift * Y @ rng.standard_normal((r, r))
 
@@ -666,8 +697,9 @@ def conditioned_tangents(draw):
         # no room for an r-column block in the gauge: any full-rank block
         Up, Vp = rng.standard_normal((m, r)), rng.standard_normal((n, r))
     else:
-        Up = conditioned_block(X.U, X.EU, met.fact_E, cond, drift, rng)
-        Vp = conditioned_block(X.V, X.DV, met.fact_D, cond, drift, rng)
+        apply_E, apply_D = met.products()
+        Up = conditioned_block(X.U, X.EU, apply_E, cond, drift, rng)
+        Vp = conditioned_block(X.V, X.DV, apply_D, cond, drift, rng)
     fallback = True if short or cond > 1e9 else (False if 4 * cond < 1e7 else None)
     return X, geo.TangentVector(rng.standard_normal((r, r)), Up, Vp, X), E, D, fallback
 
@@ -692,11 +724,11 @@ def test_retraction_qr_of_full_rank_tangent(case):
 
 
 def test_retraction_at_full_rank_takes_no_square_root(rng):
-    """At a weighted full-rank point with m, n >= 2r the retraction's QRs
-    multiply by E and D only: no product or solve with their square roots.
-    With n < 2r the V side falls back and does use them."""
+    """At a weighted full-rank point the retraction's QRs multiply by E and
+    D only: no product or solve with their square roots, neither with
+    m, n >= 2r nor with n < 2r, where the V side falls back."""
     m, r = 40, 4
-    for n, expected in ((30, 0), (7, 1)):
+    for n in (30, 7):
         met = geo.KroneckerMetric(rand_band_spd(m, 3, rng, permute=True), rand_band_spd(n, 2, rng))
         X = geo.random_point(m, n, r, met, rng)
         xi = geo.project(X, rng.standard_normal((m, n)))
@@ -704,4 +736,4 @@ def test_retraction_at_full_rank_takes_no_square_root(rng):
         with mock.patch.object(fact, "c_mul", autospec=True, side_effect=fact.c_mul) as c_mul, \
                 mock.patch.object(fact, "c_solve", autospec=True, side_effect=fact.c_solve) as c_solve:
             geo.LineSearchRetraction(X, xi)
-        assert c_mul.call_count == c_solve.call_count == expected
+        assert c_mul.call_count == c_solve.call_count == 0

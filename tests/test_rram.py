@@ -3,12 +3,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from lrmeq import cli
 from lrmeq import equations as eqs
 from lrmeq import geometry as geo
 from lrmeq import numkit
 from lrmeq import problems as pb
 from lrmeq import solver_rram as rr
-from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState
+from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState, rnlcg_solve
 
 from oracles import (
     assert_valid_point, dense, dense_metric, point_dense, rand_band_spd, rand_spd,
@@ -266,6 +267,39 @@ def test_rank_increase_takes_no_square_root(rng):
             mock.patch.object(geo, "weighted_svd", refuse):
         X2, _ = rr.rank_increase(X, inst.op, R, 2)
     assert X2.r == 4
+
+
+def test_no_solve_takes_a_square_root(rng):
+    """No solve multiplies or solves by a square root of E or D: RRAM in the
+    Kronecker metric of a stochastic-Galerkin instance up to a rank past
+    n / 2, where the V side of the retraction falls back to the Householder
+    ``weighted_qr``; tangADI's set-up at n = 300, whose spectral intervals
+    take the Lanczos branch, and R-NLCG steps with it; and a random point in
+    a band-SPD metric."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("square root of E or D")
+
+    with mock.patch.multiple(numkit.SpdFactorization, c_mul=refuse, ct_mul=refuse,
+                             c_solve=refuse, ct_solve=refuse):
+        inst = pb.gen_stoch_galerkin(6, 2, 2)
+        cfg = dict(cli._CONFIG_DEFAULTS, solver="rram", precond="P2")
+        metric, prec = cli._build_tangent_setup(inst, cfg)
+        assert metric.E is not None and metric.D is not None
+        X, _, status = rr.rram_solve(inst.op, inst.F, rr.RramOptions(tol=1e-6),
+                                     metric=metric, precond=prec)
+        assert status == "converged" and 2 * X.r > X.shape[1]
+
+        inst = pb.gen_fd_diffusion_paper(300)
+        cfg = dict(cli._CONFIG_DEFAULTS, precond="tangadi")
+        metric, prec = cli._build_tangent_setup(inst, cfg)
+        assert inst.p2["A"].shape[0] == 300
+        _, trace, _ = rnlcg_solve(inst.op, inst.F, RnlcgOptions(rank=4, max_iters=3),
+                                  metric=metric, precond=prec)
+        assert trace.last()["iter"] == 3
+
+        met = geo.KroneckerMetric(rand_band_spd(40, 3, rng, permute=True), rand_band_spd(30, 2, rng))
+        assert_valid_point(geo.random_point(40, 30, 5, met, rng))
 
 
 def test_rank_increase_solves_at_most_min_dimension_columns(rng):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from lrmeq import geometry as geo
 from lrmeq import numkit
 from lrmeq import precond as pc
 
-from oracles import adi_error_bound, rand_spd
+from oracles import adi_error_bound, rand_band_spd, rand_spd
 
 
 def symmetric_bound_1d(ps, grid):
@@ -98,22 +100,29 @@ def test_invalid_intervals_rejected():
 # ---------------------------------------------------------------------------
 
 
+def pencil_ops(E=None):
+    """Products with and solves by E (None: the identity) as a
+    ``KroneckerMetric`` gives them to ``spectral_interval``."""
+    met = geo.KroneckerMetric(E)
+    return met.apply_E, met.solve_E
+
+
 def test_interval_diagonal():
-    a, b = pc.spectral_interval(np.diag(np.arange(1.0, 11.0)), None)
+    a, b = pc.spectral_interval(np.diag(np.arange(1.0, 11.0)), *pencil_ops())
     assert a <= 1.0 and b >= 10.0
     assert a >= 0.5 and b <= 20.0
 
 
 def test_interval_equal_pencil(rng):
     A = rand_spd(12, rng)
-    a, b = pc.spectral_interval(A, numkit.SpdFactorization(A))
+    a, b = pc.spectral_interval(A, *pencil_ops(A))
     assert 0.5 <= a <= 1.0 and 1.0 <= b <= 2.0
 
 
 def test_interval_contains_generalized_spectrum(rng):
     A = rand_spd(50, rng, cond=200.0)
     E = rand_spd(50, rng, cond=5.0)
-    a, b = pc.spectral_interval(A, numkit.SpdFactorization(E))
+    a, b = pc.spectral_interval(A, *pencil_ops(E))
     lam = np.linalg.eigvals(np.linalg.solve(E, A)).real
     assert a <= lam.min() + 1e-12
     assert b >= lam.max() - 1e-12
@@ -125,28 +134,43 @@ def test_interval_lanczos_path(rng):
     main = 2.0 + rng.uniform(size=n)
     off = -np.ones(n - 1)
     A = sp.diags([off, main + 2.0, off], [-1, 0, 1]).tocsr()
-    a, b = pc.spectral_interval(A, None)
+    a, b = pc.spectral_interval(A, *pencil_ops())
     lam = np.linalg.eigvalsh(A.toarray())
     assert a <= lam[0] and b >= lam[-1]
     assert a >= lam[0] / 2 and b <= 2 * lam[-1]
 
 
+def test_interval_lanczos_with_banded_metric(rng):
+    """Above the dense cutoff, with a banded E that is not the identity, the
+    Lanczos run in the E-inner product brackets the spectrum of the dense
+    ``eigh(A, E)`` by its safety margins: ``a / 0.9`` and ``b / 1.1`` lie
+    in the spectrum (to rounding), and ``b / 1.1`` is the largest
+    eigenvalue to 1e-8."""
+    m = 300
+    A, E = rand_band_spd(m, 2, rng), rand_band_spd(m, 1, rng)
+    a, b = pc.spectral_interval(A, *pencil_ops(E))
+    lam = sla.eigh(A.toarray(), E.toarray(), eigvals_only=True)
+    lo, hi = lam[0] * (1.0 - 1e-12), lam[-1] * (1.0 + 1e-12)
+    assert lo <= a / 0.9 <= b / 1.1 <= hi
+    assert b / 1.1 == pytest.approx(lam[-1], rel=1e-8)
+
+
 def test_interval_lanczos_breakdown(rng, monkeypatch):
     """For ``A = 2 E`` above the dense cutoff the pencil operator is ``2 I``:
-    the first Lanczos step leaves no residual, the run stops there, and the
-    bracket is the safety margin around 2."""
+    the first Lanczos step leaves no residual, the run stops there after
+    one solve with E, and the bracket is the safety margin around 2."""
     n = 300
     off = -rng.uniform(0.2, 1.0, size=n - 1)
     E = sp.diags([off, 3.0 + rng.uniform(size=n), off], [-1, 0, 1]).tocsr()
-    fact = numkit.SpdFactorization(E)
+    apply_E, solve_E = pencil_ops(E)
     applies = []
-    c_solve = numkit.SpdFactorization.c_solve
+    solve = numkit.SpdFactorization.solve
 
     def counted(self, b):
         applies.append(b.shape)
-        return c_solve(self, b)
+        return solve(self, b)
 
-    monkeypatch.setattr(numkit.SpdFactorization, "c_solve", counted)
-    a, b = pc.spectral_interval((2.0 * E).tocsr(), fact)
+    monkeypatch.setattr(numkit.SpdFactorization, "solve", counted)
+    a, b = pc.spectral_interval((2.0 * E).tocsr(), apply_E, solve_E)
     assert applies == [(n,)]
     assert a == pytest.approx(1.8, rel=1e-12) and b == pytest.approx(2.2, rel=1e-12)
