@@ -3,8 +3,11 @@
 Alternates fixed-rank optimization phases with rank updates, and makes
 every decision on the exact relative residual, which each step's trace
 row records.  A phase ends once its last step gains too little (a
-plateau); the rank then grows by at most ``r_up`` along an exact line
-search in the truncated normal component of the negative gradient.  A
+plateau), or, when a rank increase opened it, after a first step that
+gains less than ``FLOOR_SHARE`` of that increase: the rank has then
+reached its floor, and the next increase pays more than another step.
+The rank then grows by at most ``r_up`` along an exact line search in
+the truncated normal component of the negative gradient.  A
 rank cut, proposed where the iterate loses numerical rank, is taken only
 when it costs the residual a small share of the tolerance, so a cut
 cannot undo the directions a rank increase has just paid for.
@@ -28,8 +31,9 @@ from .trace import SolveTrace
 EPS_SIGMA = 1e-8          # numerical-rank threshold of the proposed rank cuts
 CUT_TOL_SHARE = 0.1       # a cut may raise the residual by this share of tol
 CUT_BOUND_SLACK = 1e-12   # rounding of the relative residuals in a cut's bound
-MIN_PHASE_STEPS = 3       # R-NLCG steps in one fixed-rank phase at least
+MIN_PHASE_STEPS = 3       # a phase ends on a slow step only after this many steps
 PLATEAU_DECADES = 0.05    # a phase ends once a step gains fewer decades than this
+FLOOR_SHARE = 0.1         # ... or a first step gains less than this share of the rank increase
 MAX_PHASE_ITERS = 200     # R-NLCG steps in one fixed-rank phase at most
 
 
@@ -165,16 +169,34 @@ def _taken_cut(op, F, state, X_cut, res, tol):
     return ev if ev.norm / state.norm_F <= res + CUT_TOL_SHARE * tol else None
 
 
-def plateau_detect(log_res_history):
+def plateau_detect(log_res_history, log_res_start=None, gain_up=None):
     """Halt the fixed-rank phase once its steps stop paying.
 
     ``log_res_history`` holds the log10 exact relative residuals after
     each step of the phase (since its last accepted rank cut).  The phase
     halts once it holds at least ``MIN_PHASE_STEPS`` of them and the last
     step gained fewer than ``PLATEAU_DECADES`` decades.
+
+    ``gain_up`` is the gain in decades of the rank increase that opened
+    the phase, which starts at the log10 residual ``log_res_start``; it is
+    None for a phase that no rank increase opened (the first one, one
+    after an accepted cut, one after an increase that could not grow).
+    A phase that a rank increase opened also halts after its first step
+    if that step gained g decades with ``0 <= g < FLOOR_SHARE * gain_up``:
+    the increase already reached the new rank's floor, and the next one,
+    if it gains as much, pays ten times more than another step.  A first
+    step that raised the residual does not halt it.
     """
+    if gain_up is not None and len(log_res_history) == 1:
+        g = log_res_start - log_res_history[0]
+        if 0.0 <= g < FLOOR_SHARE * gain_up:
+            return True
     return (len(log_res_history) >= MIN_PHASE_STEPS
             and log_res_history[-2] - log_res_history[-1] < PLATEAU_DECADES)
+
+
+def _log_res(res):
+    return np.log10(max(res, 1e-300))
 
 
 def hutchpp_residual_norm(R: geo.FactoredMatrix, budget, rng):
@@ -235,12 +257,13 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     k = 0
     res = state.res_rel()
     state.record(trace, 0, res_rel=res, res_kind="exact")
+    gain_up = None      # decades gained by the rank increase that opened the phase
     while res > opts.tol:
         if k >= opts.max_total_iters:
             return trace.finish(state.X, "max_iter")
 
         # ---- fixed-rank phase -------------------------------------------
-        log_hist = []
+        log_start, log_hist = _log_res(res), []
         phase_iters = 0
         while not state.stagnated():
             try:
@@ -253,7 +276,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             k += 1
             phase_iters += 1
             res = state.res_rel()
-            log_hist.append(np.log10(max(res, 1e-300)))
+            log_hist.append(_log_res(res))
             event = ""
             X_cut = rank_decrease(state.X, EPS_SIGMA)
             if X_cut.r < state.X.r:
@@ -266,6 +289,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
                         state.record(trace, k, res_rel=res, res_kind="exact")
                         return trace.finish(state.X, "spd_loss")
                     res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
+                    gain_up = None
                 else:
                     event = f"cut_refused:{cut}"
             state.record(trace, k, res_rel=res, res_kind="exact", event=event)
@@ -274,7 +298,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             if phase_iters >= MAX_PHASE_ITERS:
                 trace.tag_last("phase_cap")
                 break
-            if plateau_detect(log_hist):
+            if plateau_detect(log_hist, log_start, gain_up):
                 trace.tag_last("plateau")
                 break
 
@@ -282,6 +306,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
         if res <= opts.tol or k >= opts.max_total_iters:
             continue
         r_old = state.X.r
+        gain_up = None      # unless the rank grows
         try:
             X_up, alpha_star = rank_increase(state.X, op, state.R, opts.r_up)
             if X_up.r > r_old:
@@ -294,7 +319,8 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
                 return trace.finish(state.X, "stagnated")
             continue
         k += 1
-        res = state.res_rel()
+        res_before, res = res, state.res_rel()
+        gain_up = _log_res(res_before) - _log_res(res)
         state.record(
             trace, k, res_rel=res, res_kind="exact", alpha=alpha_star,
             event=f"rank_up:{r_old}->{X_up.r}",

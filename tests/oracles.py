@@ -247,3 +247,36 @@ def objective_diff_exact(op, F, X, Y, dps=60):
 
     with mp.workdps(dps):
         return float(f(dense(Y)) - f(dense(X)))
+
+
+RRAM_PHASE_ENDS = ("plateau", "line_search", "phase_cap")
+
+
+def rram_phase_decisions(rows):
+    """The arguments of each step row's phase-end decision in an RRAM trace,
+    read from the rows alone: ``(row index, log_res_history, log_res_start,
+    gain_up)``, with the decades as log10 of the rows' ``res_rel``.
+
+    A ``rank_up`` row opens a phase at its residual with ``gain_up`` the
+    decades it gained over the row before.  A row after a phase end that is
+    not a ``rank_up`` (an increase that could not grow) opens a phase at the
+    previous row's residual, with no ``gain_up``.  A ``rank_down`` row
+    empties the history and drops ``gain_up``; any other step row appends
+    its residual to the history.
+    """
+    lg = [np.log10(max(float(r["res_rel"]), 1e-300)) for r in rows]
+    tags = [set(r["event"].split("+")) for r in rows]
+    start, hist, gain_up = lg[0], [], None
+    out = []
+    for i in range(1, len(rows)):
+        if any(t.startswith("rank_up:") for t in tags[i]):
+            start, hist, gain_up = lg[i], [], lg[i - 1] - lg[i]
+            continue
+        if tags[i - 1].intersection(RRAM_PHASE_ENDS):
+            start, hist, gain_up = lg[i - 1], [], None
+        if any(t.startswith("rank_down:") for t in tags[i]):
+            hist, gain_up = [], None
+        else:
+            hist.append(lg[i])
+        out.append((i, list(hist), start, gain_up))
+    return out

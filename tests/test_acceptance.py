@@ -26,6 +26,7 @@ from oracles import (
     proj_dense,
     projected_operator_matrix,
     rand_spd,
+    rram_phase_decisions,
     solve_projected_dense,
     spectral_radius,
     tangent_basis_dense,
@@ -393,6 +394,12 @@ def test_criterion_9_rram_mechanics():
             ok_f &= cur["f"] <= prev["f"] + 1e-10 * max(1.0, abs(prev["f"]))
 
     # (b) plateau rule vs direct evaluation on 50 synthetic sequences
+    def direct_plateau(hist, start=None, gain_up=None):
+        if gain_up is not None and len(hist) == 1:
+            if 0.0 <= start - hist[0] < rr.FLOOR_SHARE * gain_up:
+                return True
+        return len(hist) >= rr.MIN_PHASE_STEPS and hist[-2] - hist[-1] < rr.PLATEAU_DECADES
+
     ok_plateau = True
     gen = np.random.default_rng(5)
     for _ in range(50):
@@ -406,9 +413,27 @@ def test_criterion_9_rram_mechanics():
                 vals.append(level)
         for k in range(1, len(vals) + 1):
             hist = vals[:k]
-            expected = (len(hist) >= rr.MIN_PHASE_STEPS
-                        and hist[-2] - hist[-1] < rr.PLATEAU_DECADES)
-            ok_plateau &= rr.plateau_detect(hist) == expected
+            ok_plateau &= rr.plateau_detect(hist) == direct_plateau(hist)
+    # ... on 50 phases opened by a rank increase, whose first steps fall on
+    # both sides of the floor share; the same histories with no increase
+    gen = np.random.default_rng(6)
+    floor_exits = 0
+    for _ in range(50):
+        start, gain_up = gen.uniform(-8.0, 0.0), gen.uniform(0.05, 0.5)
+        hist = [start - gen.uniform(-0.1, 0.3) * gain_up]
+        for _ in range(int(gen.integers(2, 7))):
+            hist.append(hist[-1] - gen.uniform(0.0, 2 * rr.PLATEAU_DECADES))
+        for k in range(1, len(hist) + 1):
+            for g in (gain_up, None):
+                ok_plateau &= (rr.plateau_detect(hist[:k], start, g)
+                               == direct_plateau(hist[:k], start, g))
+        floor_exits += direct_plateau(hist[:1], start, gain_up)
+    ok_plateau &= 0 < floor_exits < 50
+    # ... and on every phase decision of the run in (a), as its rows give it
+    for i, hist, start, gain_up in rram_phase_decisions(rows):
+        if i < len(rows) - 1 and "phase_cap" not in rows[i]["event"]:
+            tagged = "plateau" in rows[i]["event"].split("+")
+            ok_plateau &= tagged == direct_plateau(hist, start, gain_up)
 
     # (c) Hutch++ calibration on rank-20 residuals
     RL = np.random.default_rng(123).standard_normal((60, 20))
@@ -422,7 +447,7 @@ def test_criterion_9_rram_mechanics():
     med = float(np.median(errs))
     ok = status == "converged" and ok_events and ok_f and ok_plateau and med <= 0.35
     report(9, "RRAM mechanics (events, monotone f, plateau oracle, Hutch++)",
-           ok, f"status {status}, hutch median err {med:.3f}")
+           ok, f"status {status}, {floor_exits} of 50 floor exits, hutch median err {med:.3f}")
 
 
 def test_criterion_9_rram_cut_keeps_the_rank_increase():

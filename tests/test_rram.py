@@ -13,6 +13,7 @@ from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState, rnlcg_
 
 from oracles import (
     assert_valid_point, dense, dense_metric, point_dense, rand_band_spd, rand_spd,
+    RRAM_PHASE_ENDS, rram_phase_decisions,
 )
 
 
@@ -326,9 +327,16 @@ def test_rank_increase_solves_at_most_min_dimension_columns(rng):
 # ---------------------------------------------------------------------------
 
 
-def direct_plateau(history):
+def direct_plateau(history, log_res_start=None, gain_up=None):
     """Direct evaluation of the phase-end rule: at least MIN_PHASE_STEPS
-    steps, and the last one gained fewer than PLATEAU_DECADES decades."""
+    steps, and the last one gained fewer than PLATEAU_DECADES decades; or,
+    in a phase opened by a rank increase that gained ``gain_up`` decades,
+    a first step that gained no less than 0 and less than FLOOR_SHARE of
+    that."""
+    if gain_up is not None and len(history) == 1:
+        g = log_res_start - history[0]
+        if 0.0 <= g < rr.FLOOR_SHARE * gain_up:
+            return True
     if len(history) < rr.MIN_PHASE_STEPS:
         return False
     return history[-2] - history[-1] < rr.PLATEAU_DECADES
@@ -375,6 +383,61 @@ def test_plateau_matches_direct_simulation():
     halts_direct = [k for k in range(1, 31) if direct_plateau(vals[:k])]
     assert halts == halts_direct
     assert halts  # the slowing sequence does eventually halt
+
+
+@pytest.mark.parametrize("gain_up", [0.15, 0.38, 1.0, 3.0])
+def test_plateau_floor_ends_a_weak_first_step_after_a_rank_increase(gain_up):
+    """A first step after a rank increase that gains g decades with ``0 <=
+    g < FLOOR_SHARE * gain_up`` ends the phase."""
+    for share in (0.0, 0.001, 0.05, 0.099):
+        for start in (0.0, -2.0, -6.5):
+            hist = [start - share * gain_up]
+            assert rr.plateau_detect(hist, start, gain_up)
+            assert direct_plateau(hist, start, gain_up)
+
+
+def test_plateau_floor_keeps_every_other_phase():
+    """The floor exit reads only a first step after a rank increase, and
+    only one that gained less than ``FLOOR_SHARE`` of it without raising
+    the residual."""
+    gain_up = 1.0
+    # the gain at and above the floor share: 0 - (-0.1) is exactly 0.1
+    assert not rr.plateau_detect([-rr.FLOOR_SHARE * gain_up], 0.0, gain_up)
+    assert not rr.plateau_detect([-0.5 * gain_up], 0.0, gain_up)
+    # a first step that raised the residual
+    assert not rr.plateau_detect([1e-4], 0.0, gain_up)
+    assert not rr.plateau_detect([-1.9], -2.0, gain_up)
+    # a weak second step, after a first one above the floor
+    assert not rr.plateau_detect([-0.5, -0.5001], 0.0, gain_up)
+    # the first phase's first step, and a first step after an accepted cut
+    # or after an increase that could not grow: no rank increase opened them
+    assert not rr.plateau_detect([0.0], 0.0, None)
+    assert not rr.plateau_detect([-1e-4])
+    # a rank increase that gained nothing sets no floor
+    assert not rr.plateau_detect([0.0], 0.0, 0.0)
+    # the three-step rule still holds in a phase opened by a rank increase
+    assert rr.plateau_detect([-0.5, -1.0, -1.01], 0.0, gain_up)
+    assert not rr.plateau_detect([-0.5, -1.0, -1.5], 0.0, gain_up)
+
+
+def test_plateau_floor_matches_direct_simulation():
+    """Random phases opened by rank increases, with first steps around the
+    floor share and later steps around PLATEAU_DECADES: every decision
+    agrees with a direct evaluation of the rule, and both exits occur."""
+    gen = np.random.default_rng(7)
+    floor_exits = slow_exits = 0
+    for _ in range(200):
+        start = gen.uniform(-8.0, 0.0)
+        gain_up = gen.choice([None, gen.uniform(0.0, 0.5)])
+        hist = [start - gen.uniform(-0.02, 0.1)]
+        for _ in range(6):
+            hist.append(hist[-1] - gen.uniform(-0.01, 2 * rr.PLATEAU_DECADES))
+        for k in range(1, len(hist) + 1):
+            got = rr.plateau_detect(hist[:k], start, gain_up)
+            assert got == direct_plateau(hist[:k], start, gain_up)
+            floor_exits += got and k == 1
+            slow_exits += got and k > 1
+    assert floor_exits and slow_exits
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +558,7 @@ def test_rram_objective_nonincreasing_across_rank_up(rng):
             assert cur["f"] <= prev["f"] + 1e-10 * max(1.0, abs(prev["f"]))
 
 
-PHASE_ENDS = ("plateau", "line_search", "phase_cap")
-
-
-@pytest.mark.parametrize("reason", PHASE_ENDS)
+@pytest.mark.parametrize("reason", RRAM_PHASE_ENDS)
 def test_rram_phase_end_rows_carry_their_reason(reason, rng, monkeypatch):
     """The row that ends a phase names why: a plateau, a failed line
     search (here every third step fails) or the phase cap (here 2 steps).
@@ -524,7 +584,7 @@ def test_rram_phase_end_rows_carry_their_reason(reason, rng, monkeypatch):
     assert any(reason in t for t in tags)
     for prev, cur in zip(tags, tags[1:]):
         if any(p.startswith("rank_up:") for p in cur):
-            assert prev & set(PHASE_ENDS)
+            assert prev & set(RRAM_PHASE_ENDS)
 
 
 def lower_rank_solution_problem(seed):
@@ -639,6 +699,145 @@ def test_rram_evaluates_each_point_once(monkeypatch):
     assert status == "converged"
     assert any("rank_down" in r["event"] for r in trace.rows)
     assert len({id(X) for X in seen}) == len(seen)
+
+
+# ---------------------------------------------------------------------------
+# phase ends at a rank's floor
+# ---------------------------------------------------------------------------
+
+
+def recording_plateau_detect(monkeypatch):
+    """Wrap ``rr.plateau_detect``; returns the list of its calls as
+    ``(log_res_history, log_res_start, gain_up, result)``."""
+    calls = []
+    detect = rr.plateau_detect
+
+    def recording(log_res_history, log_res_start=None, gain_up=None):
+        out = detect(log_res_history, log_res_start, gain_up)
+        calls.append((list(log_res_history), log_res_start, gain_up, out))
+        return out
+
+    monkeypatch.setattr(rr, "plateau_detect", recording)
+    return calls
+
+
+def sg_small():
+    """Stochastic Galerkin ns=10, q=6, p=3 and its P2 Kronecker metric."""
+    inst = pb.gen_stoch_galerkin(10, 6, 3)
+    return inst.op, inst.F, geo.KroneckerMetric(inst.p2["E"], inst.p2["D"])
+
+
+def growth_problem():
+    op, F = make_spd_problem(18, 16, np.random.default_rng(1234), sol_rank=6)
+    return op, F, geo.KroneckerMetric(op.A[0], op.B[1])
+
+
+@pytest.mark.parametrize("case, r0, tol", [
+    ("growth", 2, 1e-7), ("cuts", 4, 1e-9), ("sg", 3, 1e-6),
+])
+def test_rram_every_phase_decision_goes_through_plateau_detect(case, r0, tol, monkeypatch):
+    """Every step row that does not end the solve is decided by exactly one
+    call of ``plateau_detect``, with the history, start and rank-increase
+    gain that the rows give (``oracles.rram_phase_decisions``); the call
+    agrees with a direct evaluation of the rule, and the row is tagged
+    ``plateau`` exactly when it returned True.  The benchmark's tracer,
+    which wraps ``plateau_detect`` by name and counts ``plateau`` tags,
+    therefore counts every phase decision and every phase end."""
+    calls = recording_plateau_detect(monkeypatch)
+    op, F, met = {"growth": growth_problem, "sg": sg_small,
+                  "cuts": lambda: lower_rank_solution_problem(0)}[case]()
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=r0, r_up=2 if case != "sg" else 3, tol=tol, seed=0),
+        metric=met)
+    assert status == "converged"
+    rows = trace.rows
+    decided = [d for d in rram_phase_decisions(rows) if d[0] < len(rows) - 1]
+    assert len(calls) == len(decided) > 0
+    for (i, hist, start, gain_up), (c_hist, c_start, c_gain, out) in zip(decided, calls):
+        assert c_hist == hist and c_start == start
+        assert (c_gain is None) == (gain_up is None)
+        assert c_gain is None or c_gain == gain_up
+        assert out == direct_plateau(hist, start, gain_up)
+        assert out == ("plateau" in rows[i]["event"].split("+"))
+    floor_exits = sum(out and len(h) == 1 for h, _, _, out in calls)
+    if case == "sg":
+        assert floor_exits > 0
+    if case == "cuts":
+        assert any("rank_down" in r["event"] for r in rows)
+
+
+def test_rram_increase_that_cannot_grow_leaves_no_gain_up(monkeypatch):
+    """The second rank increase is stubbed to return the point unchanged.
+    The phase after it was not opened by an increase: none of its
+    decisions reads a rank-increase gain, while the first decision after
+    each real increase does."""
+    calls = recording_plateau_detect(monkeypatch)
+    increase, at_call = rr.rank_increase, []
+
+    def second_cannot_grow(X, op, R, r_up):
+        at_call.append(len(calls))
+        return (X, 0.0) if len(at_call) == 2 else increase(X, op, R, r_up)
+
+    monkeypatch.setattr(rr, "rank_increase", second_cannot_grow)
+    op, F, met = growth_problem()
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=0), metric=met)
+    assert status == "converged" and len(at_call) >= 3
+    first, second, third = at_call[:3]
+    assert calls[first][2] is not None and calls[third][2] is not None
+    assert third > second and all(c[2] is None for c in calls[second:third])
+    ups = [r["event"] for r in trace.rows if "rank_up" in r["event"]]
+    assert len(ups) == len(at_call) - 1
+
+
+def test_rram_first_step_after_an_accepted_cut_reads_no_gain_up(monkeypatch):
+    """On the first step after the first rank increase a stub proposes to
+    drop the last column, and the cut is taken whatever it costs.  The
+    decision on that step (with an empty history) and every later one of
+    the phase read no rank-increase gain, so the first step after the cut
+    cannot end the phase at a floor."""
+    calls = recording_plateau_detect(monkeypatch)
+    increase, at_call, cut_at = rr.rank_increase, [], []
+
+    def counting_increase(X, op, R, r_up):
+        at_call.append(len(calls))
+        return increase(X, op, R, r_up)
+
+    def cut_once(X, eps_sigma):
+        if len(at_call) == 1 and not cut_at:
+            cut_at.append(len(calls))
+            return geo.FixedRankPoint(X.U[:, :-1], X.sigma[:-1].copy(), X.V[:, :-1], X.metric)
+        return X
+
+    monkeypatch.setattr(rr, "rank_increase", counting_increase)
+    monkeypatch.setattr(rr, "rank_decrease", cut_once)
+    monkeypatch.setattr(rr, "_taken_cut",
+                        lambda op, F, state, X_cut, res, tol: eqs.evaluate(op, X_cut, F))
+    op, F, met = growth_problem()
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=0), metric=met)
+    assert status == "converged" and len(at_call) >= 2
+    (cut,), end = cut_at, at_call[1]
+    assert cut == at_call[0] and end > cut + 1
+    assert calls[cut][0] == [] and len(calls[cut + 1][0]) == 1
+    assert all(c[2] is None for c in calls[cut:end])
+    assert any("rank_down" in r["event"] for r in trace.rows)
+
+
+def test_rram_sg_phases_end_at_the_rank_floor():
+    """Stochastic Galerkin ns=10, q=6, p=3 in the P2 Kronecker metric at tol
+    1e-6 converges at rank 30, and some rank increase is followed by a
+    single step tagged ``plateau``.  Before the floor exit every phase
+    took at least 3 steps, and the solve 43 iterations."""
+    op, F, met = sg_small()
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=3, r_up=3, tol=1e-6, seed=0),
+                                     metric=met)
+    assert status == "converged" and X.r == 30
+    ups = [any(p.startswith("rank_up:") for p in r["event"].split("+")) for r in trace.rows]
+    one_step = [i for i in range(len(ups) - 2)
+                if ups[i] and ups[i + 2] and "plateau" in trace.rows[i + 1]["event"].split("+")]
+    assert one_step
+    assert trace.last()["iter"] < 43
 
 
 def test_rram_first_increase_adds_the_normal_rank():
