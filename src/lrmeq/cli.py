@@ -35,7 +35,7 @@ from . import numkit
 from . import precond as pc
 from . import problems as pb
 from .solver_rnlcg import RnlcgOptions, check_int, check_positive, rnlcg_solve
-from .solver_rram import RramOptions, rram_solve
+from .solver_rram import UP_SHARE, RramOptions, rram_solve
 from .trunc_cg import TruncationPolicy, truncated_cg_solve
 
 _ENV_OUT = "LRMEQ_OUT"
@@ -245,6 +245,7 @@ def run_solve(cfg):
         "iters": trace.last()["iter"],
         "final_res": final_res,
         "final_rank": final_rank,
+        "peak_rank": max(trace.column("rank")),
         "wall_s": wall,
         "config": {k: v for k, v in cfg.items() if k != "out"},
         "seed": cfg["seed"],
@@ -295,12 +296,12 @@ def cmd_compare(args):
             cfg = s.get("config", {})
             rows.append(
                 [cfg.get("solver", ""), cfg.get("precond", ""), s["iters"],
-                 s["wall_s"], s["final_rank"], s["final_res"]]
+                 s["wall_s"], s["final_rank"], s.get("peak_rank", ""), s["final_res"]]
             )
         except (AttributeError, KeyError) as exc:
             # exit code 4, as for an unreadable instance
             raise OSError(f"{path}: not a run summary ({type(exc).__name__}: {exc})") from None
-    header = ["solver", "precond", "iters", "time_s", "final_rank", "final_res"]
+    header = ["solver", "precond", "iters", "time_s", "final_rank", "peak_rank", "final_res"]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -433,7 +434,10 @@ def main(argv=None):
     s.add_argument("--precond", choices=["identity", "P1", "P2", "tangadi"])
     s.add_argument("--rank", type=int)
     s.add_argument("--r0", type=int)
-    s.add_argument("--r-up", dest="r_up", type=int)
+    s.add_argument("--r-up", dest="r_up", type=int,
+                   help="RRAM: the smallest rank increase; an increase also keeps every "
+                        "normal direction whose weighted singular value is at least "
+                        f"{UP_SHARE:g} times the largest")
     s.add_argument("--tol", type=float)
     s.add_argument("--seed", type=int)
     s.add_argument("--max-iters", dest="max_iters", type=int)

@@ -6,11 +6,14 @@ row records.  A phase ends once its last step gains too little (a
 plateau), or, when a rank increase opened it, after a first step that
 gains less than ``FLOOR_SHARE`` of that increase: the rank has then
 reached its floor, and the next increase pays more than another step.
-The rank then grows by at most ``r_up`` along an exact line search in
-the truncated normal component of the negative gradient.  A
-rank cut, proposed where the iterate loses numerical rank, is taken only
-when it costs the residual a small share of the tolerance, so a cut
-cannot undo the directions a rank increase has just paid for.
+The rank then grows along an exact line search in the truncated normal
+component of the negative gradient, by at least ``r_up`` directions (fewer
+only where the component's numerical rank or the room left to ``min(m,
+n)`` is smaller) and by every further direction whose weighted singular
+value is at least ``UP_SHARE`` times the largest.  A rank cut, proposed
+where the iterate loses numerical rank, is taken only when it costs the
+residual a small share of the tolerance, so a cut cannot undo the
+directions a rank increase has just paid for.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ CUT_BOUND_SLACK = 1e-12   # rounding of the relative residuals in a cut's bound
 MIN_PHASE_STEPS = 3       # a phase ends on a slow step only after this many steps
 PLATEAU_DECADES = 0.05    # a phase ends once a step gains fewer decades than this
 FLOOR_SHARE = 0.1         # ... or a first step gains less than this share of the rank increase
+UP_SHARE = 0.5            # ... and keeps every normal direction with sigma_i >= this * sigma_1
 MAX_PHASE_ITERS = 200     # R-NLCG steps in one fixed-rank phase at most
 
 
@@ -79,22 +83,21 @@ def rank_increase(X, op, R, r_up):
 
     Truncates the normal component of ``-B^{-1} R`` for the residual
     ``R = A X - F`` at X (``Evaluation.R``) to its best approximation of
-    rank ``min(r_up, room, k)``, where ``room`` is what is left to
-    ``min(m, n)`` and ``k`` is the component's numerical rank, takes the
-    exact line-search step along it, and returns the grown point together
-    with the step length.  The truncation (``_leading_normal_directions``)
-    solves with E and D, takes one weighted QR on the D side and no
-    weighted SVD.  With no room or no normal direction it returns ``(X,
-    0.0)``; a nonpositive curvature ``<A Y, Y>`` along the direction Y
-    raises ``NotSpdError``.
+    rank ``max(min(r_up, k), #{i : s_i >= UP_SHARE * s_1})``, where ``k``
+    is the component's numerical rank capped by the room left to ``min(m,
+    n)`` and ``s`` its weighted singular values, so ``r_up`` is the
+    smallest increase, not the largest.  It takes the exact line-search
+    step along it, and returns the grown point together with the step
+    length.  The truncation (``_leading_normal_directions``) solves with E
+    and D, takes one weighted QR on the D side and no weighted SVD.  With
+    no room or no normal direction it returns ``(X, 0.0)``; a nonpositive
+    curvature ``<A Y, Y>`` along the direction Y raises ``NotSpdError``.
     """
-    m, n = X.shape
-    room = min(m, n) - X.r
-    if room == 0:
-        return X, 0.0
-    NU, s_N, NV = _leading_normal_directions(X, R, min(r_up, room))
+    NU, s_N, NV = _leading_normal_directions(X, R)
     if s_N.size == 0:
         return X, 0.0
+    k = max(min(r_up, s_N.size), int(np.count_nonzero(s_N >= UP_SHARE * s_N[0])))
+    NU, s_N, NV = NU[:, :k], s_N[:k], NV[:, :k]
     Y = geo.FactoredMatrix(NU * s_N, NV)
     den = geo.factored_inner(op.apply(Y), Y)
     if den <= 0.0:
@@ -111,23 +114,27 @@ def rank_increase(X, op, R, r_up):
     return geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], X.metric), alpha
 
 
-def _leading_normal_directions(X, R, r):
-    """The ``r`` leading terms ``(NU, s, NV)`` of the weighted SVD of the
-    normal component of ``-B^{-1} R`` at X,
+def _leading_normal_directions(X, R):
+    """The terms ``(NU, s, NV)``, by decreasing ``s``, of the weighted SVD
+    of the normal component of ``-B^{-1} R`` at X,
 
         N = -(E^{-1} - U U.T) R_L [(D^{-1} - V V.T) R_R].T = NL NR.T,
 
-    with ``NU.T E NU = I`` and ``NV.T D NV = I``, fewer where N has lower
-    numerical rank.  The D side is folded first: the weighted QR ``NR = Qd
-    T`` (``geometry.weighted_qr``, products with D only) and the SVD ``T =
-    Y diag(sig) Z.T`` give ``N = K (Qd Y).T`` for ``K = NL Z diag(sig)``,
-    whose q columns (``sig`` past NR's rounding, ``q <= n - r``) are all
-    that E solves with.  The eigenvectors W of K's E-Gram then give ``NU =
-    K W s^-1`` and ``NV = Qd Y W``.  An eigenvalue at or below ``max(m, n)
-    * eps`` times the largest is the rounding of the Gram, so it sets the
-    numerical rank.
+    with ``NU.T E NU = I`` and ``NV.T D NV = I``: every term above N's
+    numerical rank, at most as many as the room ``min(m, n) - r`` left at
+    X (none where there is none).  The D side is folded first: the
+    weighted QR ``NR = Qd T`` (``geometry.weighted_qr``, products with D
+    only) and the SVD ``T = Y diag(sig) Z.T`` give ``N = K (Qd Y).T`` for
+    ``K = NL Z diag(sig)``, whose q columns (``sig`` past NR's rounding,
+    ``q <= n - r``) are all that E solves with.  The eigenvectors W of K's
+    E-Gram then give ``NU = K W s^-1`` and ``NV = Qd Y W``.  An eigenvalue
+    at or below ``max(m, n) * eps`` times the largest is the rounding of
+    the Gram, so it sets the numerical rank.
     """
     metric = X.metric
+    room = min(X.shape) - X.r
+    if room == 0:
+        return X.U[:, :0], X.sigma[:0], X.V[:, :0]
     eps_dim = max(X.shape) * np.finfo(float).eps
     NR = metric.solve_D(R.right) - X.V @ (X.V.T @ R.right)
     Qd, T = geo.weighted_qr(NR, metric.products()[1])
@@ -139,7 +146,7 @@ def _leading_normal_directions(X, R, r):
     K = -(metric.solve_E(RZ) - X.U @ (X.U.T @ RZ))
     mu, W = np.linalg.eigh(_sym(K.T @ metric.apply_E(K)))
     mu, W = mu[::-1], W[:, ::-1]
-    k = min(r, int(np.count_nonzero(mu > eps_dim * max(mu[0], 0.0))))
+    k = min(room, int(np.count_nonzero(mu > eps_dim * max(mu[0], 0.0))))
     s, W = np.sqrt(mu[:k]), W[:, :k]
     return K @ (W / s), s, Qd @ (Y[:, :q] @ W)
 
@@ -195,6 +202,10 @@ def plateau_detect(log_res_history, log_res_start=None, gain_up=None):
             and log_res_history[-2] - log_res_history[-1] < PLATEAU_DECADES)
 
 
+def _sig_ratio(X):
+    return float(X.sigma[-1] / X.sigma[0])
+
+
 def _log_res(res):
     return np.log10(max(res, 1e-300))
 
@@ -233,7 +244,8 @@ def hutchpp_residual_norm(R: geo.FactoredMatrix, budget, rng):
 def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     """Riemannian rank-adaptive solve; returns ``(X, trace, status)``.
 
-    Every row holds the exact relative residual at its point.  Trace
+    Every row holds the exact relative residual at its point, and in the
+    RRAM-only column ``sig_ratio`` the point's ``sigma_r / sigma_1``.  Trace
     events: ``rank_up:r->r'``, ``rank_down:r->r'``, ``cut_refused:r->r'``
     (a proposed cut that would raise the residual by more than
     ``CUT_TOL_SHARE * tol``), the reason a phase ended (``plateau``,
@@ -245,18 +257,22 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     cannot grow (at rank ``min(m, n)``, or with no normal direction), a
     phase that takes no step ends the solve with ``stagnated``.
     """
-    trace = SolveTrace()
+    trace = SolveTrace(extra_columns=("sig_ratio",))
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.r0, metric, np.random.default_rng(opts.seed))
     try:
         state = RnlcgState(op, F, opts.inner, X0, precond=precond)
     except NotSpdError:
-        trace.append(iter=0, rank=X0.r)
+        trace.append(iter=0, rank=X0.r, sig_ratio=_sig_ratio(X0))
         return trace.finish(X0, "spd_loss")
+
+    def record(k, res, **fields):
+        state.record(trace, k, res_rel=res, res_kind="exact",
+                     sig_ratio=_sig_ratio(state.X), **fields)
 
     k = 0
     res = state.res_rel()
-    state.record(trace, 0, res_rel=res, res_kind="exact")
+    record(0, res)
     gain_up = None      # decades gained by the rank increase that opened the phase
     while res > opts.tol:
         if k >= opts.max_total_iters:
@@ -286,13 +302,13 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
                     try:
                         state.restart(X_cut, ev)
                     except NotSpdError:
-                        state.record(trace, k, res_rel=res, res_kind="exact")
+                        record(k, res)
                         return trace.finish(state.X, "spd_loss")
                     res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
                     gain_up = None
                 else:
                     event = f"cut_refused:{cut}"
-            state.record(trace, k, res_rel=res, res_kind="exact", event=event)
+            record(k, res, event=event)
             if res <= opts.tol or k >= opts.max_total_iters:
                 break
             if phase_iters >= MAX_PHASE_ITERS:
@@ -321,8 +337,5 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
         k += 1
         res_before, res = res, state.res_rel()
         gain_up = _log_res(res_before) - _log_res(res)
-        state.record(
-            trace, k, res_rel=res, res_kind="exact", alpha=alpha_star,
-            event=f"rank_up:{r_old}->{X_up.r}",
-        )
+        record(k, res, alpha=alpha_star, event=f"rank_up:{r_old}->{X_up.r}")
     return trace.finish(state.X, "converged")

@@ -280,3 +280,17 @@ def rram_phase_decisions(rows):
             hist.append(lg[i])
         out.append((i, list(hist), start, gain_up))
     return out
+
+
+def rank_events(rows, kind):
+    """The rank changes of an RRAM trace's ``kind`` events (``rank_up`` or
+    ``rank_down``), read from the tags ``kind:r_old->r_new``: ``{row
+    index: (r_old, r_new)}`` in row order."""
+    out = {}
+    for i, row in enumerate(rows):
+        for part in row["event"].split("+"):
+            tag, _, ranks = part.partition(":")
+            if tag == kind:
+                old, new = ranks.split("->")
+                out[i] = (int(old), int(new))
+    return out

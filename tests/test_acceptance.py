@@ -26,6 +26,7 @@ from oracles import (
     proj_dense,
     projected_operator_matrix,
     rand_spd,
+    rank_events,
     rram_phase_decisions,
     solve_projected_dense,
     spectral_radius,
@@ -467,13 +468,10 @@ def test_criterion_9_rram_cut_keeps_the_rank_increase():
     )
     res = eqs.residual_norm_exact(inst.op, X, inst.F)
     ok_cuts = True
-    before_up = None
-    for part in (p for r in trace.rows for p in r["event"].split("+")):
-        kind, _, ranks = part.partition(":")
-        if kind == "rank_up":
-            before_up = int(ranks.split("->")[0])
-        elif kind == "rank_down" and before_up is not None:
-            ok_cuts &= int(ranks.split("->")[1]) > before_up
+    ups = rank_events(trace.rows, "rank_up")
+    for i, (_, after_cut) in rank_events(trace.rows, "rank_down").items():
+        before_up = [c for j, (c, _) in ups.items() if j < i]
+        ok_cuts &= not before_up or after_cut > before_up[-1]
     ok = status == "converged" and res <= 1e-8 and ok_cuts
     report(9, "RRAM rank cuts keep the rank increase (fd n=200, tol 1e-8)", ok,
            f"{status} in {trace.last()['iter']} iters at rank {X.r}, res {res:.2e}")

@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 from lrmeq import cli
+from lrmeq import equations as eqs
 from lrmeq import geometry as geo
 from lrmeq import io as inst_io
 from lrmeq import numkit
@@ -16,6 +17,8 @@ from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq.cli import main, run_solve, _CONFIG_DEFAULTS
 from lrmeq.trunc_cg import TruncationPolicy
+
+from oracles import rand_spd
 
 
 def read_trace_rows(path, drop_time=True):
@@ -176,9 +179,57 @@ def test_compare_table(tmp_path):
     table = tmp_path / "cmp.csv"
     assert main(["compare", *summaries, "--out", str(table)]) == 0
     rows = list(csv.reader(open(table)))
-    assert rows[0] == ["solver", "precond", "iters", "time_s", "final_rank", "final_res"]
+    assert rows[0] == ["solver", "precond", "iters", "time_s", "final_rank", "peak_rank",
+                       "final_res"]
     assert len(rows) == 3
     assert rows[1][1] == "identity" and rows[2][1] == "P1"
+    assert rows[1][5] == rows[2][5] == "6"
+
+
+def rank_two_solution_instance():
+    """An 18x16 instance whose solution has rank 2, with the Kronecker
+    metric of its two terms as P1."""
+    rng = np.random.default_rng(0)
+    A = [rand_spd(18, rng, 60.0), np.eye(18)]
+    B = [np.eye(16), rand_spd(16, rng, 60.0)]
+    op = eqs.MultitermOperator(A, B)
+    Ff = op.apply(geo.random_point(18, 16, 2, geo.KroneckerMetric(), rng))
+    return pb.ProblemInstance(op, eqs.LowRankRhs(Ff.left, Ff.right),
+                              p1={"kind": "kron", "E": A[0], "D": B[1]})
+
+
+@pytest.mark.parametrize("solver, flags", [
+    ("rnlcg", ["--rank", "4"]), ("rram", ["--r0", "4", "--r-up", "2"]), ("trunc_cg", []),
+])
+def test_summary_peak_rank_is_the_largest_trace_rank(tmp_path, solver, flags):
+    """``peak_rank`` in summary.json is the largest ``rank`` of the trace,
+    for each of the three solvers; RRAM, started at rank 4, cuts to the
+    solution's rank 2, so its peak is above its final rank."""
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(rank_two_solution_instance(), inst_dir)
+    out = tmp_path / "run"
+    assert main(["solve", "--instance", str(inst_dir), "--solver", solver, "--precond", "P1",
+                 "--tol", "1e-9", *flags, "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    with open(out / "trace.csv") as fh:
+        ranks = [int(r["rank"]) for r in csv.DictReader(fh)]
+    assert summary["peak_rank"] == max(ranks) >= summary["final_rank"]
+    if solver == "rram":
+        assert (summary["peak_rank"], summary["final_rank"]) == (4, 2)
+
+
+def test_compare_prints_an_empty_peak_rank_for_an_older_summary(tmp_path):
+    old = {"iters": 3, "wall_s": 0.5, "final_rank": 4, "final_res": 1e-7,
+           "config": {"solver": "rram", "precond": "P2"}}
+    paths = []
+    for name, s in (("old", old), ("new", dict(old, peak_rank=9))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(s))
+    table = tmp_path / "cmp.csv"
+    assert main(["compare", *map(str, paths), "--out", str(table)]) == 0
+    rows = list(csv.reader(open(table)))
+    assert [r[4:6] for r in rows[1:]] == [["4", ""], ["4", "9"]]
 
 
 def test_summary_records_the_environment(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState, rnlcg_
 
 from oracles import (
     assert_valid_point, dense, dense_metric, point_dense, rand_band_spd, rand_spd,
-    RRAM_PHASE_ENDS, rram_phase_decisions,
+    RRAM_PHASE_ENDS, rank_events, rram_phase_decisions,
 )
 
 
@@ -249,6 +249,65 @@ def test_rank_increase_of_a_rank_deficient_normal_component(m, n, rng):
     ref = dense_rank_increase_step(X, op, R.densify(force=True), 4)
     step = point_dense(X2) - point_dense(X)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def normal_component_with_spectrum(sigma, r, rng, m=14, n=12):
+    """A rank-r point X in a dense Kronecker metric and a residual R whose
+    normal component ``-(E^-1 - U U.T) R (D^-1 - V V.T)`` is ``N = P
+    diag(sigma) Q.T``, with ``P.T E P = I``, ``Q.T D Q = I``, ``P.T E U =
+    0`` and ``Q.T D V = 0``, so ``sigma`` is its weighted spectrum; returns
+    ``(X, R, N)``."""
+    E, D = rand_spd(m, rng, 4.0), rand_spd(n, rng, 4.0)
+    X = geo.random_point(m, n, r, geo.KroneckerMetric(E, D), rng)
+
+    def orthonormal_complement(B, W):
+        G = rng.standard_normal((W.shape[0], len(sigma)))
+        G -= B @ (B.T @ (W @ G))
+        return np.linalg.solve(np.linalg.cholesky(G.T @ W @ G), G.T).T
+
+    P, Q = orthonormal_complement(X.U, E), orthonormal_complement(X.V, D)
+    sigma = np.asarray(sigma, dtype=float)
+    return X, geo.FactoredMatrix(-E @ (P * sigma), D @ Q), (P * sigma) @ Q.T
+
+
+def direct_increase_rank(sigma, r_up, room):
+    """Direct evaluation of the selection rule: at least ``min(r_up, room,
+    k)`` directions for the numerical rank ``k``, and every one whose
+    weighted singular value is at least ``UP_SHARE`` times the largest,
+    at most ``room``."""
+    k = len(sigma)
+    return min(room, max(min(r_up, room, k), sum(s >= rr.UP_SHARE * sigma[0] for s in sigma)))
+
+
+@pytest.mark.parametrize("sigma, r, r_up, expected", [
+    (np.linspace(1.0, 0.6, 10), 2, 3, 10),                  # flat: everything up to room
+    (10.0 ** -np.arange(8), 2, 3, 3),                       # sharp decay: exactly r_up
+    ([1.0, 0.9, 0.7, 0.51, 0.49, 0.3, 0.1], 2, 2, 4),       # more than r_up above the share
+    ([1.0, 0.8, 0.3, 0.2, 0.1], 2, 4, 4),                   # fewer than r_up above it
+    ([1.0, 0.3], 2, 4, 2),                                  # numerical rank below r_up
+    ([1.0, 0.2], 10, 4, 2),                                 # room 2 < r_up
+    ([1.0, 0.9], 10, 1, 2),                                 # room reached by the share
+], ids=["flat", "sharp", "share", "r_up", "numerical_rank", "room", "room_by_share"])
+def test_rank_increase_selects_by_the_weighted_spectrum(sigma, r, r_up, expected, rng):
+    """The rank grows by ``max(min(r_up, room, k), #{s_i >= UP_SHARE *
+    s_1})``, capped by ``room``, for a normal component of prescribed
+    weighted spectrum, and the step is alpha times the dense weighted
+    truncation of the component at that rank, with alpha the exact
+    minimizer of f along it."""
+    m, n = 14, 12
+    X, R, N = normal_component_with_spectrum(sigma, r, rng, m, n)
+    assert direct_increase_rank(sigma, r_up, min(m, n) - r) == expected
+    E, D = dense_metric(X)
+    op = eqs.MultitermOperator([rand_spd(m, rng, 10.0), E], [D, rand_spd(n, rng, 10.0)])
+    X2, alpha = rr.rank_increase(X, op, R, r_up)
+    assert X2.r == r + expected
+    assert_valid_point(X2)
+    Nk = dense_weighted_truncation(N, expected, E, D)
+    step = point_dense(X2) - point_dense(X)
+    assert np.linalg.norm(step - alpha * Nk) <= 1e-9 * np.linalg.norm(alpha * Nk)
+    ANk = sum(dense(Ai) @ Nk @ dense(Bi).T for Ai, Bi in zip(op.A, op.B))
+    assert alpha == pytest.approx(-np.sum(R.densify(force=True) * Nk) / np.sum(ANk * Nk),
+                                  rel=1e-9)
 
 
 def test_rank_increase_takes_no_square_root(rng):
@@ -530,6 +589,22 @@ def test_rram_converges_with_rank_growth(rng):
     exact = eqs.residual_norm_exact(op, X, F)
     assert float(trace.last()["res_rel"]) <= 1e-7
     assert abs(trace.last()["res_rel"] - exact) <= 1e-9 * exact
+
+
+def test_rram_trace_records_the_sigma_ratio(rng):
+    """RRAM rows carry the iterate's ``sigma_r / sigma_1`` in the RRAM-only
+    column ``sig_ratio``; on the last row it is the returned point's."""
+    op, F, met = growth_problem()
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=0), metric=met)
+    assert status == "converged"
+    assert trace.columns[-1] == "sig_ratio"
+    assert trace.last()["sig_ratio"] == X.sigma[-1] / X.sigma[0]
+    assert all(0.0 < r["sig_ratio"] <= 1.0 for r in trace.rows)
+    csv_ratios = [line.rsplit(",", 1)[1] for line in trace.to_csv_string().splitlines()[1:]]
+    assert [float(v) for v in csv_ratios] == trace.column("sig_ratio")
+    _, fixed, _ = rnlcg_solve(op, F, RnlcgOptions(rank=2, max_iters=2), metric=met)
+    assert "sig_ratio" not in fixed.columns
 
 
 def test_rram_rank_changes_only_at_tagged_events(rng):
@@ -833,11 +908,28 @@ def test_rram_sg_phases_end_at_the_rank_floor():
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=3, r_up=3, tol=1e-6, seed=0),
                                      metric=met)
     assert status == "converged" and X.r == 30
-    ups = [any(p.startswith("rank_up:") for p in r["event"].split("+")) for r in trace.rows]
-    one_step = [i for i in range(len(ups) - 2)
-                if ups[i] and ups[i + 2] and "plateau" in trace.rows[i + 1]["event"].split("+")]
+    ups = list(rank_events(trace.rows, "rank_up"))
+    one_step = [i for i, j in zip(ups, ups[1:])
+                if j == i + 2 and "plateau" in trace.rows[i + 1]["event"].split("+")]
     assert one_step
     assert trace.last()["iter"] < 43
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rram_sg_increases_follow_the_normal_spectrum(seed):
+    """On the same instance some rank increase adds more than ``r_up = 3``
+    directions, since the normal component has more than 3 weighted
+    singular values above ``UP_SHARE`` of the largest, and the solve still
+    ends at rank 30, in fewer than the 26-27 iterations that increases of
+    exactly ``r_up`` took."""
+    op, F, met = sg_small()
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=3, r_up=3, tol=1e-6, seed=seed),
+                                     metric=met)
+    assert status == "converged" and X.r == 30
+    ups = rank_events(trace.rows, "rank_up").values()
+    assert all(new > old for old, new in ups)
+    assert any(new - old > 3 for old, new in ups)
+    assert trace.last()["iter"] < 27
 
 
 def test_rram_first_increase_adds_the_normal_rank():
@@ -846,8 +938,7 @@ def test_rram_first_increase_adds_the_normal_rank():
     inst = pb.gen_synthetic(30, 30, 2, r_F=1, seed=0)
     X, trace, status = rr.rram_solve(inst.op, inst.F, rr.RramOptions(r0=1, r_up=4, tol=1e-6))
     assert status == "converged"
-    ups = [r["event"] for r in trace.rows if "rank_up" in r["event"]]
-    assert "rank_up:1->4" in ups[0].split("+")
+    assert next(iter(rank_events(trace.rows, "rank_up").values())) == (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -919,10 +1010,8 @@ def test_rram_rank_never_exceeds_min_dimension(metric_name, r0):
     X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     assert status == "converged"
     assert max(r["rank"] for r in trace.rows) <= 6
-    for r in trace.rows:
-        if "rank_up" in r["event"]:
-            old, new = r["event"].split("rank_up:")[1].split("+")[0].split("->")
-            assert int(new) <= 6 and int(old) < int(new)
+    for old, new in rank_events(trace.rows, "rank_up").values():
+        assert old < new <= 6
 
 
 class Zero:
