@@ -36,6 +36,6 @@ from .problems import (
 )
 from .solver_rnlcg import RnlcgOptions, rnlcg_solve
 from .solver_rram import RramOptions, rram_solve
-from .trunc_cg import TruncationPolicy, truncated_cg_solve
+from .trunc_cg import truncated_cg_solve
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import platform
@@ -36,7 +37,7 @@ from . import precond as pc
 from . import problems as pb
 from .solver_rnlcg import RnlcgOptions, check_int, check_positive, rnlcg_solve
 from .solver_rram import UP_SHARE, RramOptions, rram_solve
-from .trunc_cg import TruncationPolicy, truncated_cg_solve
+from .trunc_cg import truncate_residual, truncated_cg_solve
 
 _ENV_OUT = "LRMEQ_OUT"
 
@@ -50,7 +51,6 @@ _CONFIG_DEFAULTS = {
     "seed": 0,
     "max_iters": 500,
     "adi_shifts": 8,
-    "rank_cap": None,
     "check_every": 1,
 }
 
@@ -134,9 +134,11 @@ def _load_config(args):
 
 
 def _solver_options(cfg):
-    """The configured solver's options, built before any set-up.  A setting
-    they reject, or an ADI count or iteration budget out of range, is a
-    configuration error that names the setting."""
+    """The configured Riemannian solver's options (None for truncated CG,
+    which takes ``tol`` and ``max_iters`` as they are), built before any
+    set-up.  A setting they reject, or an ADI count, iteration budget or
+    tolerance out of range, is a configuration error that names the
+    setting."""
     try:
         check_int("adi_shifts", cfg["adi_shifts"], 1)
         check_int("max_iters", cfg["max_iters"], 0)   # RRAM's max_total_iters
@@ -151,9 +153,7 @@ def _solver_options(cfg):
                 max_total_iters=cfg["max_iters"],
             )
         check_positive("tol", cfg["tol"])
-        if cfg["rank_cap"] is not None:
-            check_int("rank_cap", cfg["rank_cap"], 1)
-        return TruncationPolicy.from_tol(cfg["tol"], rank_cap=cfg["rank_cap"])
+        return None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -191,9 +191,9 @@ def _build_tangent_setup(inst, cfg):
     return kron, pc.GenSylvesterPrecond(spec["A"], spec["B"], kron)
 
 
-def _build_ambient_precond(inst, cfg, policy):
+def _build_ambient_precond(inst, cfg):
     """Ambient preconditioner for truncated CG; fADI recompresses its
-    sweeps with the solver's truncation ``policy``."""
+    sweeps as the solver recompresses its residual at ``cfg["tol"]``."""
     label = cfg["precond"]
     if label == "identity":
         return pc.IdentityPrecond()
@@ -205,7 +205,7 @@ def _build_ambient_precond(inst, cfg, policy):
     shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
     return pc.FadiAmbientPrecond(
         spec["A"], spec["B"], kron, shifts,
-        truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
+        truncate_fn=functools.partial(truncate_residual, tol=cfg["tol"]),
     )
 
 
@@ -219,7 +219,7 @@ def run_solve(cfg):
     t0 = time.perf_counter()
     try:
         if cfg["solver"] == "trunc_cg":
-            precond = _build_ambient_precond(inst, cfg, opts)
+            precond = _build_ambient_precond(inst, cfg)
         else:
             metric, precond = _build_tangent_setup(inst, cfg)
     except numkit.NotSpdError as exc:
@@ -234,7 +234,7 @@ def run_solve(cfg):
         final_rank = X.r
     else:
         X, trace, status = truncated_cg_solve(
-            inst.op, inst.F, precond, opts, cfg["tol"], cfg["max_iters"]
+            inst.op, inst.F, precond, cfg["tol"], cfg["max_iters"]
         )
         final_rank = X.k
     wall = time.perf_counter() - t0
@@ -442,7 +442,6 @@ def main(argv=None):
     s.add_argument("--seed", type=int)
     s.add_argument("--max-iters", dest="max_iters", type=int)
     s.add_argument("--adi-shifts", dest="adi_shifts", type=int)
-    s.add_argument("--rank-cap", dest="rank_cap", type=int)
     s.add_argument("--check-every", dest="check_every", type=int)
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)

@@ -36,6 +36,10 @@ SIGMA_FLOOR_FACTOR = 1e2 * np.finfo(float).eps
 # gives a triangle conditioned near eps^-1, far above this bound.
 GAUGE_QR_MAX_COND = 1e7
 
+# ``TangentVector.retangentialize`` projects once the overlap of Up or Vp
+# with the point's basis exceeds this share of their norm.
+RETANGENT_TOL = 1e-10
+
 
 class KroneckerMetric:
     """Ambient inner product ``<X, Y> = <E X D, Y>`` with SPD E, D.
@@ -257,8 +261,9 @@ class TangentVector:
             np.hstack([X.V @ self.M.T + self.Vp, X.V]),
         )
 
-    def retangentialize(self, tol=1e-10):
-        """Re-orthogonalize Up, Vp against U, V when drift exceeds ``tol``.
+    def retangentialize(self):
+        """Re-orthogonalize Up, Vp against U, V when drift exceeds
+        ``RETANGENT_TOL``.
 
         Long solver runs can let the tangent constraints drift; the fix is
         a single projection step reusing the measured overlap.
@@ -269,9 +274,9 @@ class TangentVector:
         nu = np.linalg.norm(self.Up)
         nv = np.linalg.norm(self.Vp)
         out = self
-        if np.linalg.norm(cu) > tol * max(nu, 1e-300):
+        if np.linalg.norm(cu) > RETANGENT_TOL * max(nu, 1e-300):
             out = TangentVector(out.M, out.Up - X.U @ cu, out.Vp, X)
-        if np.linalg.norm(cv) > tol * max(nv, 1e-300):
+        if np.linalg.norm(cv) > RETANGENT_TOL * max(nv, 1e-300):
             out = TangentVector(out.M, out.Up, out.Vp - X.V @ cv, X)
         return out
 
@@ -490,9 +495,9 @@ class LineSearchRetraction:
         return FixedRankPoint(self.QU @ u, s, self.QV @ v, self.X.metric)
 
 
-def random_point(m, n, r, metric: KroneckerMetric, rng, fro_norm=1.0) -> FixedRankPoint:
-    """Random rank-r point rescaled to the requested Frobenius norm."""
+def random_point(m, n, r, metric: KroneckerMetric, rng) -> FixedRankPoint:
+    """Random rank-r point of unit Frobenius norm."""
     G = FactoredMatrix(rng.standard_normal((m, r)), rng.standard_normal((n, r)))
     X = truncate(G, r, metric)
     nrm = X.frobenius_norm()
-    return X.scaled(fro_norm / nrm)
+    return X.scaled(1.0 / nrm)

@@ -32,6 +32,7 @@ from .precond import IdentityPrecond
 from .trace import SolveTrace
 
 _BETA_DEN_GUARD = 1e-14
+ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 25
 STAG_GRAD_TOL = 1e-13
@@ -46,7 +47,6 @@ class RnlcgOptions:
     rank: int
     max_iters: int = 500
     tol: float = 1e-6
-    armijo_slope: float = 1e-4
     check_every: int = 1
     seed: int = 0
 
@@ -56,8 +56,6 @@ class RnlcgOptions:
         check_int("check_every", self.check_every, 1)
         check_int("seed", self.seed, 0)
         check_positive("tol", self.tol)
-        if not 0.0 < self.armijo_slope < 1.0:
-            raise ValueError("Armijo slope must lie in (0, 1)")
 
 
 def check_int(name, value, minimum):
@@ -113,7 +111,7 @@ def initial_step(model, g, xi):
     return -geo.inner(g, xi) / den
 
 
-def armijo_backtrack(model, xi, alpha_bar, g, opts):
+def armijo_backtrack(model, xi, alpha_bar, g):
     """First ``alpha = alpha_bar * ARMIJO_SHRINK^j`` passing the Armijo test.
 
     Each trial is a core of the retraction in ``model``'s subspace, scored
@@ -126,7 +124,7 @@ def armijo_backtrack(model, xi, alpha_bar, g, opts):
     g_xi = geo.inner(g, xi)
     if g_xi >= 0.0:
         raise LineSearchError("search direction is not a descent direction")
-    slope_term = opts.armijo_slope * g_xi
+    slope_term = ARMIJO_SLOPE * g_xi
     alpha = alpha_bar
     for j in range(MAX_BACKTRACKS + 1):
         u, s, v = model.retr.at(alpha)
@@ -149,10 +147,9 @@ class RnlcgState:
     rank changes; ``rnlcg_solve`` wraps it with stopping tests.
     """
 
-    def __init__(self, op, F, opts, X0, precond=None):
+    def __init__(self, op, F, X0, precond=None):
         self.op = op
         self.F = F
-        self.opts = opts
         self.precond = precond if precond is not None else IdentityPrecond()
         self.norm_F = geo.factored_norm(F)
         if self.norm_F == 0.0:
@@ -217,7 +214,7 @@ class RnlcgState:
         xi, beta, reset = search_direction(self.g, self.h, prev)
         model = eqs.ProjectedObjective(self.op, self.F, self.X, xi, self.ev)
         alpha_bar = initial_step(model, self.g, xi)
-        alpha, (u, s, v), n_back, _ = armijo_backtrack(model, xi, alpha_bar, self.g, self.opts)
+        alpha, (u, s, v), n_back, _ = armijo_backtrack(model, xi, alpha_bar, self.g)
         X_new = model.retr.point(u, s, v)
         UAU, VBV = u.T @ model.G @ u, v.T @ model.K @ v
         del model      # its bases need not outlive the line search
@@ -243,7 +240,7 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
     try:
-        state = RnlcgState(op, F, opts, X0, precond=precond)
+        state = RnlcgState(op, F, X0, precond=precond)
     except numkit.NotSpdError:
         trace.append(iter=0, rank=X0.r)
         return trace.finish(X0, "spd_loss")

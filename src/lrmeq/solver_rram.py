@@ -48,7 +48,7 @@ class RramOptions:
     tol: float = 1e-6
     max_total_iters: int = 500
     seed: int = 0
-    inner: RnlcgOptions | None = None
+    inner: RnlcgOptions | None = None   # unread; bench/workloads.py still passes it
 
     def __post_init__(self):
         check_int("r0", self.r0, 1)
@@ -56,8 +56,6 @@ class RramOptions:
         check_int("max_total_iters", self.max_total_iters, 0)
         check_int("seed", self.seed, 0)
         check_positive("tol", self.tol)
-        if self.inner is None:
-            self.inner = RnlcgOptions(rank=self.r0, tol=self.tol, seed=self.seed)
 
 
 def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
@@ -261,7 +259,7 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.r0, metric, np.random.default_rng(opts.seed))
     try:
-        state = RnlcgState(op, F, opts.inner, X0, precond=precond)
+        state = RnlcgState(op, F, X0, precond=precond)
     except NotSpdError:
         trace.append(iter=0, rank=X0.r, sig_ratio=_sig_ratio(X0))
         return trace.finish(X0, "spd_loss")

@@ -3,18 +3,16 @@
 Baseline for benchmark comparisons: standard PCG recurrences on the
 matrix equation, with every iterate kept in factored form and
 recompressed.  Every recompression is relative to the norm of the
-quantity it truncates (Kressner & Tobler 2011): the iterate X_k at one
-tolerance, the residual R_k, the direction P_k and the fADI sweeps at
-another, and Q_k = A P_k is never truncated.  The residual is updated
-by the recurrence (trace rows ``recursive``); once that reaches the
-tolerance, the true residual ``F - A X`` decides convergence (rows
-``exact``) and, when it misses, replaces the recursive one.  The last
-row of every solve holds the true residual.
+quantity it truncates (Kressner & Tobler 2011): the iterate X_k at
+``X_TOL_SHARE * tol``, the residual R_k, the direction P_k and the fADI
+sweeps at ``R_TOL_SHARE * tol``, and Q_k = A P_k is never truncated.
+The residual is updated by the recurrence (trace rows ``recursive``);
+once that reaches the tolerance, the true residual ``F - A X`` decides
+convergence (rows ``exact``) and, when it misses, replaces the recursive
+one.  The last row of every solve holds the true residual.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,42 +21,19 @@ from . import geometry as geo
 from .geometry import FactoredMatrix, factored_inner, factored_norm
 from .trace import SolveTrace
 
+# Relative truncation tolerances, as shares of the target residual ``tol``.
+X_TOL_SHARE = 0.0025
+R_TOL_SHARE = 0.1
 _STAG_WINDOW = 25
 _STAG_FACTOR = 0.98
 
 
-@dataclass
-class TruncationPolicy:
-    """Relative truncation tolerances derived from the target residual
-    ``tol``: ``eps_rel_x`` for the iterate, ``eps_rel_r`` for the residual,
-    the direction and the fADI sweeps."""
-
-    eps_rel_x: float
-    eps_rel_r: float
-    rank_cap: int | None = None
-
-    @classmethod
-    def from_tol(cls, tol, rank_cap=None):
-        return cls(eps_rel_x=0.0025 * tol, eps_rel_r=0.1 * tol, rank_cap=rank_cap)
-
-    def __post_init__(self):
-        if self.eps_rel_x < 0 or self.eps_rel_r < 0:
-            raise ValueError("tolerances must be nonnegative")
-
-    def truncate_residual(self, Z):
-        """Recompress a residual-type factored matrix (the residual R_k, the
-        direction P_k, an fADI sweep) relative to its own norm; returns
-        ``(Z', discarded_tail)``."""
-        return truncate_factored(Z, self.eps_rel_r, self.rank_cap)
-
-
-def truncate_factored(Z: FactoredMatrix, eps_rel, rank_cap=None):
+def truncate_factored(Z: FactoredMatrix, eps_rel):
     """Recompression of a factored matrix through its SVD
     (``geometry.weighted_svd`` in the identity metric).
 
     Keeps the smallest rank whose discarded tail satisfies
-    ``tail <= eps_rel * ||Z||_F``; a rank cap, when set, is applied
-    afterwards.  Returns ``(Z', discarded_tail)``.
+    ``tail <= eps_rel * ||Z||_F``.  Returns ``(Z', discarded_tail)``.
     """
     U, s, V = geo.weighted_svd(Z, geo.KroneckerMetric())
     norm_z = float(np.linalg.norm(s))
@@ -66,14 +41,18 @@ def truncate_factored(Z: FactoredMatrix, eps_rel, rank_cap=None):
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[k] = ||s[k:]||
     keep = int(np.searchsorted(-tails, -thresh))    # smallest k with tails[k] <= thresh
     keep = max(keep, 1) if norm_z > 0 else 0
-    if rank_cap is not None:
-        keep = min(keep, rank_cap)
     discarded = float(np.linalg.norm(s[keep:]))
     out = FactoredMatrix(U[:, :keep] * s[:keep], V[:, :keep])
     return out, discarded
 
 
-def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
+def truncate_residual(Z: FactoredMatrix, tol):
+    """Recompress a residual-type factored matrix (the residual R_k, the
+    direction P_k, an fADI sweep) to ``R_TOL_SHARE * tol`` of its own norm."""
+    return truncate_factored(Z, R_TOL_SHARE * tol)[0]
+
+
+def truncated_cg_solve(op, F, precond, tol, max_iter):
     """Preconditioned CG with low-rank truncation; returns ``(X, trace, status)``.
 
     ``precond`` must provide ``apply_inv_ambient`` on factored matrices.
@@ -91,9 +70,6 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             beta=0.0, alpha=0.0, backtracks=0, rank_x=0, rank_r=0, rank_p=0,
         )
         return trace.finish(X, "converged")
-
-    def trunc_x(Z):
-        return truncate_factored(Z, policy.eps_rel_x, policy.rank_cap)
 
     def true_residual():
         R_true = eqs.residual(op, X, F)    # A X - F
@@ -120,15 +96,15 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
         if pq <= 0.0:
             return stop("spd_loss")
         omega = factored_inner(P, R) / pq
-        X, _ = trunc_x(X.hstack(P.scaled(omega)))
-        R, _ = policy.truncate_residual(R.hstack(Q.scaled(-omega)))
+        X, _ = truncate_factored(X.hstack(P.scaled(omega)), X_TOL_SHARE * tol)
+        R = truncate_residual(R.hstack(Q.scaled(-omega)), tol)
         res = factored_norm(R) / norm_F
         kind = "recursive"
         if res <= tol:
             R_true, res = true_residual()
             kind = "exact"
             if res > tol:
-                R, _ = policy.truncate_residual(R_true.scaled(-1.0))
+                R = truncate_residual(R_true.scaled(-1.0), tol)
         res_hist.append(res)
         Z = precond.apply_inv_ambient(R)
         if kind == "exact":
@@ -138,7 +114,7 @@ def truncated_cg_solve(op, F, precond, policy: TruncationPolicy, tol, max_iter):
             # direction conjugation is robust to truncation drift (equals the
             # usual <R,Z> ratio in exact arithmetic)
             beta = -factored_inner(Z, Q) / pq
-            P, _ = policy.truncate_residual(Z.hstack(P.scaled(beta)))
+            P = truncate_residual(Z.hstack(P.scaled(beta)), tol)
         trace.append(
             iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
             beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,

@@ -16,7 +16,6 @@ from lrmeq import numkit
 from lrmeq import precond as pc
 from lrmeq import problems as pb
 from lrmeq.cli import main, run_solve, _CONFIG_DEFAULTS
-from lrmeq.trunc_cg import TruncationPolicy
 
 from oracles import rand_spd
 
@@ -326,8 +325,7 @@ def test_stoch_galerkin_p1_builds():
     metric, prec = cli._build_tangent_setup(inst, cfg)
     assert metric.E is inst.p1["E"] and metric.D is None
     assert isinstance(prec, pc.IdentityPrecond)
-    policy = cli._solver_options(dict(cfg, solver="trunc_cg"))
-    amb = cli._build_ambient_precond(inst, cfg, policy)
+    amb = cli._build_ambient_precond(inst, cfg)
     assert isinstance(amb, pc.KronPrecond) and amb.kron.D is None
 
 
@@ -366,26 +364,20 @@ def test_tangadi_setup_factors_e_and_d_once(monkeypatch):
     assert "factors" not in vars(prec)
 
 
-@pytest.mark.parametrize(
-    "eps_rel_r, rank_cap, keep",
-    [(0.05, None, 2), (0.0, 1, 1)],
-    ids=["eps_rel_r", "rank_cap"],
-)
-def test_ambient_fadi_truncates_with_the_solver_policy(rng, eps_rel_r, rank_cap, keep):
-    """The fADI hook of truncated CG recompresses with the policy it is
-    given, each of whose thresholds here keeps fewer singular values than
-    the policy of the configured ``tol`` (all five)."""
+def test_ambient_fadi_truncates_at_the_solver_tolerance(rng):
+    """The fADI hook of truncated CG recompresses each sweep as the solver
+    recompresses its residual, at the configured ``tol``: at ``tol = 0.5``
+    (a relative cut of 0.05) it keeps two of these five singular values, at
+    the default ``tol`` all five."""
     inst = pb.gen_synthetic(7, 6, 2, seed=5)
     cfg = dict(_CONFIG_DEFAULTS, solver="trunc_cg", precond="P2")
-    policy = TruncationPolicy(0.0, eps_rel_r, rank_cap)
-    amb = cli._build_ambient_precond(inst, cfg, policy)
-    assert isinstance(amb, pc.FadiAmbientPrecond)
     Q1, _ = np.linalg.qr(rng.standard_normal((7, 5)))
     Q2, _ = np.linalg.qr(rng.standard_normal((6, 5)))
     Z = geo.FactoredMatrix(Q1 * np.geomspace(1.0, 1e-4, 5), Q2)
-    assert amb.truncate_fn(Z).k == keep
-    default = cli._build_ambient_precond(inst, cfg, cli._solver_options(cfg))
-    assert default.truncate_fn(Z).k == 5
+    for tol, keep in ((0.5, 2), (cfg["tol"], 5)):
+        amb = cli._build_ambient_precond(inst, dict(cfg, tol=tol))
+        assert isinstance(amb, pc.FadiAmbientPrecond)
+        assert amb.truncate_fn(Z).k == keep
 
 
 @pytest.mark.parametrize(
@@ -408,12 +400,16 @@ def test_config_file_not_an_object_exits_3(tmp_path, capsys, content):
     assert "JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("adi_steps", 8), ("kron_mode", "metric")],
-                         ids=["adi_steps", "kron_mode"])
+@pytest.mark.parametrize(
+    "key, value", [("adi_steps", 8), ("kron_mode", "metric"), ("rank_cap", 12)],
+    ids=["adi_steps", "kron_mode", "rank_cap"],
+)
 def test_config_file_with_removed_key_exits_3(tmp_path, capsys, key, value):
-    """``adi_steps`` is gone (the sweep count is the number of shifts), and
-    so is ``kron_mode`` (a Kronecker preconditioner is always the metric):
-    a config file that still sets one names it as an unknown key."""
+    """``adi_steps`` is gone (the sweep count is the number of shifts), so
+    is ``kron_mode`` (a Kronecker preconditioner is always the metric), and
+    so is ``rank_cap`` (truncated CG truncates each quantity relative to its
+    own norm, with no cap): a config file that still sets one names it as
+    an unknown key."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     assert main(["solve", "--config", str(cfg), "--instance", str(tmp_path)]) == 3
@@ -435,8 +431,9 @@ def test_solve_flags_are_the_config_keys(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--precond", "p2"], ["--rank", "abc"], ["--adi-steps", "8"], ["--kron-mode", "metric"]],
-    ids=["choice", "type", "removed", "removed_kron_mode"],
+    [["--precond", "p2"], ["--rank", "abc"], ["--adi-steps", "8"], ["--kron-mode", "metric"],
+     ["--rank-cap", "3"]],
+    ids=["choice", "type", "removed", "removed_kron_mode", "removed_rank_cap"],
 )
 def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
     """A rejected flag value is an invalid configuration (3), like the same
@@ -462,7 +459,6 @@ def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
         ("rram", "file", "tol", "1e-6"),
         ("trunc_cg", "file", "tol", "1e-6"),
         ("rram", "file", "max_iters", 1.5),
-        ("trunc_cg", "file", "rank_cap", 0),
     ],
 )
 def test_bad_setting_exits_3_before_set_up(tmp_path, capsys, monkeypatch, solver, source, key, value):

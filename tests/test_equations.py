@@ -208,7 +208,7 @@ def test_evaluate_blocks_are_the_residual_products(rng, weighted):
     RtU, RtV = ev.R.left.T @ X.U, ev.R.right.T @ X.V
     assert np.linalg.norm(ev.RtU - RtU) <= 1e-13 * np.linalg.norm(RtU)
     assert np.linalg.norm(ev.RtV - RtV) <= 1e-13 * np.linalg.norm(RtV)
-    g = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), X).g
+    g = rn.RnlcgState(op, F, X).g
     ref = geo.riemannian_gradient(X, ev.R, RtU, RtV)
     for a, b in ((g.M, ref.M), (g.Up, ref.Up), (g.Vp, ref.Vp)):
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)

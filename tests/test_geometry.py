@@ -246,8 +246,8 @@ def drifted_tangent(rng, rel_drift):
 def test_retangentialize_projects_out_drift_above_tol(rng):
     drifted, xi = drifted_tangent(rng, 1e-6)
     X = xi.point
-    assert np.linalg.norm(X.EU.T @ drifted.Up) > 1e-10 * np.linalg.norm(drifted.Up)
-    out = drifted.retangentialize(tol=1e-10)
+    assert np.linalg.norm(X.EU.T @ drifted.Up) > geo.RETANGENT_TOL * np.linalg.norm(drifted.Up)
+    out = drifted.retangentialize()
     assert np.linalg.norm(X.EU.T @ out.Up) <= 1e-14 * np.linalg.norm(out.Up)
     assert np.linalg.norm(out.Up - xi.Up) <= 1e-13 * np.linalg.norm(xi.Up)
     assert out.M is drifted.M and out.Vp is drifted.Vp
@@ -255,7 +255,7 @@ def test_retangentialize_projects_out_drift_above_tol(rng):
 
 def test_retangentialize_keeps_vector_below_tol(rng):
     drifted, _ = drifted_tangent(rng, 1e-12)
-    assert drifted.retangentialize(tol=1e-10) is drifted
+    assert drifted.retangentialize() is drifted
 
 
 def test_embed_zero_and_dense(rng):
@@ -427,7 +427,7 @@ def test_standard_metric_projection_formula(rng):
 
 def test_random_point_norm_and_validity(rng):
     met = make_metric(9, 7, rng)
-    X = geo.random_point(9, 7, 3, met, rng, fro_norm=1.0)
+    X = geo.random_point(9, 7, 3, met, rng)
     assert_valid_point(X)
     assert abs(X.frobenius_norm() - 1.0) <= 1e-12
 

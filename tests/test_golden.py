@@ -39,8 +39,7 @@ def test_golden_rram_trace():
     prec = pc.GenSylvesterPrecond(spec["A"], spec["B"], met)
     X, trace, status = rram_solve(
         inst.op, inst.F,
-        RramOptions(r0=3, r_up=3, tol=1e-6, max_total_iters=500, seed=0,
-                    inner=RnlcgOptions(rank=3, tol=1e-6, seed=0)),
+        RramOptions(r0=3, r_up=3, tol=1e-6, max_total_iters=500, seed=0),
         metric=met, precond=prec,
     )
     assert status == "converged"

@@ -36,7 +36,7 @@ def start_state(op, F, opts, metric=None, precond=None):
     unless ``metric`` is given."""
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
-    return rn.RnlcgState(op, F, opts, X0, precond=precond)
+    return rn.RnlcgState(op, F, X0, precond=precond)
 
 
 def line_model(state, xi):
@@ -198,7 +198,7 @@ def test_block_decrease_matches_dense_objective(rng, weighted):
     """The decrease of a trial core equals f(X_t) - f(X) of the retracted
     point, short of and beyond the exact step."""
     op, F, X = random_instance(8, 7, 3, 3, weighted, rng)
-    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=3), X)
+    state = rn.RnlcgState(op, F, X)
     xi = state.h.scaled(-1.0)
     model = line_model(state, xi)
     alpha_bar = rn.initial_step(model, state.g, xi)
@@ -221,7 +221,7 @@ def test_step_hands_over_the_accepted_points_blocks(m, n, r, fallback, rng, monk
     and ``V.T B_i V`` there to 1e-12, on the retraction's gauge path and on
     its Householder fallback (``[U, Up]`` wider than tall)."""
     op, F, X = random_instance(m, n, r, 3, True, rng)
-    state = rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), X)
+    state = rn.RnlcgState(op, F, X)
     handed, fallbacks = [], []
     evaluate, weighted_qr = eqs.evaluate, geo.weighted_qr
 
@@ -290,14 +290,15 @@ def test_armijo_accepts_exact_step_full_rank(rng):
     xi = state.h.scaled(-1.0)
     model = line_model(state, xi)
     alpha_bar = rn.initial_step(model, state.g, xi)
-    alpha, _, backtracks, _ = rn.armijo_backtrack(model, xi, alpha_bar, state.g, opts)
+    alpha, _, backtracks, _ = rn.armijo_backtrack(model, xi, alpha_bar, state.g)
     assert backtracks == 0 and alpha == alpha_bar
 
 
-def test_armijo_steep_slope_forces_backtracks(rng):
+def test_armijo_steep_slope_forces_backtracks(rng, monkeypatch):
     m = n = 8
     op, F, _ = make_spd_problem(m, n, 2, rng, sol_rank=2, cond=200.0)
-    opts = rn.RnlcgOptions(rank=2, armijo_slope=0.999, seed=5)
+    monkeypatch.setattr(rn, "ARMIJO_SLOPE", 0.999)
+    opts = rn.RnlcgOptions(rank=2, seed=5)
     state = start_state(op, F, opts)
     total_backtracks = 0
     for _ in range(10):
@@ -319,7 +320,7 @@ def test_armijo_direction_scaling_invariance(rng):
     for xi in (state.h.scaled(-1.0), state.h.scaled(-2.0)):
         model = line_model(state, xi)
         a = rn.initial_step(model, state.g, xi)
-        alpha, core, _, df = rn.armijo_backtrack(model, xi, a, state.g, opts)
+        alpha, core, _, df = rn.armijo_backtrack(model, xi, a, state.g)
         out.append((alpha, model.retr.point(*core), df))
     (alpha1, X1, df1), (alpha2, X2, df2) = out
     assert abs(alpha2 - alpha1 / 2.0) <= 1e-12 * alpha1
@@ -333,7 +334,7 @@ def test_armijo_rejects_ascent(rng):
     opts = rn.RnlcgOptions(rank=2, seed=13)
     state = start_state(op, F, opts)
     with pytest.raises(rn.LineSearchError):
-        rn.armijo_backtrack(line_model(state, state.h), state.h, 1.0, state.g, opts)
+        rn.armijo_backtrack(line_model(state, state.h), state.h, 1.0, state.g)
 
 
 def near_solution_state(rng, metric_kind="identity", offset=1e-8):
@@ -353,7 +354,7 @@ def near_solution_state(rng, metric_kind="identity", offset=1e-8):
     eta = geo.project(Xs, rng.standard_normal((m, n)))
     retr = geo.LineSearchRetraction(Xs, eta)
     X0 = retr.point(*retr.at(offset / geo.norm(eta)))
-    return rn.RnlcgState(op, F, rn.RnlcgOptions(rank=r), X0)
+    return rn.RnlcgState(op, F, X0)
 
 
 @pytest.mark.parametrize("kind", ["identity", "weighted"])
@@ -367,9 +368,7 @@ def test_armijo_resolves_decrease_below_rounding_of_f(rng, kind):
     model = line_model(state, xi)
     alpha_bar = rn.initial_step(model, state.g, xi)
     # f(X + 3 alpha_bar xi) > f(X) on the tangent line; 1.5 alpha_bar decreases f
-    alpha, core, backtracks, df = rn.armijo_backtrack(
-        model, xi, 3.0 * alpha_bar, state.g, state.opts
-    )
+    alpha, core, backtracks, df = rn.armijo_backtrack(model, xi, 3.0 * alpha_bar, state.g)
     assert (alpha, backtracks) == (1.5 * alpha_bar, 1)
     X_t = model.retr.point(*core)
     exact = objective_diff_exact(state.op, state.F, state.X, X_t)
@@ -491,7 +490,7 @@ def test_monotone_objective_and_armijo_certificate(rng):
             break
         # Armijo certificate re-checked post hoc
         xi = state._xi_prev
-        rhs = f0 + opts.armijo_slope * state.last_alpha * geo.inner(g0, xi)
+        rhs = f0 + rn.ARMIJO_SLOPE * state.last_alpha * geo.inner(g0, xi)
         assert state.f <= rhs + 1e-12 * max(1.0, abs(f0))
         assert state.f <= f0 + 1e-12 * max(1.0, abs(f0))
         checked += 1

@@ -557,8 +557,7 @@ def test_rram_no_rank_change_when_rank_suffices(rng):
     m = n = 10
     op = eqs.MultitermOperator([np.eye(m)], [np.eye(n)])
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
-    opts = rr.RramOptions(r0=3, r_up=2, tol=1e-8, max_total_iters=100,
-                          inner=RnlcgOptions(rank=3, tol=1e-8))
+    opts = rr.RramOptions(r0=3, r_up=2, tol=1e-8, max_total_iters=100)
     X, trace, status = rr.rram_solve(op, F, opts)
     assert status == "converged"
     assert X.r == 3
@@ -579,8 +578,7 @@ def test_rram_converges_with_rank_growth(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
     met = geo.KroneckerMetric(op.A[0], op.B[1])
-    opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=1,
-                          inner=RnlcgOptions(rank=2, tol=1e-7, seed=1))
+    opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=1)
     X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     assert status == "converged"
     assert any("rank_up" in r["event"] for r in trace.rows)
@@ -611,8 +609,7 @@ def test_rram_rank_changes_only_at_tagged_events(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
     met = geo.KroneckerMetric(op.A[0], op.B[1])
-    opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=3,
-                          inner=RnlcgOptions(rank=2, tol=1e-7, seed=3))
+    opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=3)
     X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     rows = trace.rows
     for prev, cur in zip(rows, rows[1:]):
@@ -624,8 +621,7 @@ def test_rram_objective_nonincreasing_across_rank_up(rng):
     m, n = 18, 16
     op, F = make_spd_problem(m, n, rng, sol_rank=6)
     met = geo.KroneckerMetric(op.A[0], op.B[1])
-    opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=5,
-                          inner=RnlcgOptions(rank=2, tol=1e-7, seed=5))
+    opts = rr.RramOptions(r0=2, r_up=2, tol=1e-7, max_total_iters=400, seed=5)
     X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     rows = trace.rows
     for prev, cur in zip(rows, rows[1:]):
@@ -1005,8 +1001,7 @@ def test_rram_rank_never_exceeds_min_dimension(metric_name, r0):
     inst = pb.gen_synthetic(7, 6, 3, seed=2)
     op, F = inst.op, inst.F
     met = geo.KroneckerMetric(op.A[0], op.B[1]) if metric_name == "kron" else None
-    opts = rr.RramOptions(r0=r0, r_up=3, tol=1e-13, max_total_iters=500,
-                          inner=RnlcgOptions(rank=r0, tol=1e-13))
+    opts = rr.RramOptions(r0=r0, r_up=3, tol=1e-13, max_total_iters=500)
     X, trace, status = rr.rram_solve(op, F, opts, metric=met)
     assert status == "converged"
     assert max(r["rank"] for r in trace.rows) <= 6

@@ -54,15 +54,14 @@ def test_truncate_matches_dense_svd_oracle(rng):
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 20),
-       st.sampled_from([0.0, 1e-3, 0.1, 0.5]), st.one_of(st.none(), st.integers(1, 6)),
-       st.integers(0, 2**32 - 1))
-def test_truncate_tail_matches_dense_singular_values(m, n, k, eps_rel, cap, seed):
+       st.sampled_from([0.0, 1e-3, 0.1, 0.5]), st.integers(0, 2**32 - 1))
+def test_truncate_tail_matches_dense_singular_values(m, n, k, eps_rel, seed):
     rng = np.random.default_rng(seed)
     # graded columns, so that the tolerances cut at different ranks
     left = rng.standard_normal((m, k)) * np.geomspace(1.0, 1e-4, k)
     Z = geo.FactoredMatrix(left, rng.standard_normal((n, k)))
     Zd = Z.densify(force=True)
-    out, discarded = tc.truncate_factored(Z, eps_rel, rank_cap=cap)
+    out, discarded = tc.truncate_factored(Z, eps_rel)
     s = np.linalg.svd(Zd, compute_uv=False)
     assert discarded == pytest.approx(np.linalg.norm(s[out.k:]), rel=1e-8, abs=1e-12 * s[0])
     err = np.linalg.norm(out.densify(force=True) - Zd)
@@ -77,20 +76,20 @@ def test_residual_truncation_is_scale_invariant(m, n, k, c, seed):
     rng = np.random.default_rng(seed)
     left = rng.standard_normal((m, k)) * np.geomspace(1.0, 1e-9, k)
     Z = geo.FactoredMatrix(left, rng.standard_normal((n, k)))
-    policy = tc.TruncationPolicy.from_tol(1e-6)
-    assert policy.truncate_residual(Z.scaled(c))[0].k == policy.truncate_residual(Z)[0].k
+    assert tc.truncate_residual(Z.scaled(c), 1e-6).k == tc.truncate_residual(Z, 1e-6).k
 
 
-def test_truncate_rank_cap_applied_last(rng):
-    Z = geo.FactoredMatrix(rng.standard_normal((12, 8)), rng.standard_normal((11, 8)))
-    out, _ = tc.truncate_factored(Z, 0.0, rank_cap=3)
-    assert out.k == 3
-
-
-def test_policy_from_tol():
-    p = tc.TruncationPolicy.from_tol(1e-6)
-    assert p.eps_rel_x == 0.0025e-6
-    assert p.eps_rel_r == 0.1e-6
+def test_truncation_shares_of_tol(rng):
+    """The iterate is cut at 0.25% of ``tol`` relative to its norm; the
+    residual-type quantities at 10%."""
+    assert (tc.X_TOL_SHARE, tc.R_TOL_SHARE) == (0.0025, 0.1)
+    Z = geo.FactoredMatrix(rng.standard_normal((12, 8)) * np.geomspace(1.0, 1e-9, 8),
+                           rng.standard_normal((11, 8)))
+    for tol in (1e-6, 1e-3, 1e-1):
+        out = tc.truncate_residual(Z, tol)
+        ref, _ = tc.truncate_factored(Z, 0.1 * tol)
+        assert out.k == ref.k
+        assert np.array_equal(out.left, ref.left) and np.array_equal(out.right, ref.right)
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +97,17 @@ def test_policy_from_tol():
 # ---------------------------------------------------------------------------
 
 
-def test_no_truncation_matches_dense_pcg(rng):
+def truncate_at(monkeypatch, tol, eps_rel):
+    """Cut every quantity at ``eps_rel`` of its norm when solving to ``tol``."""
+    monkeypatch.setattr(tc, "X_TOL_SHARE", eps_rel / tol)
+    monkeypatch.setattr(tc, "R_TOL_SHARE", eps_rel / tol)
+
+
+def test_no_truncation_matches_dense_pcg(rng, monkeypatch):
     m = n = 6
     op, F = make_spd_problem(m, n, rng)
-    policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0)
-    X, trace, status = tc.truncated_cg_solve(
-        op, F, pc.IdentityPrecond(), policy, 1e-14, 10
-    )
+    truncate_at(monkeypatch, 1e-14, 0.0)
+    X, trace, status = tc.truncated_cg_solve(op, F, pc.IdentityPrecond(), 1e-14, 10)
     K = kron_matrix(op.A, op.B)
     b = F.densify(force=True).reshape(-1, order="F")
     x_ref, hist = dense_pcg(K, b, lambda r: r, 10)
@@ -117,12 +120,12 @@ def test_no_truncation_matches_dense_pcg(rng):
     assert np.linalg.norm(x_ours - x_ref) <= 1e-8 * max(1.0, np.linalg.norm(x_ref))
 
 
-def test_no_truncation_with_kron_precond_matches_dense_pcg(rng):
+def test_no_truncation_with_kron_precond_matches_dense_pcg(rng, monkeypatch):
     m = n = 6
     op, F = make_spd_problem(m, n, rng)
-    policy = tc.TruncationPolicy(eps_rel_x=0.0, eps_rel_r=0.0)
+    truncate_at(monkeypatch, 1e-14, 0.0)
     prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
-    X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, 1e-14, 10)
+    X, trace, status = tc.truncated_cg_solve(op, F, prec, 1e-14, 10)
     K = kron_matrix(op.A, op.B)
     M = np.kron(np.asarray(op.B[1]), np.asarray(op.A[0]))
     Minv = np.linalg.inv(M)
@@ -136,9 +139,7 @@ def test_zero_rhs_returns_zero(rng):
     m = n = 6
     op, _ = make_spd_problem(m, n, rng)
     F = eqs.LowRankRhs(np.zeros((m, 1)), np.zeros((n, 1)))
-    X, trace, status = tc.truncated_cg_solve(
-        op, F, pc.IdentityPrecond(), tc.TruncationPolicy.from_tol(1e-8), 1e-8, 50
-    )
+    X, trace, status = tc.truncated_cg_solve(op, F, pc.IdentityPrecond(), 1e-8, 50)
     assert status == "converged"
     assert X.k == 0
     assert len(trace.rows) == 1
@@ -150,9 +151,7 @@ def test_indefinite_operator_ends_with_spd_loss():
     rng = np.random.default_rng(0)
     op = eqs.MultitermOperator([np.diag(np.linspace(-1.0, 3.0, 12))], [np.eye(12)])
     F = eqs.LowRankRhs(rng.standard_normal((12, 2)), rng.standard_normal((12, 2)))
-    X, trace, status = tc.truncated_cg_solve(
-        op, F, pc.IdentityPrecond(), tc.TruncationPolicy.from_tol(1e-6), 1e-6, 100
-    )
+    X, trace, status = tc.truncated_cg_solve(op, F, pc.IdentityPrecond(), 1e-6, 100)
     last = trace.last()
     assert status == "spd_loss" and last["event"] == "spd_loss"
     assert last["res_kind"] == "exact"
@@ -163,9 +162,8 @@ def test_converges_with_truncation(rng):
     m, n = 16, 14
     op, F = make_spd_problem(m, n, rng, cond=10.0)
     tol = 1e-7
-    policy = tc.TruncationPolicy.from_tol(tol)
     prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
-    X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, tol, 200)
+    X, trace, status = tc.truncated_cg_solve(op, F, prec, tol, 200)
     assert status == "converged"
     assert float(trace.last()["res_rel"]) <= tol
     assert trace.last()["res_kind"] == "exact"
@@ -179,15 +177,32 @@ def true_residual(op, X, F):
     return geo.factored_norm(R) / geo.factored_norm(F)
 
 
-def test_unconverged_exit_reports_true_residual(rng):
+def test_unconverged_exit_reports_true_residual(rng, monkeypatch):
     m, n = 16, 14
     op, F = make_spd_problem(m, n, rng, cond=10.0)
-    coarse = tc.TruncationPolicy(eps_rel_x=1e-2, eps_rel_r=1e-2)
+    truncate_at(monkeypatch, 1e-12, 1e-2)
     prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
-    X, trace, status = tc.truncated_cg_solve(op, F, prec, coarse, 1e-12, 5)
+    X, trace, status = tc.truncated_cg_solve(op, F, prec, 1e-12, 5)
     assert status == "max_iter"
     assert trace.last()["res_kind"] == "exact"
     assert trace.last()["res_rel"] == pytest.approx(true_residual(op, X, F), rel=1e-10)
+
+
+def test_stagnated_exit_reports_true_residual(rng, monkeypatch):
+    """Truncation at 1% of each quantity's norm holds the residual near a
+    floor far above ``tol``: the solve ends with ``stagnated`` well inside
+    its budget, on a last row that holds the exact residual."""
+    m, n = 16, 14
+    op, F = make_spd_problem(m, n, rng, cond=10.0)
+    tol = 1e-12
+    truncate_at(monkeypatch, tol, 1e-2)
+    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
+    X, trace, status = tc.truncated_cg_solve(op, F, prec, tol, 200)
+    assert status == "stagnated" and trace.last()["iter"] < 200
+    last = trace.last()
+    assert last["res_kind"] == "exact" and last["event"] == "stagnated"
+    exact = eqs.residual_norm_exact(op, X, F)
+    assert last["res_rel"] == pytest.approx(exact, rel=1e-10) and exact > tol
 
 
 def test_converged_means_true_residual_below_tol():
@@ -199,23 +214,10 @@ def test_converged_means_true_residual_below_tol():
     inst = pb.gen_stoch_galerkin(30, 6, 3)
     tol = 1e-6
     prec = pc.KronPrecond(geo.KroneckerMetric(inst.p2["E"], inst.p2["D"]))
-    X, trace, status = tc.truncated_cg_solve(
-        inst.op, inst.F, prec, tc.TruncationPolicy.from_tol(tol), tol, 200
-    )
+    X, trace, status = tc.truncated_cg_solve(inst.op, inst.F, prec, tol, 200)
     assert status == "converged"
     assert trace.last()["res_kind"] == "exact"
     assert true_residual(inst.op, X, inst.F) <= tol
-
-
-def test_rank_cap_tracked_and_never_exceeded(rng):
-    m, n = 16, 14
-    op, F = make_spd_problem(m, n, rng, cond=200.0)
-    tol = 1e-9
-    policy = tc.TruncationPolicy.from_tol(tol, rank_cap=3)
-    prec = pc.KronPrecond(geo.KroneckerMetric(op.A[0], op.B[1]))
-    X, trace, status = tc.truncated_cg_solve(op, F, prec, policy, tol, 120)
-    for row in trace.rows:
-        assert row["rank_x"] <= 3 and row["rank_r"] <= 3 and row["rank_p"] <= 3
 
 
 def test_no_divergence_at_truncation_floor():
@@ -229,12 +231,11 @@ def test_no_divergence_at_truncation_floor():
     kron = geo.KroneckerMetric(spec["E"], spec["D"])
     shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
     tol = 1e-6
-    policy = tc.TruncationPolicy.from_tol(tol)
     prec = pc.FadiAmbientPrecond(
         spec["A"], spec["B"], kron, shifts,
-        truncate_fn=lambda Z: policy.truncate_residual(Z)[0],
+        truncate_fn=lambda Z: tc.truncate_residual(Z, tol),
     )
-    _, trace, _ = tc.truncated_cg_solve(inst.op, inst.F, prec, policy, tol, 60)
+    _, trace, _ = tc.truncated_cg_solve(inst.op, inst.F, prec, tol, 60)
     hist = [r["res_rel"] for r in trace.rows]
     floor = min(hist)
     assert floor < 5e-3
