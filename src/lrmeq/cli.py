@@ -30,13 +30,14 @@ import time
 import numpy as np
 import scipy
 
+from . import equations as eqs
 from . import geometry as geo
 from . import io as inst_io
 from . import numkit
 from . import precond as pc
 from . import problems as pb
 from .solver_rnlcg import RnlcgOptions, check_int, check_positive, rnlcg_solve
-from .solver_rram import UP_SHARE, RramOptions, rram_solve
+from .solver_rram import UP_SHARE, RramOptions, rank_increase, rram_solve
 from .trunc_cg import truncate_residual, truncated_cg_solve
 
 _ENV_OUT = "LRMEQ_OUT"
@@ -246,6 +247,8 @@ def run_solve(cfg):
         "final_res": final_res,
         "final_rank": final_rank,
         "peak_rank": max(trace.column("rank")),
+        "evaluations": trace.counts["evaluations"],
+        "gradients": trace.counts["gradients"],
         "wall_s": wall,
         "config": {k: v for k, v in cfg.items() if k != "out"},
         "seed": cfg["seed"],
@@ -296,12 +299,14 @@ def cmd_compare(args):
             cfg = s.get("config", {})
             rows.append(
                 [cfg.get("solver", ""), cfg.get("precond", ""), s["iters"],
-                 s["wall_s"], s["final_rank"], s.get("peak_rank", ""), s["final_res"]]
+                 s["wall_s"], s["final_rank"], s.get("peak_rank", ""),
+                 s.get("evaluations", ""), s.get("gradients", ""), s["final_res"]]
             )
         except (AttributeError, KeyError) as exc:
             # exit code 4, as for an unreadable instance
             raise OSError(f"{path}: not a run summary ({type(exc).__name__}: {exc})") from None
-    header = ["solver", "precond", "iters", "time_s", "final_rank", "peak_rank", "final_res"]
+    header = ["solver", "precond", "iters", "time_s", "final_rank", "peak_rank",
+              "evaluations", "gradients", "final_res"]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -382,6 +387,17 @@ def cmd_verify(_args):
         Xr.densify(force=True) - x.reshape((6, 6), order="F")
     ) / np.linalg.norm(x)
     check("tiny instance matches dense Kronecker solve", status == "converged" and err <= 1e-7)
+    X1 = geo.random_point(6, 6, 1, kron, np.random.default_rng(1))
+    ev = eqs.evaluate(inst.op, X1, inst.F)
+    up = rank_increase(X1, inst.op, ev.R, 2)
+    grown, fresh = up.evaluation(inst.F, ev), eqs.evaluate(inst.op, up.point, inst.F)
+    check(
+        "rank increase's grown evaluation matches evaluate at the grown point",
+        grown is not None and abs(grown.f - fresh.f) <= 1e-12 * abs(fresh.f)
+        and np.linalg.norm(grown.R.densify() - fresh.R.densify()) <= 1e-12 * fresh.norm
+        and all(np.linalg.norm(getattr(grown, a) - getattr(fresh, a))
+                <= 1e-12 * np.linalg.norm(getattr(fresh, a)) for a in ("RtU", "RtV", "UAU", "VBV")),
+    )
     # one size over several QR panels, so the blocked Householder QR runs
     W = rng.standard_normal((200, 70))
     Q, R = numkit.qr_thin(W)

@@ -152,6 +152,71 @@ def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix,
         if form:
             UAU[i] = X.U.T @ AU
             VBV[i] = X.V.T @ BV
+    return _evaluation(X, F, left, right, UAU, VBV)
+
+
+def evaluate_grown(F: FactoredMatrix, ev: Evaluation, X_up: FixedRankPoint, order,
+                   alpha, AY: FactoredMatrix) -> Evaluation:
+    """The evaluation at the point ``X_up = X + alpha Y`` of a rank
+    increase, from the evaluation ``ev`` at X and ``AY = op.apply(Y)``,
+    with no product of a coefficient matrix.
+
+    ``Y = NU diag(s_N) NV.T`` has k columns, and X_up holds the r + k
+    columns of ``[X, Y]`` in the order ``order``: its column j is X's
+    column ``order[j]``, or, for ``order[j] >= r``, Y's column ``c =
+    order[j] - r`` as ``(sign(alpha) NU[:, c], |alpha| s_N[c], NV[:, c])``.
+    So the term blocks gain ``A_i U_j s_j = alpha (A_i NU s_N)[:, c]`` and
+    ``B_i V_j = (B_i NV)[:, c]``, the columns of AY; ``UAU`` and ``VBV``
+    gain their cross blocks from one small GEMM of X_up's basis against
+    AY; and the residual ``A X_up - F = R + alpha AY.left AY.right.T`` is
+    a rank-``l k`` update of ev's dense residual, or, while X's residual
+    is factored, the grown factors, multiplied out where their columns
+    first outnumber ``min(m, n)``.
+    """
+    (m, n), r_up = X_up.shape, X_up.r
+    ell, r = ev.UAU.shape[:2]
+    k = r_up - r
+    terms = ell * r_up
+    old, new = np.flatnonzero(order < r), np.flatnonzero(order >= r)
+    # the columns of every term block: where X_up holds X's and Y's, and
+    # where ev's blocks and AY hold them
+    term = np.arange(ell)[:, None]
+    to_old, to_new = (term * r_up + old).ravel(), (term * r_up + new).ravel()
+    from_old, from_new = (term * r + order[old]).ravel(), (term * k + order[new] - r).ravel()
+    left = np.empty((m, terms + F.k), order="F")
+    right = np.empty((n, terms + F.k), order="F")
+    left[:, to_old] = ev.AUS[:, from_old]
+    right[:, to_old] = ev.BV[:, from_old]
+    AUS_new = alpha * AY.left[:, from_new]
+    BV_new = AY.right[:, from_new]
+    left[:, to_new] = AUS_new
+    right[:, to_new] = BV_new
+    # U_up.T A_i U_up[:, new] = U_up.T (A_i U_up S_up)[:, new] / s_new
+    GU = (X_up.U.T @ AUS_new).reshape(r_up, ell, k).transpose(1, 0, 2) / X_up.sigma[new]
+    GV = (X_up.V.T @ BV_new).reshape(r_up, ell, k).transpose(1, 0, 2)
+    UAU = np.empty((ell, r_up, r_up))
+    VBV = np.empty((ell, r_up, r_up))
+    for blocks, G, old_blocks in ((UAU, GU, ev.UAU), (VBV, GV, ev.VBV)):
+        blocks[:, old[:, None], old] = old_blocks[:, order[old][:, None], order[old]]
+        blocks[:, :, new] = G
+        blocks[:, new[:, None], old] = G[:, old].transpose(0, 2, 1)
+    Rd = None
+    if ev.dense:
+        # the dense residual is stored as R.left (m >= n) or R.right (m < n)
+        Rd = (ev.R.left + (alpha * AY.left) @ AY.right.T if m >= n
+              else ev.R.right + AY.right @ (alpha * AY.left).T)
+    return _evaluation(X_up, F, left, right, UAU, VBV, Rd)
+
+
+def _evaluation(X, F, left, right, UAU, VBV, Rd=None) -> Evaluation:
+    """The evaluation at X from its term blocks, the leading columns of
+    the residual's factors ``left`` and ``right``, whose last ``r_F``
+    columns this fills with ``-F_L`` and ``F_R``, and ``UAU``, ``VBV``.
+    ``Rd`` is the dense residual in R's storage (``Evaluation``) when the
+    caller has it; a dense R is otherwise multiplied out of the factors."""
+    (m, n), r = X.shape, X.r
+    terms = left.shape[1] - F.k
+    S = X.sigma
     np.negative(F.left, out=left[:, terms:])
     right[:, terms:] = F.right
     UF = X.U.T @ F.left
@@ -166,10 +231,10 @@ def evaluate(op: MultitermOperator, X: FixedRankPoint, F: FactoredMatrix,
     if not dense:
         R = FactoredMatrix(left, right)
     elif m >= n:
-        R = FactoredMatrix(left @ right.T, np.eye(n))
+        R = FactoredMatrix(left @ right.T if Rd is None else Rd, np.eye(n))
         RtU, RtV = right @ RtU, X.V
     else:
-        R = FactoredMatrix(np.eye(m), right @ left.T)
+        R = FactoredMatrix(np.eye(m), right @ left.T if Rd is None else Rd)
         RtU, RtV = X.U, left @ RtV
     return Evaluation(f, R, dense, left[:, :terms], right[:, :terms], UAU, VBV, RtU, RtV)
 

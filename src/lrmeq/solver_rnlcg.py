@@ -1,7 +1,8 @@
 """Preconditioned Riemannian nonlinear CG on the fixed-rank manifold.
 
 One iteration: Riemannian gradient of the quadratic objective, one
-application of the preconditioner inverse, a modified Hestenes-Stiefel /
+application of the preconditioner inverse (both taken only at a point a
+step leaves from, ``RnlcgState.commit``), a modified Hestenes-Stiefel /
 Dai-Yuan beta with a descent safeguard, an exact-line-search initial step
 on the tangent space, and Armijo backtracking through the metric
 projection retraction.
@@ -20,6 +21,7 @@ u.T G_i u`` and ``V.T B_i V = v.T K_i v`` come from the projected terms.
 
 from __future__ import annotations
 
+import collections
 import numbers
 from dataclasses import dataclass
 
@@ -140,26 +142,39 @@ def armijo_backtrack(model, xi, alpha_bar, g):
 class RnlcgState:
     """Single-step driver for (preconditioned) R-NLCG.
 
-    Holds the current point plus its objective, factored residual,
-    Riemannian gradient and preconditioned gradient; ``step()`` advances
+    Holds the current point and its evaluation (objective and factored
+    residual).  Its Riemannian gradient ``g``, the preconditioned gradient
+    ``h = P^-1 g`` and ``grad_energy = <g, h>`` are formed on first use,
+    and a solve forms them only at a point it continues from (``commit``):
+    a point that ends the solve or a phase is read only through its
+    evaluation, whose residual a rank increase takes.  ``step()`` advances
     one accepted iteration and leaves the state untouched when it raises.
     The rank-adaptive outer loop drives this directly, restarting it after
     rank changes; ``rnlcg_solve`` wraps it with stopping tests.
+    ``counts`` tallies the ``evaluations`` (``equations.evaluate`` calls)
+    and ``gradients`` (preconditioner applies) the state makes.
     """
 
-    def __init__(self, op, F, X0, precond=None):
+    def __init__(self, op, F, X0, precond=None, counts=None):
         self.op = op
         self.F = F
         self.precond = precond if precond is not None else IdentityPrecond()
         self.norm_F = geo.factored_norm(F)
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")
+        self.counts = counts if counts is not None else collections.Counter()
+        self.X = None
         self.restart(X0)
+
+    def evaluate(self, X, UAU=None, VBV=None):
+        """``equations.evaluate`` at X, counted."""
+        self.counts["evaluations"] += 1
+        return eqs.evaluate(self.op, X, self.F, UAU, VBV)
 
     def restart(self, X, ev=None):
         """Move to the point ``X`` with no CG history, as a fresh state;
         ``ev`` is X's evaluation when the caller already has it."""
-        self._move_to(X, ev if ev is not None else eqs.evaluate(self.op, X, self.F))
+        self._move_to(X, ev if ev is not None else self.evaluate(X))
         self._xi_prev = None
         self._h_prev = None
         self._prev_g_xi = 0.0
@@ -169,15 +184,49 @@ class RnlcgState:
         self.last_reset = False
 
     def _move_to(self, X, ev):
-        g = geo.riemannian_gradient(X, ev.R, ev.RtU, ev.RtV)
-        h = self.precond.apply_inv_tangent(g)
-        grad_energy = geo.inner(g, h)
-        if grad_energy < 0.0:
-            raise numkit.NotSpdError(
-                f"<g, P^-1 g> = {grad_energy:.3e} < 0: preconditioner not SPD"
-            )
-        self.X, self.ev = X, ev
-        self.g, self.h, self.grad_energy = g, h, grad_energy
+        # what `commit` returns to, unless a row is recorded first
+        self._undo = None if self.X is None else {**vars(self), "_undo": None}
+        self.X, self.ev, self._grad = X, ev, None
+
+    def _gradient(self):
+        if self._grad is None:
+            ev = self.ev
+            g = geo.riemannian_gradient(self.X, ev.R, ev.RtU, ev.RtV)
+            h = self.precond.apply_inv_tangent(g)
+            self.counts["gradients"] += 1
+            grad_energy = geo.inner(g, h)
+            if grad_energy < 0.0:
+                raise numkit.NotSpdError(
+                    f"<g, P^-1 g> = {grad_energy:.3e} < 0: preconditioner not SPD"
+                )
+            self._grad = (g, h, grad_energy)
+        return self._grad
+
+    def commit(self):
+        """Form the gradient at the current point, which the solve
+        continues from, before the point gets its row.  Where the
+        preconditioner is not SPD there (``NotSpdError``), the state first
+        returns to where it stood before its last move (``step`` or
+        ``restart``), unless it has recorded a row since, and re-raises."""
+        try:
+            self._gradient()
+        except numkit.NotSpdError:
+            if self._undo is not None:
+                vars(self).update(self._undo)
+            raise
+        self._undo = None
+
+    @property
+    def g(self):
+        return self._gradient()[0]
+
+    @property
+    def h(self):
+        return self._gradient()[1]
+
+    @property
+    def grad_energy(self):
+        return self._gradient()[2]
 
     @property
     def f(self):
@@ -196,11 +245,13 @@ class RnlcgState:
 
     def record(self, trace, k, **fields):
         """Append the row of iteration ``k`` to ``trace``; ``fields``
-        (residual, event, ...) override the state's own values."""
+        (residual, event, ...) override the state's own values.  A failed
+        ``commit`` does not return past a point with a row."""
         trace.append(**{
             "iter": k, "f": self.f, "rank": self.X.r, "beta": self.last_beta,
             "alpha": self.last_alpha, "backtracks": self.last_backtracks, **fields,
         })
+        self._undo = None
 
     def step(self):
         """One accepted R-NLCG iteration; updates the state in place."""
@@ -219,7 +270,7 @@ class RnlcgState:
         UAU, VBV = u.T @ model.G @ u, v.T @ model.K @ v
         del model      # its bases need not outlive the line search
         h, g_xi = self.h, geo.inner(self.g, xi)
-        self._move_to(X_new, eqs.evaluate(self.op, X_new, self.F, UAU, VBV))
+        self._move_to(X_new, self.evaluate(X_new, UAU, VBV))
         self._xi_prev = xi
         self._h_prev = h
         self._prev_g_xi = g_xi
@@ -234,20 +285,31 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     """Run Algorithm-style fixed-rank R-NLCG until tolerance or budget.
 
     Returns ``(X, trace, status)`` with status in {"converged", "max_iter",
-    "line_search_failure", "stagnated", "spd_loss"}.
+    "line_search_failure", "stagnated", "spd_loss"}.  A point the solve
+    continues from gets its gradient before its row, so a preconditioner
+    that is not SPD there ends the solve at the previous row's point; the
+    point that ends the solve gets no gradient.
     """
     trace = SolveTrace()
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
-    try:
-        state = RnlcgState(op, F, X0, precond=precond)
-    except numkit.NotSpdError:
-        trace.append(iter=0, rank=X0.r)
-        return trace.finish(X0, "spd_loss")
-    k = 0
+    state = RnlcgState(op, F, X0, precond=precond, counts=trace.counts)
+    k, event, checked = 0, "", True
     res = state.res_rel()
-    state.record(trace, 0, res_rel=res, res_kind="exact")
-    while res > opts.tol:
+    while True:
+        if res > opts.tol and k < opts.max_iters:
+            try:
+                state.commit()
+            except numkit.NotSpdError:
+                if k == 0:
+                    trace.append(iter=0, rank=X0.r)
+                return trace.finish(state.X, "spd_loss")
+        if checked:
+            state.record(trace, k, res_rel=res, res_kind="exact", event=event)
+        else:
+            state.record(trace, k, event=event)
+        if res <= opts.tol:
+            return trace.finish(state.X, "converged")
         if k >= opts.max_iters:
             return trace.finish(state.X, "max_iter")
         if state.stagnated():
@@ -260,9 +322,6 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
             return trace.finish(state.X, "spd_loss")
         k += 1
         event = "reset_rgd" if state.last_reset else ""
-        if k % opts.check_every == 0 or k >= opts.max_iters:
+        checked = k % opts.check_every == 0 or k >= opts.max_iters
+        if checked:
             res = state.res_rel()
-            state.record(trace, k, res_rel=res, res_kind="exact", event=event)
-        else:
-            state.record(trace, k, event=event)
-    return trace.finish(state.X, "converged")

@@ -76,6 +76,31 @@ def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
     )
 
 
+@dataclass(frozen=True)
+class RankIncrease:
+    """A rank increase's grown point ``X + alpha Y`` and step ``alpha``,
+    which it unpacks to, with what the grown point's evaluation reuses:
+    ``AY = op.apply(Y)`` and ``order``, X_up's columns as indices into
+    ``[X, Y]`` (``equations.evaluate_grown``).  ``AY`` is None where the
+    point did not grow, or the sigma floor raised one of its singular
+    values, so that it is not exactly ``X + alpha Y``."""
+
+    point: geo.FixedRankPoint
+    alpha: float
+    AY: geo.FactoredMatrix | None = None
+    order: np.ndarray | None = None
+
+    def __iter__(self):
+        return iter((self.point, self.alpha))
+
+    def evaluation(self, F, ev):
+        """The evaluation at the grown point from ``ev``, the evaluation
+        at X, or None where it is to be evaluated afresh."""
+        if self.AY is None:
+            return None
+        return eqs.evaluate_grown(F, ev, self.point, self.order, self.alpha, self.AY)
+
+
 def rank_increase(X, op, R, r_up):
     """Warm start on the larger manifold by a normal-direction correction.
 
@@ -86,18 +111,20 @@ def rank_increase(X, op, R, r_up):
     n)`` and ``s`` its weighted singular values, so ``r_up`` is the
     smallest increase, not the largest.  It takes the exact line-search
     step along it, and returns the grown point together with the step
-    length.  The truncation (``_leading_normal_directions``) solves with E
-    and D, takes one weighted QR on the D side and no weighted SVD.  With
-    no room or no normal direction it returns ``(X, 0.0)``; a nonpositive
+    length as a ``RankIncrease``.  The truncation
+    (``_leading_normal_directions``) solves with E and D, takes one
+    weighted QR on the D side and no weighted SVD.  With no room or no
+    normal direction the point is X and the step 0; a nonpositive
     curvature ``<A Y, Y>`` along the direction Y raises ``NotSpdError``.
     """
     NU, s_N, NV = _leading_normal_directions(X, R)
     if s_N.size == 0:
-        return X, 0.0
+        return RankIncrease(X, 0.0)
     k = max(min(r_up, s_N.size), int(np.count_nonzero(s_N >= UP_SHARE * s_N[0])))
     NU, s_N, NV = NU[:, :k], s_N[:k], NV[:, :k]
     Y = geo.FactoredMatrix(NU * s_N, NV)
-    den = geo.factored_inner(op.apply(Y), Y)
+    AY = op.apply(Y)
+    den = geo.factored_inner(AY, Y)
     if den <= 0.0:
         raise NotSpdError(f"nonpositive curvature <A Y, Y> = {den:.3e}")
     alpha = -geo.factored_inner(R, Y) / den
@@ -108,8 +135,10 @@ def rank_increase(X, op, R, r_up):
     order = np.argsort(-s_all)
     s_all = s_all[order]
     floor = geo.SIGMA_FLOOR_FACTOR * (s_all[0] if s_all[0] > 0 else 1.0)
+    floored = s_all[-1] < floor
     s_all = np.maximum(s_all, floor)
-    return geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], X.metric), alpha
+    X_up = geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], X.metric)
+    return RankIncrease(X_up, alpha, None if floored else AY, order)
 
 
 def _leading_normal_directions(X, R):
@@ -170,7 +199,7 @@ def _taken_cut(op, F, state, X_cut, res, tol):
     t = geo.factored_norm(op.apply(tail)) / state.norm_F
     if t > 2.0 * res + CUT_TOL_SHARE * tol + CUT_BOUND_SLACK:
         return None
-    ev = eqs.evaluate(op, X_cut, F)
+    ev = state.evaluate(X_cut)
     return ev if ev.norm / state.norm_F <= res + CUT_TOL_SHARE * tol else None
 
 
@@ -254,22 +283,35 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     ``rnlcg_solve``, at the last point the state accepted.  Where the rank
     cannot grow (at rank ``min(m, n)``, or with no normal direction), a
     phase that takes no step ends the solve with ``stagnated``.
+
+    A point gets its gradient and preconditioner apply only where a step
+    leaves from it (``RnlcgState.commit``), before its row: the point that
+    ends a phase before a rank increase, or ends the solve, is read only
+    through its evaluation, whose residual the increase takes.  The grown
+    point's evaluation comes from the increase's products
+    (``RankIncrease.evaluation``); only a point the sigma floor changed is
+    evaluated afresh.
     """
     trace = SolveTrace(extra_columns=("sig_ratio",))
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.r0, metric, np.random.default_rng(opts.seed))
-    try:
-        state = RnlcgState(op, F, X0, precond=precond)
-    except NotSpdError:
-        trace.append(iter=0, rank=X0.r, sig_ratio=_sig_ratio(X0))
-        return trace.finish(X0, "spd_loss")
+    state = RnlcgState(op, F, X0, precond=precond, counts=trace.counts)
 
     def record(k, res, **fields):
         state.record(trace, k, res_rel=res, res_kind="exact",
                      sig_ratio=_sig_ratio(state.X), **fields)
 
+    def ends_solve(res, k):
+        return res <= opts.tol or k >= opts.max_total_iters
+
     k = 0
     res = state.res_rel()
+    if not ends_solve(res, k):
+        try:
+            state.commit()
+        except NotSpdError:
+            trace.append(iter=0, rank=X0.r, sig_ratio=_sig_ratio(X0))
+            return trace.finish(X0, "spd_loss")
     record(0, res)
     gain_up = None      # decades gained by the rank increase that opened the phase
     while res > opts.tol:
@@ -297,43 +339,59 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
                 cut = f"{state.X.r}->{X_cut.r}"
                 ev = _taken_cut(op, F, state, X_cut, res, opts.tol)
                 if ev is not None:
-                    try:
-                        state.restart(X_cut, ev)
-                    except NotSpdError:
-                        record(k, res)
-                        return trace.finish(state.X, "spd_loss")
+                    state.restart(X_cut, ev)
                     res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
                     gain_up = None
                 else:
                     event = f"cut_refused:{cut}"
+            phase_ends = (ends_solve(res, k) or phase_iters >= MAX_PHASE_ITERS
+                          or plateau_detect(log_hist, log_start, gain_up))
+            if not phase_ends:
+                try:
+                    state.commit()
+                except NotSpdError:
+                    if event.startswith("rank_down"):
+                        # the state is back at the step's point, before the cut
+                        record(k, state.res_rel())
+                    return trace.finish(state.X, "spd_loss")
             record(k, res, event=event)
-            if res <= opts.tol or k >= opts.max_total_iters:
+            if ends_solve(res, k):
                 break
             if phase_iters >= MAX_PHASE_ITERS:
                 trace.tag_last("phase_cap")
                 break
-            if plateau_detect(log_hist, log_start, gain_up):
+            if phase_ends:
                 trace.tag_last("plateau")
                 break
 
         # ---- rank increase ----------------------------------------------
-        if res <= opts.tol or k >= opts.max_total_iters:
+        if ends_solve(res, k):
             continue
         r_old = state.X.r
         gain_up = None      # unless the rank grows
         try:
-            X_up, alpha_star = rank_increase(state.X, op, state.R, opts.r_up)
+            up = rank_increase(state.X, op, state.R, opts.r_up)
+            X_up, alpha_star = up
             if X_up.r > r_old:
-                state.restart(X_up)
+                state.restart(X_up, up.evaluation(F, state.ev))
         except NotSpdError:
             return trace.finish(state.X, "spd_loss")
         if X_up.r == r_old:
             # the rank cannot grow; a phase without a step would repeat itself
             if phase_iters == 0:
                 return trace.finish(state.X, "stagnated")
+            try:
+                state.commit()      # the next phase starts from this point
+            except NotSpdError:
+                return trace.finish(state.X, "spd_loss")
             continue
         k += 1
         res_before, res = res, state.res_rel()
+        if not ends_solve(res, k):
+            try:
+                state.commit()
+            except NotSpdError:
+                return trace.finish(state.X, "spd_loss")
         gain_up = _log_res(res_before) - _log_res(res)
         record(k, res, alpha=alpha_star, event=f"rank_up:{r_old}->{X_up.r}")
     return trace.finish(state.X, "converged")

@@ -5,11 +5,13 @@ Schema (one row per iteration or event):
 The truncated-CG solver appends ``rank_x,rank_r,rank_p`` columns, and RRAM
 appends ``sig_ratio``, the iterate's ``sigma_r / sigma_1``.
 ``time_s`` counts seconds from the trace's construction; golden
-comparisons exclude it.
+comparisons exclude it.  ``counts`` holds what the solve formed:
+``evaluations`` and ``gradients``.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import time
@@ -25,12 +27,13 @@ class SolveTrace:
     """Append-only record of solver iterations; indices strictly increase.
 
     Rows are stamped with the seconds since construction, and a solve
-    ends through ``finish``.
+    ends through ``finish``.  ``counts`` tallies the solve's work by name.
     """
 
     def __init__(self, extra_columns=()):
         self.columns = BASE_COLUMNS + tuple(extra_columns)
         self.rows = []
+        self.counts = collections.Counter()
         self._t0 = time.perf_counter()
 
     def append(self, **kw):

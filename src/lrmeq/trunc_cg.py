@@ -72,8 +72,13 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
         return trace.finish(X, "converged")
 
     def true_residual():
+        trace.counts["evaluations"] += 1
         R_true = eqs.residual(op, X, F)    # A X - F
         return R_true, factored_norm(R_true) / norm_F
+
+    def precondition(R):
+        trace.counts["gradients"] += 1
+        return precond.apply_inv_ambient(R)
 
     def stop(status):
         # every exit leaves an exact residual on the last row
@@ -82,7 +87,7 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
         return trace.finish(X, status)
 
     R = F                                  # residual of the *equation*: F - A X
-    Z = precond.apply_inv_ambient(R)
+    Z = precondition(R)
     P = Z
     res = factored_norm(R) / norm_F
     res_hist = [res]
@@ -106,7 +111,7 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
             if res > tol:
                 R = truncate_residual(R_true.scaled(-1.0), tol)
         res_hist.append(res)
-        Z = precond.apply_inv_ambient(R)
+        Z = precondition(R)
         if kind == "exact":
             beta = 0.0                     # restart from the replaced residual
             P = Z

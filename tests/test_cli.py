@@ -179,7 +179,7 @@ def test_compare_table(tmp_path):
     assert main(["compare", *summaries, "--out", str(table)]) == 0
     rows = list(csv.reader(open(table)))
     assert rows[0] == ["solver", "precond", "iters", "time_s", "final_rank", "peak_rank",
-                       "final_res"]
+                       "evaluations", "gradients", "final_res"]
     assert len(rows) == 3
     assert rows[1][1] == "identity" and rows[2][1] == "P1"
     assert rows[1][5] == rows[2][5] == "6"
@@ -216,6 +216,48 @@ def test_summary_peak_rank_is_the_largest_trace_rank(tmp_path, solver, flags):
     assert summary["peak_rank"] == max(ranks) >= summary["final_rank"]
     if solver == "rram":
         assert (summary["peak_rank"], summary["final_rank"]) == (4, 2)
+
+
+@pytest.mark.parametrize("solver, flags", [
+    ("rnlcg", ["--rank", "4"]), ("rram", ["--r0", "4", "--r-up", "2"]), ("trunc_cg", []),
+])
+def test_summary_counts_evaluations_and_gradients(tmp_path, solver, flags):
+    """summary.json counts the solve's evaluations and gradients, and
+    ``compare`` prints both after ``peak_rank``, with empty cells for a
+    summary written before they were counted.  R-NLCG evaluates each of
+    its ``iters + 1`` points and takes a gradient at every point but the
+    last; RRAM evaluates its first point, each step's and some proposed
+    cuts, and takes no gradient at the point that ends the solve; truncated CG
+    preconditions its residual once per row and evaluates the true
+    residual on every ``exact`` row but the first."""
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(rank_two_solution_instance(), inst_dir)
+    out = tmp_path / "run"
+    assert main(["solve", "--instance", str(inst_dir), "--solver", solver, "--precond", "P1",
+                 "--tol", "1e-9", *flags, "--out", str(out)]) == 0
+    with open(out / "summary.json") as fh:
+        summary = json.load(fh)
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    iters, evals, grads = summary["iters"], summary["evaluations"], summary["gradients"]
+    if solver == "rnlcg":
+        assert (evals, grads) == (iters + 1, iters)
+    elif solver == "rram":
+        steps = sum("rank_up" not in r["event"] for r in rows[1:])
+        assert 0 < grads < len(rows) and evals >= 1 + steps
+    else:
+        exact = sum(r["res_kind"] == "exact" for r in rows)
+        assert (evals, grads) == (exact - 1, iters + 1)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({k: v for k, v in summary.items()
+                               if k not in ("evaluations", "gradients")}))
+    table = tmp_path / "cmp.csv"
+    assert main(["compare", str(out / "summary.json"), str(old), "--out", str(table)]) == 0
+    header, new_row, old_row = csv.reader(open(table))
+    at = header.index("peak_rank")
+    assert header[at + 1:at + 3] == ["evaluations", "gradients"]
+    assert new_row[at + 1:at + 3] == [str(evals), str(grads)]
+    assert old_row[at + 1:at + 3] == ["", ""]
 
 
 def test_compare_prints_an_empty_peak_rank_for_an_older_summary(tmp_path):

@@ -594,3 +594,42 @@ def test_weighted_metric_solver_converges(rng):
     )
     assert status == "converged"
     assert trace.last()["iter"] < 30
+
+
+# ---------------------------------------------------------------------------
+# a gradient only where a step leaves from
+# ---------------------------------------------------------------------------
+
+
+class CountingIdentity:
+    """Identity preconditioner that counts its applies."""
+
+    applies = 0
+
+    def apply_inv_tangent(self, eta):
+        self.applies += 1
+        return eta
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_converged_solve_applies_the_preconditioner_once_per_step(rng, seed):
+    """A solve that ends ``converged`` after ``iters`` steps applies the
+    preconditioner at the ``iters`` points a step left from, not at the
+    last one, and evaluates each of its ``iters + 1`` points once."""
+    op, F, _ = make_spd_problem(12, 10, 2, rng)
+    prec = CountingIdentity()
+    X, trace, status = rn.rnlcg_solve(op, F, rn.RnlcgOptions(rank=3, tol=1e-8, seed=seed),
+                                      precond=prec)
+    iters = trace.last()["iter"]
+    assert status == "converged" and iters > 0
+    assert prec.applies == iters == trace.counts["gradients"]
+    assert trace.counts["evaluations"] == iters + 1
+
+
+def test_max_iter_solve_takes_no_gradient_at_its_last_point(rng):
+    op, F, _ = make_spd_problem(12, 10, 2, rng)
+    prec = CountingIdentity()
+    X, trace, status = rn.rnlcg_solve(op, F, rn.RnlcgOptions(rank=3, tol=1e-14, max_iters=4),
+                                      precond=prec)
+    assert status == "max_iter" and trace.last()["iter"] == 4
+    assert prec.applies == 4

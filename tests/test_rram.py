@@ -938,6 +938,87 @@ def test_rram_first_increase_adds_the_normal_rank():
 
 
 # ---------------------------------------------------------------------------
+# a gradient only where a step leaves from, no evaluation after an increase
+# ---------------------------------------------------------------------------
+
+
+class PointsApplied:
+    """Identity preconditioner that keeps the point of every apply."""
+
+    def __init__(self):
+        self.points = []
+
+    def apply_inv_tangent(self, eta):
+        self.points.append(eta.point)
+        return eta
+
+
+@pytest.mark.parametrize("end", ["plateau", "phase_cap"])
+def test_rram_applies_no_preconditioner_at_a_row_that_ends_a_phase(end, monkeypatch):
+    """The point of a row that ends a phase (``plateau``, ``phase_cap``,
+    here 2 steps) before a rank increase, or ends the solve, gets no apply:
+    only the increase reads it.  The point of every other row, which a step
+    leaves from, gets exactly one, before its row; that includes a phase
+    end at full rank, where the rank cannot grow and the next phase starts
+    from it."""
+    if end == "phase_cap":
+        monkeypatch.setattr(rr, "MAX_PHASE_ITERS", 2)
+    row_points = []
+    record = RnlcgState.record
+
+    def keeping_record(self, trace, k, **fields):
+        row_points.append(self.X)
+        return record(self, trace, k, **fields)
+
+    monkeypatch.setattr(RnlcgState, "record", keeping_record)
+    op, F, met = growth_problem()
+    prec = PointsApplied()
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=0), metric=met, precond=prec)
+    assert status == "converged"
+    tags = [set(r["event"].split("+")) for r in trace.rows] + [{"rank_up:"}]
+    ended = 0
+    for i, X_row in enumerate(row_points):
+        applies = sum(P is X_row for P in prec.points)
+        grows_next = any(t.startswith("rank_up:") for t in tags[i + 1])
+        if "converged" in tags[i] or (end in tags[i] and grows_next):
+            ended += 1
+            assert applies == 0, trace.rows[i]
+        else:
+            assert applies == 1, trace.rows[i]
+    assert ended > 2
+    assert len(prec.points) == trace.counts["gradients"] == len(trace.rows) - ended
+
+
+def test_rram_sg_restart_after_an_increase_evaluates_nothing(monkeypatch):
+    """On stochastic Galerkin ns=10, q=6, p=3 the grown point's evaluation
+    comes from the increase's products: ``equations.evaluate`` runs at the
+    start and after each step, and never between a rank increase and the
+    next step."""
+    calls = []
+    evaluate, increase, step = eqs.evaluate, rr.rank_increase, RnlcgState.step
+
+    def logging(name, fn):
+        def logged(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return logged
+
+    monkeypatch.setattr(eqs, "evaluate", logging("evaluate", evaluate))
+    monkeypatch.setattr(rr, "rank_increase", logging("increase", increase))
+    monkeypatch.setattr(RnlcgState, "step", logging("step", step))
+    op, F, met = sg_small()
+    X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=3, r_up=3, tol=1e-6, seed=0),
+                                     metric=met)
+    assert status == "converged" and calls.count("increase") > 3
+    after_increase = False
+    for name in calls:
+        after_increase = (after_increase or name == "increase") and name != "step"
+        assert not (after_increase and name == "evaluate")
+    assert trace.counts["evaluations"] == calls.count("evaluate")
+
+
+# ---------------------------------------------------------------------------
 # SPD loss outside a step
 # ---------------------------------------------------------------------------
 
@@ -976,6 +1057,34 @@ def test_rram_spd_loss_at_restart_ends_with_status(rng):
     assert X.r == 1 and trace.last()["event"].endswith("spd_loss")
     assert all(r["rank"] == 1 for r in trace.rows)
     assert not any("rank_up" in r["event"] for r in trace.rows)
+
+
+class NegatesBelowRank:
+    """Preconditioner stub: the identity at rank ``r`` or above, the
+    negated identity below."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def apply_inv_tangent(self, eta):
+        return eta if eta.point.r >= self.r else eta.scaled(-1.0)
+
+
+def test_rram_spd_loss_at_a_cut_ends_at_the_steps_point():
+    """Started at rank 4 on a rank-2 solution, the first taken cut goes
+    below rank 4, where the preconditioner is not SPD: the solve ends with
+    ``spd_loss`` at the step's uncut point, whose row is the last one and
+    holds its exact residual."""
+    op, F, met = lower_rank_solution_problem(0)
+    X, trace, status = rr.rram_solve(
+        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=0), metric=met,
+        precond=NegatesBelowRank(4))
+    assert status == "spd_loss" and X.r == 4
+    last = trace.last()
+    assert last["rank"] == 4 and last["event"] == "spd_loss"
+    assert not any("rank_down" in r["event"] for r in trace.rows)
+    exact = eqs.residual_norm_exact(op, X, F)
+    assert abs(last["res_rel"] - exact) <= 1e-9 * exact
 
 
 def test_rram_spd_loss_at_start_ends_with_status(rng):
