@@ -2,10 +2,12 @@
 
 One iteration: Riemannian gradient of the quadratic objective, one
 application of the preconditioner inverse (both taken only at a point a
-step leaves from, ``RnlcgState.commit``), a modified Hestenes-Stiefel /
+step leaves from, before its trace row), a modified Hestenes-Stiefel /
 Dai-Yuan beta with a descent safeguard, an exact-line-search initial step
 on the tangent space, and Armijo backtracking through the metric
-projection retraction.
+projection retraction.  Where the operator or the preconditioner stops
+being SPD (``NotSpdError``), the solve ends with ``spd_loss`` at the point
+of its last trace row.
 
 X, the tangent line X + t xi and every retracted trial point lie in the
 subspace ``span(QU) x span(QV)`` of the retraction's weighted QRs of
@@ -144,15 +146,19 @@ class RnlcgState:
 
     Holds the current point and its evaluation (objective and factored
     residual).  Its Riemannian gradient ``g``, the preconditioned gradient
-    ``h = P^-1 g`` and ``grad_energy = <g, h>`` are formed on first use,
-    and a solve forms them only at a point it continues from (``commit``):
-    a point that ends the solve or a phase is read only through its
-    evaluation, whose residual a rank increase takes.  ``step()`` advances
-    one accepted iteration and leaves the state untouched when it raises.
-    The rank-adaptive outer loop drives this directly, restarting it after
-    rank changes; ``rnlcg_solve`` wraps it with stopping tests.
-    ``counts`` tallies the ``evaluations`` (``equations.evaluate`` calls)
-    and ``gradients`` (preconditioner applies) the state makes.
+    ``h = P^-1 g`` and ``grad_energy = <g, h>`` are formed on first use
+    and kept until the point moves.  ``record`` forms them before the
+    row of a point the solve continues from, so a preconditioner that is
+    not SPD there raises ``NotSpdError`` before the point has a row; a
+    point that ends the solve or a phase is read only through its
+    evaluation, whose residual a rank increase takes.  ``recorded`` is
+    the point of the last row, where a solve that loses SPD-ness ends.
+    ``step()`` advances one accepted iteration and leaves the state
+    untouched when it raises.  The rank-adaptive outer loop drives this
+    directly, restarting it after rank changes; ``rnlcg_solve`` wraps it
+    with stopping tests.  ``counts`` tallies the ``evaluations``
+    (``equations.evaluate`` calls) and ``gradients`` (preconditioner
+    applies) the state makes.
     """
 
     def __init__(self, op, F, X0, precond=None, counts=None):
@@ -163,7 +169,7 @@ class RnlcgState:
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")
         self.counts = counts if counts is not None else collections.Counter()
-        self.X = None
+        self.recorded = None
         self.restart(X0)
 
     def evaluate(self, X, UAU=None, VBV=None):
@@ -174,7 +180,7 @@ class RnlcgState:
     def restart(self, X, ev=None):
         """Move to the point ``X`` with no CG history, as a fresh state;
         ``ev`` is X's evaluation when the caller already has it."""
-        self._move_to(X, ev if ev is not None else self.evaluate(X))
+        self.X, self.ev, self._grad = X, ev if ev is not None else self.evaluate(X), None
         self._xi_prev = None
         self._h_prev = None
         self._prev_g_xi = 0.0
@@ -182,11 +188,6 @@ class RnlcgState:
         self.last_alpha = 0.0
         self.last_backtracks = 0
         self.last_reset = False
-
-    def _move_to(self, X, ev):
-        # what `commit` returns to, unless a row is recorded first
-        self._undo = None if self.X is None else {**vars(self), "_undo": None}
-        self.X, self.ev, self._grad = X, ev, None
 
     def _gradient(self):
         if self._grad is None:
@@ -201,20 +202,6 @@ class RnlcgState:
                 )
             self._grad = (g, h, grad_energy)
         return self._grad
-
-    def commit(self):
-        """Form the gradient at the current point, which the solve
-        continues from, before the point gets its row.  Where the
-        preconditioner is not SPD there (``NotSpdError``), the state first
-        returns to where it stood before its last move (``step`` or
-        ``restart``), unless it has recorded a row since, and re-raises."""
-        try:
-            self._gradient()
-        except numkit.NotSpdError:
-            if self._undo is not None:
-                vars(self).update(self._undo)
-            raise
-        self._undo = None
 
     @property
     def g(self):
@@ -243,15 +230,23 @@ class RnlcgState:
     def stagnated(self):
         return np.sqrt(max(self.grad_energy, 0.0)) <= STAG_GRAD_TOL * self.norm_F
 
-    def record(self, trace, k, **fields):
-        """Append the row of iteration ``k`` to ``trace``; ``fields``
-        (residual, event, ...) override the state's own values.  A failed
-        ``commit`` does not return past a point with a row."""
-        trace.append(**{
+    def row(self, k, **fields):
+        """The trace row of iteration ``k`` at the current point; ``fields``
+        (residual, event, ...) override the state's own values."""
+        return {
             "iter": k, "f": self.f, "rank": self.X.r, "beta": self.last_beta,
             "alpha": self.last_alpha, "backtracks": self.last_backtracks, **fields,
-        })
-        self._undo = None
+        }
+
+    def record(self, trace, k, continues=False, **fields):
+        """Append the row of iteration ``k`` to ``trace`` (``row``).  Where
+        the solve ``continues`` from the point, its gradient comes first, so
+        a ``NotSpdError`` there raises before the point has a row;
+        ``recorded`` is the point of the last row appended."""
+        if continues:
+            self._gradient()
+        trace.append(**self.row(k, **fields))
+        self.recorded = self.X
 
     def step(self):
         """One accepted R-NLCG iteration; updates the state in place."""
@@ -270,7 +265,7 @@ class RnlcgState:
         UAU, VBV = u.T @ model.G @ u, v.T @ model.K @ v
         del model      # its bases need not outlive the line search
         h, g_xi = self.h, geo.inner(self.g, xi)
-        self._move_to(X_new, self.evaluate(X_new, UAU, VBV))
+        self.X, self.ev, self._grad = X_new, self.evaluate(X_new, UAU, VBV), None
         self._xi_prev = xi
         self._h_prev = h
         self._prev_g_xi = g_xi
@@ -285,43 +280,34 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     """Run Algorithm-style fixed-rank R-NLCG until tolerance or budget.
 
     Returns ``(X, trace, status)`` with status in {"converged", "max_iter",
-    "line_search_failure", "stagnated", "spd_loss"}.  A point the solve
-    continues from gets its gradient before its row, so a preconditioner
-    that is not SPD there ends the solve at the previous row's point; the
-    point that ends the solve gets no gradient.
+    "line_search_failure", "stagnated", "spd_loss"}.  X0 gets its row
+    first; every later point the solve continues from gets its gradient
+    before its row (``RnlcgState.record``), and the point that ends the
+    solve gets none.  A ``NotSpdError`` anywhere ends the solve with
+    ``spd_loss`` at the point of its last row.
     """
     trace = SolveTrace()
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.rank, metric, np.random.default_rng(opts.seed))
     state = RnlcgState(op, F, X0, precond=precond, counts=trace.counts)
-    k, event, checked = 0, "", True
-    res = state.res_rel()
-    while True:
-        if res > opts.tol and k < opts.max_iters:
-            try:
-                state.commit()
-            except numkit.NotSpdError:
-                if k == 0:
-                    trace.append(iter=0, rank=X0.r)
-                return trace.finish(state.X, "spd_loss")
-        if checked:
-            state.record(trace, k, res_rel=res, res_kind="exact", event=event)
-        else:
-            state.record(trace, k, event=event)
-        if res <= opts.tol:
-            return trace.finish(state.X, "converged")
-        if k >= opts.max_iters:
-            return trace.finish(state.X, "max_iter")
-        if state.stagnated():
-            return trace.finish(state.X, "stagnated")
-        try:
+    k, res = 0, state.res_rel()
+    state.record(trace, 0, res_rel=res, res_kind="exact")
+    try:
+        while res > opts.tol and k < opts.max_iters:
+            if state.stagnated():
+                return trace.finish(state.X, "stagnated")
             state.step()
-        except LineSearchError:
-            return trace.finish(state.X, "line_search_failure")
-        except numkit.NotSpdError:
-            return trace.finish(state.X, "spd_loss")
-        k += 1
-        event = "reset_rgd" if state.last_reset else ""
-        checked = k % opts.check_every == 0 or k >= opts.max_iters
-        if checked:
-            res = state.res_rel()
+            k += 1
+            checked = k % opts.check_every == 0 or k >= opts.max_iters
+            if checked:
+                res = state.res_rel()
+            state.record(
+                trace, k, continues=res > opts.tol and k < opts.max_iters,
+                event="reset_rgd" if state.last_reset else "",
+                **({"res_rel": res, "res_kind": "exact"} if checked else {}),
+            )
+    except LineSearchError:
+        return trace.finish(state.X, "line_search_failure")
+    except numkit.NotSpdError:
+        return trace.finish(state.recorded, "spd_loss")
+    return trace.finish(state.X, "converged" if res <= opts.tol else "max_iter")

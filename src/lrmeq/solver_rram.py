@@ -11,9 +11,10 @@ component of the negative gradient, by at least ``r_up`` directions (fewer
 only where the component's numerical rank or the room left to ``min(m,
 n)`` is smaller) and by every further direction whose weighted singular
 value is at least ``UP_SHARE`` times the largest.  A rank cut, proposed
-where the iterate loses numerical rank, is taken only when it costs the
-residual a small share of the tolerance, so a cut cannot undo the
-directions a rank increase has just paid for.
+where the iterate loses numerical rank, is taken only when it raises the
+exact relative residual by at most ``CUT_TOL_SHARE * tol`` (0.1 tol).
+That bound is all the rule guarantees: it does not keep a cut from taking
+back directions a rank increase has just added.
 """
 
 from __future__ import annotations
@@ -278,120 +279,99 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     ``CUT_TOL_SHARE * tol``), the reason a phase ended (``plateau``,
     ``line_search`` or ``phase_cap``), and the status: ``converged``,
     ``max_iter``, ``stagnated`` or ``spd_loss``.  A phase also ends before
-    a step at a stationary point.  A ``NotSpdError`` anywhere (a step, a
-    restart, a rank increase) ends the solve with ``spd_loss``, as in
-    ``rnlcg_solve``, at the last point the state accepted.  Where the rank
-    cannot grow (at rank ``min(m, n)``, or with no normal direction), a
-    phase that takes no step ends the solve with ``stagnated``.
+    a step at a stationary point.  Where the rank cannot grow (at rank
+    ``min(m, n)``, or with no normal direction), a phase that takes no
+    step ends the solve with ``stagnated``.
 
-    A point gets its gradient and preconditioner apply only where a step
-    leaves from it (``RnlcgState.commit``), before its row: the point that
-    ends a phase before a rank increase, or ends the solve, is read only
-    through its evaluation, whose residual the increase takes.  The grown
-    point's evaluation comes from the increase's products
-    (``RankIncrease.evaluation``); only a point the sigma floor changed is
-    evaluated afresh.
+    X0 gets its row first; every later point gets its gradient and
+    preconditioner apply only where a step leaves from it, before its row
+    (``RnlcgState.record``): the point that ends a phase before a rank
+    increase, or ends the solve, is read only through its evaluation,
+    whose residual the increase takes.  A ``NotSpdError`` anywhere (a
+    step, a gradient, a rank increase) ends the solve with ``spd_loss`` at
+    the point of its last row, as in ``rnlcg_solve``; where the point of a
+    taken cut is not SPD, the step's uncut point gets the step's row and
+    ends the solve.  The grown point's evaluation comes from the
+    increase's products (``RankIncrease.evaluation``); only a point the
+    sigma floor changed is evaluated afresh.
     """
     trace = SolveTrace(extra_columns=("sig_ratio",))
     metric = metric if metric is not None else geo.KroneckerMetric()
     X0 = geo.random_point(op.m, op.n, opts.r0, metric, np.random.default_rng(opts.seed))
     state = RnlcgState(op, F, X0, precond=precond, counts=trace.counts)
 
-    def record(k, res, **fields):
-        state.record(trace, k, res_rel=res, res_kind="exact",
-                     sig_ratio=_sig_ratio(state.X), **fields)
+    def fields(res, **more):
+        return dict(res_rel=res, res_kind="exact", sig_ratio=_sig_ratio(state.X), **more)
 
     def ends_solve(res, k):
         return res <= opts.tol or k >= opts.max_total_iters
 
-    k = 0
-    res = state.res_rel()
-    if not ends_solve(res, k):
-        try:
-            state.commit()
-        except NotSpdError:
-            trace.append(iter=0, rank=X0.r, sig_ratio=_sig_ratio(X0))
-            return trace.finish(X0, "spd_loss")
-    record(0, res)
+    k, res = 0, state.res_rel()
+    state.record(trace, 0, **fields(res))
     gain_up = None      # decades gained by the rank increase that opened the phase
-    while res > opts.tol:
-        if k >= opts.max_total_iters:
-            return trace.finish(state.X, "max_iter")
+    try:
+        while res > opts.tol:
+            if k >= opts.max_total_iters:
+                return trace.finish(state.X, "max_iter")
 
-        # ---- fixed-rank phase -------------------------------------------
-        log_start, log_hist = _log_res(res), []
-        phase_iters = 0
-        while not state.stagnated():
-            try:
-                state.step()
-            except LineSearchError:
-                trace.tag_last("line_search")
-                break
-            except NotSpdError:
-                return trace.finish(state.X, "spd_loss")
-            k += 1
-            phase_iters += 1
-            res = state.res_rel()
-            log_hist.append(_log_res(res))
-            event = ""
-            X_cut = rank_decrease(state.X, EPS_SIGMA)
-            if X_cut.r < state.X.r:
-                cut = f"{state.X.r}->{X_cut.r}"
-                ev = _taken_cut(op, F, state, X_cut, res, opts.tol)
-                if ev is not None:
-                    state.restart(X_cut, ev)
-                    res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
-                    gain_up = None
-                else:
-                    event = f"cut_refused:{cut}"
-            phase_ends = (ends_solve(res, k) or phase_iters >= MAX_PHASE_ITERS
-                          or plateau_detect(log_hist, log_start, gain_up))
-            if not phase_ends:
+            # ---- fixed-rank phase ---------------------------------------
+            log_start, log_hist = _log_res(res), []
+            phase_iters, end = 0, ""
+            while not end and not state.stagnated():
                 try:
-                    state.commit()
+                    state.step()
+                except LineSearchError:
+                    trace.tag_last("line_search")
+                    break
+                k += 1
+                phase_iters += 1
+                res = state.res_rel()
+                log_hist.append(_log_res(res))
+                event, uncut = "", None
+                X_cut = rank_decrease(state.X, EPS_SIGMA)
+                if X_cut.r < state.X.r:
+                    cut = f"{state.X.r}->{X_cut.r}"
+                    ev = _taken_cut(op, F, state, X_cut, res, opts.tol)
+                    if ev is None:
+                        event = f"cut_refused:{cut}"
+                    else:
+                        uncut = state.X, state.row(k, **fields(res))
+                        state.restart(X_cut, ev)
+                        res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
+                        gain_up = None
+                end = ("solve" if ends_solve(res, k)
+                       else "phase_cap" if phase_iters >= MAX_PHASE_ITERS
+                       else "plateau" if plateau_detect(log_hist, log_start, gain_up)
+                       else "")
+                try:
+                    state.record(trace, k, continues=not end, **fields(res, event=event))
                 except NotSpdError:
-                    if event.startswith("rank_down"):
-                        # the state is back at the step's point, before the cut
-                        record(k, state.res_rel())
-                    return trace.finish(state.X, "spd_loss")
-            record(k, res, event=event)
-            if ends_solve(res, k):
-                break
-            if phase_iters >= MAX_PHASE_ITERS:
-                trace.tag_last("phase_cap")
-                break
-            if phase_ends:
-                trace.tag_last("plateau")
-                break
+                    if uncut is None:
+                        raise
+                    trace.append(**uncut[1])
+                    return trace.finish(uncut[0], "spd_loss")
+            if end == "solve":
+                continue
+            if end:
+                trace.tag_last(end)
 
-        # ---- rank increase ----------------------------------------------
-        if ends_solve(res, k):
-            continue
-        r_old = state.X.r
-        gain_up = None      # unless the rank grows
-        try:
+            # ---- rank increase ------------------------------------------
+            r_old = state.X.r
+            gain_up = None      # unless the rank grows
             up = rank_increase(state.X, op, state.R, opts.r_up)
             X_up, alpha_star = up
-            if X_up.r > r_old:
-                state.restart(X_up, up.evaluation(F, state.ev))
-        except NotSpdError:
-            return trace.finish(state.X, "spd_loss")
-        if X_up.r == r_old:
-            # the rank cannot grow; a phase without a step would repeat itself
-            if phase_iters == 0:
-                return trace.finish(state.X, "stagnated")
-            try:
-                state.commit()      # the next phase starts from this point
-            except NotSpdError:
-                return trace.finish(state.X, "spd_loss")
-            continue
-        k += 1
-        res_before, res = res, state.res_rel()
-        if not ends_solve(res, k):
-            try:
-                state.commit()
-            except NotSpdError:
-                return trace.finish(state.X, "spd_loss")
-        gain_up = _log_res(res_before) - _log_res(res)
-        record(k, res, alpha=alpha_star, event=f"rank_up:{r_old}->{X_up.r}")
+            if X_up.r == r_old:
+                # the rank cannot grow; a phase without a step would repeat
+                # itself, and the next one's `stagnated` forms the gradient
+                if phase_iters == 0:
+                    return trace.finish(state.X, "stagnated")
+                continue
+            state.restart(X_up, up.evaluation(F, state.ev))
+            k += 1
+            res_before, res = res, state.res_rel()
+            gain_up = _log_res(res_before) - _log_res(res)
+            state.record(trace, k, continues=not ends_solve(res, k),
+                         **fields(res, alpha=alpha_star, event=f"rank_up:{r_old}->{X_up.r}"))
+    except NotSpdError:
+        return trace.finish(state.recorded, "spd_loss")
     return trace.finish(state.X, "converged")

@@ -19,6 +19,7 @@ import numpy as np
 from . import equations as eqs
 from . import geometry as geo
 from .geometry import FactoredMatrix, factored_inner, factored_norm
+from .numkit import NotSpdError
 from .trace import SolveTrace
 
 # Relative truncation tolerances, as shares of the target residual ``tol``.
@@ -56,9 +57,11 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
     """Preconditioned CG with low-rank truncation; returns ``(X, trace, status)``.
 
     ``precond`` must provide ``apply_inv_ambient`` on factored matrices.
-    Status is one of converged / max_iter / stagnated / spd_loss; a
+    Status is one of converged / max_iter / stagnated / spd_loss.  A
     nonpositive curvature ``<P, A P>`` means the operator or the
-    preconditioner is not SPD, and ends the solve with ``spd_loss``.
+    preconditioner is not SPD; it, or a ``NotSpdError`` from the
+    preconditioner, ends the solve with ``spd_loss`` at the point of the
+    last row, X = 0 if the first apply raises.
     """
     trace = SolveTrace(extra_columns=("rank_x", "rank_r", "rank_p"))
     m, n = op.m, op.n
@@ -71,7 +74,7 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
         )
         return trace.finish(X, "converged")
 
-    def true_residual():
+    def true_residual(X):
         trace.counts["evaluations"] += 1
         R_true = eqs.residual(op, X, F)    # A X - F
         return R_true, factored_norm(R_true) / norm_F
@@ -81,54 +84,58 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
         return precond.apply_inv_ambient(R)
 
     def stop(status):
-        # every exit leaves an exact residual on the last row
+        # every exit leaves an exact residual on the last row, at X
         if trace.last()["res_kind"] != "exact":
-            trace.update_last(res_rel=true_residual()[1], res_kind="exact")
+            trace.update_last(res_rel=true_residual(X)[1], res_kind="exact")
         return trace.finish(X, status)
 
     R = F                                  # residual of the *equation*: F - A X
-    Z = precondition(R)
-    P = Z
     res = factored_norm(R) / norm_F
     res_hist = [res]
     trace.append(
         iter=0, f=0.0, res_rel=res, res_kind="exact", rank=X.k,
-        beta=0.0, alpha=0.0, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,
+        beta=0.0, alpha=0.0, backtracks=0, rank_x=X.k, rank_r=R.k,
     )
-    for k in range(1, max_iter + 1):
-        Q = op.apply(P)                    # never truncated
-        pq = factored_inner(P, Q)
-        if pq <= 0.0:
-            return stop("spd_loss")
-        omega = factored_inner(P, R) / pq
-        X, _ = truncate_factored(X.hstack(P.scaled(omega)), X_TOL_SHARE * tol)
-        R = truncate_residual(R.hstack(Q.scaled(-omega)), tol)
-        res = factored_norm(R) / norm_F
-        kind = "recursive"
-        if res <= tol:
-            R_true, res = true_residual()
-            kind = "exact"
-            if res > tol:
-                R = truncate_residual(R_true.scaled(-1.0), tol)
-        res_hist.append(res)
-        Z = precondition(R)
-        if kind == "exact":
-            beta = 0.0                     # restart from the replaced residual
-            P = Z
-        else:
-            # direction conjugation is robust to truncation drift (equals the
-            # usual <R,Z> ratio in exact arithmetic)
-            beta = -factored_inner(Z, Q) / pq
-            P = truncate_residual(Z.hstack(P.scaled(beta)), tol)
-        trace.append(
-            iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
-            beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,
-        )
-        if res <= tol:
-            return trace.finish(X, "converged")
-        if len(res_hist) > 2 * _STAG_WINDOW:
-            recent = min(res_hist[-_STAG_WINDOW:])
-            before = min(res_hist[: -_STAG_WINDOW])
-            if recent >= _STAG_FACTOR * before:
-                return stop("stagnated")
+    try:
+        P = precondition(R)
+        trace.update_last(rank_p=P.k)
+        for k in range(1, max_iter + 1):
+            Q = op.apply(P)                # never truncated
+            pq = factored_inner(P, Q)
+            if pq <= 0.0:
+                raise NotSpdError(f"nonpositive curvature <P, A P> = {pq:.3e}")
+            omega = factored_inner(P, R) / pq
+            X_k, _ = truncate_factored(X.hstack(P.scaled(omega)), X_TOL_SHARE * tol)
+            R = truncate_residual(R.hstack(Q.scaled(-omega)), tol)
+            res = factored_norm(R) / norm_F
+            kind = "recursive"
+            if res <= tol:
+                R_true, res = true_residual(X_k)
+                kind = "exact"
+                if res > tol:
+                    R = truncate_residual(R_true.scaled(-1.0), tol)
+            res_hist.append(res)
+            Z = precondition(R)
+            if kind == "exact":
+                beta = 0.0                 # restart from the replaced residual
+                P = Z
+            else:
+                # direction conjugation is robust to truncation drift (equals
+                # the usual <R,Z> ratio in exact arithmetic)
+                beta = -factored_inner(Z, Q) / pq
+                P = truncate_residual(Z.hstack(P.scaled(beta)), tol)
+            X = X_k
+            trace.append(
+                iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
+                beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,
+            )
+            if res <= tol:
+                return trace.finish(X, "converged")
+            if len(res_hist) > 2 * _STAG_WINDOW:
+                recent = min(res_hist[-_STAG_WINDOW:])
+                before = min(res_hist[: -_STAG_WINDOW])
+                if recent >= _STAG_FACTOR * before:
+                    return stop("stagnated")
+    except NotSpdError:
+        return stop("spd_loss")
     return stop("max_iter")

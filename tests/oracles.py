@@ -227,6 +227,13 @@ def euclid_nlcg(K, b, x0, iters, slope=1e-4, shrink=0.5):
     return xs, dirs
 
 
+def objective_dense(op, F, X):
+    """``f(X) = 1/2 <A X, X> - <X, F>`` in dense float64 arithmetic."""
+    Xd = point_dense(X)
+    AX = sum(dense(Ai) @ Xd @ dense(Bi).T for Ai, Bi in zip(op.A, op.B))
+    return 0.5 * float(np.sum(AX * Xd)) - float(np.sum((F.left @ F.right.T) * Xd))
+
+
 def objective_diff_exact(op, F, X, Y, dps=60):
     """``f(Y) - f(X)`` for ``f(Z) = 1/2 <A Z, Z> - <Z, F>`` in ``dps``-digit
     arithmetic on the stored float64 factors, so it is exact to far below

@@ -13,6 +13,7 @@ from oracles import (
     assert_valid_point,
     euclid_nlcg,
     kron_matrix,
+    objective_dense,
     objective_diff_exact,
     point_dense,
     rand_spd,
@@ -459,6 +460,11 @@ def test_spd_loss_at_start_ends_with_status(rng):
     assert status == "spd_loss"
     assert len(trace) == 1 and trace.last()["event"] == "spd_loss"
     assert X.r == 2
+    # X0's row is a full one: objective and exact residual
+    row = trace.last()
+    assert row["f"] == pytest.approx(objective_dense(op, F, X), rel=1e-9)
+    assert row["res_kind"] == "exact"
+    assert row["res_rel"] == pytest.approx(eqs.residual_norm_exact(op, X, F), rel=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["negate", "not_spd"])

@@ -13,7 +13,7 @@ from lrmeq.solver_rnlcg import LineSearchError, RnlcgOptions, RnlcgState, rnlcg_
 
 from oracles import (
     assert_valid_point, dense, dense_metric, point_dense, rand_band_spd, rand_spd,
-    RRAM_PHASE_ENDS, rank_events, rram_phase_decisions,
+    objective_dense, RRAM_PHASE_ENDS, rank_events, rram_phase_decisions,
 )
 
 
@@ -1092,6 +1092,11 @@ def test_rram_spd_loss_at_start_ends_with_status(rng):
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, tol=1e-10), precond=Negates())
     assert status == "spd_loss"
     assert len(trace) == 1 and X.r == 1
+    # X0's row is a full one: objective, exact residual and sigma ratio
+    row = trace.last()
+    assert row["f"] == pytest.approx(objective_dense(op, F, X), rel=1e-9)
+    assert row["res_kind"] == "exact" and row["sig_ratio"] == 1.0
+    assert row["res_rel"] == pytest.approx(eqs.residual_norm_exact(op, X, F), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
