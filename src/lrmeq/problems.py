@@ -15,6 +15,7 @@ preconditioners P1 and P2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -180,21 +181,8 @@ def fd_2d_stiffness(ns, c):
 
 def multi_indices(q, p):
     """Total-degree <= p multi-indices in q variables, graded lex order."""
-    out = []
-    for total in range(p + 1):
-        block = []
-
-        def rec_exact(prefix, remaining, left):
-            if remaining == 1:
-                block.append(tuple(prefix + [left]))
-                return
-            for d in range(left + 1):
-                rec_exact(prefix + [d], remaining - 1, left - d)
-
-        rec_exact([], q, total)
-        block.sort()
-        out.extend(block)
-    return out
+    return sorted((t for t in itertools.product(range(p + 1), repeat=q) if sum(t) <= p),
+                  key=lambda t: (sum(t), t))
 
 
 def legendre_tables(p, n_nodes):
@@ -205,8 +193,7 @@ def legendre_tables(p, n_nodes):
     weights = weights / 2.0
     T = np.zeros((p + 2, n_nodes))
     T[0] = 1.0
-    if p + 1 >= 1:
-        T[1] = np.sqrt(3.0) * nodes
+    T[1] = np.sqrt(3.0) * nodes
     betas = [d / np.sqrt(4.0 * d * d - 1.0) for d in range(1, p + 3)]
     for d in range(1, p + 1):
         T[d + 1] = (nodes * T[d] - betas[d - 1] * T[d - 1]) / betas[d]

@@ -2,7 +2,7 @@
 
 One iteration: Riemannian gradient of the quadratic objective, one
 application of the preconditioner inverse (both taken only at a point a
-step leaves from, before its trace row), a modified Hestenes-Stiefel /
+step leaves from, after its trace row), a modified Hestenes-Stiefel /
 Dai-Yuan beta with a descent safeguard, an exact-line-search initial step
 on the tangent space, and Armijo backtracking through the metric
 projection retraction.  Where the operator or the preconditioner stops
@@ -146,19 +146,18 @@ class RnlcgState:
 
     Holds the current point and its evaluation (objective and factored
     residual).  Its Riemannian gradient ``g``, the preconditioned gradient
-    ``h = P^-1 g`` and ``grad_energy = <g, h>`` are formed on first use
-    and kept until the point moves.  ``record`` forms them before the
-    row of a point the solve continues from, so a preconditioner that is
-    not SPD there raises ``NotSpdError`` before the point has a row; a
-    point that ends the solve or a phase is read only through its
-    evaluation, whose residual a rank increase takes.  ``recorded`` is
-    the point of the last row, where a solve that loses SPD-ness ends.
-    ``step()`` advances one accepted iteration and leaves the state
-    untouched when it raises.  The rank-adaptive outer loop drives this
-    directly, restarting it after rank changes; ``rnlcg_solve`` wraps it
-    with stopping tests.  ``counts`` tallies the ``evaluations``
-    (``equations.evaluate`` calls) and ``gradients`` (preconditioner
-    applies) the state makes.
+    ``h = P^-1 g`` and ``grad_energy = <g, h>`` are formed on first use,
+    which is where a step needs them (``stagnated``, ``step``), and kept
+    until the point moves; a point that ends the solve or a phase is read
+    only through its evaluation, whose residual a rank increase takes.
+    ``record`` appends the current point's row and nothing else, so a
+    preconditioner that is not SPD raises ``NotSpdError`` at the point of
+    the last row, where a solve that loses SPD-ness ends.  ``step()``
+    advances one accepted iteration and leaves the state untouched when it
+    raises.  The rank-adaptive outer loop drives this directly, restarting
+    it after rank changes; ``rnlcg_solve`` wraps it with stopping tests.
+    ``counts`` tallies the ``evaluations`` (``equations.evaluate`` calls)
+    and ``gradients`` (preconditioner applies) the state makes.
     """
 
     def __init__(self, op, F, X0, precond=None, counts=None):
@@ -169,7 +168,6 @@ class RnlcgState:
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")
         self.counts = counts if counts is not None else collections.Counter()
-        self.recorded = None
         self.restart(X0)
 
     def evaluate(self, X, UAU=None, VBV=None):
@@ -230,23 +228,14 @@ class RnlcgState:
     def stagnated(self):
         return np.sqrt(max(self.grad_energy, 0.0)) <= STAG_GRAD_TOL * self.norm_F
 
-    def row(self, k, **fields):
-        """The trace row of iteration ``k`` at the current point; ``fields``
-        (residual, event, ...) override the state's own values."""
-        return {
+    def record(self, trace, k, **fields):
+        """Append the row of iteration ``k`` at the current point to
+        ``trace``; ``fields`` (residual, event, ...) override the state's
+        own values."""
+        trace.append(**{
             "iter": k, "f": self.f, "rank": self.X.r, "beta": self.last_beta,
             "alpha": self.last_alpha, "backtracks": self.last_backtracks, **fields,
-        }
-
-    def record(self, trace, k, continues=False, **fields):
-        """Append the row of iteration ``k`` to ``trace`` (``row``).  Where
-        the solve ``continues`` from the point, its gradient comes first, so
-        a ``NotSpdError`` there raises before the point has a row;
-        ``recorded`` is the point of the last row appended."""
-        if continues:
-            self._gradient()
-        trace.append(**self.row(k, **fields))
-        self.recorded = self.X
+        })
 
     def step(self):
         """One accepted R-NLCG iteration; updates the state in place."""
@@ -280,11 +269,11 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
     """Run Algorithm-style fixed-rank R-NLCG until tolerance or budget.
 
     Returns ``(X, trace, status)`` with status in {"converged", "max_iter",
-    "line_search_failure", "stagnated", "spd_loss"}.  X0 gets its row
-    first; every later point the solve continues from gets its gradient
-    before its row (``RnlcgState.record``), and the point that ends the
-    solve gets none.  A ``NotSpdError`` anywhere ends the solve with
-    ``spd_loss`` at the point of its last row.
+    "line_search_failure", "stagnated", "spd_loss"}.  Every point gets its
+    row first; the gradient comes after, and only where a step leaves from
+    the point, so the point that ends the solve gets none.  A
+    ``NotSpdError`` anywhere ends the solve with ``spd_loss`` at the point
+    of its last row, the point whose gradient or step failed.
     """
     trace = SolveTrace()
     metric = metric if metric is not None else geo.KroneckerMetric()
@@ -302,12 +291,11 @@ def rnlcg_solve(op, F, opts: RnlcgOptions, metric=None, precond=None):
             if checked:
                 res = state.res_rel()
             state.record(
-                trace, k, continues=res > opts.tol and k < opts.max_iters,
-                event="reset_rgd" if state.last_reset else "",
+                trace, k, event="reset_rgd" if state.last_reset else "",
                 **({"res_rel": res, "res_kind": "exact"} if checked else {}),
             )
     except LineSearchError:
         return trace.finish(state.X, "line_search_failure")
     except numkit.NotSpdError:
-        return trace.finish(state.recorded, "spd_loss")
+        return trace.finish(state.X, "spd_loss")
     return trace.finish(state.X, "converged" if res <= opts.tol else "max_iter")

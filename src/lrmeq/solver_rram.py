@@ -183,7 +183,7 @@ def _sym(G):
     return 0.5 * (G + G.T)
 
 
-def _taken_cut(op, F, state, X_cut, res, tol):
+def _taken_cut(state, X_cut, res, tol):
     """The evaluation at the proposed cut ``X_cut`` of the state's point X
     if the cut is taken, that is, if its exact residual is at most ``res +
     CUT_TOL_SHARE * tol``; None if it is refused.
@@ -197,7 +197,7 @@ def _taken_cut(op, F, state, X_cut, res, tol):
     """
     X, r = state.X, X_cut.r
     tail = geo.FactoredMatrix(X.U[:, r:] * X.sigma[r:], X.V[:, r:])
-    t = geo.factored_norm(op.apply(tail)) / state.norm_F
+    t = geo.factored_norm(state.op.apply(tail)) / state.norm_F
     if t > 2.0 * res + CUT_TOL_SHARE * tol + CUT_BOUND_SLACK:
         return None
     ev = state.evaluate(X_cut)
@@ -283,17 +283,17 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     ``min(m, n)``, or with no normal direction), a phase that takes no
     step ends the solve with ``stagnated``.
 
-    X0 gets its row first; every later point gets its gradient and
-    preconditioner apply only where a step leaves from it, before its row
-    (``RnlcgState.record``): the point that ends a phase before a rank
-    increase, or ends the solve, is read only through its evaluation,
-    whose residual the increase takes.  A ``NotSpdError`` anywhere (a
-    step, a gradient, a rank increase) ends the solve with ``spd_loss`` at
-    the point of its last row, as in ``rnlcg_solve``; where the point of a
-    taken cut is not SPD, the step's uncut point gets the step's row and
-    ends the solve.  The grown point's evaluation comes from the
-    increase's products (``RankIncrease.evaluation``); only a point the
-    sigma floor changed is evaluated afresh.
+    Every point gets its row first; its gradient and preconditioner apply
+    come after, and only where a step leaves from it: the point that ends
+    a phase before a rank increase, or ends the solve, is read only
+    through its evaluation, whose residual the increase takes.  A
+    ``NotSpdError`` anywhere (a step, a gradient, a rank increase) ends the
+    solve with ``spd_loss`` at the point of its last row, as in
+    ``rnlcg_solve``: a taken cut's or a grown point whose gradient fails
+    ends it there, with its exact residual on that row.  The grown point's
+    evaluation comes from the increase's products
+    (``RankIncrease.evaluation``); only a point the sigma floor changed is
+    evaluated afresh.
     """
     trace = SolveTrace(extra_columns=("sig_ratio",))
     metric = metric if metric is not None else geo.KroneckerMetric()
@@ -302,9 +302,6 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
 
     def fields(res, **more):
         return dict(res_rel=res, res_kind="exact", sig_ratio=_sig_ratio(state.X), **more)
-
-    def ends_solve(res, k):
-        return res <= opts.tol or k >= opts.max_total_iters
 
     k, res = 0, state.res_rel()
     state.record(trace, 0, **fields(res))
@@ -327,29 +324,22 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
                 phase_iters += 1
                 res = state.res_rel()
                 log_hist.append(_log_res(res))
-                event, uncut = "", None
+                event = ""
                 X_cut = rank_decrease(state.X, EPS_SIGMA)
                 if X_cut.r < state.X.r:
                     cut = f"{state.X.r}->{X_cut.r}"
-                    ev = _taken_cut(op, F, state, X_cut, res, opts.tol)
+                    ev = _taken_cut(state, X_cut, res, opts.tol)
                     if ev is None:
                         event = f"cut_refused:{cut}"
                     else:
-                        uncut = state.X, state.row(k, **fields(res))
                         state.restart(X_cut, ev)
                         res, event, log_hist = state.res_rel(), f"rank_down:{cut}", []
                         gain_up = None
-                end = ("solve" if ends_solve(res, k)
+                state.record(trace, k, **fields(res, event=event))
+                end = ("solve" if res <= opts.tol or k >= opts.max_total_iters
                        else "phase_cap" if phase_iters >= MAX_PHASE_ITERS
                        else "plateau" if plateau_detect(log_hist, log_start, gain_up)
                        else "")
-                try:
-                    state.record(trace, k, continues=not end, **fields(res, event=event))
-                except NotSpdError:
-                    if uncut is None:
-                        raise
-                    trace.append(**uncut[1])
-                    return trace.finish(uncut[0], "spd_loss")
             if end == "solve":
                 continue
             if end:
@@ -370,8 +360,8 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             k += 1
             res_before, res = res, state.res_rel()
             gain_up = _log_res(res_before) - _log_res(res)
-            state.record(trace, k, continues=not ends_solve(res, k),
-                         **fields(res, alpha=alpha_star, event=f"rank_up:{r_old}->{X_up.r}"))
+            event = f"rank_up:{r_old}->{X_up.r}"
+            state.record(trace, k, **fields(res, alpha=alpha_star, event=event))
     except NotSpdError:
-        return trace.finish(state.recorded, "spd_loss")
+        return trace.finish(state.X, "spd_loss")
     return trace.finish(state.X, "converged")

@@ -321,6 +321,25 @@ def test_compare_bad_summary_exits_4(tmp_path, capsys, bad):
     assert str(s) in capsys.readouterr().err
 
 
+def test_compare_without_out_prints_the_table(tmp_path, capsys):
+    """Without ``--out``, ``compare`` writes its header and one row per
+    summary to stdout."""
+    paths = []
+    for name, precond in (("a", "identity"), ("b", "P1")):
+        s = tmp_path / f"{name}.json"
+        s.write_text(json.dumps({"iters": 3, "wall_s": 0.5, "final_rank": 2, "final_res": 1e-7,
+                                 "config": {"solver": "rnlcg", "precond": precond}}))
+        paths.append(str(s))
+    assert main(["compare", *paths]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows == [
+        ["solver", "precond", "iters", "time_s", "final_rank", "peak_rank",
+         "evaluations", "gradients", "final_res"],
+        ["rnlcg", "identity", "3", "0.5", "2", "", "", "", "1e-07"],
+        ["rnlcg", "P1", "3", "0.5", "2", "", "", "", "1e-07"],
+    ]
+
+
 def test_verify_passes():
     assert main(["verify"]) == 0
 
@@ -432,6 +451,32 @@ def test_config_file_with_unknown_value_exits_3(tmp_path, bad):
     cfg.write_text(json.dumps({"instance": str(inst_dir), "out": str(tmp_path / "run"), **bad}))
     assert main(["solve", "--config", str(cfg)]) == 3
     assert not (tmp_path / "run").exists()
+
+
+def test_solve_without_instance_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--solver", "rnlcg"]) == 3
+    assert "no instance directory given" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_preconditioner_exits_3(tmp_path, capsys):
+    """A one-term instance has no P2."""
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 1, seed=5), inst_dir)
+    assert main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+                 "--precond", "P2", "--out", str(tmp_path / "run")]) == 3
+    assert "instance provides no P2 preconditioner" in capsys.readouterr().err
+
+
+def test_tangadi_on_a_kronecker_spec_exits_3(tmp_path, capsys):
+    """Stochastic Galerkin's preconditioners are Kronecker specs, which
+    tangADI cannot use."""
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_stoch_galerkin(4, 2, 1), inst_dir)
+    assert main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+                 "--precond", "tangadi", "--out", str(tmp_path / "run")]) == 3
+    assert "tangADI needs a generalized-Sylvester" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", ["3", '[{"a": 1}]'], ids=["number", "list"])

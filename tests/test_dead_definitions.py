@@ -82,3 +82,30 @@ def test_every_method_is_named_elsewhere():
     ]
     assert len(methods) > 50    # the scan sees the classes
     check(methods, trees, ALLOWED_METHODS)
+
+
+def parameters(fn):
+    args = fn.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                            args.kwarg) if a is not None]
+
+
+def reads(fn):
+    """The names that the body of ``fn`` reads."""
+    return {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function of the package, methods and nested
+    functions included, is read in the function's body; ``self``, ``cls``
+    and ``_``-prefixed names are exempt."""
+    functions = [(module, fn) for module, tree in package_trees().items()
+                 for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert len(functions) > 200    # the scan sees the package
+    unread = [f"{module}:{fn.lineno} {fn.name}({name})" for module, fn in functions
+              for name in parameters(fn)
+              if name not in ("self", "cls") and not name.startswith("_")
+              and name not in reads(fn)]
+    assert not unread, "parameters never read: " + ", ".join(unread)

@@ -407,6 +407,33 @@ def test_zero_max_iters_returns_initial_guess(rng):
     assert abs(X.frobenius_norm() - 1.0) <= 1e-12  # untouched initial guess
 
 
+def test_exhausted_line_search_ends_with_status(monkeypatch):
+    """An Armijo slope of 2 admits no step: backtracking runs out of
+    reductions, and the solve ends with ``line_search_failure`` at the
+    point of its last row, which holds that point's exact residual."""
+    from lrmeq import problems as pb
+
+    raised = []
+    backtrack = rn.armijo_backtrack
+
+    def keeping(*args):
+        try:
+            return backtrack(*args)
+        except rn.LineSearchError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(rn, "ARMIJO_SLOPE", 2.0)
+    monkeypatch.setattr(rn, "armijo_backtrack", keeping)
+    inst = pb.gen_synthetic(14, 12, 2, seed=1)
+    X, trace, status = rn.rnlcg_solve(inst.op, inst.F, rn.RnlcgOptions(rank=2))
+    assert status == "line_search_failure"
+    assert len(raised) == 1 and "exhausted" in raised[0]
+    last = trace.last()
+    assert last["event"] == "line_search_failure" and last["res_kind"] == "exact"
+    assert last["res_rel"] == pytest.approx(eqs.residual_norm_exact(inst.op, X, inst.F), rel=1e-9)
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_start_state_is_the_solver_start(rng, weighted):
     """At the same seed ``start_state`` holds the point ``rnlcg_solve``
@@ -431,14 +458,17 @@ def test_huge_tolerance_immediate_convergence(rng):
 
 class TurnsIndefinite:
     """Preconditioner stub: the identity on its first apply, then either
-    the negated identity or a failed small SPD solve."""
+    the negated identity or a failed small SPD solve; ``point`` is the
+    point of its last apply."""
 
     def __init__(self, mode):
         self.mode = mode
         self.applies = 0
+        self.point = None
 
     def apply_inv_tangent(self, eta):
         self.applies += 1
+        self.point = eta.point
         if self.applies == 1:
             return eta
         if self.mode == "negate":
@@ -472,10 +502,13 @@ def test_spd_loss_ends_with_status(rng, mode):
     m = n = 6
     op, F, _ = make_spd_problem(m, n, 2, rng)
     opts = rn.RnlcgOptions(rank=2, tol=1e-12, max_iters=50)
-    X, trace, status = rn.rnlcg_solve(op, F, opts, precond=TurnsIndefinite(mode))
-    assert status == "spd_loss"
-    assert trace.last()["iter"] == 0 and trace.last()["event"] == "spd_loss"
-    # the failed step left the point of the last row in place
+    prec = TurnsIndefinite(mode)
+    X, trace, status = rn.rnlcg_solve(op, F, opts, precond=prec)
+    assert status == "spd_loss" and prec.applies == 2
+    # the solve ends at the point whose apply failed, after the first step,
+    # and that point's row is the last one and holds its exact residual
+    assert X is prec.point
+    assert trace.last()["iter"] == 1 and trace.last()["event"] == "spd_loss"
     assert eqs.residual_norm_exact(op, X, F) == pytest.approx(trace.last()["res_rel"], rel=1e-12)
 
 

@@ -883,7 +883,7 @@ def test_rram_first_step_after_an_accepted_cut_reads_no_gain_up(monkeypatch):
     monkeypatch.setattr(rr, "rank_increase", counting_increase)
     monkeypatch.setattr(rr, "rank_decrease", cut_once)
     monkeypatch.setattr(rr, "_taken_cut",
-                        lambda op, F, state, X_cut, res, tol: eqs.evaluate(op, X_cut, F))
+                        lambda state, X_cut, res, tol: eqs.evaluate(state.op, X_cut, state.F))
     op, F, met = growth_problem()
     X, trace, status = rr.rram_solve(
         op, F, rr.RramOptions(r0=2, r_up=2, tol=1e-7, seed=0), metric=met)
@@ -1018,6 +1018,20 @@ def test_rram_sg_restart_after_an_increase_evaluates_nothing(monkeypatch):
     assert trace.counts["evaluations"] == calls.count("evaluate")
 
 
+def test_rram_iteration_budget_ends_with_max_iter():
+    """Three steps in all do not reach ``tol = 1e-12``: the solve ends with
+    ``max_iter`` on the third step's row, which holds the exact residual of
+    the returned point."""
+    inst = pb.gen_synthetic(14, 12, 2, seed=1)
+    X, trace, status = rr.rram_solve(inst.op, inst.F,
+                                     rr.RramOptions(r0=1, max_total_iters=3, tol=1e-12))
+    assert status == "max_iter"
+    last = trace.last()
+    assert last["iter"] == 3 and last["event"].split("+")[-1] == "max_iter"
+    exact = eqs.residual_norm_exact(inst.op, X, inst.F)
+    assert last["res_kind"] == "exact" and abs(last["res_rel"] - exact) <= 1e-9 * exact
+
+
 # ---------------------------------------------------------------------------
 # SPD loss outside a step
 # ---------------------------------------------------------------------------
@@ -1025,14 +1039,14 @@ def test_rram_sg_restart_after_an_increase_evaluates_nothing(monkeypatch):
 
 class NegatesAboveRank:
     """Preconditioner stub: the identity at rank ``r`` or below, the negated
-    identity above."""
+    identity above; ``point`` is the point of its last apply."""
 
     def __init__(self, r):
         self.r = r
-        self.applies = 0
+        self.point = None
 
     def apply_inv_tangent(self, eta):
-        self.applies += 1
+        self.point = eta.point
         return eta if eta.point.r <= self.r else eta.scaled(-1.0)
 
 
@@ -1048,41 +1062,47 @@ def identity_problem(rng, m=8, n=8, rank=3):
 
 def test_rram_spd_loss_at_restart_ends_with_status(rng):
     """The preconditioner stops being SPD above rank 1: the restart after
-    the rank increase applies it again, and the solve ends with
-    ``spd_loss`` at the last point of rank 1 instead of raising."""
+    the rank increase applies it at the grown point, and the solve ends
+    with ``spd_loss`` there instead of raising.  The increase's row is the
+    last one and holds the grown point's exact residual."""
     op, F = identity_problem(rng)
     prec = NegatesAboveRank(1)
     X, trace, status = rr.rram_solve(op, F, rr.RramOptions(r0=1, r_up=1, tol=1e-10), precond=prec)
     assert status == "spd_loss"
-    assert X.r == 1 and trace.last()["event"].endswith("spd_loss")
-    assert all(r["rank"] == 1 for r in trace.rows)
-    assert not any("rank_up" in r["event"] for r in trace.rows)
+    assert X.r > 1 and X is prec.point
+    last = trace.last()
+    assert last["event"] == f"rank_up:1->{X.r}+spd_loss" and last["rank"] == X.r
+    assert all(r["rank"] == 1 for r in trace.rows[:-1])
+    exact = eqs.residual_norm_exact(op, X, F)
+    assert abs(last["res_rel"] - exact) <= 1e-9 * exact
 
 
 class NegatesBelowRank:
     """Preconditioner stub: the identity at rank ``r`` or above, the
-    negated identity below."""
+    negated identity below; ``point`` is the point of its last apply."""
 
     def __init__(self, r):
         self.r = r
+        self.point = None
 
     def apply_inv_tangent(self, eta):
+        self.point = eta.point
         return eta if eta.point.r >= self.r else eta.scaled(-1.0)
 
 
-def test_rram_spd_loss_at_a_cut_ends_at_the_steps_point():
+def test_rram_spd_loss_at_a_cut_ends_at_the_cut_point():
     """Started at rank 4 on a rank-2 solution, the first taken cut goes
     below rank 4, where the preconditioner is not SPD: the solve ends with
-    ``spd_loss`` at the step's uncut point, whose row is the last one and
-    holds its exact residual."""
+    ``spd_loss`` at the cut point, whose row is the last one and holds its
+    exact residual."""
     op, F, met = lower_rank_solution_problem(0)
+    prec = NegatesBelowRank(4)
     X, trace, status = rr.rram_solve(
-        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=0), metric=met,
-        precond=NegatesBelowRank(4))
-    assert status == "spd_loss" and X.r == 4
+        op, F, rr.RramOptions(r0=4, r_up=2, tol=1e-9, seed=0), metric=met, precond=prec)
+    assert status == "spd_loss" and X.r < 4 and X is prec.point
     last = trace.last()
-    assert last["rank"] == 4 and last["event"] == "spd_loss"
-    assert not any("rank_down" in r["event"] for r in trace.rows)
+    assert last["rank"] == X.r and last["event"] == f"rank_down:4->{X.r}+spd_loss"
+    assert all(r["rank"] == 4 for r in trace.rows[:-1])
     exact = eqs.residual_norm_exact(op, X, F)
     assert abs(last["res_rel"] - exact) <= 1e-9 * exact
 
