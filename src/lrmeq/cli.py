@@ -51,7 +51,6 @@ _CONFIG_DEFAULTS = {
     "tol": 1e-6,
     "seed": 0,
     "max_iters": 500,
-    "adi_shifts": 8,
     "check_every": 1,
 }
 
@@ -137,11 +136,9 @@ def _load_config(args):
 def _solver_options(cfg):
     """The configured Riemannian solver's options (None for truncated CG,
     which takes ``tol`` and ``max_iters`` as they are), built before any
-    set-up.  A setting they reject, or an ADI count, iteration budget or
-    tolerance out of range, is a configuration error that names the
-    setting."""
+    set-up.  A setting they reject, or an iteration budget or tolerance
+    out of range, is a configuration error that names the setting."""
     try:
-        check_int("adi_shifts", cfg["adi_shifts"], 1)
         check_int("max_iters", cfg["max_iters"], 0)   # RRAM's max_total_iters
         if cfg["solver"] == "rnlcg":
             return RnlcgOptions(
@@ -161,11 +158,8 @@ def _solver_options(cfg):
 
 def _precond_spec(inst, label):
     """The instance's preconditioner spec behind a ``precond`` label other
-    than ``identity``; tangADI uses P2, or P1 where there is no P2."""
-    if label == "tangadi":
-        spec = inst.p2 if inst.p2 is not None else inst.p1
-    else:
-        spec = inst.p1 if label == "P1" else inst.p2
+    than ``identity``; tangADI uses P2."""
+    spec = inst.p1 if label == "P1" else inst.p2
     if spec is None:
         raise ConfigError(f"instance provides no {label} preconditioner")
     return spec
@@ -185,7 +179,7 @@ def _build_tangent_setup(inst, cfg):
     # a missing E or D (a "sylv" spec has neither) is the identity
     kron = geo.KroneckerMetric(spec.get("E"), spec.get("D"))
     if label == "tangadi":
-        shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
+        shifts = pc.adi_shifts(spec["A"], spec["B"], kron)
         return identity, pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts)
     if kind == "kron":
         return kron, pc.IdentityPrecond()
@@ -203,7 +197,7 @@ def _build_ambient_precond(inst, cfg):
     kron = geo.KroneckerMetric(spec.get("E"), spec.get("D"))
     if kind == "kron":
         return pc.KronPrecond(kron)
-    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, cfg["adi_shifts"])
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron)
     return pc.FadiAmbientPrecond(
         spec["A"], spec["B"], kron, shifts,
         truncate_fn=functools.partial(truncate_residual, tol=cfg["tol"]),
@@ -389,11 +383,12 @@ def cmd_verify(_args):
     check("tiny instance matches dense Kronecker solve", status == "converged" and err <= 1e-7)
     X1 = geo.random_point(6, 6, 1, kron, np.random.default_rng(1))
     ev = eqs.evaluate(inst.op, X1, inst.F)
-    up = rank_increase(X1, inst.op, ev.R, 2)
-    grown, fresh = up.evaluation(inst.F, ev), eqs.evaluate(inst.op, up.point, inst.F)
+    X_up, alpha, AY, order = rank_increase(X1, inst.op, ev.R, 2)
+    grown = eqs.evaluate_grown(inst.F, ev, X_up, order, alpha, AY)
+    fresh = eqs.evaluate(inst.op, X_up, inst.F)
     check(
         "rank increase's grown evaluation matches evaluate at the grown point",
-        grown is not None and abs(grown.f - fresh.f) <= 1e-12 * abs(fresh.f)
+        abs(grown.f - fresh.f) <= 1e-12 * abs(fresh.f)
         and np.linalg.norm(grown.R.densify() - fresh.R.densify()) <= 1e-12 * fresh.norm
         and all(np.linalg.norm(getattr(grown, a) - getattr(fresh, a))
                 <= 1e-12 * np.linalg.norm(getattr(fresh, a)) for a in ("RtU", "RtV", "UAU", "VBV")),
@@ -457,7 +452,6 @@ def main(argv=None):
     s.add_argument("--tol", type=float)
     s.add_argument("--seed", type=int)
     s.add_argument("--max-iters", dest="max_iters", type=int)
-    s.add_argument("--adi-shifts", dest="adi_shifts", type=int)
     s.add_argument("--check-every", dest="check_every", type=int)
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)

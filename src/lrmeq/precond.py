@@ -35,6 +35,7 @@ from scipy.linalg import lapack
 from . import numkit
 from .geometry import FactoredMatrix, KroneckerMetric, TangentVector
 
+ADI_SHIFTS = 8            # Wachspress shift pairs, so ADI sweeps, of tangADI and fADI
 _LANCZOS_STEPS = 30
 _SAFETY_LO, _SAFETY_HI = 0.9, 1.1
 _DENSE_EIG_LIMIT = 256
@@ -228,13 +229,13 @@ def spectral_interval(A, apply_E, solve_E):
     return _SAFETY_LO * float(theta[0]), _SAFETY_HI * float(theta[-1])
 
 
-def adi_shifts(A, B, kron: KroneckerMetric, J):
-    """J Wachspress shift pairs for ``P X = A X D + E X B``, with ``(E, D)``
-    the pair of ``kron``, from the spectral intervals of the pencils
-    ``(A, E)`` and ``(B, D)``."""
+def adi_shifts(A, B, kron: KroneckerMetric):
+    """``ADI_SHIFTS`` Wachspress shift pairs for ``P X = A X D + E X B``,
+    with ``(E, D)`` the pair of ``kron``, from the spectral intervals of the
+    pencils ``(A, E)`` and ``(B, D)``."""
     a, b = spectral_interval(A, kron.apply_E, kron.solve_E)
     c, d = spectral_interval(B, kron.apply_D, kron.solve_D)
-    return wachspress_shifts(a, b, c, d, J)
+    return wachspress_shifts(a, b, c, d, ADI_SHIFTS)
 
 
 # ---------------------------------------------------------------------------

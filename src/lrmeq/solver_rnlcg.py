@@ -168,17 +168,17 @@ class RnlcgState:
         if self.norm_F == 0.0:
             raise ValueError("zero right-hand side")
         self.counts = counts if counts is not None else collections.Counter()
-        self.restart(X0)
+        self.restart(X0, self.evaluate(X0))
 
     def evaluate(self, X, UAU=None, VBV=None):
         """``equations.evaluate`` at X, counted."""
         self.counts["evaluations"] += 1
         return eqs.evaluate(self.op, X, self.F, UAU, VBV)
 
-    def restart(self, X, ev=None):
-        """Move to the point ``X`` with no CG history, as a fresh state;
-        ``ev`` is X's evaluation when the caller already has it."""
-        self.X, self.ev, self._grad = X, ev if ev is not None else self.evaluate(X), None
+    def restart(self, X, ev):
+        """Move to the point ``X``, whose evaluation is ``ev``, with no CG
+        history, as a fresh state."""
+        self.X, self.ev, self._grad = X, ev, None
         self._xi_prev = None
         self._h_prev = None
         self._prev_g_xi = 0.0

@@ -77,31 +77,6 @@ def rank_decrease(X: geo.FixedRankPoint, eps_sigma):
     )
 
 
-@dataclass(frozen=True)
-class RankIncrease:
-    """A rank increase's grown point ``X + alpha Y`` and step ``alpha``,
-    which it unpacks to, with what the grown point's evaluation reuses:
-    ``AY = op.apply(Y)`` and ``order``, X_up's columns as indices into
-    ``[X, Y]`` (``equations.evaluate_grown``).  ``AY`` is None where the
-    point did not grow, or the sigma floor raised one of its singular
-    values, so that it is not exactly ``X + alpha Y``."""
-
-    point: geo.FixedRankPoint
-    alpha: float
-    AY: geo.FactoredMatrix | None = None
-    order: np.ndarray | None = None
-
-    def __iter__(self):
-        return iter((self.point, self.alpha))
-
-    def evaluation(self, F, ev):
-        """The evaluation at the grown point from ``ev``, the evaluation
-        at X, or None where it is to be evaluated afresh."""
-        if self.AY is None:
-            return None
-        return eqs.evaluate_grown(F, ev, self.point, self.order, self.alpha, self.AY)
-
-
 def rank_increase(X, op, R, r_up):
     """Warm start on the larger manifold by a normal-direction correction.
 
@@ -111,16 +86,19 @@ def rank_increase(X, op, R, r_up):
     is the component's numerical rank capped by the room left to ``min(m,
     n)`` and ``s`` its weighted singular values, so ``r_up`` is the
     smallest increase, not the largest.  It takes the exact line-search
-    step along it, and returns the grown point together with the step
-    length as a ``RankIncrease``.  The truncation
+    step ``alpha`` along that direction Y and returns ``(X_up, alpha, AY,
+    order)``: the grown point ``X_up = X + alpha Y``, whose new singular
+    values are ``|alpha| s_i``, with ``AY = op.apply(Y)`` and ``order``,
+    X_up's columns as indices into ``[X, Y]``, which its evaluation reuses
+    (``equations.evaluate_grown``).  The truncation
     (``_leading_normal_directions``) solves with E and D, takes one
     weighted QR on the D side and no weighted SVD.  With no room or no
-    normal direction the point is X and the step 0; a nonpositive
-    curvature ``<A Y, Y>`` along the direction Y raises ``NotSpdError``.
+    normal direction it returns ``(X, 0.0, None, None)``; a nonpositive
+    curvature ``<A Y, Y>`` along Y raises ``NotSpdError``.
     """
     NU, s_N, NV = _leading_normal_directions(X, R)
     if s_N.size == 0:
-        return RankIncrease(X, 0.0)
+        return X, 0.0, None, None
     k = max(min(r_up, s_N.size), int(np.count_nonzero(s_N >= UP_SHARE * s_N[0])))
     NU, s_N, NV = NU[:, :k], s_N[:k], NV[:, :k]
     Y = geo.FactoredMatrix(NU * s_N, NV)
@@ -134,12 +112,8 @@ def rank_increase(X, op, R, r_up):
     V_all = np.hstack([X.V, NV])
     s_all = np.concatenate([X.sigma, abs(alpha) * s_N])
     order = np.argsort(-s_all)
-    s_all = s_all[order]
-    floor = geo.SIGMA_FLOOR_FACTOR * (s_all[0] if s_all[0] > 0 else 1.0)
-    floored = s_all[-1] < floor
-    s_all = np.maximum(s_all, floor)
-    X_up = geo.FixedRankPoint(U_all[:, order], s_all, V_all[:, order], X.metric)
-    return RankIncrease(X_up, alpha, None if floored else AY, order)
+    X_up = geo.FixedRankPoint(U_all[:, order], s_all[order], V_all[:, order], X.metric)
+    return X_up, alpha, AY, order
 
 
 def _leading_normal_directions(X, R):
@@ -291,9 +265,8 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
     solve with ``spd_loss`` at the point of its last row, as in
     ``rnlcg_solve``: a taken cut's or a grown point whose gradient fails
     ends it there, with its exact residual on that row.  The grown point's
-    evaluation comes from the increase's products
-    (``RankIncrease.evaluation``); only a point the sigma floor changed is
-    evaluated afresh.
+    evaluation comes from the evaluation at X and the increase's products
+    (``equations.evaluate_grown``), never from a fresh ``evaluate``.
     """
     trace = SolveTrace(extra_columns=("sig_ratio",))
     metric = metric if metric is not None else geo.KroneckerMetric()
@@ -348,15 +321,14 @@ def rram_solve(op, F, opts: RramOptions, metric=None, precond=None):
             # ---- rank increase ------------------------------------------
             r_old = state.X.r
             gain_up = None      # unless the rank grows
-            up = rank_increase(state.X, op, state.R, opts.r_up)
-            X_up, alpha_star = up
+            X_up, alpha_star, AY, order = rank_increase(state.X, op, state.R, opts.r_up)
             if X_up.r == r_old:
                 # the rank cannot grow; a phase without a step would repeat
                 # itself, and the next one's `stagnated` forms the gradient
                 if phase_iters == 0:
                     return trace.finish(state.X, "stagnated")
                 continue
-            state.restart(X_up, up.evaluation(F, state.ev))
+            state.restart(X_up, eqs.evaluate_grown(F, state.ev, X_up, order, alpha_star, AY))
             k += 1
             res_before, res = res, state.res_rel()
             gain_up = _log_res(res_before) - _log_res(res)

@@ -2,8 +2,9 @@
 
 Schema (one row per iteration or event):
 ``iter,f,res_rel,res_kind,rank,beta,alpha,backtracks,time_s,event``.
-The truncated-CG solver appends ``rank_x,rank_r,rank_p`` columns, and RRAM
-appends ``sig_ratio``, the iterate's ``sigma_r / sigma_1``.
+The truncated-CG solver appends ``rank_r,rank_p``, the ranks of its
+residual and search direction (the iterate's is ``rank``), and RRAM appends
+``sig_ratio``, the iterate's ``sigma_r / sigma_1``.
 ``time_s`` counts seconds from the trace's construction; golden
 comparisons exclude it.  ``counts`` holds what the solve formed:
 ``evaluations`` and ``gradients``.

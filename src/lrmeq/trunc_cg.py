@@ -63,14 +63,14 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
     preconditioner, ends the solve with ``spd_loss`` at the point of the
     last row, X = 0 if the first apply raises.
     """
-    trace = SolveTrace(extra_columns=("rank_x", "rank_r", "rank_p"))
+    trace = SolveTrace(extra_columns=("rank_r", "rank_p"))
     m, n = op.m, op.n
     X = FactoredMatrix.zero(m, n)
     norm_F = factored_norm(F)
     if norm_F == 0.0:
         trace.append(
             iter=0, f=0.0, res_rel=0.0, res_kind="exact", rank=0,
-            beta=0.0, alpha=0.0, backtracks=0, rank_x=0, rank_r=0, rank_p=0,
+            beta=0.0, alpha=0.0, backtracks=0, rank_r=0, rank_p=0,
         )
         return trace.finish(X, "converged")
 
@@ -94,7 +94,7 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
     res_hist = [res]
     trace.append(
         iter=0, f=0.0, res_rel=res, res_kind="exact", rank=X.k,
-        beta=0.0, alpha=0.0, backtracks=0, rank_x=X.k, rank_r=R.k,
+        beta=0.0, alpha=0.0, backtracks=0, rank_r=R.k,
     )
     try:
         P = precondition(R)
@@ -127,7 +127,7 @@ def truncated_cg_solve(op, F, precond, tol, max_iter):
             X = X_k
             trace.append(
                 iter=k, f="", res_rel=res, res_kind=kind, rank=X.k,
-                beta=beta, alpha=omega, backtracks=0, rank_x=X.k, rank_r=R.k, rank_p=P.k,
+                beta=beta, alpha=omega, backtracks=0, rank_r=R.k, rank_p=P.k,
             )
             if res <= tol:
                 return trace.finish(X, "converged")

@@ -287,7 +287,7 @@ def test_criterion_7_preconditioner_ordering():
     _, tr0, st0 = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0))
     kron = geo.KroneckerMetric(spec["E"], spec["D"])
-    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron)
     prec_adi = pc.TangAdiPrecond(spec["A"], spec["B"], kron, shifts)
     _, tra, sta = rnlcg_solve(inst.op, inst.F,
                               RnlcgOptions(rank=12, tol=tol, max_iters=300, seed=0),

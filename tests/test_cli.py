@@ -469,6 +469,16 @@ def test_missing_preconditioner_exits_3(tmp_path, capsys):
     assert "instance provides no P2 preconditioner" in capsys.readouterr().err
 
 
+def test_tangadi_on_an_instance_without_p2_exits_3(tmp_path, capsys):
+    """tangADI reads P2 only: a one-term instance has none, and its P1 is a
+    Kronecker spec."""
+    inst_dir = tmp_path / "inst"
+    inst_io.export_instance(pb.gen_synthetic(6, 6, 1, seed=5), inst_dir)
+    assert main(["solve", "--instance", str(inst_dir), "--solver", "rnlcg",
+                 "--precond", "tangadi", "--out", str(tmp_path / "run")]) == 3
+    assert "provides no tangadi preconditioner" in capsys.readouterr().err
+
+
 def test_tangadi_on_a_kronecker_spec_exits_3(tmp_path, capsys):
     """Stochastic Galerkin's preconditioners are Kronecker specs, which
     tangADI cannot use."""
@@ -488,14 +498,16 @@ def test_config_file_not_an_object_exits_3(tmp_path, capsys, content):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("adi_steps", 8), ("kron_mode", "metric"), ("rank_cap", 12)],
-    ids=["adi_steps", "kron_mode", "rank_cap"],
+    "key, value",
+    [("adi_steps", 8), ("kron_mode", "metric"), ("rank_cap", 12), ("adi_shifts", 8)],
+    ids=["adi_steps", "kron_mode", "rank_cap", "adi_shifts"],
 )
 def test_config_file_with_removed_key_exits_3(tmp_path, capsys, key, value):
     """``adi_steps`` is gone (the sweep count is the number of shifts), so
-    is ``kron_mode`` (a Kronecker preconditioner is always the metric), and
-    so is ``rank_cap`` (truncated CG truncates each quantity relative to its
-    own norm, with no cap): a config file that still sets one names it as
+    is ``kron_mode`` (a Kronecker preconditioner is always the metric), so
+    is ``rank_cap`` (truncated CG truncates each quantity relative to its
+    own norm, with no cap), and so is ``adi_shifts`` (the shift count is
+    ``precond.ADI_SHIFTS``): a config file that still sets one names it as
     an unknown key."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
@@ -519,8 +531,9 @@ def test_solve_flags_are_the_config_keys(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["--precond", "p2"], ["--rank", "abc"], ["--adi-steps", "8"], ["--kron-mode", "metric"],
-     ["--rank-cap", "3"]],
-    ids=["choice", "type", "removed", "removed_kron_mode", "removed_rank_cap"],
+     ["--rank-cap", "3"], ["--adi-shifts", "8"]],
+    ids=["choice", "type", "removed", "removed_kron_mode", "removed_rank_cap",
+         "removed_adi_shifts"],
 )
 def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
     """A rejected flag value is an invalid configuration (3), like the same
@@ -538,8 +551,6 @@ def test_flag_argparse_rejects_exits_3(tmp_path, capsys, argv):
         ("rnlcg", "flag", "rank", 0),
         ("rram", "flag", "r0", 0),
         ("rram", "flag", "r_up", 0),
-        ("rnlcg", "flag", "adi_shifts", 0),
-        ("trunc_cg", "flag", "adi_shifts", 0),
         ("rram", "flag", "tol", -1.0),
         ("rnlcg", "file", "rank", "12"),
         ("rnlcg", "file", "tol", "1e-6"),

@@ -1,13 +1,15 @@
 """Guard against dead code: every module-level function and class of the
 package, and every non-dunder method of its classes, is named somewhere
 else in the package (``lrmeq/__init__.py``'s exports count as such a
-name)."""
+name); every parameter is read, and so is every solve setting of the
+command line."""
 
 import ast
 import collections
 from pathlib import Path
 
 import lrmeq
+from lrmeq import cli
 
 PACKAGE = Path(lrmeq.__file__).parent
 
@@ -109,3 +111,16 @@ def test_every_parameter_is_read():
               if name not in ("self", "cls") and not name.startswith("_")
               and name not in reads(fn)]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_every_config_key_is_read():
+    """Every key of ``cli._CONFIG_DEFAULTS`` is read as ``cfg["<key>"]`` in
+    ``lrmeq/cli.py``, so no setting is accepted that nothing uses."""
+    tree = package_trees()["cli.py"]
+    read = {sub.slice.value for sub in ast.walk(tree)
+            if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Load)
+            and isinstance(sub.value, ast.Name) and sub.value.id == "cfg"
+            and isinstance(sub.slice, ast.Constant)}
+    assert "solver" in read    # the scan sees the reads
+    assert not set(cli._CONFIG_DEFAULTS) - read, (
+        "config keys never read: " + ", ".join(sorted(set(cli._CONFIG_DEFAULTS) - read)))

@@ -297,7 +297,7 @@ def test_tangadi_fixed_point_on_diffusion_shifts(rng):
     n = 32
     A, B, D, E = diffusion_p2(n)
     kron = geo.KroneckerMetric(E, D)
-    shifts = pc.adi_shifts(A, B, kron, 8)
+    shifts = pc.adi_shifts(A, B, kron)
     A, B, D, E = (M.toarray() for M in (A, B, D, E))
     X = std_point(n, n, 3, rng)
     eta = rand_eta(X, rng)
@@ -326,7 +326,7 @@ def test_tangadi_multiplies_A_and_B_once_per_apply(rng, monkeypatch):
     n, r = 32, 3
     A, B, D, E = diffusion_p2(n)
     kron = geo.KroneckerMetric(E, D)
-    shifts = pc.adi_shifts(A, B, kron, 8)
+    shifts = pc.adi_shifts(A, B, kron)
     X = std_point(n, n, r, rng)
     eta = rand_eta(X, rng)
     prec = pc.TangAdiPrecond(A, B, kron, shifts)
@@ -351,7 +351,7 @@ def test_tangadi_one_sweep_on_diffusion_instance(rng):
     n = 32
     A, B, D, E = diffusion_p2(n)
     kron = geo.KroneckerMetric(E, D)
-    shifts = pc.adi_shifts(A, B, kron, 8)
+    shifts = pc.adi_shifts(A, B, kron)
     X = std_point(n, n, 3, rng)
     eta = rand_eta(X, rng)
     xi = pc.TangAdiPrecond(A, B, kron, shifts).apply_inv_tangent(eta)

@@ -77,7 +77,7 @@ def test_rank_increase_identity_operator(rng):
     F = eqs.LowRankRhs(rng.standard_normal((m, 5)), rng.standard_normal((n, 5)))
     met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
+    X2, alpha, _, _ = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
     assert X2.r == 4
     assert abs(alpha - 1.0) <= 1e-10
 
@@ -90,7 +90,7 @@ def test_rank_increase_at_exact_solution(rng):
     Ff = op.apply(Xs)
     F = eqs.LowRankRhs(Ff.left, Ff.right)
     f0 = eqs.evaluate(op, Xs, F).f
-    X2, alpha = rr.rank_increase(Xs, op, eqs.residual(op, Xs, F), 2)
+    X2, alpha, _, _ = rr.rank_increase(Xs, op, eqs.residual(op, Xs, F), 2)
     assert X2.r == 5
     f1 = eqs.evaluate(op, X2, F).f
     assert abs(f1 - f0) <= 1e-10 * max(1.0, abs(f0))
@@ -104,7 +104,7 @@ def test_rank_increase_exact_line_search(rng):
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     met = geo.KroneckerMetric()
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
+    X2, alpha, _, _ = rr.rank_increase(X, op, eqs.residual(op, X, F), 2)
     # recover Y = (X2 - X)/alpha and check optimality over a grid
     Yd = (X2.densify(force=True) - X.densify(force=True)) / alpha
     Xd = X.densify(force=True)
@@ -129,7 +129,7 @@ def test_rank_increase_direction_is_normal(rng):
     op = eqs.MultitermOperator(A, B)
     F = eqs.LowRankRhs(rng.standard_normal((m, 3)), rng.standard_normal((n, 3)))
     X = geo.random_point(m, n, 2, met, rng)
-    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
+    X2, alpha, _, _ = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
     Yd = (X2.densify(force=True) - X.densify(force=True))
     proj = geo.project(X, Yd)
     assert geo.norm(proj) <= 1e-10 * np.linalg.norm(Yd)
@@ -153,7 +153,7 @@ def test_rank_increase_grows_by_the_normal_rank(rng):
     PV = np.eye(n) - X.V @ X.V.T @ D
     k = np.linalg.matrix_rank(PU @ np.linalg.solve(E, Rd) @ np.linalg.solve(D, PV.T))
     assert k == 2
-    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 4)
+    X2, alpha, _, _ = rr.rank_increase(X, op, eqs.residual(op, X, F), 4)
     assert X2.r == 1 + k
     assert_valid_point(X2)
     assert eqs.evaluate(op, X2, F).f < eqs.evaluate(op, X, F).f
@@ -162,7 +162,7 @@ def test_rank_increase_grows_by_the_normal_rank(rng):
 def test_rank_increase_at_full_rank_returns_the_point(rng):
     op, F = identity_problem(rng, m=6, n=5)
     X = geo.random_point(6, 5, 5, geo.KroneckerMetric(), rng)
-    X2, alpha = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
+    X2, alpha, _, _ = rr.rank_increase(X, op, eqs.residual(op, X, F), 3)
     assert X2 is X and alpha == 0.0
 
 
@@ -188,7 +188,7 @@ def test_rank_increase_weighted_residual_wider_than_min_dimension(m, n, rng):
     X = geo.random_point(m, n, r, met, rng)
     R = eqs.evaluate(op, X, F).R
     assert op.ell * r + F.k > min(m, n) and R.k == min(m, n)
-    X2, alpha = rr.rank_increase(X, op, R, r_up)
+    X2, alpha, _, _ = rr.rank_increase(X, op, R, r_up)
     assert X2.r == r + r_up
     assert_valid_point(X2)
     E, D = dense_metric(met, (m, n))
@@ -224,7 +224,7 @@ def test_rank_increase_of_a_factored_residual_matches_the_dense_oracle(m, n, rng
     X = geo.random_point(m, n, r, met, rng)
     ev = eqs.evaluate(op, X, F)
     assert not ev.dense
-    X2, alpha = rr.rank_increase(X, op, ev.R, r_up)
+    X2, alpha, _, _ = rr.rank_increase(X, op, ev.R, r_up)
     assert X2.r == r + r_up
     assert_valid_point(X2)
     ref = dense_rank_increase_step(X, op, ev.R.densify(force=True), r_up)
@@ -243,7 +243,7 @@ def test_rank_increase_of_a_rank_deficient_normal_component(m, n, rng):
     met = geo.KroneckerMetric(inst.p1["E"], inst.p1["D"])
     X = geo.random_point(m, n, 1, met, rng)
     R = eqs.evaluate(op, X, F).R
-    X2, alpha = rr.rank_increase(X, op, R, 4)
+    X2, alpha, _, _ = rr.rank_increase(X, op, R, 4)
     assert X2.r == 3
     assert_valid_point(X2)
     ref = dense_rank_increase_step(X, op, R.densify(force=True), 4)
@@ -299,7 +299,7 @@ def test_rank_increase_selects_by_the_weighted_spectrum(sigma, r, r_up, expected
     assert direct_increase_rank(sigma, r_up, min(m, n) - r) == expected
     E, D = dense_metric(X)
     op = eqs.MultitermOperator([rand_spd(m, rng, 10.0), E], [D, rand_spd(n, rng, 10.0)])
-    X2, alpha = rr.rank_increase(X, op, R, r_up)
+    X2, alpha, _, _ = rr.rank_increase(X, op, R, r_up)
     assert X2.r == r + expected
     assert_valid_point(X2)
     Nk = dense_weighted_truncation(N, expected, E, D)
@@ -325,7 +325,7 @@ def test_rank_increase_takes_no_square_root(rng):
     with mock.patch.multiple(numkit.SpdFactorization, c_mul=refuse, ct_mul=refuse,
                              c_solve=refuse, ct_solve=refuse), \
             mock.patch.object(geo, "weighted_svd", refuse):
-        X2, _ = rr.rank_increase(X, inst.op, R, 2)
+        X2, _, _, _ = rr.rank_increase(X, inst.op, R, 2)
     assert X2.r == 4
 
 
@@ -374,7 +374,7 @@ def test_rank_increase_solves_at_most_min_dimension_columns(rng):
     assert inst.op.ell * X.r + inst.F.k == 11 and R.k == n
     with mock.patch.object(met, "solve_E", wraps=met.solve_E) as solve_E, \
             mock.patch.object(met, "solve_D", wraps=met.solve_D) as solve_D:
-        X2, _ = rr.rank_increase(X, inst.op, R, 2)
+        X2, _, _, _ = rr.rank_increase(X, inst.op, R, 2)
     assert X2.r == 5
     for solve in (solve_E, solve_D):
         assert solve.called
@@ -847,7 +847,7 @@ def test_rram_increase_that_cannot_grow_leaves_no_gain_up(monkeypatch):
 
     def second_cannot_grow(X, op, R, r_up):
         at_call.append(len(calls))
-        return (X, 0.0) if len(at_call) == 2 else increase(X, op, R, r_up)
+        return (X, 0.0, None, None) if len(at_call) == 2 else increase(X, op, R, r_up)
 
     monkeypatch.setattr(rr, "rank_increase", second_cannot_grow)
     op, F, met = growth_problem()

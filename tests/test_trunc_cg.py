@@ -229,7 +229,7 @@ def test_no_divergence_at_truncation_floor():
     inst = pb.gen_fd_diffusion_paper(100, alpha=10.0, lk=3)
     spec = inst.p2
     kron = geo.KroneckerMetric(spec["E"], spec["D"])
-    shifts = pc.adi_shifts(spec["A"], spec["B"], kron, 8)
+    shifts = pc.adi_shifts(spec["A"], spec["B"], kron)
     tol = 1e-6
     prec = pc.FadiAmbientPrecond(
         spec["A"], spec["B"], kron, shifts,
